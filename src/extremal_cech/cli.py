@@ -3,7 +3,8 @@
 Subcommands: generate, filtration, betti, persistence, radii, oracle,
 verify.  Exit codes: 0 success / all PASS, 1 claim or check FAIL, 2 usage
 error (argparse default), 3 numeric or controller failure (delta controller
-exhausted, class overlap, emptiness assertion, subset budget).
+exhausted, class overlap, emptiness assertion, criticality failure of a
+loaded point set, subset budget).
 
 Outputs are deterministic: identical invocations produce byte-identical
 files; nothing embeds timestamps.
@@ -12,7 +13,6 @@ files; nothing embeds timestamps.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import complexgen, construct, homology, oracle, verify
@@ -83,10 +83,28 @@ def _cmd_generate(args) -> int:
     return EXIT_OK
 
 
+def _load_matching(args) -> construct.PointSet:
+    """The point-set file given with --points, checked against the flags."""
+    ps = construct.load_points(args.points)
+    k = args.k if args.k is not None else ps.k
+    if (ps.kind, ps.k, ps.n) != (args.kind, k, args.n):
+        raise ValueError(f"{args.points} holds kind={ps.kind} k={ps.k} n={ps.n}, "
+                         f"but the flags say kind={args.kind} k={k} n={args.n}")
+    return ps
+
+
 def _cmd_filtration(args) -> int:
     if args.points:
-        ps = construct.load_points(args.points)
-        fc = complexgen.build_filtration(ps, threads=args.threads)
+        # a loaded set gets the validation a constructed one gets
+        ps = _load_matching(args)
+        fc = complexgen.build_filtration(ps)
+        complexgen.pick_thresholds(fc)
+        report = complexgen.criticality_check(ps, fc)
+        if report.failures:
+            verts, reason = report.failures[0]
+            print(f"error: {len(report.failures)} simplices are not critical; "
+                  f"first {verts}: {reason}", file=sys.stderr)
+            return EXIT_NUMERIC
     else:
         ps, fc, _ = _build_validated(args)
     complexgen.save_filtration(fc, args.output)
@@ -194,9 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="extremal-cech",
         description="Extremal point sets for Cech/Alpha complexes: generation, "
                     "filtrations, persistence, and claim verification.")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker cap for radius evaluation "
-                             "(default: EXTREMAL_CECH_THREADS or 1)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="write a point-set CSV")
@@ -254,8 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads is not None:
-        os.environ["EXTREMAL_CECH_THREADS"] = str(max(1, args.threads))
     try:
         return args.func(args)
     except (NotCriticalError, OverlapError, DeltaExhaustedError, BudgetExceededError) as exc:

@@ -9,7 +9,11 @@ subset of the circles.  Simplices are classified by
 * short = number of circles contributing a consecutive pair minus one,
 
 so dim = touch + short + 1.  Radius values are miniball radii, asserted to
-be realized by strictly empty spheres; sorting by (value, dim, vertex list)
+be realized by strictly empty spheres.  Every simplex of a validated
+construction is critical, and the miniball of a critical simplex is its
+circumsphere, so values are circumradii from one batched circumsphere pass
+(`geometry.circumspheres`); a simplex that pass does not clear falls back to
+the Welzl miniball in `radius_value`.  Sorting by (value, dim, vertex list)
 yields a face-before-coface filtration because class value ranges are
 disjoint and a face always sits in a strictly earlier class.
 """
@@ -17,8 +21,6 @@ disjoint and a face always sits in a strictly earlier class.
 from __future__ import annotations
 
 import itertools
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +33,7 @@ from .geometry import (
     DEFAULT_TOL,
     barycentric_interior,
     circumsphere,
+    circumspheres,
     emptiness_violations,
     is_empty_sphere,
     min_enclosing_ball,
@@ -222,31 +225,21 @@ def radius_value(ps: PointSet, simplex, tol: Tolerance = DEFAULT_TOL,
     return ball.radius
 
 
-def _default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("EXTREMAL_CECH_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def build_filtration(ps: PointSet, tol: Tolerance = DEFAULT_TOL,
-                     assert_empty: bool = True, threads: int | None = None) -> FilteredComplex:
+                     assert_empty: bool = True) -> FilteredComplex:
     """Enumerate the mosaic, assign radius values, sort face-before-coface.
 
-    Values within a class may be computed concurrently (read-only inputs);
-    the final (value, dim, lexicographic) sort restores determinism.
+    A simplex the batched pass clears as critical (without `assert_empty`:
+    as having an interior circumcenter) takes its circumradius; every other
+    one goes through `radius_value`, in enumeration order, so the first
+    non-empty sphere raises the same NotCriticalError as a per-simplex pass
+    would.
     """
     simplices = enumerate_mosaic(ps)
-    threads = _default_threads() if threads is None else max(1, threads)
-
-    def value_of(cs):
-        return radius_value(ps, cs, tol, assert_empty)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(value_of, simplices))
-    else:
-        values = [value_of(cs) for cs in simplices]
+    batch = circumspheres(ps, [cs.vertices for cs in simplices], tol)
+    cleared = batch.critical if assert_empty else batch.interior
+    values = [float(r) if ok else radius_value(ps, cs, tol, assert_empty)
+              for cs, r, ok in zip(simplices, batch.radius, cleared)]
 
     # enforce exact monotonicity under face inclusion: a face and a coface
     # can determine the same ball, and floating point may then disagree by
@@ -323,22 +316,33 @@ def criticality_check(ps: PointSet, fc: FilteredComplex,
                       tol: Tolerance = DEFAULT_TOL) -> CriticalityReport:
     """Check every simplex for the two criticality conditions: circumcenter
     in the simplex interior, and strict emptiness of the circumsphere.
-    Failures are data, not errors."""
+    Failures are data, not errors.  One batched pass clears the critical
+    simplices; each simplex it flags is checked again one at a time, which
+    gives the verdict and the failure message."""
+    batch = circumspheres(ps, [cs.vertices for _, cs in fc.entries], tol)
     failures = []
-    for _, cs in fc.entries:
-        pts = ps.points[list(cs.vertices)]
-        try:
-            sphere = circumsphere(pts, tol)
-        except AffineDegeneracyError as exc:
-            failures.append((cs.vertices, f"degenerate circumsphere: {exc}"))
+    for (_, cs), ok in zip(fc.entries, batch.critical):
+        if ok:
             continue
-        if not barycentric_interior(pts, sphere.center, tol):
-            failures.append((cs.vertices, "circumcenter not in simplex interior"))
-            continue
-        if not is_empty_sphere(sphere, ps, exclude=cs.vertices, strict=True, tol=tol):
-            bad = emptiness_violations(sphere, ps, exclude=cs.vertices, strict=True, tol=tol)
-            failures.append((cs.vertices, f"circumsphere not strictly empty: point {bad[0]}"))
+        reason = _criticality_failure(ps, cs.vertices, tol)
+        if reason is not None:
+            failures.append((cs.vertices, reason))
     return CriticalityReport(len(fc), failures)
+
+
+def _criticality_failure(ps: PointSet, verts: tuple[int, ...], tol: Tolerance) -> str | None:
+    """Why one simplex is not critical, or None if it is."""
+    pts = ps.points[list(verts)]
+    try:
+        sphere = circumsphere(pts, tol)
+    except AffineDegeneracyError as exc:
+        return f"degenerate circumsphere: {exc}"
+    if not barycentric_interior(pts, sphere.center, tol):
+        return "circumcenter not in simplex interior"
+    if not is_empty_sphere(sphere, ps, exclude=verts, strict=True, tol=tol):
+        bad = emptiness_violations(sphere, ps, exclude=verts, strict=True, tol=tol)
+        return f"circumsphere not strictly empty: point {bad[0]}"
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Floating-point geometric kernel.
 
-Distances, smallest enclosing balls, circumspheres, barycentric interiority
-and empty-sphere predicates, all in plain 64-bit arithmetic.  Radius gaps in
-the point sets this package builds are orders of magnitude above double
-precision noise, so tolerance-guarded floating point is sufficient; exact
-predicates are deliberately out of scope.
+Distances, smallest enclosing balls, circumspheres (one at a time, or
+batched over many simplices), barycentric interiority and empty-sphere
+predicates, all in plain 64-bit arithmetic with fixed tolerances; exact
+predicates are out of scope.  The fixed tolerances are not safe at every
+size: on the 3d family the smallest strict-emptiness clearance is 2(delta/n)^2,
+which at the default delta = 0.1/n falls below abs_eps = 1e-12 from n ~ 376.
 
 Every function is pure and thread-safe.
 """
@@ -20,12 +21,14 @@ __all__ = [
     "AffineDegeneracyError",
     "DimensionMismatchError",
     "Sphere",
+    "SphereBatch",
     "Tolerance",
     "DEFAULT_TOL",
     "affine_distance",
     "barycentric_coordinates",
     "barycentric_interior",
     "circumsphere",
+    "circumspheres",
     "is_empty_sphere",
     "min_enclosing_ball",
     "squared_distance",
@@ -173,6 +176,91 @@ def circumsphere(points, tol: Tolerance = DEFAULT_TOL) -> Sphere:
     diffs = pts - center
     radius = float(np.mean(np.sqrt(np.einsum("ij,ij->i", diffs, diffs))))
     return Sphere(center, radius)
+
+
+# Entries of one point-to-center distance block in `circumspheres`; bounds
+# the temporary arrays so memory grows with the complex, not its square.
+DISTANCE_BLOCK = 8192
+
+
+@dataclass(frozen=True, eq=False)
+class SphereBatch:
+    """Per-simplex circumsphere data from `circumspheres`, in input order.
+
+    radius is the circumradius; interior says every barycentric coordinate
+    of the circumcenter exceeds interior_eps; empty says every point other
+    than the simplex's own vertices lies strictly outside the circumsphere.
+    Where degenerate, radius is nan and interior and empty are False.
+    """
+
+    radius: np.ndarray
+    degenerate: np.ndarray
+    interior: np.ndarray
+    empty: np.ndarray
+
+    @property
+    def critical(self) -> np.ndarray:
+        """Circumcenter interior and circumsphere strictly empty."""
+        return self.interior & self.empty
+
+
+def circumspheres(points, simplices, tol: Tolerance = DEFAULT_TOL) -> SphereBatch:
+    """Circumspheres of many simplices of one point set at once.
+
+    `points` may be a PointSet or a coordinate array; `simplices` is a
+    sequence of vertex-index tuples.  Simplices are grouped by size and each
+    group's Gram systems are solved in one stacked call; the solution
+    coefficients are the barycentric coordinates of the circumcenter.  The
+    degeneracy test is `circumsphere`'s and the interior and emptiness tests
+    are `barycentric_interior`'s and strict `is_empty_sphere`'s, with the same
+    tolerances.  A simplex of more than d+1 points is reported degenerate.
+    """
+    pts = np.asarray(getattr(points, "points", points), dtype=float)
+    n_pts, d = pts.shape
+    count = len(simplices)
+    radius = np.full(count, np.nan)
+    degenerate = np.ones(count, dtype=bool)
+    interior = np.zeros(count, dtype=bool)
+    empty = np.zeros(count, dtype=bool)
+    groups: dict[int, list[int]] = {}
+    for i, verts in enumerate(simplices):
+        groups.setdefault(len(verts), []).append(i)
+    for m, rows in groups.items():
+        if m > d + 1:
+            continue
+        rows = np.asarray(rows, dtype=np.intp)
+        idx = np.asarray([simplices[i] for i in rows], dtype=np.intp).reshape(len(rows), m)
+        verts = pts[idx]
+        if m == 1:
+            deg = np.zeros(len(rows), dtype=bool)
+            center = verts[:, 0]
+            r2 = np.zeros(len(rows))
+            inside = np.ones(len(rows), dtype=bool)
+        else:
+            rel = verts[:, 1:] - verts[:, :1]
+            sv = np.linalg.svd(rel, compute_uv=False)
+            deg = sv[:, -1] <= tol.rel_eps * sv[:, 0]
+            gram = rel @ rel.transpose(0, 2, 1)
+            gram[deg] = np.eye(m - 1)  # keeps the stacked solve nonsingular
+            rhs = 0.5 * np.einsum("bij,bij->bi", rel, rel)
+            alpha = np.linalg.solve(gram, rhs[..., None])[..., 0]
+            center = verts[:, 0] + np.einsum("bi,bij->bj", alpha, rel)
+            diffs = verts - center[:, None]
+            r2 = np.max(np.einsum("bij,bij->bi", diffs, diffs), axis=1)
+            inside = ((1.0 - alpha.sum(axis=1) > tol.interior_eps)
+                      & np.all(alpha > tol.interior_eps, axis=1) & ~deg)
+        degenerate[rows] = deg
+        radius[rows] = np.where(deg, np.nan, np.sqrt(r2))
+        interior[rows] = inside
+        step = max(1, DISTANCE_BLOCK // n_pts)
+        for lo in range(0, len(rows), step):
+            hi = min(lo + step, len(rows))
+            diffs = pts[None, :, :] - center[lo:hi, None, :]
+            d2 = np.einsum("bij,bij->bi", diffs, diffs)
+            d2[np.arange(hi - lo)[:, None], idx[lo:hi]] = np.inf
+            clear = np.all(d2 >= (r2[lo:hi] + tol.abs_eps)[:, None], axis=1)
+            empty[rows[lo:hi]] = clear & ~deg[lo:hi]
+    return SphereBatch(radius, degenerate, interior, empty)
 
 
 def affine_distance(points, x) -> float:

@@ -53,6 +53,27 @@ class TestFiltration:
         assert code == 3
         assert "empty" in err
 
+    def test_loaded_points_are_validated(self, tmp_path, capsys):
+        pts = tmp_path / "pts.csv"
+        run(["generate", "--kind", "3d", "--n", "3", "--delta", "0.5", "-o", str(pts)],
+            capsys)
+        out = tmp_path / "f.txt"
+        code, _, err = run(["filtration", "--kind", "3d", "--n", "3", "--points", str(pts),
+                            "-o", str(out)], capsys)
+        assert code == 3
+        assert "overlap" in err
+        assert not out.exists()
+
+    def test_loaded_points_must_match_flags(self, tmp_path, capsys):
+        pts = tmp_path / "pts.csv"
+        run(["generate", "--kind", "3d", "--n", "3", "--delta", "auto", "-o", str(pts)],
+            capsys)
+        for flags in (["--kind", "odd", "--k", "2", "--n", "9"], ["--kind", "3d", "--n", "4"]):
+            code, _, err = run(["filtration", *flags, "--points", str(pts),
+                                "-o", str(tmp_path / "f.txt")], capsys)
+            assert code == 2
+            assert "kind=3d k=1 n=3" in err
+
 
 class TestBetti:
     def test_even_anchor(self, capsys):

@@ -1,10 +1,16 @@
+import dataclasses
+import itertools
 import math
+from collections import Counter
 from math import comb
 
+import numpy as np
 import pytest
 
-from extremal_cech import complexgen
+from extremal_cech import complexgen, homology
 from extremal_cech.complexgen import (
+    ClassifiedSimplex,
+    FilteredComplex,
     InvalidSimplexError,
     NotCriticalError,
     OverlapError,
@@ -19,6 +25,17 @@ from extremal_cech.complexgen import (
     save_filtration,
 )
 from extremal_cech.construct import build_3d, build_even, build_odd, half_edge
+from extremal_cech.geometry import (
+    DEFAULT_TOL,
+    barycentric_interior,
+    circumsphere,
+    circumspheres,
+    is_empty_sphere,
+    min_enclosing_ball,
+)
+
+from conftest import cached_pipeline
+from test_acceptance import ACCEPTED
 
 
 def class_counts(simplices):
@@ -187,11 +204,82 @@ class TestFiltration:
         save_filtration(back, path2)
         assert path.read_bytes() == path2.read_bytes()
 
-    def test_threads_do_not_change_output(self):
+    def test_deterministic_output(self, tmp_path):
         ps = build_3d(3, 0.01)
-        a = build_filtration(ps, threads=1)
-        b = build_filtration(ps, threads=4)
+        a = build_filtration(ps)
+        b = build_filtration(ps)
         assert a.entries == b.entries
+        save_filtration(a, tmp_path / "a.txt")
+        save_filtration(b, tmp_path / "b.txt")
+        assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
+
+
+def welzl_filtration(simplices, radii):
+    """Filtration assembled from per-simplex miniball radii, the way it was
+    built before the batched pass: monotone under faces, then sorted."""
+    by_verts = {}
+    for cs, value in sorted(zip(simplices, radii), key=lambda e: e[0].dim):
+        if cs.dim > 0:
+            value = max(value, max(by_verts[f]
+                                   for f in itertools.combinations(cs.vertices, cs.dim)))
+        by_verts[cs.vertices] = value
+    return FilteredComplex(sorted(((by_verts[cs.vertices], cs) for cs in simplices),
+                                  key=lambda e: (e[0], e[1].dim, e[1].vertices)))
+
+
+def diagram_multiset(pd):
+    return Counter((dim, round(birth, 12), round(death, 12)) for dim, birth, death in pd.pairs)
+
+
+def scalar_predicates(ps, verts):
+    pts = ps.points[list(verts)]
+    sphere = circumsphere(pts)
+    return (barycentric_interior(pts, sphere.center),
+            is_empty_sphere(sphere, ps, exclude=verts, strict=True))
+
+
+class TestBatchedSpheres:
+    @pytest.mark.parametrize("kind,k,n", ACCEPTED + (("even", 3, 6),))
+    def test_radii_match_welzl(self, kind, k, n):
+        ps, _, _, pd = cached_pipeline(kind, k, n)
+        simplices = complexgen.enumerate_mosaic(ps)
+        batched = circumspheres(ps, [cs.vertices for cs in simplices]).radius
+        welzl = np.array([min_enclosing_ball(ps.points[list(cs.vertices)]).radius
+                          for cs in simplices])
+        assert np.all(np.abs(batched - welzl) <= 8 * np.spacing(welzl))
+        reference = homology.reduce(welzl_filtration(simplices, welzl))
+        assert diagram_multiset(pd) == diagram_multiset(reference)
+
+    def test_criticality_matches_scalar(self):
+        ps = build_3d(10, 0.5)
+        fc = build_filtration(ps, assert_empty=False)
+        verts = [cs.vertices for _, cs in fc.entries]
+        scalar = [complexgen._criticality_failure(ps, v, DEFAULT_TOL) for v in verts]
+        for shift in range(4):  # each predicate, under every vertex order
+            rotated = [v[shift % len(v):] + v[:shift % len(v)] for v in verts]
+            batch = circumspheres(ps, rotated)
+            assert list(zip(batch.interior, batch.empty)) == [
+                scalar_predicates(ps, v) for v in rotated]
+        assert criticality_check(ps, fc).failures == [
+            (v, r) for v, r in zip(verts, scalar) if r is not None]
+
+    def test_degenerate_and_oversized_go_to_scalar_path(self):
+        base = build_3d(3, 0.01)
+        pts = base.points.copy()
+        pts[2] = 0.5 * (pts[0] + pts[1])  # (0, 1, 2) collinear
+        ps = dataclasses.replace(base, points=pts)
+        odd_ones = [(0, 1, 2), (0, 1, 4, 5, 6)]
+        good = [cs.vertices for cs in complexgen.enumerate_mosaic(base)
+                if cs.dim == 3 and 2 not in cs.vertices]
+        batch = circumspheres(ps, odd_ones + good)
+        assert list(batch.degenerate) == [True, True] + [False] * len(good)
+        assert np.all(np.isnan(batch.radius[:2]))
+        fc = FilteredComplex([(0.0, ClassifiedSimplex(v, 1, 1)) for v in odd_ones + good])
+        failures = criticality_check(ps, fc).failures
+        assert [v for v, _ in failures[:2]] == odd_ones
+        assert all(r.startswith("degenerate circumsphere") for _, r in failures[:2])
+        scalar = [(v, complexgen._criticality_failure(ps, v, DEFAULT_TOL)) for v in good]
+        assert failures[2:] == [(v, r) for v, r in scalar if r is not None]
 
 
 class TestThresholds:
