@@ -40,6 +40,7 @@ __all__ = [
     "build_odd",
     "build_suspended",
     "build_validated",
+    "construction_labels",
     "default_delta",
     "half_edge",
     "load_points",
@@ -101,17 +102,11 @@ class PointSet:
 
     @property
     def n_circles(self) -> int:
-        if self.kind == KIND_EVEN:
-            return self.k
-        if self.kind == KIND_3D:
-            return 2
-        if self.kind == KIND_ODD:
-            return self.k + 1
-        return self.k  # suspended: the embedded odd set has (k-1)+1 circles
+        return _layout(self.kind, self.k, self.n)[0]
 
     @property
     def points_per_circle(self) -> int:
-        return self.n if self.kind == KIND_EVEN else self.n + 1
+        return _layout(self.kind, self.k, self.n)[1]
 
     def circle_of(self, i: int) -> int:
         return int(self.labels[i, 0])
@@ -147,6 +142,25 @@ def min_n(k: int) -> int:
     return n
 
 
+def _layout(kind: str, k: int, n: int) -> tuple[int, int, int]:
+    """(circles, points per circle, apexes) of the kind's construction.  The
+    suspended kind embeds the odd set for k-1, which has k circles."""
+    if kind == KIND_EVEN:
+        return k, n, 0
+    circles = {KIND_3D: 2, KIND_ODD: k + 1, KIND_SUSPENDED: k}[kind]
+    return circles, n + 1, 2 if kind == KIND_SUSPENDED else 0
+
+
+def construction_labels(kind: str, k: int, n: int) -> np.ndarray:
+    """The (circle_id, index_on_circle) rows of the kind's construction for
+    k and n, in point order: circle by circle, then the suspended kind's two
+    apexes (-1, 0) and (-1, 1)."""
+    circles, per_circle, apexes = _layout(kind, k, n)
+    rows = [(c, t) for c in range(circles) for t in range(per_circle)]
+    rows += [(-1, a) for a in range(apexes)]
+    return np.array(rows, dtype=int).reshape(-1, 2)
+
+
 def build_even(k: int, n: int) -> PointSet:
     """n points on each of k orthogonal-plane circles of radius sqrt(2)/2."""
     if k < 1:
@@ -156,15 +170,13 @@ def build_even(k: int, n: int) -> PointSet:
     d = 2 * k
     rad = math.sqrt(2.0) / 2.0
     pts = np.zeros((k * n, d))
-    labels = np.zeros((k * n, 2), dtype=int)
     for ell in range(k):
         for t in range(n):
             angle = 2.0 * math.pi * t / n
             i = ell * n + t
             pts[i, 2 * ell] = rad * math.cos(angle)
             pts[i, 2 * ell + 1] = rad * math.sin(angle)
-            labels[i] = (ell, t)
-    return PointSet(KIND_EVEN, d, k, n, 0.0, pts, labels)
+    return PointSet(KIND_EVEN, d, k, n, 0.0, pts, construction_labels(KIND_EVEN, k, n))
 
 
 def build_3d(n: int, delta: float) -> PointSet:
@@ -180,15 +192,11 @@ def build_3d(n: int, delta: float) -> PointSet:
         raise ValueError("delta must lie in (0, 1)")
     cut = math.asin(delta)
     pts = np.zeros((2 * (n + 1), 3))
-    labels = np.zeros((2 * (n + 1), 2), dtype=int)
     for t in range(n + 1):
         phi = -cut + t * (2.0 * cut / n)
         pts[t] = (-0.5 + math.cos(phi), math.sin(phi), 0.0)
-        labels[t] = (0, t)
-        j = (n + 1) + t
-        pts[j] = (0.5 - math.cos(phi), 0.0, math.sin(phi))
-        labels[j] = (1, t)
-    return PointSet(KIND_3D, 3, 1, n, delta, pts, labels)
+        pts[(n + 1) + t] = (0.5 - math.cos(phi), 0.0, math.sin(phi))
+    return PointSet(KIND_3D, 3, 1, n, delta, pts, construction_labels(KIND_3D, 1, n))
 
 
 def _sum_zero_basis(m: int) -> np.ndarray:
@@ -221,7 +229,6 @@ def build_odd(k: int, n: int, delta: float) -> PointSet:
     verts = simplex_vertices(k)  # (k+1, k)
     cut = math.asin(delta / height)
     pts = np.zeros(((k + 1) * (n + 1), d))
-    labels = np.zeros(((k + 1) * (n + 1), 2), dtype=int)
     for ell in range(k + 1):
         u = verts[ell]
         v = -u / k  # barycenter of the opposite facet
@@ -231,8 +238,7 @@ def build_odd(k: int, n: int, delta: float) -> PointSet:
             i = ell * (n + 1) + t
             pts[i, :k] = v + height * math.cos(theta) * w
             pts[i, k + ell] = height * math.sin(theta)
-            labels[i] = (ell, t)
-    return PointSet(KIND_ODD, d, k, n, delta, pts, labels)
+    return PointSet(KIND_ODD, d, k, n, delta, pts, construction_labels(KIND_ODD, k, n))
 
 
 def build_suspended(k: int, n: int, delta: float, h: float) -> PointSet:
@@ -249,11 +255,8 @@ def build_suspended(k: int, n: int, delta: float, h: float) -> PointSet:
     pts[:n_base, : d - 1] = base.points
     pts[n_base, d - 1] = h
     pts[n_base + 1, d - 1] = -h
-    labels = np.zeros((n_base + 2, 2), dtype=int)
-    labels[:n_base] = base.labels
-    labels[n_base] = (-1, 0)
-    labels[n_base + 1] = (-1, 1)
-    return PointSet(KIND_SUSPENDED, d, k, n, delta, pts, labels, h=h,
+    return PointSet(KIND_SUSPENDED, d, k, n, delta, pts,
+                    construction_labels(KIND_SUSPENDED, k, n), h=h,
                     apex_ids=(n_base, n_base + 1))
 
 
@@ -387,6 +390,19 @@ def load_points(path) -> PointSet:
     labels = np.array([[int(row[0]), int(row[1])] for row in rows], dtype=int)
     if pts.shape != (len(rows), d):
         raise ValueError("row width does not match header dimension")
+    # count before listing the labels, so a huge k or n in the header fails fast
+    circles, per_circle, apexes = _layout(kind, k, n)
+    n_expected = max(circles, 0) * max(per_circle, 0) + apexes
+    header = f"kind={kind} k={k} n={n}"
+    if len(labels) != n_expected:
+        raise ValueError(f"{path} holds {len(labels)} points, but its header "
+                         f"{header} has {n_expected}")
+    expected = construction_labels(kind, k, n)
+    bad = np.flatnonzero(np.any(labels != expected, axis=1))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"{path} labels point {i} {tuple(labels[i].tolist())}, but its "
+                         f"header {header} gives it {tuple(expected[i].tolist())}")
     apex_ids = tuple(int(i) for i in np.flatnonzero(labels[:, 0] == -1))
     return PointSet(kind, d, k, n, float(delta), pts, labels, h=float(h),
                     apex_ids=apex_ids)

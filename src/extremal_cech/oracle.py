@@ -2,9 +2,12 @@
 
 Two oracles:
 
-* the Cech complex from miniballs over all vertex subsets up to a size
-  budget, whose Betti numbers must agree with the alpha sublevel complex at
-  equal radius;
+* the Cech complex at radius r, whose Betti numbers must agree with the
+  alpha sublevel complex at equal radius.  It takes miniballs over every
+  vertex subset (up to a size budget) whose facets all lie in the complex
+  at r: a subset's value is the max of its own miniball radius and its
+  facets' values, so a subset with a facet outside the complex is outside
+  it too, and skipping its miniball changes no kept simplex or value;
 * a Delaunay-membership test by empty-sphere feasibility: a vertex set spans
   a mosaic face iff some sphere through it keeps every other point outside
   with positive margin, which is a small linear program in the sphere center.
@@ -45,8 +48,8 @@ class BudgetExceededError(RuntimeError):
 
 @dataclass
 class CechComplex:
-    """All vertex subsets of size <= maxdim+1 with miniball radius <= r,
-    sorted by (radius, size, vertices)."""
+    """All vertex subsets of size <= maxdim+1 with miniball radius <= r
+    (monotone under face inclusion), sorted by (radius, size, vertices)."""
 
     maxdim: int
     radius: float
@@ -60,35 +63,58 @@ class CechComplex:
 
 
 def _check_budget(n_points: int, maxdim: int, budget: int) -> None:
+    """Refuse an input with more than `budget` subsets of size <= maxdim+1.
+
+    The budget bounds the subsets scanned, not the miniballs computed:
+    `cech` computes a miniball only for a subset whose facets lie in the
+    complex, but the same inputs are refused at every radius."""
     total = sum(math.comb(n_points, m) for m in range(1, maxdim + 2))
     if total > budget:
         raise BudgetExceededError(
             f"{total} subsets exceed the budget of {budget}")
 
 
-def _miniball_radii(points: np.ndarray, maxdim: int, tol: Tolerance):
-    """Miniball radius per subset, made exactly monotone under face
-    inclusion (a face's value may exceed its coface's by floating-point
-    noise when both determine the same ball)."""
+def _miniball_radii(points: np.ndarray, maxdim: int, r: float, tol: Tolerance):
+    """Miniball radius per subset in the Cech complex at r, made exactly
+    monotone under face inclusion (a face's value may exceed its coface's by
+    floating-point noise when both determine the same ball).
+
+    Subsets are visited by size, each as a kept subset plus one larger
+    vertex, and a subset's miniball is computed only when every facet is
+    already kept.  A subset's value is the max of its own radius and its
+    facets' values, so one with a facet above the cut lies above it too:
+    skipping it drops only values the cut discards, and every kept value is
+    computed exactly as a scan of all subsets computes it.
+    """
+    cut = r + tol.abs_eps
     values: dict[tuple[int, ...], float] = {}
-    ids = range(len(points))
+    layer = [()]
     for size in range(1, maxdim + 2):
-        for verts in itertools.combinations(ids, size):
-            r = min_enclosing_ball(points[list(verts)], tol).radius
-            if size > 1:
-                r = max(r, max(values[f] for f in itertools.combinations(verts, size - 1)))
-            values[verts] = r
+        grown = []
+        for base in layer:
+            for v in range(base[-1] + 1 if base else 0, len(points)):
+                verts = base + (v,)
+                facets = list(itertools.combinations(verts, size - 1)) if size > 1 else []
+                if not all(f in values for f in facets):
+                    continue
+                value = min_enclosing_ball(points[list(verts)], tol).radius
+                if facets:
+                    value = max(value, max(values[f] for f in facets))
+                if value <= cut:
+                    values[verts] = value
+                    grown.append(verts)
+        layer = grown
     return values
 
 
 def cech(ps: PointSet, r: float, maxdim: int, budget: int = DEFAULT_BUDGET,
          tol: Tolerance = DEFAULT_TOL) -> CechComplex:
-    """Cech complex of the point set at radius r, up to dimension maxdim."""
+    """Cech complex of the point set at radius r, up to dimension maxdim:
+    miniballs over every subset whose facets all lie in the complex at r."""
     if maxdim > ps.dim:
         raise ValueError("maxdim cannot exceed the ambient dimension")
     _check_budget(len(ps), maxdim, budget)
-    values = _miniball_radii(ps.points, maxdim, tol)
-    kept = [(verts, value) for verts, value in values.items() if value <= r + tol.abs_eps]
+    kept = list(_miniball_radii(ps.points, maxdim, r, tol).items())
     kept.sort(key=lambda sv: (sv[1], len(sv[0]), sv[0]))
     return CechComplex(maxdim, r, kept)
 

@@ -103,9 +103,10 @@ def claims_csv(claims: list[ClaimResult]) -> str:
 
 
 @functools.lru_cache(maxsize=None)
-def _pipeline(kind: str, k: int | None, n: int, delta="auto"):
+def _pipeline(kind: str, k: int | None, n: int, delta):
     """Validated construction plus its reduced persistence diagram, cached
-    across claims."""
+    across claims.  Every caller passes all four arguments positionally, so
+    each (kind, k, n, delta) has exactly one cache key."""
     ps, fc, thresholds = build_validated(kind, k=k, n=n, delta=delta)
     pd = homology.reduce(fc)
     return ps, fc, thresholds, pd
@@ -184,10 +185,10 @@ def _odd_cases(k: int, n: int):
 def _deviations(family: str, k: int, n: int) -> list[tuple[int, int, int, float]]:
     """(p, observed, leading, normalized deviation) per homology dimension."""
     if family == "even":
-        ps, fc, thresholds, pd = _pipeline(KIND_EVEN, k, n)
+        ps, fc, thresholds, pd = _pipeline(KIND_EVEN, k, n, "auto")
         cases = _even_cases(k, n)
     else:
-        ps, fc, thresholds, pd = _pipeline(KIND_ODD, k, n)
+        ps, fc, thresholds, pd = _pipeline(KIND_ODD, k, n, "auto")
         cases = _odd_cases(k, n)
     out = []
     for p, cls, leading, scale in cases:
@@ -233,8 +234,8 @@ def verify_betti_odd(k: int, n: int) -> list[ClaimResult]:
             dev <= bound + 1e-9, f"normalized deviation {dev:g}"))
     if k == 1:
         # the dedicated 3d pipeline must agree with the odd one at k=1
-        _, _, th3, pd3 = _pipeline(KIND_3D, 1, n)
-        _, _, tho, pdo = _pipeline(KIND_ODD, 1, n)
+        _, _, th3, pd3 = _pipeline(KIND_3D, 1, n, "auto")
+        _, _, tho, pdo = _pipeline(KIND_ODD, 1, n, "auto")
         for p, cls in ((1, (1, -1)), (2, (1, 0))):
             a = _betti_at_class(pd3, th3, cls, p)
             b = _betti_at_class(pdo, tho, cls, p)
@@ -253,10 +254,11 @@ def _strip_apexes(sps: PointSet) -> PointSet:
 
 
 @functools.lru_cache(maxsize=None)
-def _suspension_run(k: int, n: int, delta="auto"):
+def _suspension_run(k: int, n: int, delta):
     """Search apex heights until the suspended Cech complex turns every void
     of the hyperplane set into one dimension higher.  Returns
-    (expected voids, observed, accepted h, rho, no-apex betti)."""
+    (expected voids, observed, accepted h, rho, no-apex betti).  Called
+    with all three arguments positionally, for one cache key per run."""
     ps, fc, thresholds, pd = _pipeline(KIND_ODD, k - 1, n, delta)
     p_void = 2 * k - 2
     rho = threshold_after(thresholds, (k - 1, k - 2))
@@ -289,7 +291,7 @@ def _suspension_run(k: int, n: int, delta="auto"):
 def _suspension_baseline(k: int) -> float:
     devs = []
     for n in (2, 3):
-        expected, observed, accepted_h, _, _ = _suspension_run(k, n)
+        expected, observed, accepted_h, _, _ = _suspension_run(k, n, "auto")
         if observed is None:
             observed = expected  # bound falls back to the hyperplane count
         devs.append(abs(observed - (n + 1) ** k) / n ** (k - 1))

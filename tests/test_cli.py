@@ -74,6 +74,23 @@ class TestFiltration:
             assert code == 2
             assert "kind=3d k=1 n=3" in err
 
+    @pytest.mark.parametrize("edit", ["truncated", "relabelled"])
+    def test_loaded_labels_must_match_header(self, tmp_path, capsys, edit):
+        pts = tmp_path / "pts.csv"
+        run(["generate", "--kind", "3d", "--n", "3", "--delta", "auto", "-o", str(pts)],
+            capsys)
+        lines = pts.read_text().splitlines()
+        if edit == "truncated":
+            lines = lines[:6]  # header and 5 of the 8 rows
+        else:
+            lines[2] = "0,2," + lines[2].split(",", 2)[2]  # second row claims index 2
+        pts.write_text("\n".join(lines) + "\n")
+        code, _, err = run(["filtration", "--kind", "3d", "--n", "3", "--points", str(pts),
+                            "-o", str(tmp_path / "f.txt")], capsys)
+        assert code == 2
+        assert "kind=3d k=1 n=3" in err
+        assert ("holds 5 points" if edit == "truncated" else "labels point 1 (0, 2)") in err
+
 
 class TestBetti:
     def test_even_anchor(self, capsys):

@@ -245,6 +245,15 @@ class TestPointFile:
         save_points(back, path2)
         assert path.read_bytes() == path2.read_bytes()
 
+    def test_header_size_checked_before_labels_are_listed(self, tmp_path):
+        path = tmp_path / "pts.csv"
+        save_points(build_3d(3, 0.01), path)
+        lines = path.read_text().splitlines()
+        lines[0] = lines[0].replace(",1,3,", ",1,1000000000,", 1)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="holds 8 points.*has 2000000002"):
+            load_points(path)
+
     def test_missing_header(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("0,0,1.0,2.0\n")

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from extremal_cech import complexgen, oracle
-from extremal_cech.construct import PointSet, build_3d, build_even
+from extremal_cech.construct import PointSet, build_3d, build_even, build_suspended
+from extremal_cech.geometry import DEFAULT_TOL, min_enclosing_ball
 from extremal_cech.oracle import (
     BudgetExceededError,
     cech,
@@ -61,6 +62,58 @@ class TestCech:
     def test_even_betti_at_half(self, even_2_5):
         ps, _, _, _ = even_2_5
         assert cech_betti(ps, 0.5, 1)[1] == 26
+
+
+def brute_force_values(ps, maxdim, tol=DEFAULT_TOL):
+    """The miniball radius of every subset, made monotone by the max over
+    its facets."""
+    values = {}
+    for size in range(1, maxdim + 2):
+        for verts in itertools.combinations(range(len(ps)), size):
+            value = min_enclosing_ball(ps.points[list(verts)], tol).radius
+            if size > 1:
+                value = max(value, max(values[f] for f in itertools.combinations(verts, size - 1)))
+            values[verts] = value
+    return values
+
+
+def brute_force_cech(values, r, tol=DEFAULT_TOL):
+    """Reference Cech complex: all subsets with value <= r + abs_eps."""
+    kept = [(verts, value) for verts, value in values.items() if value <= r + tol.abs_eps]
+    kept.sort(key=lambda sv: (sv[1], len(sv[0]), sv[0]))
+    return kept
+
+
+class TestPrunedCech:
+    """The oracle computes a subset's miniball only when all its facets lie
+    in the complex; the result must be the brute-force complex exactly."""
+
+    @pytest.mark.parametrize("kind,k,n", [("3d", 1, 2), ("3d", 1, 3), ("even", 2, 5),
+                                          ("odd", 2, 2), ("suspended", 2, 2)])
+    def test_equals_brute_force_bit_for_bit(self, pipeline, kind, k, n):
+        if kind == "suspended":
+            # the hyperplane set's thresholds, as the suspension claims use them
+            base, _, thresholds, _ = pipeline("odd", k - 1, n)
+            ps = build_suspended(k, n, base.delta, 0.5)
+        else:
+            ps, _, thresholds, _ = pipeline(kind, k, n)
+        values = brute_force_values(ps, ps.dim)
+        above = max(values.values()) + 1.0
+        for r in [0.0, *(th.rho for th in thresholds), above]:
+            assert cech(ps, r, ps.dim).simplices == brute_force_cech(values, r), r
+        assert len(cech(ps, above, ps.dim)) == len(values)
+
+    def test_skips_miniballs_above_the_cut(self, even_2_5, monkeypatch):
+        ps, _, thresholds, _ = even_2_5
+        calls = []
+
+        def counting(points, tol=DEFAULT_TOL):
+            calls.append(len(points))
+            return min_enclosing_ball(points, tol)
+
+        monkeypatch.setattr(oracle, "min_enclosing_ball", counting)
+        cech(ps, min(th.rho for th in thresholds), 4)
+        assert len(calls) <= 55  # vertices and pairs; a full scan makes 637
 
 
 class TestCechEqualsAlpha:

@@ -1,6 +1,8 @@
+import collections
+
 import pytest
 
-from extremal_cech import verify
+from extremal_cech import cli, verify
 from extremal_cech.verify import FAIL, PASS, SKIPPED
 
 
@@ -103,3 +105,21 @@ class TestReporting:
         a = verify.claims_csv(verify.verify_betti_3d(3))
         b = verify.claims_csv(verify.verify_betti_3d(3))
         assert a == b
+
+
+class TestCaching:
+    def test_all_builds_each_pipeline_once(self, monkeypatch, capsys):
+        for cached in (verify._pipeline, verify._suspension_run, verify.baseline_bound,
+                       verify._suspension_baseline):
+            cached.cache_clear()
+        builds = collections.Counter()
+        real = verify.build_validated
+
+        def counting(kind, k=None, n=None, delta="auto", **kwargs):
+            builds[(kind, k, n, delta)] += 1
+            return real(kind, k=k, n=n, delta=delta, **kwargs)
+
+        monkeypatch.setattr(verify, "build_validated", counting)
+        assert cli.main(["verify", "--all"]) == 0
+        assert "53 claims, 0 failures" in capsys.readouterr().out
+        assert builds and set(builds.values()) == {1}, builds
