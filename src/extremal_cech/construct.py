@@ -390,6 +390,11 @@ def load_points(path) -> PointSet:
     labels = np.array([[int(row[0]), int(row[1])] for row in rows], dtype=int)
     if pts.shape != (len(rows), d):
         raise ValueError("row width does not match header dimension")
+    nonfinite = np.flatnonzero(~np.all(np.isfinite(pts), axis=1))
+    if nonfinite.size:
+        i = int(nonfinite[0])
+        raise ValueError(f"{path} row {i + 1} after the header has a non-finite "
+                         f"coordinate: {','.join(rows[i])}")
     # count before listing the labels, so a huge k or n in the header fails fast
     circles, per_circle, apexes = _layout(kind, k, n)
     n_expected = max(circles, 0) * max(per_circle, 0) + apexes

@@ -2,10 +2,9 @@
 
 The boundary matrix in filtration order is reduced column by column; the
 lowest ones define birth/death pairs and unkilled births are essential
-classes.  The hot loop lives in a compiled kernel when available
-(extremal_cech._reduce_cy) with a pure-Python bitset fallback selected at
-import; both implement the identical contract and the benchmark under
-benchmarks/ compares them.
+classes.  There is one kernel, in pure Python: columns are Python integers
+used as bitsets over row indices, and it reduces with clearing (Chen &
+Kerber, "Persistent homology computation with a twist", EuroCG 2011).
 """
 
 from __future__ import annotations
@@ -14,18 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from . import _reduce_py
-
-try:  # compiled kernel is an optional speedup
-    from . import _reduce_cy
-
-    HAVE_COMPILED = True
-except ImportError:  # pragma: no cover - depends on build environment
-    _reduce_cy = None
-    HAVE_COMPILED = False
-
 __all__ = [
-    "HAVE_COMPILED",
     "PersistenceDiagram",
     "betti_at",
     "betti_of_subcomplex",
@@ -39,19 +27,47 @@ __all__ = [
 
 INF = math.inf
 
+# No compiled kernel exists; perfbench/run.py (run_metadata) still reads this.
+HAVE_COMPILED = False
 
-def reduce_columns(columns, backend: str | None = None):
-    """Dispatch to the requested reduction kernel ('compiled', 'pure', or
-    None/'auto' for best available)."""
-    if backend in (None, "auto"):
-        backend = "compiled" if HAVE_COMPILED else "pure"
-    if backend == "compiled":
-        if not HAVE_COMPILED:
-            raise RuntimeError("compiled reduction kernel is not available")
-        return _reduce_cy.reduce_columns(columns)
-    if backend == "pure":
-        return _reduce_py.reduce_columns(columns)
-    raise ValueError(f"unknown backend {backend!r}")
+
+def reduce_columns(columns: list[list[int]]) -> list[int]:
+    """Persistence reduction over Z/2 with clearing.
+
+    `columns[j]` lists the row indices of the nonzero entries of boundary
+    column j; rows and columns share the filtration order, and a column of
+    a p-simplex has p + 1 rows, all of them (p-1)-simplices.  Returns, per
+    column, the row index of its lowest one after reduction, or -1 if the
+    column reduces to zero.  The lows are those of the standard
+    left-to-right reduction.
+
+    Columns are visited from the highest dimension down, in index order
+    within a dimension.  A column j that ends with low i pairs i as a
+    birth, so column i reduces to zero and is skipped (cleared) when its
+    dimension comes up.  Lowest ones come from int.bit_length; a column's
+    lowest one is a row of the dimension below, so one owner table serves
+    every dimension.
+    """
+    n = len(columns)
+    masks = [0] * n
+    low_owner = [-1] * n  # row -> column currently holding that lowest one
+    lows = [-1] * n
+    for j in sorted(range(n), key=lambda j: -len(columns[j])):
+        if low_owner[j] >= 0:  # cleared: j is already paired as a birth
+            continue
+        col = 0
+        for r in columns[j]:
+            col |= 1 << r
+        while col:
+            low = col.bit_length() - 1
+            other = low_owner[low]
+            if other < 0:
+                lows[j] = low
+                low_owner[low] = j
+                break
+            col ^= masks[other]
+        masks[j] = col
+    return lows
 
 
 @dataclass
@@ -79,7 +95,7 @@ def _normalize_filtration(filtration):
     return [(float(v), tuple(verts)) for v, verts in filtration]
 
 
-def reduce(filtration, reduced: bool = True, backend: str | None = None) -> PersistenceDiagram:
+def reduce(filtration, reduced: bool = True) -> PersistenceDiagram:
     """Reduce a face-closed, face-before-coface sorted filtration.
 
     The pairing is unique for any valid order, so permuting entries within
@@ -101,7 +117,7 @@ def reduce(filtration, reduced: bool = True, backend: str | None = None) -> Pers
         columns.append(rows)
         index[verts] = pos
 
-    lows = reduce_columns(columns, backend)
+    lows = reduce_columns(columns)
     killed = set()
     pairs = []
     for j, low in enumerate(lows):
@@ -183,7 +199,7 @@ def _betti_by_rank(entries, pmax: int) -> list[int]:
 
 
 def betti_of_subcomplex(fc, r: float, pmax: int | None = None, reduced: bool = True,
-                        eps: float = 0.0, backend: str | None = None) -> list[int]:
+                        eps: float = 0.0) -> list[int]:
     """All Betti numbers of the sublevel complex at r, via reduction, cross
     checked against direct rank computations on the same subcomplex."""
     entries = _normalize_filtration(fc)
@@ -192,7 +208,7 @@ def betti_of_subcomplex(fc, r: float, pmax: int | None = None, reduced: bool = T
     sub = [(value, verts) for value, verts in entries if value <= r + eps]
     if not sub:
         return [0] * (pmax + 1)
-    pd = reduce(sub, reduced=reduced, backend=backend)
+    pd = reduce(sub, reduced=reduced)
     vec = [betti_at(pd, p, r, eps) for p in range(pmax + 1)]
     check = _betti_by_rank(sub, pmax)
     if reduced:
@@ -202,11 +218,11 @@ def betti_of_subcomplex(fc, r: float, pmax: int | None = None, reduced: bool = T
     return vec
 
 
-def euler_characteristic_ok(fc, eps: float = 0.0, backend: str | None = None) -> bool:
+def euler_characteristic_ok(fc, eps: float = 0.0) -> bool:
     """Sanity identity at every filtration value: the alternating simplex
     count equals the alternating sum of unreduced Betti numbers."""
     entries = _normalize_filtration(fc)
-    pd = reduce(entries, reduced=False, backend=backend)
+    pd = reduce(entries, reduced=False)
     pmax = max(len(v) - 1 for _, v in entries)
     for r in sorted({v for v, _ in entries}):
         counts = [0] * (pmax + 1)

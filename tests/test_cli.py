@@ -91,6 +91,20 @@ class TestFiltration:
         assert "kind=3d k=1 n=3" in err
         assert ("holds 5 points" if edit == "truncated" else "labels point 1 (0, 2)") in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_loaded_coordinates_must_be_finite(self, tmp_path, capsys, value):
+        pts = tmp_path / "pts.csv"
+        run(["generate", "--kind", "3d", "--n", "3", "--delta", "auto", "-o", str(pts)],
+            capsys)
+        lines = pts.read_text().splitlines()
+        lines[3] = lines[3].rsplit(",", 1)[0] + "," + value  # third point's last coordinate
+        pts.write_text("\n".join(lines) + "\n")
+        code, _, err = run(["filtration", "--kind", "3d", "--n", "3", "--points", str(pts),
+                            "-o", str(tmp_path / "f.txt")], capsys)
+        assert code == 2
+        assert f"{pts} row 3 after the header has a non-finite coordinate" in err
+        assert err.rstrip().endswith(value)
+
 
 class TestBetti:
     def test_even_anchor(self, capsys):

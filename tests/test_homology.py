@@ -5,7 +5,6 @@ import pytest
 
 from extremal_cech import complexgen, homology
 from extremal_cech.homology import (
-    HAVE_COMPILED,
     PersistenceDiagram,
     betti_at,
     betti_of_subcomplex,
@@ -16,6 +15,62 @@ from extremal_cech.homology import (
 )
 
 INF = math.inf
+
+
+def standard_lows(columns):
+    """Reference: the plain left-to-right Z/2 reduction, no clearing."""
+    masks = [0] * len(columns)
+    low_owner = [-1] * len(columns)
+    lows = [-1] * len(columns)
+    for j, rows in enumerate(columns):
+        col = 0
+        for r in rows:
+            col |= 1 << r
+        while col:
+            low = col.bit_length() - 1
+            other = low_owner[low]
+            if other < 0:
+                break
+            col ^= masks[other]
+        masks[j] = col
+        if col:
+            low = col.bit_length() - 1
+            lows[j] = low
+            low_owner[low] = j
+    return lows
+
+
+def boundary_columns(filtration, monkeypatch):
+    """The columns `reduce` hands to `homology.reduce_columns`."""
+    seen = []
+    kernel = homology.reduce_columns
+
+    def record(columns):
+        seen.append(columns)
+        return kernel(columns)
+
+    with monkeypatch.context() as m:
+        m.setattr(homology, "reduce_columns", record)
+        reduce(filtration)
+    return seen[0]
+
+
+def shuffled_equal_value_orders(fc, count):
+    """`count` filtrations of fc, each permuting entries within exactly-equal
+    (value, dim) groups."""
+    rng = random.Random(20240811)
+    entries = list(fc.as_filtration())
+    for _ in range(count):
+        groups = {}
+        for pos, (value, verts) in enumerate(entries):
+            groups.setdefault((value, len(verts)), []).append(pos)
+        order = list(range(len(entries)))
+        for block in groups.values():
+            perm = block[:]
+            rng.shuffle(perm)
+            for src, dst in zip(block, perm):
+                order[src] = dst
+        yield [entries[i] for i in order]
 
 
 def triangle_boundary():
@@ -63,12 +118,13 @@ class TestReduce:
         top = max(v for v, _ in fc.entries)
         assert betti_at(pd, 2, top + 1.0) == 0
 
-    @pytest.mark.skipif(not HAVE_COMPILED, reason="compiled kernel not built")
-    def test_backends_agree(self, odd_2_2):
-        _, fc, _, _ = odd_2_2
-        a = reduce(fc, backend="pure")
-        b = reduce(fc, backend="compiled")
-        assert a.pairs == b.pairs
+    def test_clearing_matches_standard_reduction(self, threed_n2, even_2_5, odd_2_2,
+                                                 monkeypatch):
+        filtrations = [fc for _, fc, _, _ in (threed_n2, even_2_5, odd_2_2)]
+        filtrations += shuffled_equal_value_orders(even_2_5[1], 10)
+        for filtration in filtrations:
+            columns = boundary_columns(filtration, monkeypatch)
+            assert homology.reduce_columns(columns) == standard_lows(columns)
 
 
 class TestBettiAt:
@@ -133,19 +189,7 @@ class TestInvariants:
         # has large such groups since class members are congruent
         _, fc, _, _ = even_2_5
         base = reduce(fc).pairs
-        rng = random.Random(20240811)
-        entries = list(fc.as_filtration())
-        for _ in range(10):
-            groups = {}
-            for pos, (value, verts) in enumerate(entries):
-                groups.setdefault((value, len(verts)), []).append(pos)
-            order = list(range(len(entries)))
-            for block in groups.values():
-                perm = block[:]
-                rng.shuffle(perm)
-                for src, dst in zip(block, perm):
-                    order[src] = dst
-            shuffled = [entries[i] for i in order]
+        for shuffled in shuffled_equal_value_orders(fc, 10):
             assert reduce(shuffled).pairs == base
 
 
