@@ -12,10 +12,13 @@ so dim = touch + short + 1.  Radius values are miniball radii, asserted to
 be realized by strictly empty spheres.  Every simplex of a validated
 construction is critical, and the miniball of a critical simplex is its
 circumsphere, so values are circumradii from one batched circumsphere pass
-(`geometry.circumspheres`); a simplex that pass does not clear falls back to
-the Welzl miniball in `radius_value`.  Sorting by (value, dim, vertex list)
-yields a face-before-coface filtration because class value ranges are
-disjoint and a face always sits in a strictly earlier class.
+(`geometry.circumspheres`) per build; a simplex that pass does not clear
+falls back to the Welzl miniball in `radius_value`.  The filtration keeps
+the pass's criticality verdicts, and `criticality_check` reuses them for
+the same point set and tolerance instead of computing the spheres again.
+Sorting by (value, dim, vertex list) yields a face-before-coface filtration
+because class value ranges are disjoint and a face always sits in a
+strictly earlier class.
 """
 
 from __future__ import annotations
@@ -102,10 +105,18 @@ class ClassifiedSimplex:
 @dataclass
 class FilteredComplex:
     """Radius-sorted list of (value, simplex), closed under faces, with every
-    face preceding its cofaces."""
+    face preceding its cofaces.
+
+    A filtration from `build_filtration` also carries the criticality
+    verdicts of its sphere pass, tagged with the point set and tolerance
+    they hold for; `criticality_check` reads them only for that same pair.
+    Loaded and hand-made filtrations carry none.
+    """
 
     entries: list[tuple[float, ClassifiedSimplex]]
     _positions: dict = field(default_factory=dict, repr=False)
+    # (point set, tolerance, critical flag per entry) from the sphere pass
+    _critical: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -191,19 +202,23 @@ def enumerate_even(ps: PointSet) -> list[ClassifiedSimplex]:
 
 
 def enumerate_odd(ps: PointSet) -> list[ClassifiedSimplex]:
-    """Face closure of the top simplices of the 3d/odd constructions; a top
-    simplex takes one consecutive pair from every circle."""
+    """Face closure of the top simplices of the 3d/odd constructions, sorted
+    by (size, vertex list).  A top simplex takes one consecutive pair from
+    every circle, so a face takes nothing, one point or one consecutive pair
+    from each circle, and not nothing from all of them."""
     if ps.kind not in (KIND_3D, KIND_ODD):
         raise ValueError("point set is not of 3d/odd kind")
-    n_circles = ps.n_circles
-    pair_options = [_circle_items(ps, c, True) for c in range(n_circles)]
-    seen: set[tuple[int, ...]] = set()
-    for combo in itertools.product(*pair_options):
-        top = tuple(sorted(v for pair in combo for v in pair))
-        for size in range(1, len(top) + 1):
-            for sub in itertools.combinations(top, size):
-                seen.add(sub)
-    return [classify(ps, verts) for verts in sorted(seen, key=lambda v: (len(v), v))]
+    # (vertices, touch, short); circles own increasing blocks of ids, so
+    # appending circle by circle keeps every vertex tuple sorted
+    faces = [((), -1, -1)]
+    for c in range(ps.n_circles):
+        options = ([((), 0, 0)] + [(item, 1, 0) for item in _circle_items(ps, c, False)]
+                   + [(item, 1, 1) for item in _circle_items(ps, c, True)])
+        faces = [(verts + item, touch + t, short + p)
+                 for verts, touch, short in faces for item, t, p in options]
+    faces = faces[1:]  # the choice of nothing from every circle
+    faces.sort(key=lambda f: (len(f[0]), f[0]))
+    return [ClassifiedSimplex(*f) for f in faces]
 
 
 def enumerate_mosaic(ps: PointSet) -> list[ClassifiedSimplex]:
@@ -233,7 +248,8 @@ def build_filtration(ps: PointSet, tol: Tolerance = DEFAULT_TOL,
     as having an interior circumcenter) takes its circumradius; every other
     one goes through `radius_value`, in enumeration order, so the first
     non-empty sphere raises the same NotCriticalError as a per-simplex pass
-    would.
+    would.  The pass's criticality verdicts stay on the result for
+    `criticality_check`, whatever `assert_empty` is.
     """
     simplices = enumerate_mosaic(ps)
     batch = circumspheres(ps, [cs.vertices for cs in simplices], tol)
@@ -251,10 +267,12 @@ def build_filtration(ps: PointSet, tol: Tolerance = DEFAULT_TOL,
                                    for f in itertools.combinations(cs.vertices, cs.dim)))
         by_verts[cs.vertices] = value
 
-    entries = sorted(((by_verts[cs.vertices], cs) for cs in simplices),
-                     key=lambda e: (e[0], e[1].dim, e[1].vertices))
-    fc = FilteredComplex(entries)
+    values = [by_verts[cs.vertices] for cs in simplices]
+    order = sorted(range(len(simplices)),
+                   key=lambda i: (values[i], simplices[i].dim, simplices[i].vertices))
+    fc = FilteredComplex([(values[i], simplices[i]) for i in order])
     _check_face_order(fc)
+    fc._critical = (ps, tol, batch.critical[order])
     return fc
 
 
@@ -317,13 +335,17 @@ def criticality_check(ps: PointSet, fc: FilteredComplex,
     """Check every simplex for the two criticality conditions: circumcenter
     in the simplex interior, and strict emptiness of the circumsphere.
     Failures are data, not errors.  One batched pass clears the critical
-    simplices; each simplex it flags is checked again one at a time, which
-    gives the verdict and the failure message."""
-    batch = circumspheres(ps, [cs.vertices for _, cs in fc.entries], tol)
+    simplices; each simplex it does not clear is checked again one at a
+    time, in filtration order, which gives the verdict and the failure
+    message.  When `fc` was built by `build_filtration` from this very
+    point set with an equal tolerance, the build's pass stands in for it."""
+    if fc._critical is not None and fc._critical[0] is ps and fc._critical[1] == tol:
+        critical = fc._critical[2]
+    else:
+        critical = circumspheres(ps, [cs.vertices for _, cs in fc.entries], tol).critical
     failures = []
-    for (_, cs), ok in zip(fc.entries, batch.critical):
-        if ok:
-            continue
+    for i in np.flatnonzero(~critical):
+        cs = fc.entries[i][1]
         reason = _criticality_failure(ps, cs.vertices, tol)
         if reason is not None:
             failures.append((cs.vertices, reason))

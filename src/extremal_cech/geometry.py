@@ -49,7 +49,10 @@ class Tolerance:
 
     abs_eps guards comparisons of squared lengths, rel_eps guards relative
     residuals (affine-hull membership, equidistance), interior_eps is the
-    margin a barycentric coordinate must clear to count as interior.
+    margin a barycentric coordinate must clear to count as interior.  In
+    `min_enclosing_ball` the slack is abs_eps * min(1, r^2) for a ball of
+    radius r, so it shrinks with the ball and points a tiny distance apart
+    are not merged.
     """
 
     abs_eps: float = 1e-12
@@ -130,21 +133,33 @@ def min_enclosing_ball(points, tol: Tolerance = DEFAULT_TOL) -> Sphere:
     """Smallest ball containing all the points (miniball).
 
     Recursive move-to-front Welzl scheme processed in input order; no
-    randomization, so results are reproducible bit for bit.
+    randomization, so results are reproducible bit for bit.  A point counts
+    as inside when its squared distance exceeds r^2 by at most
+    abs_eps * min(1, r^2): an absolute slack alone would put two points
+    up to sqrt(abs_eps) apart inside a ball of radius 0.
     """
     pts = _as_matrix(points)
     d = pts.shape[1]
     order = list(range(len(pts)))
 
+    def inside_limit(ball: Sphere | None) -> float:
+        """Largest squared distance from the center that counts as inside."""
+        if ball is None:
+            return -math.inf
+        r2 = ball.radius**2
+        return r2 + tol.abs_eps * min(1.0, r2)
+
     def recurse(end: int, boundary: list) -> Sphere | None:
         ball = _ball_through(np.asarray(boundary)) if boundary else None
         if len(boundary) == d + 1:
             return ball
+        limit = inside_limit(ball)
         i = 0
         while i < end:
             p = pts[order[i]]
-            if ball is None or squared_distance(p, ball.center) > ball.radius**2 + tol.abs_eps:
+            if ball is None or squared_distance(p, ball.center) > limit:
                 ball = recurse(i, boundary + [p])
+                limit = inside_limit(ball)
                 order.insert(0, order.pop(i))
             i += 1
         return ball

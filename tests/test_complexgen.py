@@ -24,7 +24,7 @@ from extremal_cech.complexgen import (
     radius_value,
     save_filtration,
 )
-from extremal_cech.construct import build_3d, build_even, build_odd, half_edge
+from extremal_cech.construct import build_3d, build_even, build_odd, build_validated, half_edge
 from extremal_cech.geometry import (
     DEFAULT_TOL,
     barycentric_interior,
@@ -107,7 +107,26 @@ class TestEnumerateEven:
             enumerate_even(build_even(2, 4))
 
 
+def face_closure_odd(ps):
+    """Reference enumeration: every subset of every top simplex (one
+    consecutive pair from each circle), classified from its labels."""
+    pair_options = [complexgen._circle_items(ps, c, True) for c in range(ps.n_circles)]
+    seen = set()
+    for combo in itertools.product(*pair_options):
+        top = tuple(sorted(v for pair in combo for v in pair))
+        for size in range(1, len(top) + 1):
+            seen.update(itertools.combinations(top, size))
+    return [classify(ps, verts) for verts in sorted(seen, key=lambda v: (len(v), v))]
+
+
 class TestEnumerateOdd:
+    @pytest.mark.parametrize("ps", [build_3d(n, 0.01) for n in (2, 3, 4, 30)]
+                             + [build_odd(2, n, 0.005) for n in (2, 3)]
+                             + [build_odd(3, 3, 0.005)],
+                             ids=["3d-2", "3d-3", "3d-4", "3d-30", "odd-2-2", "odd-2-3", "odd-3-3"])
+    def test_matches_face_closure(self, ps):
+        assert enumerate_odd(ps) == face_closure_odd(ps)
+
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_3d_census(self, n):
         ps = build_3d(n, 0.01)
@@ -280,6 +299,47 @@ class TestBatchedSpheres:
         assert all(r.startswith("degenerate circumsphere") for _, r in failures[:2])
         scalar = [(v, complexgen._criticality_failure(ps, v, DEFAULT_TOL)) for v in good]
         assert failures[2:] == [(v, r) for v, r in scalar if r is not None]
+
+
+class TestSinglePass:
+    def test_one_sphere_pass_per_build(self, monkeypatch):
+        calls = []
+        batched = complexgen.circumspheres
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return batched(*args, **kwargs)
+
+        monkeypatch.setattr(complexgen, "circumspheres", counting)
+        build_validated("3d", k=1, n=4)  # validates at its first delta
+        assert len(calls) == 1
+
+    @staticmethod
+    def fresh_check(ps, fc):
+        """The check on a filtration that carries no verdicts of a build."""
+        return criticality_check(ps, FilteredComplex(fc.entries))
+
+    def test_failing_build_reports_as_fresh_check(self):
+        ps = build_3d(10, 0.5)
+        fc = build_filtration(ps, assert_empty=False)
+        report = criticality_check(ps, fc)
+        assert report.failures
+        assert report == self.fresh_check(ps, fc)
+
+    @pytest.mark.parametrize("kind,k,n", ACCEPTED)
+    def test_accepted_instances_report_as_fresh_check(self, kind, k, n):
+        ps, fc, _, _ = cached_pipeline(kind, k, n)
+        assert criticality_check(ps, fc) == self.fresh_check(ps, fc)
+
+    def test_other_point_set_does_not_use_the_verdicts(self):
+        ps, fc, _, _ = cached_pipeline("3d", 1, 4)
+        pts = ps.points.copy()
+        pts[0] = 0.5 * (pts[1] + pts[2])  # inside the sphere of edge (1, 2)
+        moved = dataclasses.replace(ps, points=pts)
+        report = criticality_check(moved, fc)
+        assert (1, 2) in [v for v, _ in report.failures]
+        assert report == self.fresh_check(moved, fc)
+        assert criticality_check(ps, fc).ok
 
 
 class TestThresholds:

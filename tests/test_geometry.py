@@ -88,6 +88,13 @@ class TestMinEnclosingBall:
         with pytest.raises(ValueError):
             min_enclosing_ball([])
 
+    @pytest.mark.parametrize("x", [1.1920928955078125e-07, 1e-6, 1e-3])
+    def test_close_points_are_not_merged(self, x):
+        # the inside-slack shrinks with the ball, so a tiny segment keeps
+        # its own radius instead of collapsing onto one endpoint
+        ball = min_enclosing_ball([[0.0, 0.0], [0.0, x]])
+        assert ball.radius == pytest.approx(x / 2, rel=1e-12)
+
     @pytest.mark.parametrize("s", [0.1, 0.25, 0.4])
     def test_ideal_tetrahedron_radius(self, s):
         # center lies inside, so the miniball is the circumsphere with
