@@ -16,9 +16,11 @@ circumsphere, so values are circumradii from one batched circumsphere pass
 falls back to the Welzl miniball in `radius_value`.  The filtration keeps
 the pass's criticality verdicts, and `criticality_check` reuses them for
 the same point set and tolerance instead of computing the spheres again.
-Sorting by (value, dim, vertex list) yields a face-before-coface filtration
-because class value ranges are disjoint and a face always sits in a
-strictly earlier class.
+Both enumerations list faces first, so one `homology.boundary_columns`
+call on the enumeration is a build's face relation: it drives the
+monotone fix and the face-order check.  Sorting by (value, dim, vertex
+list) passes that check: after the fix no facet's value exceeds its
+coface's, and dim breaks ties.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .geometry import (
     is_empty_sphere,
     min_enclosing_ball,
 )
+from .homology import boundary_columns
 
 __all__ = [
     "ClassifiedSimplex",
@@ -114,23 +117,14 @@ class FilteredComplex:
     """
 
     entries: list[tuple[float, ClassifiedSimplex]]
-    _positions: dict = field(default_factory=dict, repr=False)
     # (point set, tolerance, critical flag per entry) from the sphere pass
     _critical: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.entries)
 
-    def position(self, vertices: tuple[int, ...]) -> int:
-        if not self._positions:
-            self._positions = {cs.vertices: i for i, (_, cs) in enumerate(self.entries)}
-        return self._positions[vertices]
-
     def max_dim(self) -> int:
         return max(cs.dim for _, cs in self.entries)
-
-    def sublevel(self, r: float, eps: float = 0.0) -> list[tuple[float, ClassifiedSimplex]]:
-        return [e for e in self.entries if e[0] <= r + eps]
 
     def class_ranges(self) -> dict[tuple[int, int], tuple[float, float, int]]:
         """Per (touch, short) class: (min value, max value, count)."""
@@ -250,41 +244,38 @@ def build_filtration(ps: PointSet, tol: Tolerance = DEFAULT_TOL,
     non-empty sphere raises the same NotCriticalError as a per-simplex pass
     would.  The pass's criticality verdicts stay on the result for
     `criticality_check`, whatever `assert_empty` is.
+
+    The face relation, one `boundary_columns` call on the enumeration,
+    raises each value to its facets' maximum and is the face-order check:
+    a facet sorted after its coface raises RuntimeError.
     """
     simplices = enumerate_mosaic(ps)
-    batch = circumspheres(ps, [cs.vertices for cs in simplices], tol)
+    verts = [cs.vertices for cs in simplices]
+    columns = boundary_columns(verts)
+    batch = circumspheres(ps, verts, tol)
     cleared = batch.critical if assert_empty else batch.interior
     values = [float(r) if ok else radius_value(ps, cs, tol, assert_empty)
               for cs, r, ok in zip(simplices, batch.radius, cleared)]
 
     # enforce exact monotonicity under face inclusion: a face and a coface
     # can determine the same ball, and floating point may then disagree by
-    # one ulp about which radius is larger
-    by_verts: dict[tuple[int, ...], float] = {}
-    for cs, value in sorted(zip(simplices, values), key=lambda e: e[0].dim):
-        if cs.dim > 0:
-            value = max(value, max(by_verts[f]
-                                   for f in itertools.combinations(cs.vertices, cs.dim)))
-        by_verts[cs.vertices] = value
+    # one ulp about which radius is larger; facets come first, so their
+    # values are final when a coface reads them
+    for j, rows in enumerate(columns):
+        if rows:
+            values[j] = max(values[j], max(values[r] for r in rows))
 
-    values = [by_verts[cs.vertices] for cs in simplices]
     order = sorted(range(len(simplices)),
                    key=lambda i: (values[i], simplices[i].dim, simplices[i].vertices))
+    rank = {i: pos for pos, i in enumerate(order)}
+    for i in order:
+        for r in columns[i]:
+            if rank[r] > rank[i]:
+                raise RuntimeError(
+                    f"face {verts[r]} does not precede coface {verts[i]} in the filtration")
     fc = FilteredComplex([(values[i], simplices[i]) for i in order])
-    _check_face_order(fc)
     fc._critical = (ps, tol, batch.critical[order])
     return fc
-
-
-def _check_face_order(fc: FilteredComplex) -> None:
-    for pos, (_, cs) in enumerate(fc.entries):
-        if cs.dim == 0:
-            continue
-        for facet in itertools.combinations(cs.vertices, cs.dim):
-            fpos = fc.position(facet)  # KeyError would mean a closure bug
-            if fpos >= pos:
-                raise RuntimeError(
-                    f"face {facet} does not precede coface {cs.vertices} in the filtration")
 
 
 @dataclass(frozen=True)

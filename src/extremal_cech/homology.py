@@ -1,7 +1,8 @@
 """Z/2 persistent homology of a filtered complex.
 
-The boundary matrix in filtration order is reduced column by column; the
-lowest ones define birth/death pairs and unkilled births are essential
+The boundary matrix in filtration order (`boundary_columns`, the face
+relation `complexgen.build_filtration` also uses) is reduced column by
+column; the lowest ones define birth/death pairs and unkilled births are essential
 classes.  There is one kernel, in pure Python: columns are Python integers
 used as bitsets over row indices, and it reduces with clearing (Chen &
 Kerber, "Persistent homology computation with a twist", EuroCG 2011).
@@ -18,6 +19,7 @@ __all__ = [
     "betti_at",
     "betti_of_subcomplex",
     "betti_profile",
+    "boundary_columns",
     "diagram_svg",
     "load_diagram",
     "reduce",
@@ -29,6 +31,28 @@ INF = math.inf
 
 # No compiled kernel exists; perfbench/run.py (run_metadata) still reads this.
 HAVE_COMPILED = False
+
+
+def boundary_columns(simplices) -> list[list[int]]:
+    """The face relation of a face-closed list of vertex tuples in which
+    every facet precedes its cofaces: per simplex, the ascending positions
+    of its facets in the list (empty for a vertex).  Raises ValueError when
+    a facet is missing or comes later than its coface."""
+    index: dict[tuple[int, ...], int] = {}
+    columns = []
+    for pos, verts in enumerate(simplices):
+        rows = []
+        if len(verts) > 1:
+            for facet in itertools.combinations(verts, len(verts) - 1):
+                fpos = index.get(facet)
+                if fpos is None:
+                    raise ValueError(
+                        f"filtration not closed/sorted: facet {facet} missing before {verts}")
+                rows.append(fpos)
+            rows.sort()
+        columns.append(rows)
+        index[verts] = pos
+    return columns
 
 
 def reduce_columns(columns: list[list[int]]) -> list[int]:
@@ -102,22 +126,7 @@ def reduce(filtration, reduced: bool = True) -> PersistenceDiagram:
     equal (value, dim) groups leaves the diagram unchanged.
     """
     entries = _normalize_filtration(filtration)
-    index: dict[tuple[int, ...], int] = {}
-    columns = []
-    for pos, (_, verts) in enumerate(entries):
-        rows = []
-        if len(verts) > 1:
-            for facet in itertools.combinations(verts, len(verts) - 1):
-                fpos = index.get(facet)
-                if fpos is None:
-                    raise ValueError(
-                        f"filtration not closed/sorted: facet {facet} missing before {verts}")
-                rows.append(fpos)
-            rows.sort()
-        columns.append(rows)
-        index[verts] = pos
-
-    lows = reduce_columns(columns)
+    lows = reduce_columns(boundary_columns([verts for _, verts in entries]))
     killed = set()
     pairs = []
     for j, low in enumerate(lows):

@@ -334,16 +334,15 @@ def _rel_err(observed: float, expected: float) -> float:
     return abs(observed - expected) / abs(expected)
 
 
-def _even_class_radii(k: int, n: int):
+def _even_class_radii(ps: PointSet):
     """Max relative error of computed circumradii against the closed forms,
-    per checked class family."""
-    ps = construct.build_even(k, n)
+    per checked class family, on an even point set."""
     s2 = half_edge(ps) ** 2
     expected = {}
-    for ell in range(k):
+    for ell in range(ps.k):
         expected[(ell, -1)] = math.sqrt(ell / (2.0 * ell + 2.0))
         expected[(ell, ell)] = math.sqrt((ell + 2.0 * s2) / (2.0 * ell + 2.0))
-    if k >= 2:
+    if ps.k >= 2:
         expected[(1, 0)] = math.sqrt(1.0 / (1.0 - s2)) / 2.0
         expected[(1, 1)] = math.sqrt(1.0 + 2.0 * s2) / 2.0
     errs = {cls: 0.0 for cls in expected}
@@ -363,12 +362,13 @@ def verify_radius_formulas(k: int, n: int, delta_grid=DELTA_GRID) -> list[ClaimR
     claims = []
     params = {"k": k, "n": n}
 
-    for cls, err in sorted(_even_class_radii(k, n).items()):
+    ps = construct.build_even(k, n)
+    for cls, err in sorted(_even_class_radii(ps).items()):
         claims.append(_claim(
             f"radii/even/class{cls}", params, "rel err <= 1e-9", f"{err:.3g}",
             err <= 1e-9))
 
-    s = half_edge(construct.build_even(k, n))
+    s = half_edge(ps)
     two_r = math.sqrt(1.0 / (1.0 - s * s))
     two_R = math.sqrt(1.0 + 2.0 * s * s)
     ok_r = 1.0 + 0.5 * s * s < two_r <= 1.0 + s * s / (2.0 - 2.0 * s * s)
@@ -456,12 +456,10 @@ def _twin_partner(ps: PointSet, cs, v: int) -> int | None:
     return None
 
 
-def _hypothesis_errors(k: int, n: int, delta: float, tol=DEFAULT_TOL):
+def _hypothesis_errors(ps: PointSet, fc):
     """Max absolute discrepancies, per simplex class, between the measured
-    squared radii/heights/offsets of the odd construction and the
+    squared radii/heights/offsets of an odd construction and the
     second-order expansions around the regular-simplex values."""
-    ps = build_odd(k, n, delta)
-    fc = complexgen.build_filtration(ps, tol=tol)
     eps2 = half_edge(ps) ** 2
     errs: dict[str, dict[tuple[int, int], float]] = {
         "radius": {}, "center_noshort": {}, "center_short": {},
@@ -474,7 +472,7 @@ def _hypothesis_errors(k: int, n: int, delta: float, tol=DEFAULT_TOL):
     for _, cs in fc.entries:
         ell, j = cs.touch, cs.short
         pts = ps.points[list(cs.vertices)]
-        sphere = circumsphere(pts, tol)
+        sphere = circumsphere(pts)
         r_ell2 = construct.regular_simplex_circumradius_sq(ell)
         bump("radius", cs.cls,
              abs(sphere.radius**2 - r_ell2 - (j + 1) * eps2 / (ell + 1) ** 2))
@@ -542,9 +540,9 @@ def verify_hypotheses(k: int, n: int, delta_grid=DELTA_GRID) -> list[ClaimResult
     epss = []
     bisector_bad = 0
     for delta in delta_grid:
-        per_delta.append(_hypothesis_errors(k, n, delta))
         ps = build_odd(k, n, delta)
         fc = complexgen.build_filtration(ps)
+        per_delta.append(_hypothesis_errors(ps, fc))
         epss.append(half_edge(ps))
         bisector_bad += _bisector_violations(ps, fc, n * delta**3 / 2.0)
 

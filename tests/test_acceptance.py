@@ -14,7 +14,7 @@ import pytest
 
 from extremal_cech import complexgen, homology, oracle, verify
 from extremal_cech.complexgen import threshold_after
-from extremal_cech.construct import build_3d, min_n
+from extremal_cech.construct import build_3d, build_even, min_n
 from extremal_cech.geometry import DEFAULT_TOL
 
 from conftest import cached_pipeline
@@ -91,7 +91,7 @@ def test_criterion_05_closed_form_radii():
     worst = 0.0
     for k in (1, 2, 3, 4):
         for n in range(max(3, min_n(k)), 11):
-            for err in verify._even_class_radii(k, n).values():
+            for err in verify._even_class_radii(build_even(k, n)).values():
                 worst = max(worst, err)
     report(5, worst <= 1e-9,
            f"max relative error {worst:.2e} <= 1e-9 over k<=4, n<=10")

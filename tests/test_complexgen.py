@@ -193,6 +193,29 @@ class TestFiltration:
         keys = [(v, cs.dim, cs.vertices) for v, cs in fc.entries]
         assert keys == sorted(keys)
 
+    def test_equal_entries_compare_equal(self):
+        fc = build_filtration(build_3d(2, 0.01))
+        assert fc == FilteredComplex(list(fc.entries))
+
+    def test_coface_value_raised_to_its_facets(self, monkeypatch):
+        # one tetrahedron's radius is set one ulp below its largest facet's
+        ps = build_3d(2, 0.01)
+        verts = [cs.vertices for cs in complexgen.enumerate_mosaic(ps)]
+        tet = next(i for i, v in enumerate(verts) if len(v) == 4)
+        facets = [verts.index(f) for f in itertools.combinations(verts[tet], 3)]
+        facet_max = []
+        batched = complexgen.circumspheres
+
+        def one_ulp_low(*args):
+            batch = batched(*args)
+            facet_max.append(batch.radius[facets].max())
+            batch.radius[tet] = np.nextafter(facet_max[0], 0.0)
+            return batch
+
+        monkeypatch.setattr(complexgen, "circumspheres", one_ulp_low)
+        values = {cs.vertices: value for value, cs in build_filtration(ps).entries}
+        assert values[verts[tet]] == facet_max[0]
+
     def test_vertices_have_value_zero(self, even_2_5):
         _, fc, _, _ = even_2_5
         for value, cs in fc.entries:
@@ -313,6 +336,29 @@ class TestSinglePass:
         monkeypatch.setattr(complexgen, "circumspheres", counting)
         build_validated("3d", k=1, n=4)  # validates at its first delta
         assert len(calls) == 1
+
+    def test_one_face_relation_per_build(self, monkeypatch):
+        calls = []
+        relation = complexgen.boundary_columns
+
+        def counting(simplices):
+            calls.append(len(simplices))
+            return relation(simplices)
+
+        monkeypatch.setattr(complexgen, "boundary_columns", counting)
+        for ps in (build_3d(3, 0.01), build_even(2, 5), build_odd(2, 2, 0.005)):
+            calls.clear()
+            fc = build_filtration(ps)
+            assert calls == [len(fc)]
+
+    @pytest.mark.parametrize("kind,k,n", ACCEPTED)
+    def test_enumeration_lists_faces_first(self, kind, k, n):
+        ps = cached_pipeline(kind, k, n)[0]
+        seen = set()
+        for cs in complexgen.enumerate_mosaic(ps):
+            if cs.dim > 0:
+                assert seen.issuperset(itertools.combinations(cs.vertices, cs.dim))
+            seen.add(cs.vertices)
 
     @staticmethod
     def fresh_check(ps, fc):

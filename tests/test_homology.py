@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -8,6 +9,7 @@ from extremal_cech.homology import (
     PersistenceDiagram,
     betti_at,
     betti_of_subcomplex,
+    boundary_columns,
     diagram_svg,
     load_diagram,
     reduce,
@@ -38,21 +40,6 @@ def standard_lows(columns):
             lows[j] = low
             low_owner[low] = j
     return lows
-
-
-def boundary_columns(filtration, monkeypatch):
-    """The columns `reduce` hands to `homology.reduce_columns`."""
-    seen = []
-    kernel = homology.reduce_columns
-
-    def record(columns):
-        seen.append(columns)
-        return kernel(columns)
-
-    with monkeypatch.context() as m:
-        m.setattr(homology, "reduce_columns", record)
-        reduce(filtration)
-    return seen[0]
 
 
 def shuffled_equal_value_orders(fc, count):
@@ -118,13 +105,31 @@ class TestReduce:
         top = max(v for v, _ in fc.entries)
         assert betti_at(pd, 2, top + 1.0) == 0
 
-    def test_clearing_matches_standard_reduction(self, threed_n2, even_2_5, odd_2_2,
-                                                 monkeypatch):
-        filtrations = [fc for _, fc, _, _ in (threed_n2, even_2_5, odd_2_2)]
+    def test_clearing_matches_standard_reduction(self, threed_n2, even_2_5, odd_2_2):
+        filtrations = [fc.as_filtration() for _, fc, _, _ in (threed_n2, even_2_5, odd_2_2)]
         filtrations += shuffled_equal_value_orders(even_2_5[1], 10)
         for filtration in filtrations:
-            columns = boundary_columns(filtration, monkeypatch)
+            columns = boundary_columns([verts for _, verts in filtration])
             assert homology.reduce_columns(columns) == standard_lows(columns)
+
+
+class TestBoundaryColumns:
+    def test_missing_facet_rejected(self):
+        with pytest.raises(ValueError, match="missing"):
+            boundary_columns([(0,), (1,), (0, 1, 2)])
+
+    def test_facet_after_coface_rejected(self):
+        with pytest.raises(ValueError, match=r"facet \(1, 2\) missing"):
+            boundary_columns([(0,), (1,), (2,), (0, 1), (0, 2), (0, 1, 2), (1, 2)])
+
+    def test_matches_bruteforce(self, threed_n2, even_2_5, odd_2_2):
+        for _, fc, _, _ in (threed_n2, even_2_5, odd_2_2):
+            simplices = [verts for _, verts in fc.as_filtration()]
+            expected = [sorted(simplices.index(f)
+                               for f in itertools.combinations(verts, len(verts) - 1))
+                        if len(verts) > 1 else []
+                        for verts in simplices]
+            assert boundary_columns(simplices) == expected
 
 
 class TestBettiAt:
