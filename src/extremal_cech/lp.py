@@ -20,10 +20,14 @@ _PIVOT_TOL = 1e-10
 
 
 def _pivot(tab: np.ndarray, row: int, col: int) -> None:
+    """Make column col a unit column with its 1 in row.
+
+    One rank-1 update over the rows with a nonzero entry in col: each entry
+    gets the same multiply and subtract as a row-by-row elimination."""
     tab[row] /= tab[row, col]
-    for i in range(tab.shape[0]):
-        if i != row and tab[i, col] != 0.0:
-            tab[i] -= tab[i, col] * tab[row]
+    rows = np.flatnonzero(tab[:, col])
+    rows = rows[rows != row]
+    tab[rows] -= np.multiply.outer(tab[rows, col], tab[row])
 
 
 def _simplex(tab: np.ndarray, basis: list[int], n_cols: int) -> str:
@@ -32,23 +36,20 @@ def _simplex(tab: np.ndarray, basis: list[int], n_cols: int) -> str:
     variable on ratio ties."""
     m = tab.shape[0] - 1
     while True:
-        enter = -1
-        for j in range(n_cols):
-            if tab[-1, j] < -_PIVOT_TOL:
-                enter = j
-                break
-        if enter < 0:
+        eligible = np.flatnonzero(tab[-1, :n_cols] < -_PIVOT_TOL)
+        if eligible.size == 0:
             return OPTIMAL
+        enter = int(eligible[0])
+        rows = np.flatnonzero(tab[:m, enter] > _PIVOT_TOL)
+        ratios = tab[rows, -1] / tab[rows, enter]
         leave = -1
         best = np.inf
-        for i in range(m):
-            if tab[i, enter] > _PIVOT_TOL:
-                ratio = tab[i, -1] / tab[i, enter]
-                if ratio < best - _PIVOT_TOL or (
-                        abs(ratio - best) <= _PIVOT_TOL
-                        and (leave < 0 or basis[i] < basis[leave])):
-                    best = ratio
-                    leave = i
+        for i, ratio in zip(rows.tolist(), ratios.tolist()):
+            if ratio < best - _PIVOT_TOL or (
+                    abs(ratio - best) <= _PIVOT_TOL
+                    and (leave < 0 or basis[i] < basis[leave])):
+                best = ratio
+                leave = i
         if leave < 0:
             return UNBOUNDED
         _pivot(tab, leave, enter)

@@ -3,14 +3,28 @@
 Two oracles:
 
 * the Cech complex at radius r, whose Betti numbers must agree with the
-  alpha sublevel complex at equal radius.  It takes miniballs over every
-  vertex subset (up to a size budget) whose facets all lie in the complex
-  at r: a subset's value is the max of its own miniball radius and its
-  facets' values, so a subset with a facet outside the complex is outside
-  it too, and skipping its miniball changes no kept simplex or value;
+  alpha sublevel complex at equal radius.  It takes miniballs of vertex
+  subsets (up to a size budget);
 * a Delaunay-membership test by empty-sphere feasibility: a vertex set spans
   a mosaic face iff some sphere through it keeps every other point outside
   with positive margin, which is a small linear program in the sphere center.
+
+Both grow their candidates from accepted faces: a subset of size m is
+tested only when each of its m facets was accepted at size m-1.  A Cech
+value is the max of the subset's own miniball radius and its facets'
+values, so a subset with a facet above r is above r too, and the grown
+complex is exactly the one a scan of all subsets keeps.  The Delaunay
+complex is a simplicial complex (Edelsbrunner & Harer, *Computational
+Topology*, 2010, ch. III): the empty sphere of a face, nudged so that one
+vertex falls outside, is an empty sphere of the facet without that vertex,
+so no face of the mosaic has a facet outside it.  The LP decides emptiness up to a
+margin tolerance, so the tests keep the scan of every subset as the
+reference and require the same `MatchReport` from the grown run.
+
+A miniball radius is a pure function of the subset's coordinates and the
+tolerance, so a bounded memo keeps it: the Cech complexes of one point set
+at several radii, or of point sets sharing coordinates, solve each subset
+once.
 """
 
 from __future__ import annotations
@@ -65,13 +79,56 @@ class CechComplex:
 def _check_budget(n_points: int, maxdim: int, budget: int) -> None:
     """Refuse an input with more than `budget` subsets of size <= maxdim+1.
 
-    The budget bounds the subsets scanned, not the miniballs computed:
-    `cech` computes a miniball only for a subset whose facets lie in the
-    complex, but the same inputs are refused at every radius."""
+    The budget counts all those subsets, not the miniballs or LPs solved:
+    both oracles test only subsets whose facets were accepted, but the
+    inputs refused are the same as for a scan of every subset, at every
+    radius."""
     total = sum(math.comb(n_points, m) for m in range(1, maxdim + 2))
     if total > budget:
         raise BudgetExceededError(
             f"{total} subsets exceed the budget of {budget}")
+
+
+def _grow_faces(n_points: int, maxdim: int, accept) -> set[tuple[int, ...]]:
+    """The subsets of size <= maxdim+1 that `accept` takes.
+
+    Subsets are visited by size, each as an accepted subset plus one larger
+    vertex, and `accept` is called only on a subset whose facets were all
+    accepted.  For a predicate closed under taking faces these are all the
+    subsets it takes.
+    """
+    kept: set[tuple[int, ...]] = set()
+    layer = [()]
+    for size in range(1, maxdim + 2):
+        grown = []
+        for base in layer:
+            for v in range(base[-1] + 1 if base else 0, n_points):
+                verts = base + (v,)
+                if size > 1 and not all(
+                        f in kept for f in itertools.combinations(verts, size - 1)):
+                    continue
+                if accept(verts):
+                    kept.add(verts)
+                    grown.append(verts)
+        layer = grown
+    return kept
+
+
+_MINIBALL_MEMO_SIZE = 1 << 14
+_miniball_memo: dict[tuple, float] = {}
+
+
+def _miniball_radius(points: np.ndarray, tol: Tolerance) -> float:
+    """`min_enclosing_ball(points, tol).radius`, memoized on the coordinate
+    bytes and the tolerance; the oldest entry goes once the memo is full."""
+    key = (points.dtype.str, points.shape, points.tobytes(), tol)
+    radius = _miniball_memo.get(key)
+    if radius is None:
+        radius = min_enclosing_ball(points, tol).radius
+        if len(_miniball_memo) >= _MINIBALL_MEMO_SIZE:
+            del _miniball_memo[next(iter(_miniball_memo))]
+        _miniball_memo[key] = radius
+    return radius
 
 
 def _miniball_radii(points: np.ndarray, maxdim: int, r: float, tol: Tolerance):
@@ -79,31 +136,25 @@ def _miniball_radii(points: np.ndarray, maxdim: int, r: float, tol: Tolerance):
     monotone under face inclusion (a face's value may exceed its coface's by
     floating-point noise when both determine the same ball).
 
-    Subsets are visited by size, each as a kept subset plus one larger
-    vertex, and a subset's miniball is computed only when every facet is
-    already kept.  A subset's value is the max of its own radius and its
-    facets' values, so one with a facet above the cut lies above it too:
-    skipping it drops only values the cut discards, and every kept value is
+    A subset's value is the max of its own radius and its facets' values,
+    so one with a facet above the cut lies above it too: growing from kept
+    faces drops only values the cut discards, and every kept value is
     computed exactly as a scan of all subsets computes it.
     """
     cut = r + tol.abs_eps
     values: dict[tuple[int, ...], float] = {}
-    layer = [()]
-    for size in range(1, maxdim + 2):
-        grown = []
-        for base in layer:
-            for v in range(base[-1] + 1 if base else 0, len(points)):
-                verts = base + (v,)
-                facets = list(itertools.combinations(verts, size - 1)) if size > 1 else []
-                if not all(f in values for f in facets):
-                    continue
-                value = min_enclosing_ball(points[list(verts)], tol).radius
-                if facets:
-                    value = max(value, max(values[f] for f in facets))
-                if value <= cut:
-                    values[verts] = value
-                    grown.append(verts)
-        layer = grown
+
+    def accept(verts):
+        value = _miniball_radius(points[list(verts)], tol)
+        if len(verts) > 1:
+            value = max(value, max(values[f] for f in
+                                   itertools.combinations(verts, len(verts) - 1)))
+        if value <= cut:
+            values[verts] = value
+            return True
+        return False
+
+    _grow_faces(len(points), maxdim, accept)
     return values
 
 
@@ -172,7 +223,8 @@ def delaunay_face_test(ps: PointSet, vertices, tol: Tolerance = DEFAULT_TOL,
     pts = ps.points
     d = ps.dim
     a0 = pts[verts[0]]
-    others = [i for i in range(len(ps)) if i not in set(verts)]
+    on_sphere = set(verts)
+    others = [i for i in range(len(ps)) if i not in on_sphere]
 
     # equalities 2 <z, a0 - a_i> = |a0|^2 - |a_i|^2 solved as z = z0 + V y
     if len(verts) > 1:
@@ -237,17 +289,18 @@ def enumeration_matches_oracle(ps: PointSet, maxdim: int,
                                budget: int = DEFAULT_BUDGET,
                                tol: Tolerance = DEFAULT_TOL,
                                strict: bool = True) -> MatchReport:
-    """Compare the enumerated mosaic (up to maxdim) against all subsets
-    passing the empty-sphere feasibility test."""
+    """Compare the enumerated mosaic (up to maxdim) against the subsets
+    passing the empty-sphere feasibility test.
+
+    The test runs only on subsets whose facets all passed, since a face of
+    a Delaunay face is a Delaunay face.  The budget still counts all
+    C(N, <= maxdim+1) subsets, so the inputs a scan of every subset refuses
+    are refused here too."""
     _check_budget(len(ps), maxdim, budget)
     enumerated = {cs.vertices for cs in complexgen.enumerate_mosaic(ps)
                   if cs.dim <= maxdim}
-    oracle_faces = set()
-    ids = range(len(ps))
-    for size in range(1, maxdim + 2):
-        for verts in itertools.combinations(ids, size):
-            if delaunay_face_test(ps, verts, tol, strict=strict):
-                oracle_faces.add(verts)
+    oracle_faces = _grow_faces(
+        len(ps), maxdim, lambda verts: delaunay_face_test(ps, verts, tol, strict=strict))
     missing = sorted(oracle_faces - enumerated)
     extra = sorted(enumerated - oracle_faces)
     return MatchReport(len(enumerated), len(oracle_faces), missing, extra)

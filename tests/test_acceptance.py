@@ -5,12 +5,8 @@ lines; every criterion asserts at its stated tolerance (exact integers where
 the claim is exact).
 """
 
-import itertools
-import math
 import random
 import time
-
-import pytest
 
 from extremal_cech import complexgen, homology, oracle, verify
 from extremal_cech.complexgen import threshold_after

@@ -1,7 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from extremal_cech import lp, oracle
 from extremal_cech.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp_max
 
 
@@ -98,3 +101,65 @@ def test_margin_shape_against_scipy(seed):
     ref = scipy_max(c, A, b)
     assert status == OPTIMAL and ref.status == 0
     assert val == pytest.approx(-ref.fun, rel=1e-8, abs=1e-8)
+
+
+def reference_pivot(tab, row, col):
+    """Row-by-row elimination, the reference for the rank-1 update."""
+    tab[row] /= tab[row, col]
+    for i in range(tab.shape[0]):
+        if i != row and tab[i, col] != 0.0:
+            tab[i] -= tab[i, col] * tab[row]
+
+
+def reference_simplex(tab, basis, n_cols):
+    """Scalar entering scan and ratio test, the reference for `lp._simplex`."""
+    m = tab.shape[0] - 1
+    while True:
+        enter = -1
+        for j in range(n_cols):
+            if tab[-1, j] < -lp._PIVOT_TOL:
+                enter = j
+                break
+        if enter < 0:
+            return OPTIMAL
+        leave = -1
+        best = np.inf
+        for i in range(m):
+            if tab[i, enter] > lp._PIVOT_TOL:
+                ratio = tab[i, -1] / tab[i, enter]
+                if ratio < best - lp._PIVOT_TOL or (
+                        abs(ratio - best) <= lp._PIVOT_TOL
+                        and (leave < 0 or basis[i] < basis[leave])):
+                    best = ratio
+                    leave = i
+        if leave < 0:
+            return UNBOUNDED
+        reference_pivot(tab, leave, enter)
+        basis[leave] = enter
+
+
+def test_bit_identical_to_row_loop_on_face_test_lps(even_2_5, monkeypatch):
+    # every LP the empty-sphere test builds over all subsets of even k=2 n=5
+    ps, _, _, _ = even_2_5
+    lps = []
+
+    def recording(c, A, b):
+        lps.append((c, A, b))
+        return solve_lp_max(c, A, b)
+
+    monkeypatch.setattr(oracle, "solve_lp_max", recording)
+    for size in range(1, ps.dim + 2):
+        for verts in itertools.combinations(range(len(ps)), size):
+            oracle.delaunay_face_test(ps, verts)
+    monkeypatch.undo()
+    assert len(lps) == 637
+
+    fast = [solve_lp_max(*args) for args in lps]
+    monkeypatch.setattr(lp, "_pivot", reference_pivot)
+    monkeypatch.setattr(lp, "_simplex", reference_simplex)
+    for args, (status, x, val) in zip(lps, fast):
+        ref_status, ref_x, ref_val = solve_lp_max(*args)
+        assert status == ref_status
+        if status == OPTIMAL:
+            assert x.tobytes() == ref_x.tobytes()
+            assert val == ref_val

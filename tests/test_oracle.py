@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from extremal_cech import complexgen, oracle
-from extremal_cech.construct import PointSet, build_3d, build_even, build_suspended
+from extremal_cech.construct import PointSet, build_3d, build_suspended
 from extremal_cech.geometry import DEFAULT_TOL, min_enclosing_ball
 from extremal_cech.oracle import (
     BudgetExceededError,
@@ -105,6 +105,7 @@ class TestPrunedCech:
 
     def test_skips_miniballs_above_the_cut(self, even_2_5, monkeypatch):
         ps, _, thresholds, _ = even_2_5
+        monkeypatch.setattr(oracle, "_miniball_memo", {})
         calls = []
 
         def counting(points, tol=DEFAULT_TOL):
@@ -114,6 +115,21 @@ class TestPrunedCech:
         monkeypatch.setattr(oracle, "min_enclosing_ball", counting)
         cech(ps, min(th.rho for th in thresholds), 4)
         assert len(calls) <= 55  # vertices and pairs; a full scan makes 637
+
+    def test_one_miniball_per_subset_across_radii(self, even_2_5, monkeypatch):
+        ps, _, thresholds, _ = even_2_5
+        monkeypatch.setattr(oracle, "_miniball_memo", {})
+        calls = []
+
+        def counting(points, tol=DEFAULT_TOL):
+            calls.append(points.tobytes())
+            return min_enclosing_ball(points, tol)
+
+        monkeypatch.setattr(oracle, "min_enclosing_ball", counting)
+        for th in thresholds:
+            cech(ps, th.rho, 4)
+        assert len(thresholds) == 4
+        assert len(calls) == len(set(calls)) == 130  # without the memo: 345
 
 
 class TestCechEqualsAlpha:
@@ -194,3 +210,54 @@ class TestEnumerationMatch:
         ps, _, _, _ = even_2_5
         with pytest.raises(BudgetExceededError):
             enumeration_matches_oracle(ps, 3, budget=5)
+
+
+def full_scan_match(ps, maxdim, strict):
+    """Reference: the empty-sphere test on every subset up to maxdim+1."""
+    enumerated = {cs.vertices for cs in complexgen.enumerate_mosaic(ps) if cs.dim <= maxdim}
+    faces = {verts for size in range(1, maxdim + 2)
+             for verts in itertools.combinations(range(len(ps)), size)
+             if delaunay_face_test(ps, verts, strict=strict)}
+    return oracle.MatchReport(len(enumerated), len(faces),
+                              sorted(faces - enumerated), sorted(enumerated - faces))
+
+
+def jittered_3d(seed):
+    ps = build_3d(3, 0.05)
+    noise = np.random.default_rng(seed).normal(scale=0.05, size=ps.points.shape)
+    return PointSet(ps.kind, ps.dim, ps.k, ps.n, ps.delta, ps.points + noise,
+                    ps.labels.copy())
+
+
+class TestFaceGrownOracle:
+    """The LP runs only on subsets whose facets all passed; the report must
+    equal the scan of every subset exactly."""
+
+    # relaxed even k=2 n=5 accepts all 637 subsets, so the grown run tests them all
+    @pytest.mark.parametrize("kind,k,n,strict", [("3d", 1, 2, True), ("3d", 1, 3, True),
+                                                 ("even", 2, 5, True), ("odd", 2, 2, True),
+                                                 ("even", 2, 5, False)])
+    def test_equals_full_scan(self, pipeline, kind, k, n, strict):
+        ps, _, _, _ = pipeline(kind, k, n)
+        report = enumeration_matches_oracle(ps, ps.dim, strict=strict)
+        assert report == full_scan_match(ps, ps.dim, strict)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_equals_full_scan_on_jittered_points(self, seed, strict):
+        ps = jittered_3d(seed)
+        report = enumeration_matches_oracle(ps, 3, strict=strict)
+        assert report.missing and report.extra
+        assert report == full_scan_match(ps, 3, strict)
+
+    def test_tests_only_subsets_with_accepted_facets(self, even_2_5, monkeypatch):
+        ps, _, _, _ = even_2_5
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return delaunay_face_test(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "delaunay_face_test", counting)
+        assert enumeration_matches_oracle(ps, 4).ok
+        assert len(calls) <= 130  # a full scan makes 637
