@@ -2,9 +2,11 @@
 
 Subcommands: generate, filtration, betti, persistence, radii, oracle,
 verify.  Exit codes: 0 success / all PASS, 1 claim or check FAIL, 2 usage
-error (argparse default), 3 numeric or controller failure (delta controller
-exhausted, class overlap, emptiness assertion, criticality failure of a
-loaded point set, subset budget).
+error (argparse default, bad parameters or input files), 3 numeric,
+controller or consistency failure (delta controller exhausted, class
+overlap, emptiness assertion, criticality failure of a loaded point set or
+of the even construction, affinely degenerate simplex, subset budget,
+face-order check, reduction/rank cross-check).
 
 Outputs are deterministic: identical invocations produce byte-identical
 files; nothing embeds timestamps.
@@ -16,9 +18,7 @@ import argparse
 import sys
 
 from . import complexgen, construct, homology, oracle, verify
-from .complexgen import NotCriticalError, OverlapError
-from .construct import DeltaExhaustedError
-from .oracle import BudgetExceededError
+from .geometry import AffineDegeneracyError
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -271,7 +271,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (NotCriticalError, OverlapError, DeltaExhaustedError, BudgetExceededError) as exc:
+    except (AffineDegeneracyError, RuntimeError) as exc:
+        # NotCriticalError, OverlapError, DeltaExhaustedError and
+        # BudgetExceededError are RuntimeErrors, as are the package's
+        # consistency checks
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:

@@ -16,16 +16,20 @@ circumsphere, so values are circumradii from one batched circumsphere pass
 falls back to the Welzl miniball in `radius_value`.  The filtration keeps
 the pass's criticality verdicts, and `criticality_check` reuses them for
 the same point set and tolerance instead of computing the spheres again.
-Both enumerations list faces first, so one `homology.boundary_columns`
-call on the enumeration is a build's face relation: it drives the
-monotone fix and the face-order check.  Sorting by (value, dim, vertex
-list) passes that check: after the fix no facet's value exceeds its
-coface's, and dim breaks ties.
+One product-form enumeration serves all three kinds: each circle
+contributes nothing, one point or one consecutive pair.  It emits int
+arrays (vertex ids, touch, short) and each simplex's facet positions in
+closed form, and the build works on those arrays: the monotone fix is a
+max over the facets per size, the sort is one stable argsort of the
+values over rows already in (dim, vertex list) order, and the face-order
+check is a rank compare over the facets.  The (value, ClassifiedSimplex)
+entries are built once, at the end.  Sorting by (value, dim, vertex list)
+passes the check: after the fix no facet's value exceeds its coface's,
+and dim breaks ties.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,7 +47,6 @@ from .geometry import (
     is_empty_sphere,
     min_enclosing_ball,
 )
-from .homology import boundary_columns
 
 __all__ = [
     "ClassifiedSimplex",
@@ -113,12 +116,14 @@ class FilteredComplex:
     A filtration from `build_filtration` also carries the criticality
     verdicts of its sphere pass, tagged with the point set and tolerance
     they hold for; `criticality_check` reads them only for that same pair.
-    Loaded and hand-made filtrations carry none.
+    It carries its class ranges too, computed from the build's arrays.
+    Loaded and hand-made filtrations carry neither.
     """
 
     entries: list[tuple[float, ClassifiedSimplex]]
     # (point set, tolerance, critical flag per entry) from the sphere pass
     _critical: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _class_ranges: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -128,6 +133,8 @@ class FilteredComplex:
 
     def class_ranges(self) -> dict[tuple[int, int], tuple[float, float, int]]:
         """Per (touch, short) class: (min value, max value, count)."""
+        if self._class_ranges is not None:
+            return dict(self._class_ranges)
         out: dict[tuple[int, int], list] = {}
         for value, cs in self.entries:
             rec = out.setdefault(cs.cls, [value, value, 0])
@@ -163,62 +170,115 @@ def classify(ps: PointSet, vertices) -> ClassifiedSimplex:
     return ClassifiedSimplex(verts, touch=len(by_circle) - 1, short=pairs - 1)
 
 
-def _circle_items(ps: PointSet, circle: int, want_pair: bool):
-    """Single points or consecutive pairs available on one circle."""
-    base = circle * ps.points_per_circle
-    n = ps.n
-    if want_pair:
-        if ps.kind == KIND_EVEN:
-            return [(base + t, base + (t + 1) % n) for t in range(n)]
-        return [(base + t, base + t + 1) for t in range(n)]
-    return [(base + t,) for t in range(ps.points_per_circle)]
+@dataclass(frozen=True, eq=False)
+class _Mosaic:
+    """A point set's mosaic as arrays, one row per simplex, rows in
+    (size, vertex list) order.
+
+    Each row of `slots` has two slots per circle, in circle order: a lone
+    point fills the first, a pair fills both with its ascending ids, and
+    an empty slot holds `pad`, which exceeds every vertex id; so the ids
+    of a row, read in slot order, are its ascending vertex list.
+    `facets[i, j]` is the row of the facet that drops the vertex in slot j;
+    where there is none (an empty slot, or i is a vertex) it is i itself,
+    which leaves a max of values or a rank compare with row i unchanged.
+    Rows `blocks[s - 1]` are the simplices of size s.
+    """
+
+    slots: np.ndarray
+    pad: int
+    touch: np.ndarray
+    short: np.ndarray
+    facets: np.ndarray
+    blocks: list[tuple[int, int]]
+
+    def vertex_tuples(self) -> list[tuple[int, ...]]:
+        out = []
+        for size, (lo, hi) in enumerate(self.blocks, 1):
+            block = self.slots[lo:hi]
+            out += map(tuple, block[block < self.pad].reshape(hi - lo, size).tolist())
+        return out
+
+
+def _mosaic(ps: PointSet) -> _Mosaic:
+    """Enumerate the mosaic as a product over circles.
+
+    Each circle contributes nothing, one point or one consecutive pair
+    (pairs wrap around on the even kind's full n-gons), and not every
+    circle contributes nothing; on the even kind that leaves out only the
+    top polytope cell conv(A).  A simplex is coded by its options, one digit
+    per circle in base R = options per circle, so the codes are 1 .. R^C - 1
+    for C circles and a dense code -> row table has one entry per simplex
+    plus one.  Facets come in closed form: dropping a lone point leaves
+    nothing on its circle, and dropping one end of a pair leaves the other
+    end as a lone point.
+    """
+    if ps.kind == KIND_EVEN:
+        if ps.n < construct.min_n(ps.k):
+            raise ValueError(f"n={ps.n} is below min_n({ps.k})={construct.min_n(ps.k)}")
+    elif ps.kind not in (KIND_3D, KIND_ODD):
+        raise ValueError(f"no mosaic enumeration for kind {ps.kind!r}")
+    circles, per = ps.n_circles, ps.points_per_circle
+    pad = circles * per
+    # option 0 is nothing, 1..per a point, per+1.. a pair (t, t+1 mod per);
+    # lo/hi are the option's ascending on-circle ids, pad where it has none
+    t = np.arange(ps.n)
+    lo = np.concatenate(([pad], np.arange(per), np.minimum(t, (t + 1) % per)))
+    hi = np.concatenate(([pad], np.full(per, pad), np.maximum(t, (t + 1) % per)))
+    # digit change when the vertex in the lo or hi slot is dropped: to
+    # nothing from a lone point, to the other end (option 1 + id) from a pair
+    option = np.arange(len(lo))
+    pair = option > per
+    drop = np.stack((np.where(pair, 1 + hi, 0) - option, np.where(pair, 1 + lo, 0) - option), 1)
+
+    weight = len(lo) ** np.arange(circles)
+    codes = np.arange(1, len(lo) ** circles)
+    digits = codes[:, None] // weight % len(lo)
+    base = np.arange(circles) * per
+    slots = np.stack((base + lo[digits], base + hi[digits]), 2).reshape(len(codes), -1)
+    facet_codes = (codes[:, None, None]
+                   + drop[digits] * weight[:, None]).reshape(len(codes), -1)
+    real = slots < pad
+    size = real.sum(axis=1)
+    # slot order with pad is vertex-list order within a size: at the first
+    # slot where two rows differ, a pad stands for a later, larger id
+    order = np.lexsort((*slots.T[::-1], size))
+    slots, real, size = slots[order], real[order], size[order]
+    codes, facet_codes = codes[order], facet_codes[order]
+    rows = np.arange(len(codes))
+    row_of = np.zeros(len(codes) + 1, dtype=np.intp)
+    row_of[codes] = rows
+    facets = np.where(real & (size > 1)[:, None], row_of[facet_codes], rows[:, None])
+    touch = real[:, 0::2].sum(axis=1) - 1
+    starts = np.searchsorted(size, np.arange(1, slots.shape[1] + 2)).tolist()
+    return _Mosaic(slots, pad, touch, size - touch - 2, facets,
+                   list(zip(starts[:-1], starts[1:])))
+
+
+def enumerate_mosaic(ps: PointSet) -> list[ClassifiedSimplex]:
+    """All simplices of the mosaic of an even, 3d or odd point set, sorted by
+    (size, vertex list), so every face precedes its cofaces."""
+    m = _mosaic(ps)
+    return [ClassifiedSimplex(v, t, s)
+            for v, t, s in zip(m.vertex_tuples(), m.touch.tolist(), m.short.tolist())]
 
 
 def enumerate_even(ps: PointSet) -> list[ClassifiedSimplex]:
-    """All ideal simplices of the even construction: choose touch+1 circles,
-    short+1 of which contribute a consecutive pair, the rest one point.
-    The single top polytope cell conv(A) is not emitted."""
+    """All ideal simplices of the even construction: touch+1 circles, short+1
+    of which contribute a consecutive pair, the rest one point.  The single
+    top polytope cell conv(A) is not emitted."""
     if ps.kind != KIND_EVEN:
         raise ValueError("point set is not of even kind")
-    if ps.n < construct.min_n(ps.k):
-        raise ValueError(f"n={ps.n} is below min_n({ps.k})={construct.min_n(ps.k)}")
-    out = []
-    for ell in range(ps.k):
-        for circles in itertools.combinations(range(ps.k), ell + 1):
-            for j in range(-1, ell + 1):
-                for pair_circles in itertools.combinations(circles, j + 1):
-                    pair_set = set(pair_circles)
-                    options = [_circle_items(ps, c, c in pair_set) for c in circles]
-                    for combo in itertools.product(*options):
-                        verts = tuple(sorted(v for item in combo for v in item))
-                        out.append(ClassifiedSimplex(verts, touch=ell, short=j))
-    return out
+    return enumerate_mosaic(ps)
 
 
 def enumerate_odd(ps: PointSet) -> list[ClassifiedSimplex]:
     """Face closure of the top simplices of the 3d/odd constructions, sorted
     by (size, vertex list).  A top simplex takes one consecutive pair from
-    every circle, so a face takes nothing, one point or one consecutive pair
-    from each circle, and not nothing from all of them."""
+    every circle."""
     if ps.kind not in (KIND_3D, KIND_ODD):
         raise ValueError("point set is not of 3d/odd kind")
-    # (vertices, touch, short); circles own increasing blocks of ids, so
-    # appending circle by circle keeps every vertex tuple sorted
-    faces = [((), -1, -1)]
-    for c in range(ps.n_circles):
-        options = ([((), 0, 0)] + [(item, 1, 0) for item in _circle_items(ps, c, False)]
-                   + [(item, 1, 1) for item in _circle_items(ps, c, True)])
-        faces = [(verts + item, touch + t, short + p)
-                 for verts, touch, short in faces for item, t, p in options]
-    faces = faces[1:]  # the choice of nothing from every circle
-    faces.sort(key=lambda f: (len(f[0]), f[0]))
-    return [ClassifiedSimplex(*f) for f in faces]
-
-
-def enumerate_mosaic(ps: PointSet) -> list[ClassifiedSimplex]:
-    if ps.kind == KIND_EVEN:
-        return enumerate_even(ps)
-    return enumerate_odd(ps)
+    return enumerate_mosaic(ps)
 
 
 def radius_value(ps: PointSet, simplex, tol: Tolerance = DEFAULT_TOL,
@@ -234,6 +294,34 @@ def radius_value(ps: PointSet, simplex, tol: Tolerance = DEFAULT_TOL,
     return ball.radius
 
 
+def _check_face_order(facets: np.ndarray, rank: np.ndarray, verts) -> None:
+    """Raise RuntimeError unless every facet ranks below its coface.
+
+    `facets` rows hold facet rows as in `_Mosaic.facets`, `rank` is each
+    row's filtration position, and `verts` names the rows.  The error names
+    the first coface in filtration order and its first late facet."""
+    late = rank[facets] > rank[:, None]
+    if late.any():
+        bad = np.flatnonzero(late.any(axis=1))
+        i = bad[np.argmin(rank[bad])]
+        r = facets[i][late[i]].min()
+        raise RuntimeError(
+            f"face {verts[r]} does not precede coface {verts[i]} in the filtration")
+
+
+def _class_ranges(touch, short, values) -> dict[tuple[int, int], tuple[float, float, int]]:
+    """`FilteredComplex.class_ranges` from per-simplex arrays."""
+    key = touch * (short.max() + 2) + short + 1
+    order = np.lexsort((values, key))
+    key = key[order]
+    first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    last = np.append(first[1:], len(key)) - 1
+    head = order[first]
+    return {(t, s): (lo, hi, count) for t, s, lo, hi, count in zip(
+        touch[head].tolist(), short[head].tolist(), values[head].tolist(),
+        values[order[last]].tolist(), (last - first + 1).tolist())}
+
+
 def build_filtration(ps: PointSet, tol: Tolerance = DEFAULT_TOL,
                      assert_empty: bool = True) -> FilteredComplex:
     """Enumerate the mosaic, assign radius values, sort face-before-coface.
@@ -245,36 +333,37 @@ def build_filtration(ps: PointSet, tol: Tolerance = DEFAULT_TOL,
     would.  The pass's criticality verdicts stay on the result for
     `criticality_check`, whatever `assert_empty` is.
 
-    The face relation, one `boundary_columns` call on the enumeration,
-    raises each value to its facets' maximum and is the face-order check:
-    a facet sorted after its coface raises RuntimeError.
+    The closed-form facets raise each value to its facets' maximum and are
+    the face-order check: a facet sorted after its coface raises
+    RuntimeError.
     """
-    simplices = enumerate_mosaic(ps)
-    verts = [cs.vertices for cs in simplices]
-    columns = boundary_columns(verts)
+    m = _mosaic(ps)
+    verts = m.vertex_tuples()
     batch = circumspheres(ps, verts, tol)
     cleared = batch.critical if assert_empty else batch.interior
-    values = [float(r) if ok else radius_value(ps, cs, tol, assert_empty)
-              for cs, r, ok in zip(simplices, batch.radius, cleared)]
+    values = batch.radius.copy()
+    for i in np.flatnonzero(~cleared):
+        values[i] = radius_value(ps, verts[i], tol, assert_empty)
 
     # enforce exact monotonicity under face inclusion: a face and a coface
     # can determine the same ball, and floating point may then disagree by
-    # one ulp about which radius is larger; facets come first, so their
-    # values are final when a coface reads them
-    for j, rows in enumerate(columns):
-        if rows:
-            values[j] = max(values[j], max(values[r] for r in rows))
+    # one ulp about which radius is larger; one size at a time, so facets
+    # are final when their cofaces read them
+    for lo, hi in m.blocks[1:]:
+        values[lo:hi] = np.maximum(values[lo:hi], values[m.facets[lo:hi]].max(axis=1))
 
-    order = sorted(range(len(simplices)),
-                   key=lambda i: (values[i], simplices[i].dim, simplices[i].vertices))
-    rank = {i: pos for pos, i in enumerate(order)}
-    for i in order:
-        for r in columns[i]:
-            if rank[r] > rank[i]:
-                raise RuntimeError(
-                    f"face {verts[r]} does not precede coface {verts[i]} in the filtration")
-    fc = FilteredComplex([(values[i], simplices[i]) for i in order])
+    # rows are in (dim, vertex list) order, so a stable sort by value gives
+    # the (value, dim, vertex list) order
+    order = np.argsort(values, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    _check_face_order(m.facets, rank, verts)
+    fc = FilteredComplex([
+        (value, ClassifiedSimplex(verts[i], t, s))
+        for value, i, t, s in zip(values[order].tolist(), order.tolist(),
+                                  m.touch[order].tolist(), m.short[order].tolist())])
     fc._critical = (ps, tol, batch.critical[order])
+    fc._class_ranges = _class_ranges(m.touch, m.short, values)
     return fc
 
 

@@ -1,15 +1,19 @@
 """Z/2 persistent homology of a filtered complex.
 
-The boundary matrix in filtration order (`boundary_columns`, the face
-relation `complexgen.build_filtration` also uses) is reduced column by
-column; the lowest ones define birth/death pairs and unkilled births are essential
-classes.  There is one kernel, in pure Python: columns are Python integers
-used as bitsets over row indices, and it reduces with clearing (Chen &
-Kerber, "Persistent homology computation with a twist", EuroCG 2011).
+The boundary matrix in filtration order (`boundary_columns`: the facet
+positions of each simplex in a face-before-coface list) is reduced column
+by column; the lowest ones define birth/death pairs and unkilled births
+are essential classes.  There is one kernel, in pure Python: columns are
+Python integers used as bitsets over row indices, and it reduces with
+clearing (Chen & Kerber, "Persistent homology computation with a twist",
+EuroCG 2011).  Queries over all filtration values (`betti_profile`,
+`euler_characteristic_ok`) sort the births, deaths and values once and
+count by binary search.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -154,16 +158,30 @@ def betti_at(pd: PersistenceDiagram, p: int, r: float, eps: float = 0.0) -> int:
     return count
 
 
+def _alive_counter(pd: PersistenceDiagram, dims):
+    """r -> the number of pairs of the given dimensions alive at r, that is
+    with birth <= r < death, from two binary searches over the sorted births
+    and deaths.  A pair with birth >= death is never alive and is left out,
+    so every counted death is preceded by its birth."""
+    live = [(birth, death) for dim, birth, death in pd.pairs if dim in dims and birth < death]
+    births = sorted(birth for birth, _ in live)
+    deaths = sorted(death for _, death in live)
+    return lambda r: bisect.bisect_right(births, r) - bisect.bisect_right(deaths, r)
+
+
 def betti_profile(pd: PersistenceDiagram, p: int) -> list[tuple[float, int]]:
     """The dimension-p Betti number as a right-continuous step function,
     returned as (radius, value) breakpoints; the value changes only at
-    filtration values."""
+    filtration values.  Each breakpoint's value is `betti_at`'s, counted by
+    binary search in the sorted births and deaths."""
     breaks = sorted({b for dim, b, _ in pd.pairs if dim == p}
                     | {d for dim, _, d in pd.pairs if dim == p and d != INF})
+    alive = _alive_counter(pd, (p,))
+    drop = 1 if pd.reduced and p == 0 else 0
     profile = []
     last = None
     for r in breaks:
-        value = betti_at(pd, p, r)
+        value = max(alive(r) - drop, 0)
         if value != last:
             profile.append((r, value))
             last = value
@@ -229,18 +247,20 @@ def betti_of_subcomplex(fc, r: float, pmax: int | None = None, reduced: bool = T
 
 def euler_characteristic_ok(fc, eps: float = 0.0) -> bool:
     """Sanity identity at every filtration value: the alternating simplex
-    count equals the alternating sum of unreduced Betti numbers."""
+    count equals the alternating sum of unreduced Betti numbers.  Both sides
+    are counted by binary search in values sorted once, per dimension
+    parity."""
     entries = _normalize_filtration(fc)
     pd = reduce(entries, reduced=False)
     pmax = max(len(v) - 1 for _, v in entries)
+    parities = (range(0, pmax + 1, 2), range(1, pmax + 1, 2))
+    cells = [sorted(value for value, verts in entries if len(verts) - 1 in dims)
+             for dims in parities]
+    alive = [_alive_counter(pd, dims) for dims in parities]
     for r in sorted({v for v, _ in entries}):
-        counts = [0] * (pmax + 1)
-        for value, verts in entries:
-            if value <= r + eps:
-                counts[len(verts) - 1] += 1
-        chi_cells = sum((-1) ** p * c for p, c in enumerate(counts))
-        chi_betti = sum((-1) ** p * betti_at(pd, p, r, eps) for p in range(pmax + 1))
-        if chi_cells != chi_betti:
+        x = r + eps
+        chi_cells = bisect.bisect_right(cells[0], x) - bisect.bisect_right(cells[1], x)
+        if chi_cells != alive[0](x) - alive[1](x):
             return False
     return True
 

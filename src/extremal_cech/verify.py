@@ -11,6 +11,7 @@ becomes the acceptance bound for every larger n.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -572,21 +573,24 @@ def verify_hypotheses(k: int, n: int, delta_grid=DELTA_GRID) -> list[ClaimResult
 
 def verify_upper_bound_sanity(ps: PointSet, fc=None) -> list[ClaimResult]:
     """beta_p at every filtration value never exceeds the number of
-    p-simplices present (every p-cycle needs a p-cell to be born)."""
+    p-simplices present (every p-cycle needs a p-cell to be born).  Both
+    counts come from binary searches: in each dimension's sorted cell
+    values, and in its unreduced Betti profile."""
     if fc is None:
         fc = complexgen.build_filtration(ps)
     pd = homology.reduce(fc, reduced=False)
     pmax = fc.max_dim()
-    violations = 0
     values = sorted({value for value, _ in fc.entries})
-    for r in values:
-        counts = [0] * (pmax + 1)
-        for value, cs in fc.entries:
-            if value <= r + DEFAULT_TOL.abs_eps:
-                counts[cs.dim] += 1
-        for p in range(pmax + 1):
-            if homology.betti_at(pd, p, r, DEFAULT_TOL.abs_eps) > counts[p]:
-                violations += 1
+    reach = [r + DEFAULT_TOL.abs_eps for r in values]
+    violations = 0
+    for p in range(pmax + 1):
+        cells = sorted(value for value, cs in fc.entries if cs.dim == p)
+        profile = homology.betti_profile(pd, p)
+        radii = [r for r, _ in profile]
+        for x in reach:
+            at = bisect.bisect_right(radii, x)
+            betti = profile[at - 1][1] if at else 0
+            violations += betti > bisect.bisect_right(cells, x)
     params = {"kind": ps.kind, "k": ps.k, "n": ps.n}
     return [_claim("upper-bound/cells", params, 0, violations, violations == 0,
                    f"checked {len(values)} filtration values, dims 0..{pmax}")]

@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from extremal_cech import cli
+from extremal_cech import cli, complexgen, homology, verify
 
 
 def run(argv, capsys):
@@ -184,3 +185,46 @@ def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["betti", "--kind", "nope", "--n", "2", "--radius", "1"])
     assert exc.value.code == 2
+
+
+class TestNumericFailuresExit3:
+    """A numeric or consistency failure anywhere in a command ends as
+    `error: ...` on stderr and exit 3, not as a traceback."""
+
+    def test_even_criticality_failure(self, monkeypatch, tmp_path, capsys):
+        real = complexgen.criticality_check
+
+        def one_failure(ps, fc, tol):
+            report = real(ps, fc, tol)
+            report.failures.append(((0,), "forced"))
+            return report
+
+        monkeypatch.setattr(complexgen, "criticality_check", one_failure)
+        code, out, err = run(["filtration", "--kind", "even", "--k", "2", "--n", "5",
+                              "-o", str(tmp_path / "f.txt")], capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: even construction failed criticality: [((0,), 'forced')]")
+
+    def test_face_order_check(self, monkeypatch, tmp_path, capsys):
+        real = complexgen._check_face_order
+        monkeypatch.setattr(complexgen, "_check_face_order",
+                            lambda facets, rank, verts: real(facets, len(rank) - 1 - rank, verts))
+        code, out, err = run(["persistence", "--kind", "3d", "--n", "2",
+                              "-o", str(tmp_path / "d.csv")], capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: face (") and "does not precede coface" in err
+
+    def test_reduction_rank_cross_check(self, monkeypatch, capsys):
+        real = homology._betti_by_rank
+        monkeypatch.setattr(homology, "_betti_by_rank",
+                            lambda entries, pmax: [b + 1 for b in real(entries, pmax)])
+        code, out, err = run(["betti", "--kind", "3d", "--n", "2", "--radius", "0.6"], capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: reduction/rank cross-check failed")
+
+    def test_affine_degeneracy(self, monkeypatch, capsys):
+        real = verify.circumsphere
+        monkeypatch.setattr(verify, "circumsphere", lambda pts: real(np.zeros_like(pts)))
+        code, out, err = run(["verify", "--radii", "--k", "2", "--n", "5"], capsys)
+        assert (code, out) == (3, "")
+        assert err == "error: points are affinely dependent beyond tolerance\n"

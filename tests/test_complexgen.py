@@ -85,6 +85,34 @@ class TestClassify:
             classify(ps, (0, 1, 2))
 
 
+def circle_items(ps, circle, want_pair):
+    """Single points or consecutive pairs available on one circle; pairs
+    wrap around on the even kind's full n-gons."""
+    base = circle * ps.points_per_circle
+    n = ps.n
+    if want_pair:
+        if ps.kind == "even":
+            return [(base + t, base + (t + 1) % n) for t in range(n)]
+        return [(base + t, base + t + 1) for t in range(n)]
+    return [(base + t,) for t in range(ps.points_per_circle)]
+
+
+def even_reference(ps):
+    """Reference enumeration of the even mosaic, in touch-major order:
+    choose touch+1 circles, short+1 of which contribute a consecutive pair,
+    the rest one point."""
+    out = []
+    for ell in range(ps.k):
+        for circles in itertools.combinations(range(ps.k), ell + 1):
+            for j in range(-1, ell + 1):
+                for pair_circles in itertools.combinations(circles, j + 1):
+                    options = [circle_items(ps, c, c in pair_circles) for c in circles]
+                    for combo in itertools.product(*options):
+                        verts = tuple(sorted(v for item in combo for v in item))
+                        out.append(ClassifiedSimplex(verts, touch=ell, short=j))
+    return out
+
+
 class TestEnumerateEven:
     def test_census_2_5(self):
         ps = build_even(2, 5)
@@ -106,11 +134,17 @@ class TestEnumerateEven:
         with pytest.raises(ValueError):
             enumerate_even(build_even(2, 4))
 
+    @pytest.mark.parametrize("k,n", [(2, 5), (2, 8), (3, 6)])
+    def test_matches_reference_in_size_then_vertex_order(self, k, n):
+        ps = build_even(k, n)
+        reference = even_reference(ps)
+        assert enumerate_even(ps) == sorted(reference, key=lambda cs: (cs.dim, cs.vertices))
+
 
 def face_closure_odd(ps):
     """Reference enumeration: every subset of every top simplex (one
     consecutive pair from each circle), classified from its labels."""
-    pair_options = [complexgen._circle_items(ps, c, True) for c in range(ps.n_circles)]
+    pair_options = [circle_items(ps, c, True) for c in range(ps.n_circles)]
     seen = set()
     for combo in itertools.product(*pair_options):
         top = tuple(sorted(v for pair in combo for v in pair))
@@ -337,20 +371,6 @@ class TestSinglePass:
         build_validated("3d", k=1, n=4)  # validates at its first delta
         assert len(calls) == 1
 
-    def test_one_face_relation_per_build(self, monkeypatch):
-        calls = []
-        relation = complexgen.boundary_columns
-
-        def counting(simplices):
-            calls.append(len(simplices))
-            return relation(simplices)
-
-        monkeypatch.setattr(complexgen, "boundary_columns", counting)
-        for ps in (build_3d(3, 0.01), build_even(2, 5), build_odd(2, 2, 0.005)):
-            calls.clear()
-            fc = build_filtration(ps)
-            assert calls == [len(fc)]
-
     @pytest.mark.parametrize("kind,k,n", ACCEPTED)
     def test_enumeration_lists_faces_first(self, kind, k, n):
         ps = cached_pipeline(kind, k, n)[0]
@@ -386,6 +406,89 @@ class TestSinglePass:
         assert (1, 2) in [v for v, _ in report.failures]
         assert report == self.fresh_check(moved, fc)
         assert criticality_check(ps, fc).ok
+
+
+DIFFERENTIAL = ACCEPTED + (("3d", 1, 30), ("odd", 3, 4))
+
+
+def reference_build(ps, tol=DEFAULT_TOL):
+    """The list-of-tuples build on the reference enumeration: one sphere
+    pass, the face relation from boundary_columns, the sequential monotone
+    fix, and a sort by (value, dim, vertex list).  Returns the entries and
+    the per-entry criticality verdicts."""
+    simplices = even_reference(ps) if ps.kind == "even" else face_closure_odd(ps)
+    verts = [cs.vertices for cs in simplices]
+    columns = homology.boundary_columns(verts)
+    batch = circumspheres(ps, verts, tol)
+    values = [float(r) if ok else radius_value(ps, cs, tol)
+              for cs, r, ok in zip(simplices, batch.radius, batch.critical)]
+    for j, rows in enumerate(columns):
+        if rows:
+            values[j] = max(values[j], max(values[r] for r in rows))
+    order = sorted(range(len(simplices)),
+                   key=lambda i: (values[i], simplices[i].dim, simplices[i].vertices))
+    return [(values[i], simplices[i]) for i in order], batch.critical[order]
+
+
+def exact(entries):
+    return [(value.hex(), cs.vertices, cs.touch, cs.short) for value, cs in entries]
+
+
+class TestArrayBuild:
+    @pytest.mark.parametrize("kind,k,n", DIFFERENTIAL)
+    def test_closed_form_facets_match_boundary_columns(self, kind, k, n):
+        m = complexgen._mosaic(cached_pipeline(kind, k, n)[0])
+        closed = [sorted(row[row != i].tolist()) for i, row in enumerate(m.facets)]
+        assert closed == homology.boundary_columns(m.vertex_tuples())
+
+    @pytest.mark.parametrize("kind,k,n", DIFFERENTIAL)
+    def test_bit_identical_to_reference_build(self, kind, k, n):
+        ps = cached_pipeline(kind, k, n)[0]
+        fc = build_filtration(ps)
+        entries, critical = reference_build(ps)
+        assert exact(fc.entries) == exact(entries)
+        assert fc._critical[2].tolist() == critical.tolist()
+        assert fc.class_ranges() == FilteredComplex(entries).class_ranges()
+
+
+def face_order_message(columns, rank, verts):
+    """The face-order check as a loop over boundary_columns: the message
+    for the first coface in rank order with a facet ranked after it."""
+    for i in sorted(range(len(verts)), key=lambda i: rank[i]):
+        for r in columns[i]:
+            if rank[r] > rank[i]:
+                return f"face {verts[r]} does not precede coface {verts[i]} in the filtration"
+    return None
+
+
+class TestFaceOrderCheck:
+    @pytest.mark.parametrize("ps", [build_3d(3, 0.01), build_even(2, 5), build_odd(2, 2, 0.005)],
+                             ids=["3d-3", "even-2-5", "odd-2-2"])
+    def test_permuted_orders_raise_the_loop_message(self, ps):
+        m = complexgen._mosaic(ps)
+        verts = m.vertex_tuples()
+        columns = homology.boundary_columns(verts)
+        rng = np.random.default_rng(20240811)
+        ranks = [np.arange(len(verts))[::-1]] + [rng.permutation(len(verts)) for _ in range(20)]
+        for rank in ranks:
+            message = face_order_message(columns, rank.tolist(), verts)
+            assert message is not None
+            with pytest.raises(RuntimeError) as err:
+                complexgen._check_face_order(m.facets, rank, verts)
+            assert str(err.value) == message
+
+    def test_one_facet_moved_after_its_coface(self):
+        m = complexgen._mosaic(build_3d(3, 0.01))
+        verts = m.vertex_tuples()
+        tet = next(i for i, v in enumerate(verts) if len(v) == 4)
+        facet = int(m.facets[tet].min())
+        rank = np.arange(len(verts))
+        complexgen._check_face_order(m.facets, rank, verts)
+        rank[[facet, tet]] = rank[[tet, facet]]
+        with pytest.raises(RuntimeError, match="does not precede") as err:
+            complexgen._check_face_order(m.facets, rank, verts)
+        assert str(err.value) == (f"face {verts[facet]} does not precede coface "
+                                  f"{verts[tet]} in the filtration")
 
 
 class TestThresholds:

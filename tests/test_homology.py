@@ -240,3 +240,76 @@ class TestBettiProfile:
         filt_values = {v for v, _ in fc.entries}
         for r, _ in homology.betti_profile(pd, 1):
             assert any(abs(r - v) < 1e-15 for v in filt_values)
+
+
+def profile_reference(pd, p):
+    """The profile by one `betti_at` call per breakpoint."""
+    breaks = sorted({b for dim, b, _ in pd.pairs if dim == p}
+                    | {d for dim, _, d in pd.pairs if dim == p and d != INF})
+    out = []
+    for r in breaks:
+        value = betti_at(pd, p, r)
+        if not out or out[-1][1] != value:
+            out.append((r, value))
+    return out
+
+
+def euler_reference(entries, pd, eps):
+    """The Euler identity recounted from scratch at every value."""
+    pmax = max(len(v) - 1 for _, v in entries)
+    for r in sorted({v for v, _ in entries}):
+        counts = [0] * (pmax + 1)
+        for value, verts in entries:
+            if value <= r + eps:
+                counts[len(verts) - 1] += 1
+        chi_betti = sum((-1) ** p * betti_at(pd, p, r, eps) for p in range(pmax + 1))
+        if sum((-1) ** p * c for p, c in enumerate(counts)) != chi_betti:
+            return False
+    return True
+
+
+FIXTURES = ("threed_n2", "even_2_5", "odd_2_2")
+
+
+class TestSweepQueries:
+    @pytest.mark.parametrize("name", FIXTURES)
+    @pytest.mark.parametrize("reduced", [True, False])
+    def test_profile_matches_betti_at_at_every_breakpoint(self, name, reduced, request):
+        _, fc, _, _ = request.getfixturevalue(name)
+        pd = reduce(fc, reduced=reduced)
+        for p in range(fc.max_dim() + 1):
+            assert homology.betti_profile(pd, p) == profile_reference(pd, p)
+
+    def test_profile_ignores_pairs_that_are_never_alive(self):
+        pd = PersistenceDiagram([(1, 0.5, 0.5), (1, 0.7, 0.6), (1, 0.2, 0.8)], reduced=False)
+        assert homology.betti_profile(pd, 1) == profile_reference(pd, 1)
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    @pytest.mark.parametrize("eps", [0.0, 1e-12])
+    def test_euler_matches_per_value_recount(self, name, eps, request, monkeypatch):
+        # intact, then with one pair dropped, which breaks the identity
+        _, fc, _, _ = request.getfixturevalue(name)
+        entries = fc.as_filtration()
+        full = reduce(entries, reduced=False)
+        assert homology.euler_characteristic_ok(fc, eps)
+        assert euler_reference(entries, full, eps)
+        for drop in range(0, len(full.pairs), max(1, len(full.pairs) // 7)):
+            pd = PersistenceDiagram(full.pairs[:drop] + full.pairs[drop + 1:], reduced=False)
+            monkeypatch.setattr(homology, "reduce", lambda *args, pd=pd, **kwargs: pd)
+            verdict = homology.euler_characteristic_ok(fc, eps)
+            assert verdict == euler_reference(entries, pd, eps)
+            assert not verdict
+
+    def test_euler_counts_values_within_eps_as_one(self, monkeypatch):
+        # a 1-cycle born and killed 3e-13 apart: within eps = 1e-12 it never
+        # shows, so a diagram without its pair still passes; at eps = 0 it
+        # does show, and the missing pair is caught
+        entries = [(0.0, (0,)), (0.0, (1,)), (0.0, (2,)), (1.0, (0, 1)), (1.0, (1, 2)),
+                   (1.0 + 5e-13, (0, 2)), (1.0 + 8e-13, (0, 1, 2))]
+        full = reduce(entries, reduced=False)
+        assert (1, 1.0 + 5e-13, 1.0 + 8e-13) in full.pairs
+        pd = PersistenceDiagram([p for p in full.pairs if p[0] != 1], reduced=False)
+        monkeypatch.setattr(homology, "reduce", lambda *args, **kwargs: pd)
+        for eps, verdict in ((1e-12, True), (0.0, False)):
+            assert homology.euler_characteristic_ok(entries, eps) is verdict
+            assert euler_reference(entries, pd, eps) is verdict

@@ -1,9 +1,14 @@
 import collections
+import math
 
 import pytest
 
-from extremal_cech import cli, verify
+from extremal_cech import cli, homology, verify
+from extremal_cech.complexgen import ClassifiedSimplex, FilteredComplex
+from extremal_cech.geometry import DEFAULT_TOL
 from extremal_cech.verify import FAIL, PASS, SKIPPED
+
+INF = math.inf
 
 
 def assert_no_failures(claims):
@@ -84,11 +89,54 @@ class TestHypotheses:
         assert "hyp/center_noshort/class(1, -1)" in ids
 
 
+def upper_bound_reference(fc, pd):
+    """Violations of beta_p <= #p-cells, recounted at every value."""
+    eps = DEFAULT_TOL.abs_eps
+    pmax = fc.max_dim()
+    violations = 0
+    for r in sorted({value for value, _ in fc.entries}):
+        counts = [0] * (pmax + 1)
+        for value, cs in fc.entries:
+            if value <= r + eps:
+                counts[cs.dim] += 1
+        for p in range(pmax + 1):
+            if homology.betti_at(pd, p, r, eps) > counts[p]:
+                violations += 1
+    return violations
+
+
 class TestUpperBound:
     def test_3d_and_even(self, threed_n2, even_2_5):
         for ps, fc, _, _ in (threed_n2, even_2_5):
             claims = verify.verify_upper_bound_sanity(ps, fc)
             assert_no_failures(claims)
+
+    def test_cell_at_exactly_value_plus_eps_is_present(self, threed_n2):
+        # the second vertex's value is the first's plus abs_eps, so at the
+        # first value both vertices, and both classes, are present
+        ps = threed_n2[0]
+        first = 0.5
+        fc = FilteredComplex([(first, ClassifiedSimplex((0,), 0, -1)),
+                              (first + DEFAULT_TOL.abs_eps, ClassifiedSimplex((1,), 0, -1))])
+        assert upper_bound_reference(fc, homology.reduce(fc, reduced=False)) == 0
+        [claim] = verify.verify_upper_bound_sanity(ps, fc)
+        assert (claim.observed, claim.status) == (0, PASS)
+
+    @pytest.mark.parametrize("name", ["threed_n2", "even_2_5", "odd_2_2"])
+    def test_counts_match_per_value_recount(self, name, request, monkeypatch):
+        # extra classes born at a vertex-level radius overflow the cells of
+        # some dimensions at some values, and only there
+        ps, fc, _, _ = request.getfixturevalue(name)
+        pd = homology.reduce(fc, reduced=False)
+        assert upper_bound_reference(fc, pd) == 0
+        edges = sum(1 for _, cs in fc.entries if cs.dim == 1)
+        births = sorted({value for value, _ in fc.entries})
+        pd.pairs += [(1, births[1], births[-1])] * (edges // 2) + [(2, 0.0, INF)] * 3
+        monkeypatch.setattr(homology, "reduce", lambda *args, **kwargs: pd)
+        expected = upper_bound_reference(fc, pd)
+        assert expected > 0
+        [claim] = verify.verify_upper_bound_sanity(ps, fc)
+        assert (claim.observed, claim.status) == (expected, FAIL)
 
 
 class TestReporting:
