@@ -4,9 +4,8 @@ Subcommands: generate, filtration, betti, persistence, radii, oracle,
 verify.  Exit codes: 0 success / all PASS, 1 claim or check FAIL, 2 usage
 error (argparse default, bad parameters or input files), 3 numeric,
 controller or consistency failure (delta controller exhausted, class
-overlap, emptiness assertion, criticality failure of a loaded point set or
-of the even construction, affinely degenerate simplex, subset budget,
-face-order check, reduction/rank cross-check).
+overlap, a simplex the build finds not critical, affinely degenerate
+simplex, subset budget, face-order check, reduction/rank cross-check).
 
 Outputs are deterministic: identical invocations produce byte-identical
 files; nothing embeds timestamps.
@@ -99,12 +98,6 @@ def _cmd_filtration(args) -> int:
         ps = _load_matching(args)
         fc = complexgen.build_filtration(ps)
         complexgen.pick_thresholds(fc)
-        report = complexgen.criticality_check(ps, fc)
-        if report.failures:
-            verts, reason = report.failures[0]
-            print(f"error: {len(report.failures)} simplices are not critical; "
-                  f"first {verts}: {reason}", file=sys.stderr)
-            return EXIT_NUMERIC
     else:
         ps, fc, _ = _build_validated(args)
     complexgen.save_filtration(fc, args.output)

@@ -8,14 +8,16 @@ subset of the circles.  Simplices are classified by
 * touch = number of circles touched minus one,
 * short = number of circles contributing a consecutive pair minus one,
 
-so dim = touch + short + 1.  Radius values are miniball radii, asserted to
-be realized by strictly empty spheres.  Every simplex of a validated
-construction is critical, and the miniball of a critical simplex is its
-circumsphere, so values are circumradii from one batched circumsphere pass
-(`geometry.circumspheres`) per build; a simplex that pass does not clear
-falls back to the Welzl miniball in `radius_value`.  The filtration keeps
-the pass's criticality verdicts, and `criticality_check` reuses them for
-the same point set and tolerance instead of computing the spheres again.
+so dim = touch + short + 1.  Every simplex of a validated construction is
+critical: its circumcenter is interior and its circumsphere strictly empty,
+so its radius value is its circumradius (Bauer & Edelsbrunner, The Morse
+theory of Cech and Delaunay complexes, 2017).  The build proves this with
+one batched circumsphere pass (`geometry.circumspheres`); a simplex that
+pass does not clear is checked one at a time, and the first one that is
+not critical raises NotCriticalError.  So every built filtration is
+critical, and its values are the pass's circumradii.
+`criticality_check` recomputes the spheres for any point set and
+filtration, loaded or hand-made ones included.
 One product-form enumeration serves all three kinds: each circle
 contributes nothing, one point or one consecutive pair.  It emits int
 arrays (vertex ids, touch, short) and each simplex's facet positions in
@@ -70,13 +72,20 @@ __all__ = [
 
 
 class NotCriticalError(RuntimeError):
-    """A simplex's miniball sphere is not strictly empty; carries the id of
-    the first offending point.  Signals that delta is too large."""
+    """A simplex is not critical.  When its sphere is not strictly empty,
+    `offender` is the id of the first point inside; otherwise it is None and
+    `reason` says what failed.  Signals that delta is too large."""
 
-    def __init__(self, simplex, offender: int):
-        super().__init__(f"sphere of {simplex} not strictly empty: point {offender} inside")
+    def __init__(self, simplex, offender: int | None = None, reason: str | None = None):
+        if offender is not None:
+            reason = f"circumsphere not strictly empty: point {offender}"
+            message = f"sphere of {simplex} not strictly empty: point {offender} inside"
+        else:
+            message = f"simplex {simplex} is not critical: {reason}"
+        super().__init__(message)
         self.simplex = simplex
         self.offender = offender
+        self.reason = reason
 
 
 class OverlapError(RuntimeError):
@@ -113,16 +122,12 @@ class FilteredComplex:
     """Radius-sorted list of (value, simplex), closed under faces, with every
     face preceding its cofaces.
 
-    A filtration from `build_filtration` also carries the criticality
-    verdicts of its sphere pass, tagged with the point set and tolerance
-    they hold for; `criticality_check` reads them only for that same pair.
-    It carries its class ranges too, computed from the build's arrays.
-    Loaded and hand-made filtrations carry neither.
+    A filtration from `build_filtration` has every simplex critical, and
+    carries its class ranges, computed from the build's arrays.  Loaded and
+    hand-made filtrations carry no class ranges and no proof of criticality.
     """
 
     entries: list[tuple[float, ClassifiedSimplex]]
-    # (point set, tolerance, critical flag per entry) from the sphere pass
-    _critical: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _class_ranges: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
@@ -281,14 +286,13 @@ def enumerate_odd(ps: PointSet) -> list[ClassifiedSimplex]:
     return enumerate_mosaic(ps)
 
 
-def radius_value(ps: PointSet, simplex, tol: Tolerance = DEFAULT_TOL,
-                 assert_empty: bool = True) -> float:
+def radius_value(ps: PointSet, simplex, tol: Tolerance = DEFAULT_TOL) -> float:
     """Radius-function value of a mosaic simplex: the miniball radius of its
     vertices, whose bounding sphere must be strictly empty against the rest
     of the point set.  For critical simplices this equals the circumradius."""
     verts = simplex.vertices if isinstance(simplex, ClassifiedSimplex) else tuple(simplex)
     ball = min_enclosing_ball(ps.points[list(verts)], tol)
-    if assert_empty and not is_empty_sphere(ball, ps, exclude=verts, strict=True, tol=tol):
+    if not is_empty_sphere(ball, ps, exclude=verts, strict=True, tol=tol):
         offenders = emptiness_violations(ball, ps, exclude=verts, strict=True, tol=tol)
         raise NotCriticalError(verts, offenders[0])
     return ball.radius
@@ -322,16 +326,14 @@ def _class_ranges(touch, short, values) -> dict[tuple[int, int], tuple[float, fl
         values[order[last]].tolist(), (last - first + 1).tolist())}
 
 
-def build_filtration(ps: PointSet, tol: Tolerance = DEFAULT_TOL,
-                     assert_empty: bool = True) -> FilteredComplex:
-    """Enumerate the mosaic, assign radius values, sort face-before-coface.
+def build_filtration(ps: PointSet, tol: Tolerance = DEFAULT_TOL) -> FilteredComplex:
+    """Enumerate the mosaic, prove every simplex critical, take circumradii
+    as values and sort face-before-coface.
 
-    A simplex the batched pass clears as critical (without `assert_empty`:
-    as having an interior circumcenter) takes its circumradius; every other
-    one goes through `radius_value`, in enumeration order, so the first
-    non-empty sphere raises the same NotCriticalError as a per-simplex pass
-    would.  The pass's criticality verdicts stay on the result for
-    `criticality_check`, whatever `assert_empty` is.
+    Each simplex the batched pass does not clear goes, in enumeration
+    order, through the one-at-a-time check of `criticality_check`; the first
+    one that is not critical raises NotCriticalError, so a per-simplex pass
+    would raise the same error.
 
     The closed-form facets raise each value to its facets' maximum and are
     the face-order check: a facet sorted after its coface raises
@@ -340,10 +342,11 @@ def build_filtration(ps: PointSet, tol: Tolerance = DEFAULT_TOL,
     m = _mosaic(ps)
     verts = m.vertex_tuples()
     batch = circumspheres(ps, verts, tol)
-    cleared = batch.critical if assert_empty else batch.interior
+    for i in np.flatnonzero(~batch.critical):
+        failure = _criticality_failure(ps, verts[i], tol)
+        if failure is not None:
+            raise failure
     values = batch.radius.copy()
-    for i in np.flatnonzero(~cleared):
-        values[i] = radius_value(ps, verts[i], tol, assert_empty)
 
     # enforce exact monotonicity under face inclusion: a face and a coface
     # can determine the same ball, and floating point may then disagree by
@@ -362,7 +365,6 @@ def build_filtration(ps: PointSet, tol: Tolerance = DEFAULT_TOL,
         (value, ClassifiedSimplex(verts[i], t, s))
         for value, i, t, s in zip(values[order].tolist(), order.tolist(),
                                   m.touch[order].tolist(), m.short[order].tolist())])
-    fc._critical = (ps, tol, batch.critical[order])
     fc._class_ranges = _class_ranges(m.touch, m.short, values)
     return fc
 
@@ -417,33 +419,31 @@ def criticality_check(ps: PointSet, fc: FilteredComplex,
     Failures are data, not errors.  One batched pass clears the critical
     simplices; each simplex it does not clear is checked again one at a
     time, in filtration order, which gives the verdict and the failure
-    message.  When `fc` was built by `build_filtration` from this very
-    point set with an equal tolerance, the build's pass stands in for it."""
-    if fc._critical is not None and fc._critical[0] is ps and fc._critical[1] == tol:
-        critical = fc._critical[2]
-    else:
-        critical = circumspheres(ps, [cs.vertices for _, cs in fc.entries], tol).critical
+    message.  The spheres are always computed afresh; a filtration from
+    `build_filtration` passes by construction."""
+    critical = circumspheres(ps, [cs.vertices for _, cs in fc.entries], tol).critical
     failures = []
     for i in np.flatnonzero(~critical):
         cs = fc.entries[i][1]
-        reason = _criticality_failure(ps, cs.vertices, tol)
-        if reason is not None:
-            failures.append((cs.vertices, reason))
+        failure = _criticality_failure(ps, cs.vertices, tol)
+        if failure is not None:
+            failures.append((cs.vertices, failure.reason))
     return CriticalityReport(len(fc), failures)
 
 
-def _criticality_failure(ps: PointSet, verts: tuple[int, ...], tol: Tolerance) -> str | None:
-    """Why one simplex is not critical, or None if it is."""
+def _criticality_failure(ps: PointSet, verts: tuple[int, ...],
+                         tol: Tolerance) -> NotCriticalError | None:
+    """Why one simplex is not critical, as the error to raise, or None if it is."""
     pts = ps.points[list(verts)]
     try:
         sphere = circumsphere(pts, tol)
     except AffineDegeneracyError as exc:
-        return f"degenerate circumsphere: {exc}"
+        return NotCriticalError(verts, reason=f"degenerate circumsphere: {exc}")
     if not barycentric_interior(pts, sphere.center, tol):
-        return "circumcenter not in simplex interior"
+        return NotCriticalError(verts, reason="circumcenter not in simplex interior")
     if not is_empty_sphere(sphere, ps, exclude=verts, strict=True, tol=tol):
         bad = emptiness_violations(sphere, ps, exclude=verts, strict=True, tol=tol)
-        return f"circumsphere not strictly empty: point {bad[0]}"
+        return NotCriticalError(verts, bad[0])
     return None
 
 

@@ -319,21 +319,18 @@ def build_validated(kind: str, k: int | None = None, n: int | None = None,
                     delta="auto", tol: Tolerance = DEFAULT_TOL):
     """Build a point set together with a validated filtration and thresholds.
 
+    The build proves every simplex critical or raises NotCriticalError, and
+    `pick_thresholds` separates the radius classes or raises OverlapError.
     For the delta-bearing kinds the controller halves delta (policy above)
-    until the filtration passes radius-class separation and the criticality
-    check; this function is the single authority for retries.  Returns
-    (point_set, filtered_complex, thresholds).
+    on either error; this function is the single authority for retries.
+    Returns (point_set, filtered_complex, thresholds).
     """
     from . import complexgen  # deferred: complexgen imports this module
 
     if kind == KIND_EVEN:
         ps = build_even(k, n)
         fc = complexgen.build_filtration(ps, tol=tol)
-        thresholds = complexgen.pick_thresholds(fc)
-        report = complexgen.criticality_check(ps, fc, tol=tol)
-        if report.failures:
-            raise RuntimeError(f"even construction failed criticality: {report.failures[:3]}")
-        return ps, fc, thresholds
+        return ps, fc, complexgen.pick_thresholds(fc)
 
     if kind not in (KIND_3D, KIND_ODD):
         raise ValueError(f"build_validated does not handle kind {kind!r}")
@@ -346,10 +343,6 @@ def build_validated(kind: str, k: int | None = None, n: int | None = None,
             thresholds = complexgen.pick_thresholds(fc)
         except (complexgen.NotCriticalError, complexgen.OverlapError) as exc:
             last_error = exc
-            continue
-        report = complexgen.criticality_check(ps, fc, tol=tol)
-        if report.failures:
-            last_error = RuntimeError(f"criticality failures at delta={cand}")
             continue
         return ps, fc, thresholds
     raise DeltaExhaustedError(

@@ -80,11 +80,6 @@ class Sphere:
         if self.radius < 0.0:
             raise ValueError("radius must be nonnegative")
 
-    def contains(self, point, eps: float = 0.0) -> bool:
-        """True if `point` lies inside or on the sphere, with slack `eps`
-        applied to the squared radius."""
-        return squared_distance(point, self.center) <= self.radius**2 + eps
-
 
 def squared_distance(a, b) -> float:
     """Squared Euclidean distance between two points of equal dimension."""

@@ -32,7 +32,7 @@ from .construct import (
     half_edge,
     min_n,
 )
-from .geometry import DEFAULT_TOL, affine_distance, circumsphere
+from .geometry import DEFAULT_TOL, affine_distance, circumsphere, circumspheres
 
 __all__ = [
     "PASS",
@@ -347,12 +347,10 @@ def _even_class_radii(ps: PointSet):
         expected[(1, 0)] = math.sqrt(1.0 / (1.0 - s2)) / 2.0
         expected[(1, 1)] = math.sqrt(1.0 + 2.0 * s2) / 2.0
     errs = {cls: 0.0 for cls in expected}
-    for cs in complexgen.enumerate_even(ps):
-        want = expected.get(cs.cls)
-        if want is None:
-            continue
-        r = circumsphere(ps.points[list(cs.vertices)]).radius
-        errs[cs.cls] = max(errs[cs.cls], _rel_err(r, want))
+    checked = [cs for cs in complexgen.enumerate_even(ps) if cs.cls in expected]
+    radii = circumspheres(ps, [cs.vertices for cs in checked]).radius
+    for cs, r in zip(checked, radii.tolist()):
+        errs[cs.cls] = max(errs[cs.cls], _rel_err(r, expected[cs.cls]))
     return errs
 
 
@@ -404,8 +402,7 @@ def _threed_interval_claims(n: int, delta_grid) -> list[ClaimResult]:
         eps = half_edge(ps)
         fc = complexgen.build_filtration(ps)
         tri_max = 0.0
-        for value, cs in fc.entries:
-            r = circumsphere(ps.points[list(cs.vertices)]).radius
+        for r, cs in fc.entries:
             if cs.dim == 1 and cs.short == -1:
                 edge_ok &= 0.5 - 1e-15 <= r <= 0.5 * (1.0 + delta**4) + 1e-15
             elif cs.dim == 2:

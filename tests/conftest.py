@@ -4,6 +4,7 @@ import pytest
 
 from extremal_cech import complexgen, homology
 from extremal_cech.construct import build_validated
+from extremal_cech.geometry import circumspheres
 
 
 @functools.lru_cache(maxsize=None)
@@ -32,6 +33,15 @@ def even_2_5():
 @pytest.fixture(scope="session")
 def odd_2_2():
     return cached_pipeline("odd", 2, 2)
+
+
+def mosaic_complex(ps):
+    """A hand-made filtration over the mosaic of `ps`, in enumeration order
+    and valued by circumradius: the simplices and values of a build, without
+    its proof of criticality, so a detector can be checked on any point set."""
+    simplices = complexgen.enumerate_mosaic(ps)
+    radii = circumspheres(ps, [cs.vertices for cs in simplices]).radius
+    return complexgen.FilteredComplex(list(zip(radii.tolist(), simplices)))
 
 
 def threshold(thresholds, cls):

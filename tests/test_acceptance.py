@@ -13,7 +13,7 @@ from extremal_cech.complexgen import threshold_after
 from extremal_cech.construct import build_3d, build_even, min_n
 from extremal_cech.geometry import DEFAULT_TOL
 
-from conftest import cached_pipeline
+from conftest import cached_pipeline, mosaic_complex
 
 EPS = DEFAULT_TOL.abs_eps
 
@@ -113,8 +113,7 @@ def test_criterion_07_criticality():
         ok &= complexgen.criticality_check(ps, fc).ok
     # detector sensitivity: a deliberately coarse band width must trip it
     ps_bad = build_3d(10, 0.5)
-    fc_bad = complexgen.build_filtration(ps_bad, assert_empty=False)
-    failures = len(complexgen.criticality_check(ps_bad, fc_bad).failures)
+    failures = len(complexgen.criticality_check(ps_bad, mosaic_complex(ps_bad)).failures)
     ok &= failures >= 1
     report(7, ok,
            f"zero failures on {len(ACCEPTED)} accepted instances; "

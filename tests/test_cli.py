@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from extremal_cech import cli, complexgen, homology, verify
+from extremal_cech import cli, complexgen, construct, homology, verify
 
 
 def run(argv, capsys):
@@ -192,18 +192,18 @@ class TestNumericFailuresExit3:
     `error: ...` on stderr and exit 3, not as a traceback."""
 
     def test_even_criticality_failure(self, monkeypatch, tmp_path, capsys):
-        real = complexgen.criticality_check
+        real = construct.build_even
 
-        def one_failure(ps, fc, tol):
-            report = real(ps, fc, tol)
-            report.failures.append(((0,), "forced"))
-            return report
+        def crowded(k, n):
+            ps = real(k, n)
+            ps.points[1] = ps.points[0] + 1e-7  # inside the sphere of vertex 0
+            return ps
 
-        monkeypatch.setattr(complexgen, "criticality_check", one_failure)
+        monkeypatch.setattr(construct, "build_even", crowded)
         code, out, err = run(["filtration", "--kind", "even", "--k", "2", "--n", "5",
                               "-o", str(tmp_path / "f.txt")], capsys)
         assert (code, out) == (3, "")
-        assert err.startswith("error: even construction failed criticality: [((0,), 'forced')]")
+        assert err == "error: sphere of (0,) not strictly empty: point 1 inside\n"
 
     def test_face_order_check(self, monkeypatch, tmp_path, capsys):
         real = complexgen._check_face_order
@@ -225,6 +225,6 @@ class TestNumericFailuresExit3:
     def test_affine_degeneracy(self, monkeypatch, capsys):
         real = verify.circumsphere
         monkeypatch.setattr(verify, "circumsphere", lambda pts: real(np.zeros_like(pts)))
-        code, out, err = run(["verify", "--radii", "--k", "2", "--n", "5"], capsys)
+        code, out, err = run(["verify", "--hypotheses", "--k", "1", "--n", "2"], capsys)
         assert (code, out) == (3, "")
         assert err == "error: points are affinely dependent beyond tolerance\n"

@@ -34,7 +34,7 @@ from extremal_cech.geometry import (
     min_enclosing_ball,
 )
 
-from conftest import cached_pipeline
+from conftest import cached_pipeline, mosaic_complex
 from test_acceptance import ACCEPTED
 
 
@@ -328,7 +328,7 @@ class TestBatchedSpheres:
 
     def test_criticality_matches_scalar(self):
         ps = build_3d(10, 0.5)
-        fc = build_filtration(ps, assert_empty=False)
+        fc = mosaic_complex(ps)
         verts = [cs.vertices for _, cs in fc.entries]
         scalar = [complexgen._criticality_failure(ps, v, DEFAULT_TOL) for v in verts]
         for shift in range(4):  # each predicate, under every vertex order
@@ -337,7 +337,7 @@ class TestBatchedSpheres:
             assert list(zip(batch.interior, batch.empty)) == [
                 scalar_predicates(ps, v) for v in rotated]
         assert criticality_check(ps, fc).failures == [
-            (v, r) for v, r in zip(verts, scalar) if r is not None]
+            (v, f.reason) for v, f in zip(verts, scalar) if f is not None]
 
     def test_degenerate_and_oversized_go_to_scalar_path(self):
         base = build_3d(3, 0.01)
@@ -355,7 +355,7 @@ class TestBatchedSpheres:
         assert [v for v, _ in failures[:2]] == odd_ones
         assert all(r.startswith("degenerate circumsphere") for _, r in failures[:2])
         scalar = [(v, complexgen._criticality_failure(ps, v, DEFAULT_TOL)) for v in good]
-        assert failures[2:] == [(v, r) for v, r in scalar if r is not None]
+        assert failures[2:] == [(v, f.reason) for v, f in scalar if f is not None]
 
 
 class TestSinglePass:
@@ -382,30 +382,23 @@ class TestSinglePass:
 
     @staticmethod
     def fresh_check(ps, fc):
-        """The check on a filtration that carries no verdicts of a build."""
+        """The check on a hand-made filtration with the same entries."""
         return criticality_check(ps, FilteredComplex(fc.entries))
 
     def test_failing_build_reports_as_fresh_check(self):
+        # the build raises the check's first failure in enumeration order
         ps = build_3d(10, 0.5)
-        fc = build_filtration(ps, assert_empty=False)
-        report = criticality_check(ps, fc)
-        assert report.failures
-        assert report == self.fresh_check(ps, fc)
+        report = criticality_check(ps, mosaic_complex(ps))
+        with pytest.raises(NotCriticalError) as err:
+            build_filtration(ps)
+        assert report.failures[0] == (err.value.simplex, err.value.reason)
 
     @pytest.mark.parametrize("kind,k,n", ACCEPTED)
     def test_accepted_instances_report_as_fresh_check(self, kind, k, n):
         ps, fc, _, _ = cached_pipeline(kind, k, n)
-        assert criticality_check(ps, fc) == self.fresh_check(ps, fc)
-
-    def test_other_point_set_does_not_use_the_verdicts(self):
-        ps, fc, _, _ = cached_pipeline("3d", 1, 4)
-        pts = ps.points.copy()
-        pts[0] = 0.5 * (pts[1] + pts[2])  # inside the sphere of edge (1, 2)
-        moved = dataclasses.replace(ps, points=pts)
-        report = criticality_check(moved, fc)
-        assert (1, 2) in [v for v, _ in report.failures]
-        assert report == self.fresh_check(moved, fc)
-        assert criticality_check(ps, fc).ok
+        report = criticality_check(ps, fc)
+        assert report.ok
+        assert report == self.fresh_check(ps, fc)
 
 
 DIFFERENTIAL = ACCEPTED + (("3d", 1, 30), ("odd", 3, 4))
@@ -414,20 +407,19 @@ DIFFERENTIAL = ACCEPTED + (("3d", 1, 30), ("odd", 3, 4))
 def reference_build(ps, tol=DEFAULT_TOL):
     """The list-of-tuples build on the reference enumeration: one sphere
     pass, the face relation from boundary_columns, the sequential monotone
-    fix, and a sort by (value, dim, vertex list).  Returns the entries and
-    the per-entry criticality verdicts."""
+    fix, and a sort by (value, dim, vertex list)."""
     simplices = even_reference(ps) if ps.kind == "even" else face_closure_odd(ps)
     verts = [cs.vertices for cs in simplices]
     columns = homology.boundary_columns(verts)
     batch = circumspheres(ps, verts, tol)
-    values = [float(r) if ok else radius_value(ps, cs, tol)
-              for cs, r, ok in zip(simplices, batch.radius, batch.critical)]
+    assert batch.critical.all()
+    values = batch.radius.tolist()
     for j, rows in enumerate(columns):
         if rows:
             values[j] = max(values[j], max(values[r] for r in rows))
     order = sorted(range(len(simplices)),
                    key=lambda i: (values[i], simplices[i].dim, simplices[i].vertices))
-    return [(values[i], simplices[i]) for i in order], batch.critical[order]
+    return [(values[i], simplices[i]) for i in order]
 
 
 def exact(entries):
@@ -445,9 +437,8 @@ class TestArrayBuild:
     def test_bit_identical_to_reference_build(self, kind, k, n):
         ps = cached_pipeline(kind, k, n)[0]
         fc = build_filtration(ps)
-        entries, critical = reference_build(ps)
+        entries = reference_build(ps)
         assert exact(fc.entries) == exact(entries)
-        assert fc._critical[2].tolist() == critical.tolist()
         assert fc.class_ranges() == FilteredComplex(entries).class_ranges()
 
 
@@ -510,10 +501,8 @@ class TestThresholds:
         assert pick_thresholds(fc) == []
 
     def test_overlap_detected(self):
-        ps = build_3d(3, 0.5)
-        fc = build_filtration(ps, assert_empty=False)
         with pytest.raises(OverlapError):
-            pick_thresholds(fc)
+            pick_thresholds(mosaic_complex(build_3d(3, 0.5)))
 
 
 class TestCriticality:
@@ -523,6 +512,33 @@ class TestCriticality:
 
     def test_detector_fires_at_large_delta(self):
         ps = build_3d(10, 0.5)
-        fc = build_filtration(ps, assert_empty=False)
-        report = criticality_check(ps, fc)
+        report = criticality_check(ps, mosaic_complex(ps))
         assert len(report.failures) >= 1
+
+    def test_build_refuses_a_center_off_the_interior(self):
+        # Point 1 lies outside the diametral sphere of edge (0, 3) by 1e-11 in
+        # squared distance, more than abs_eps: the edge is critical, and the
+        # miniball of triangle (0, 1, 3) is its strictly empty circumsphere.
+        # That sphere's center lies on the edge, with a barycentric weight
+        # of about 3e-11 < interior_eps on point 1, so the triangle is not
+        # critical, and the build must raise rather than value it.
+        base = build_3d(2, 0.5)
+        pts = base.points.copy()
+        mid = 0.5 * (pts[0] + pts[3])
+        axis = (pts[3] - pts[0]) / np.linalg.norm(pts[3] - pts[0])
+        # turn point 1 by pi/12 about the edge, clear of the other spheres
+        v = pts[1] - mid
+        c, s = math.cos(math.pi / 12), math.sin(math.pi / 12)
+        v = c * v + s * np.cross(axis, v) + (1.0 - c) * np.dot(axis, v) * axis
+        r2 = 0.25 * np.dot(pts[3] - pts[0], pts[3] - pts[0])
+        pts[1] = mid + v * math.sqrt((r2 + 1e-11) / np.dot(v, v))
+        ps = dataclasses.replace(base, points=pts)
+        triangle = (0, 1, 3)
+        assert is_empty_sphere(min_enclosing_ball(pts[list(triangle)]), ps, exclude=triangle)
+        assert criticality_check(ps, mosaic_complex(ps)).failures == [
+            (triangle, "circumcenter not in simplex interior")]
+        with pytest.raises(NotCriticalError) as err:
+            build_filtration(ps)
+        assert (err.value.simplex, err.value.offender) == (triangle, None)
+        assert str(err.value) == ("simplex (0, 1, 3) is not critical: "
+                                  "circumcenter not in simplex interior")
