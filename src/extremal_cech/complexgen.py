@@ -180,18 +180,18 @@ class _Mosaic:
     """A point set's mosaic as arrays, one row per simplex, rows in
     (size, vertex list) order.
 
-    Each row of `slots` has two slots per circle, in circle order: a lone
-    point fills the first, a pair fills both with its ascending ids, and
-    an empty slot holds `pad`, which exceeds every vertex id; so the ids
-    of a row, read in slot order, are its ascending vertex list.
-    `facets[i, j]` is the row of the facet that drops the vertex in slot j;
-    where there is none (an empty slot, or i is a vertex) it is i itself,
-    which leaves a max of values or a rank compare with row i unchanged.
-    Rows `blocks[s - 1]` are the simplices of size s.
+    A row has two slots per circle, in circle order: a lone point fills
+    the first, a pair fills both with its ascending ids, and the others
+    stay empty; so the ids of a row, read in slot order, are its ascending
+    vertex list.  `facets[i, j]` is the row of the facet that drops the
+    vertex in slot j; where there is none (an empty slot, or i is a vertex)
+    it is i itself, which leaves a max of values or a rank compare with row
+    i unchanged.  Rows `blocks[s - 1]` are the simplices of size s, and
+    `ids[s - 1]` holds their vertex lists as one (rows, s) int array, the
+    block form `geometry.circumspheres` takes.
     """
 
-    slots: np.ndarray
-    pad: int
+    ids: list[np.ndarray]
     touch: np.ndarray
     short: np.ndarray
     facets: np.ndarray
@@ -199,9 +199,8 @@ class _Mosaic:
 
     def vertex_tuples(self) -> list[tuple[int, ...]]:
         out = []
-        for size, (lo, hi) in enumerate(self.blocks, 1):
-            block = self.slots[lo:hi]
-            out += map(tuple, block[block < self.pad].reshape(hi - lo, size).tolist())
+        for block in self.ids:
+            out += map(tuple, block.tolist())
         return out
 
 
@@ -256,8 +255,10 @@ def _mosaic(ps: PointSet) -> _Mosaic:
     facets = np.where(real & (size > 1)[:, None], row_of[facet_codes], rows[:, None])
     touch = real[:, 0::2].sum(axis=1) - 1
     starts = np.searchsorted(size, np.arange(1, slots.shape[1] + 2)).tolist()
-    return _Mosaic(slots, pad, touch, size - touch - 2, facets,
-                   list(zip(starts[:-1], starts[1:])))
+    blocks = list(zip(starts[:-1], starts[1:]))
+    ids = [slots[lo:hi][real[lo:hi]].reshape(hi - lo, s)
+           for s, (lo, hi) in enumerate(blocks, 1)]
+    return _Mosaic(ids, touch, size - touch - 2, facets, blocks)
 
 
 def enumerate_mosaic(ps: PointSet) -> list[ClassifiedSimplex]:
@@ -340,8 +341,8 @@ def build_filtration(ps: PointSet, tol: Tolerance = DEFAULT_TOL) -> FilteredComp
     RuntimeError.
     """
     m = _mosaic(ps)
+    batch = circumspheres(ps, m.ids, tol)
     verts = m.vertex_tuples()
-    batch = circumspheres(ps, verts, tol)
     for i in np.flatnonzero(~batch.critical):
         failure = _criticality_failure(ps, verts[i], tol)
         if failure is not None:

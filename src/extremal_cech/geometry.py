@@ -2,16 +2,25 @@
 
 Distances, smallest enclosing balls, circumspheres (one at a time, or
 batched over many simplices), barycentric interiority and empty-sphere
-predicates, all in plain 64-bit arithmetic with fixed tolerances; exact
-predicates are out of scope.  The fixed tolerances are not safe at every
-size: on the 3d family the smallest strict-emptiness clearance is 2(delta/n)^2,
-which at the default delta = 0.1/n falls below abs_eps = 1e-12 from n ~ 376.
+predicates, all in 64-bit arithmetic with fixed tolerances.  The batched
+pass puts filters in front of two of its tests, as in Shewchuk's filtered
+predicates (Adaptive precision floating-point arithmetic and fast robust
+geometric predicates, DCG 1997).  Emptiness is read first from an
+expanded-form distance, and only an entry within a forward-error band of
+the bound is computed again from differences.  Degeneracy is certified
+first from the Gram eigenvalues, and only a row they cannot certify runs
+the SVD test.  So every verdict is the plain floating-point test's; no
+predicate is decided in exact arithmetic.  The fixed tolerances are not
+safe at every size: on the 3d family the smallest strict-emptiness
+clearance is 2(delta/n)^2, which at the default delta = 0.1/n falls below
+abs_eps = 1e-12 from n ~ 376.
 
 Every function is pure and thread-safe.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -192,6 +201,8 @@ def circumsphere(points, tol: Tolerance = DEFAULT_TOL) -> Sphere:
 # the temporary arrays so memory grows with the complex, not its square.
 DISTANCE_BLOCK = 8192
 
+EPS = float(np.finfo(float).eps)
+
 
 @dataclass(frozen=True, eq=False)
 class SphereBatch:
@@ -201,6 +212,10 @@ class SphereBatch:
     of the circumcenter exceeds interior_eps; empty says every point other
     than the simplex's own vertices lies strictly outside the circumsphere.
     Where degenerate, radius is nan and interior and empty are False.
+    degenerate is the verdict of `circumsphere`'s SVD test, and empty that
+    of strict `is_empty_sphere`'s differences from the batch's centers; the
+    filters in front of the two tests settle only the rows and entries
+    their error bounds allow.
     """
 
     radius: np.ndarray
@@ -217,60 +232,152 @@ class SphereBatch:
 def circumspheres(points, simplices, tol: Tolerance = DEFAULT_TOL) -> SphereBatch:
     """Circumspheres of many simplices of one point set at once.
 
-    `points` may be a PointSet or a coordinate array; `simplices` is a
-    sequence of vertex-index tuples.  Simplices are grouped by size and each
-    group's Gram systems are solved in one stacked call; the solution
-    coefficients are the barycentric coordinates of the circumcenter.  The
-    degeneracy test is `circumsphere`'s and the interior and emptiness tests
-    are `barycentric_interior`'s and strict `is_empty_sphere`'s, with the same
-    tolerances.  A simplex of more than d+1 points is reported degenerate.
+    `points` may be a PointSet or a coordinate array.  `simplices` is a
+    sequence of vertex-index tuples of any sizes, or a sequence of (b, m)
+    int arrays, each a block of b simplices of size m, whose rows are taken
+    in order.  Tuples are first grouped by size; each group or block then
+    goes through one kernel, `_sphere_block`.  The degeneracy test is
+    `circumsphere`'s and the interior and emptiness tests are
+    `barycentric_interior`'s and strict `is_empty_sphere`'s, with the same
+    tolerances; the filters of `_degenerate` and `_strictly_empty` change
+    no verdict.  An empty simplex or one of more than d+1 points is
+    reported degenerate.
     """
     pts = np.asarray(getattr(points, "points", points), dtype=float)
-    n_pts, d = pts.shape
-    count = len(simplices)
+    if len(simplices) and all(np.ndim(block) == 2 for block in simplices):
+        ends = np.cumsum([len(block) for block in simplices]).tolist()
+        groups = [(slice(end - len(block), end), np.asarray(block, dtype=np.intp))
+                  for end, block in zip(ends, simplices)]
+        count = ends[-1]
+    else:
+        groups = _group_by_size(simplices)
+        count = len(simplices)
     radius = np.full(count, np.nan)
     degenerate = np.ones(count, dtype=bool)
     interior = np.zeros(count, dtype=bool)
     empty = np.zeros(count, dtype=bool)
-    groups: dict[int, list[int]] = {}
-    for i, verts in enumerate(simplices):
-        groups.setdefault(len(verts), []).append(i)
-    for m, rows in groups.items():
-        if m > d + 1:
-            continue
-        rows = np.asarray(rows, dtype=np.intp)
-        idx = np.asarray([simplices[i] for i in rows], dtype=np.intp).reshape(len(rows), m)
-        verts = pts[idx]
-        if m == 1:
-            deg = np.zeros(len(rows), dtype=bool)
-            center = verts[:, 0]
-            r2 = np.zeros(len(rows))
-            inside = np.ones(len(rows), dtype=bool)
-        else:
-            rel = verts[:, 1:] - verts[:, :1]
-            sv = np.linalg.svd(rel, compute_uv=False)
-            deg = sv[:, -1] <= tol.rel_eps * sv[:, 0]
-            gram = rel @ rel.transpose(0, 2, 1)
-            gram[deg] = np.eye(m - 1)  # keeps the stacked solve nonsingular
-            rhs = 0.5 * np.einsum("bij,bij->bi", rel, rel)
-            alpha = np.linalg.solve(gram, rhs[..., None])[..., 0]
-            center = verts[:, 0] + np.einsum("bi,bij->bj", alpha, rel)
-            diffs = verts - center[:, None]
-            r2 = np.max(np.einsum("bij,bij->bi", diffs, diffs), axis=1)
-            inside = ((1.0 - alpha.sum(axis=1) > tol.interior_eps)
-                      & np.all(alpha > tol.interior_eps, axis=1) & ~deg)
-        degenerate[rows] = deg
-        radius[rows] = np.where(deg, np.nan, np.sqrt(r2))
-        interior[rows] = inside
-        step = max(1, DISTANCE_BLOCK // n_pts)
-        for lo in range(0, len(rows), step):
-            hi = min(lo + step, len(rows))
-            diffs = pts[None, :, :] - center[lo:hi, None, :]
-            d2 = np.einsum("bij,bij->bi", diffs, diffs)
-            d2[np.arange(hi - lo)[:, None], idx[lo:hi]] = np.inf
-            clear = np.all(d2 >= (r2[lo:hi] + tol.abs_eps)[:, None], axis=1)
-            empty[rows[lo:hi]] = clear & ~deg[lo:hi]
+    sq = np.einsum("ij,ij->i", pts, pts)
+    for rows, idx in groups:
+        if 1 <= idx.shape[1] <= pts.shape[1] + 1:
+            radius[rows], degenerate[rows], interior[rows], empty[rows] = (
+                _sphere_block(pts, sq, idx, tol))
     return SphereBatch(radius, degenerate, interior, empty)
+
+
+def _group_by_size(simplices) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(rows, (b, m) vertex ids) per simplex size m, for vertex tuples."""
+    sizes = np.fromiter(map(len, simplices), dtype=np.intp, count=len(simplices))
+    flat = np.fromiter(itertools.chain.from_iterable(simplices), dtype=np.intp,
+                       count=int(sizes.sum()))
+    starts = np.cumsum(sizes) - sizes
+    groups = []
+    for m in np.flatnonzero(np.bincount(sizes)).tolist():
+        rows = np.flatnonzero(sizes == m)
+        groups.append((rows, flat[starts[rows, None] + np.arange(m)]))
+    return groups
+
+
+def _sphere_block(pts: np.ndarray, sq: np.ndarray, idx: np.ndarray, tol: Tolerance):
+    """radius, degenerate, interior and empty of the b simplices of size m
+    (1 <= m <= d+1) whose vertex ids are the rows of `idx`; `sq` holds the
+    squared norms of `pts`.  The Gram systems are solved in one stacked
+    call; the solution coefficients are the barycentric coordinates of the
+    circumcenter."""
+    b, m = idx.shape
+    verts = pts[idx]
+    if m == 1:
+        deg = np.zeros(b, dtype=bool)
+        center = verts[:, 0]
+        r2 = np.zeros(b)
+        inside = np.ones(b, dtype=bool)
+    else:
+        rel = verts[:, 1:] - verts[:, :1]
+        gram = rel @ rel.transpose(0, 2, 1)
+        deg = _degenerate(rel, gram, tol.rel_eps)
+        gram[deg] = np.eye(m - 1)  # keeps the stacked solve nonsingular
+        rhs = 0.5 * np.einsum("bij,bij->bi", rel, rel)
+        alpha = np.linalg.solve(gram, rhs[..., None])[..., 0]
+        center = verts[:, 0] + np.einsum("bi,bij->bj", alpha, rel)
+        diffs = verts - center[:, None]
+        r2 = np.max(np.einsum("bij,bij->bi", diffs, diffs), axis=1)
+        inside = ((1.0 - alpha.sum(axis=1) > tol.interior_eps)
+                  & np.all(alpha > tol.interior_eps, axis=1) & ~deg)
+    empty = _strictly_empty(pts, sq, idx, center, r2 + tol.abs_eps) & ~deg
+    return np.where(deg, np.nan, np.sqrt(r2)), deg, inside, empty
+
+
+def _degenerate(rel: np.ndarray, gram: np.ndarray, rel_eps: float) -> np.ndarray:
+    """`circumsphere`'s test `sv[-1] <= rel_eps * sv[0]` on the singular
+    values of each stacked `rel` (k = m-1 rows in R^d), with `gram` its
+    computed rel @ rel.T.
+
+    A row is certified independent, with no SVD, when its Gram eigenvalues
+    give lam_min > (rel_eps^2 + C eps) lam_max with C = 4k(d + 4), and
+    lam_max is far enough above underflow (tiny / eps) for relative error
+    bounds to hold.  With s = sigma_max^2: forming the Gram matrix errs by
+    at most gamma_d s per entry, so by k gamma_d s in norm, and LAPACK's
+    bound on a computed symmetric eigenvalue is p(k) eps ||G|| (the Users'
+    Guide takes p = 1; here p = k).  So each computed eigenvalue is within
+    E eps s of sigma_i^2, E = k(d + 2)/2, and the computed singular values
+    are within k eps sigma_max of the exact ones by the same bound.  A
+    certified row has sigma_min^2 > (rel_eps^2 + (C - 2E - 1) eps) s, while
+    the SVD test can hold only if sigma_min^2 <= (rel_eps^2 + (4k + 2) eps) s;
+    C exceeds 2E + 4k + 3.  Only the other rows run the SVD.
+    """
+    k, d = rel.shape[1:]
+    lam = np.linalg.eigvalsh(gram)
+    certified = ((lam[:, 0] > (rel_eps**2 + 4 * k * (d + 4) * EPS) * lam[:, -1])
+                 & (lam[:, -1] > np.finfo(float).tiny / EPS))
+    deg = np.zeros(len(rel), dtype=bool)
+    if not certified.all():
+        sv = np.linalg.svd(rel[~certified], compute_uv=False)
+        deg[~certified] = sv[:, -1] <= rel_eps * sv[:, 0]
+    return deg
+
+
+def _strictly_empty(pts: np.ndarray, sq: np.ndarray, idx: np.ndarray,
+                    center: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    """Per row: every point but the row's vertices has |p - center|^2 >=
+    bound, each |p - center|^2 summed over the differences as
+    `is_empty_sphere` does.
+
+    A block of DISTANCE_BLOCK distances at a time takes the expanded form
+    |p|^2 - 2 c.p + |c|^2 from one matrix product, as the (d+2)-term dot
+    product of (-2c, 1, |c|^2) with (p, |p|^2, 1).  In units of
+    (|p| + |c|)^2, the expanded form is within gamma_(d+2) + gamma_d of the
+    exact value (the dot product, and the squared norms in it) and the
+    difference form within gamma_(d+2) (a difference, a square and the
+    additions).  So the two computed forms differ by less than
+    band = 2(d + 3) (eps (max|p| + |c|)^2 + the smallest subnormal), which
+    also covers rounding the band itself and any underflow.  An entry above
+    the computed bound + band exceeds the exact sum, so it passes in the
+    difference form too, and one below bound - band fails in both; the
+    entries in between, and any nan, are computed again in the difference
+    form.
+    """
+    d = pts.shape[1]
+    csq = np.einsum("ij,ij->i", center, center)
+    scale = (math.sqrt(sq.max()) + np.sqrt(csq)) ** 2
+    band = 2 * (d + 3) * (EPS * scale + np.finfo(float).smallest_subnormal)
+    above, below = bound + band, bound - band
+    lhs = np.column_stack((-2.0 * center, np.ones(len(center)), csq))
+    rhs = np.vstack((pts.T, sq, np.ones(len(pts))))
+    empty = np.empty(len(center), dtype=bool)
+    step = max(1, DISTANCE_BLOCK // len(pts))
+    for lo in range(0, len(center), step):
+        d2 = lhs[lo:lo + step] @ rhs
+        ok = d2 > above[lo:lo + step, None]
+        ok[np.arange(len(ok))[:, None], idx[lo:lo + step]] = True
+        clear = ok.all(axis=1)
+        unsure = np.flatnonzero(~clear)
+        if len(unsure):
+            rows, cols = np.nonzero(~(ok[unsure] | (d2[unsure] < below[lo + unsure, None])))
+            rows = unsure[rows]
+            diffs = pts[cols] - center[lo + rows]
+            ok[rows, cols] = np.einsum("ij,ij->i", diffs, diffs) >= bound[lo + rows]
+            clear[unsure] = ok[unsure].all(axis=1)
+        empty[lo:lo + step] = clear
+    return empty
 
 
 def affine_distance(points, x) -> float:
@@ -325,34 +432,25 @@ def is_empty_sphere(sphere: Sphere, points, exclude=(), strict: bool = True,
     the sphere (>= radius^2 - abs_eps).  `points` may be a PointSet or a
     coordinate array; `exclude` holds point indices to skip.
     """
-    pts = getattr(points, "points", points)
-    pts = np.asarray(pts, dtype=float)
-    if len(pts) == 0:
-        return True
-    mask = np.ones(len(pts), dtype=bool)
-    for idx in exclude:
-        mask[idx] = False
-    if not np.any(mask):
-        return True
-    diffs = pts[mask] - sphere.center
-    d2 = np.einsum("ij,ij->i", diffs, diffs)
-    r2 = sphere.radius**2
-    bound = r2 + tol.abs_eps if strict else r2 - tol.abs_eps
-    return bool(np.all(d2 >= bound))
+    return not _violations(sphere, points, exclude, strict, tol).any()
 
 
 def emptiness_violations(sphere: Sphere, points, exclude=(), strict: bool = True,
                          tol: Tolerance = DEFAULT_TOL) -> list[int]:
-    """Indices of points that violate the emptiness predicate, for reporting."""
-    pts = getattr(points, "points", points)
-    pts = np.asarray(pts, dtype=float)
-    excl = set(exclude)
+    """Indices of points that violate the emptiness predicate, ascending,
+    for reporting."""
+    return np.flatnonzero(_violations(sphere, points, exclude, strict, tol)).tolist()
+
+
+def _violations(sphere: Sphere, points, exclude, strict: bool, tol: Tolerance) -> np.ndarray:
+    """Per point: not excluded, and its squared distance to the center,
+    summed over the differences as in the recheck of `circumspheres`, is
+    not at least radius^2 + abs_eps (strict) or radius^2 - abs_eps."""
+    pts = np.asarray(getattr(points, "points", points), dtype=float)
+    diffs = pts.reshape(-1, len(sphere.center)) - sphere.center
     r2 = sphere.radius**2
     bound = r2 + tol.abs_eps if strict else r2 - tol.abs_eps
-    out = []
-    for i in range(len(pts)):
-        if i in excl:
-            continue
-        if squared_distance(pts[i], sphere.center) < bound:
-            out.append(i)
-    return out
+    bad = ~(np.einsum("ij,ij->i", diffs, diffs) >= bound)
+    for idx in exclude:
+        bad[idx] = False
+    return bad

@@ -511,19 +511,15 @@ def _hypothesis_errors(ps: PointSet, fc):
 def _bisector_violations(ps: PointSet, fc, bound: float) -> int:
     """Count vertices whose distance to the bisector hyperplane of a mosaic
     edge they are long-connected to exceeds the cubic bound."""
-    edges = [cs.vertices for _, cs in fc.entries if cs.dim == 1]
-    violations = 0
-    for b, c in edges:
-        cb, cc = ps.circle_of(b), ps.circle_of(c)
-        gap = np.linalg.norm(ps.points[b] - ps.points[c])
-        for a in range(len(ps)):
-            if ps.circle_of(a) in (cb, cc):
-                continue
-            num = abs(float(np.dot(ps.points[a] - ps.points[b], ps.points[a] - ps.points[b]))
-                      - float(np.dot(ps.points[a] - ps.points[c], ps.points[a] - ps.points[c])))
-            if num / (2.0 * gap) > bound + 1e-15:
-                violations += 1
-    return violations
+    b, c = np.array([cs.vertices for _, cs in fc.entries if cs.dim == 1],
+                    dtype=np.intp).reshape(-1, 2).T
+    pts, circle = ps.points, ps.labels[:, 0]
+    diffs = pts[:, None, :] - pts[None, :, :]
+    dist2 = np.einsum("abi,abi->ab", diffs, diffs)
+    far = (circle != circle[b, None]) & (circle != circle[c, None])
+    num = np.abs(dist2[b] - dist2[c])
+    gap = np.sqrt(dist2[b, c])
+    return int(np.count_nonzero(far & (num / (2.0 * gap[:, None]) > bound + 1e-15)))
 
 
 def verify_hypotheses(k: int, n: int, delta_grid=DELTA_GRID) -> list[ClaimResult]:

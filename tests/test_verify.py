@@ -1,10 +1,12 @@
 import collections
 import math
 
+import numpy as np
 import pytest
 
-from extremal_cech import cli, homology, verify
+from extremal_cech import cli, complexgen, homology, verify
 from extremal_cech.complexgen import ClassifiedSimplex, FilteredComplex
+from extremal_cech.construct import build_odd
 from extremal_cech.geometry import DEFAULT_TOL
 from extremal_cech.verify import FAIL, PASS, SKIPPED
 
@@ -87,6 +89,34 @@ class TestHypotheses:
         assert "hyp/bisector" in ids
         assert "hyp/radius/class(1, 0)" in ids
         assert "hyp/center_noshort/class(1, -1)" in ids
+
+    @pytest.mark.parametrize("k,n", [(1, 2), (1, 4), (2, 2)])
+    def test_bisector_count_matches_the_loop(self, k, n):
+        # the claim's bound, and smaller ones that some vertices exceed
+        delta = verify.DELTA_GRID[0]
+        ps = build_odd(k, n, delta)
+        fc = complexgen.build_filtration(ps)
+        bounds = [f * n * delta**3 / 2.0 for f in (1.0, 0.25, 0.1, 0.01)]
+        counts = [verify._bisector_violations(ps, fc, b) for b in bounds]
+        assert counts == [bisector_loop(ps, fc, b) for b in bounds]
+        assert counts[0] == 0 and counts[-1] > 0
+
+
+def bisector_loop(ps, fc, bound):
+    """`verify._bisector_violations` as a loop over edges and points."""
+    violations = 0
+    for _, cs in fc.entries:
+        if cs.dim != 1:
+            continue
+        b, c = cs.vertices
+        gap = np.linalg.norm(ps.points[b] - ps.points[c])
+        for a in range(len(ps)):
+            if ps.circle_of(a) in (ps.circle_of(b), ps.circle_of(c)):
+                continue
+            num = abs(float(np.dot(ps.points[a] - ps.points[b], ps.points[a] - ps.points[b]))
+                      - float(np.dot(ps.points[a] - ps.points[c], ps.points[a] - ps.points[c])))
+            violations += num / (2.0 * gap) > bound + 1e-15
+    return violations
 
 
 def upper_bound_reference(fc, pd):
