@@ -61,8 +61,7 @@ __all__ = [
     "build_filtration",
     "classify",
     "criticality_check",
-    "enumerate_even",
-    "enumerate_odd",
+    "enumerate_mosaic",
     "load_filtration",
     "pick_thresholds",
     "radius_value",
@@ -123,12 +122,18 @@ class FilteredComplex:
     face preceding its cofaces.
 
     A filtration from `build_filtration` has every simplex critical, and
-    carries its class ranges, computed from the build's arrays.  Loaded and
-    hand-made filtrations carry no class ranges and no proof of criticality.
+    carries its class ranges and, for `homology.reduce`, its face relation,
+    values and dimensions in filtration order, all from the build's arrays:
+    `_faces[i]` holds the positions of simplex i's facets, padded with -1.
+    Loaded and hand-made filtrations carry none of these and no proof of
+    criticality.
     """
 
     entries: list[tuple[float, ClassifiedSimplex]]
     _class_ranges: dict | None = field(default=None, init=False, repr=False, compare=False)
+    _faces: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _values: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _dims: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -269,24 +274,6 @@ def enumerate_mosaic(ps: PointSet) -> list[ClassifiedSimplex]:
             for v, t, s in zip(m.vertex_tuples(), m.touch.tolist(), m.short.tolist())]
 
 
-def enumerate_even(ps: PointSet) -> list[ClassifiedSimplex]:
-    """All ideal simplices of the even construction: touch+1 circles, short+1
-    of which contribute a consecutive pair, the rest one point.  The single
-    top polytope cell conv(A) is not emitted."""
-    if ps.kind != KIND_EVEN:
-        raise ValueError("point set is not of even kind")
-    return enumerate_mosaic(ps)
-
-
-def enumerate_odd(ps: PointSet) -> list[ClassifiedSimplex]:
-    """Face closure of the top simplices of the 3d/odd constructions, sorted
-    by (size, vertex list).  A top simplex takes one consecutive pair from
-    every circle."""
-    if ps.kind not in (KIND_3D, KIND_ODD):
-        raise ValueError("point set is not of 3d/odd kind")
-    return enumerate_mosaic(ps)
-
-
 def radius_value(ps: PointSet, simplex, tol: Tolerance = DEFAULT_TOL) -> float:
     """Radius-function value of a mosaic simplex: the miniball radius of its
     vertices, whose bounding sphere must be strictly empty against the rest
@@ -362,11 +349,16 @@ def build_filtration(ps: PointSet, tol: Tolerance = DEFAULT_TOL) -> FilteredComp
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
     _check_face_order(m.facets, rank, verts)
+    sorted_values = values[order]
     fc = FilteredComplex([
         (value, ClassifiedSimplex(verts[i], t, s))
-        for value, i, t, s in zip(values[order].tolist(), order.tolist(),
+        for value, i, t, s in zip(sorted_values.tolist(), order.tolist(),
                                   m.touch[order].tolist(), m.short[order].tolist())])
     fc._class_ranges = _class_ranges(m.touch, m.short, values)
+    own = m.facets == np.arange(len(order))[:, None]
+    fc._faces = np.where(own, -1, rank[m.facets])[order]
+    fc._values = sorted_values
+    fc._dims = (m.touch + m.short + 1)[order]
     return fc
 
 

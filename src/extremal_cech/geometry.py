@@ -190,7 +190,10 @@ def circumsphere(points, tol: Tolerance = DEFAULT_TOL) -> Sphere:
     if sv[-1] <= tol.rel_eps * sv[0]:
         raise AffineDegeneracyError("points are affinely dependent beyond tolerance")
     rhs = 0.5 * np.einsum("ij,ij->i", rel, rel)
-    alpha = np.linalg.solve(rel @ rel.T, rhs)
+    try:
+        alpha = np.linalg.solve(rel @ rel.T, rhs)
+    except np.linalg.LinAlgError:
+        raise AffineDegeneracyError("Gram system is numerically singular") from None
     center = pts[0] + rel.T @ alpha
     diffs = pts - center
     radius = float(np.mean(np.sqrt(np.einsum("ij,ij->i", diffs, diffs))))
@@ -212,10 +215,12 @@ class SphereBatch:
     of the circumcenter exceeds interior_eps; empty says every point other
     than the simplex's own vertices lies strictly outside the circumsphere.
     Where degenerate, radius is nan and interior and empty are False.
-    degenerate is the verdict of `circumsphere`'s SVD test, and empty that
-    of strict `is_empty_sphere`'s differences from the batch's centers; the
-    filters in front of the two tests settle only the rows and entries
-    their error bounds allow.
+    degenerate is the verdict of `circumsphere`'s SVD test, or a Gram
+    system the solve finds singular, where `circumsphere` raises
+    AffineDegeneracyError too; empty is the verdict of strict
+    `is_empty_sphere`'s differences from the batch's centers.  The filters
+    in front of the two tests settle only the rows and entries their error
+    bounds allow.
     """
 
     radius: np.ndarray
@@ -293,10 +298,8 @@ def _sphere_block(pts: np.ndarray, sq: np.ndarray, idx: np.ndarray, tol: Toleran
     else:
         rel = verts[:, 1:] - verts[:, :1]
         gram = rel @ rel.transpose(0, 2, 1)
-        deg = _degenerate(rel, gram, tol.rel_eps)
-        gram[deg] = np.eye(m - 1)  # keeps the stacked solve nonsingular
         rhs = 0.5 * np.einsum("bij,bij->bi", rel, rel)
-        alpha = np.linalg.solve(gram, rhs[..., None])[..., 0]
+        alpha, deg = _gram_solve(gram, rhs, _degenerate(rel, gram, tol.rel_eps))
         center = verts[:, 0] + np.einsum("bi,bij->bj", alpha, rel)
         diffs = verts - center[:, None]
         r2 = np.max(np.einsum("bij,bij->bi", diffs, diffs), axis=1)
@@ -304,6 +307,27 @@ def _sphere_block(pts: np.ndarray, sq: np.ndarray, idx: np.ndarray, tol: Toleran
                   & np.all(alpha > tol.interior_eps, axis=1) & ~deg)
     empty = _strictly_empty(pts, sq, idx, center, r2 + tol.abs_eps) & ~deg
     return np.where(deg, np.nan, np.sqrt(r2)), deg, inside, empty
+
+
+def _gram_solve(gram: np.ndarray, rhs: np.ndarray, deg: np.ndarray):
+    """(alpha, deg): the stacked Gram systems solved in one call, with the
+    identity in place of each degenerate row's.  A row whose system LAPACK
+    finds exactly singular, where `circumsphere` raises, is made degenerate
+    as well; each system is solved on its own, so no other row changes."""
+    gram[deg] = np.eye(gram.shape[1])  # keeps the stacked solve nonsingular
+    try:
+        return np.linalg.solve(gram, rhs[..., None])[..., 0], deg
+    except np.linalg.LinAlgError:
+        return _gram_solve(gram, rhs, deg | np.array([_singular(g) for g in gram], dtype=bool))
+
+
+def _singular(gram: np.ndarray) -> bool:
+    """Whether `np.linalg.solve` rejects one Gram system as singular."""
+    try:
+        np.linalg.solve(gram, np.zeros(len(gram)))
+    except np.linalg.LinAlgError:
+        return True
+    return False
 
 
 def _degenerate(rel: np.ndarray, gram: np.ndarray, rel_eps: float) -> np.ndarray:

@@ -1,12 +1,17 @@
 """Z/2 persistent homology of a filtered complex.
 
-The boundary matrix in filtration order (`boundary_columns`: the facet
-positions of each simplex in a face-before-coface list) is reduced column
-by column; the lowest ones define birth/death pairs and unkilled births
-are essential classes.  There is one kernel, in pure Python: columns are
-Python integers used as bitsets over row indices, and it reduces with
-clearing (Chen & Kerber, "Persistent homology computation with a twist",
-EuroCG 2011).  Queries over all filtration values (`betti_profile`,
+The boundary matrix in filtration order is one (n, w) int array: row j
+holds the filtration positions of simplex j's facets, padded with -1.  A
+filtration from `complexgen.build_filtration` carries it from the build's
+closed-form facets; any other gets it from `boundary_columns` (the facet
+positions of each simplex in a face-before-coface list).  There is one
+kernel, `reduce_columns`.  It pairs the apparent pairs first, with array
+operations (Bauer, "Ripser", J. Appl. Comput. Topol. 2021), and reduces
+only the residue, top dimension first with clearing (Chen & Kerber,
+"Persistent homology computation with a twist", EuroCG 2011), on columns
+kept as sparse Python sets, so its memory grows with the complex.  The
+lowest ones define birth/death pairs and unkilled births are essential
+classes.  Queries over all filtration values (`betti_profile`,
 `euler_characteristic_ok`) sort the births, deaths and values once and
 count by binary search.
 """
@@ -17,6 +22,8 @@ import bisect
 import itertools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = [
     "PersistenceDiagram",
@@ -59,42 +66,96 @@ def boundary_columns(simplices) -> list[list[int]]:
     return columns
 
 
-def reduce_columns(columns: list[list[int]]) -> list[int]:
-    """Persistence reduction over Z/2 with clearing.
+def _face_array(columns) -> np.ndarray:
+    """`boundary_columns` output as one (n, w) int array, w the longest
+    column (at least 1), each row padded with -1: the form
+    `reduce_columns` takes."""
+    sizes = np.fromiter(map(len, columns), dtype=np.intp, count=len(columns))
+    faces = np.full((len(columns), max(int(sizes.max(initial=0)), 1)), -1, dtype=np.intp)
+    cols = np.arange(int(sizes.sum())) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    faces[np.repeat(np.arange(len(columns)), sizes), cols] = np.fromiter(
+        itertools.chain.from_iterable(columns), dtype=np.intp, count=len(cols))
+    return faces
 
-    `columns[j]` lists the row indices of the nonzero entries of boundary
-    column j; rows and columns share the filtration order, and a column of
-    a p-simplex has p + 1 rows, all of them (p-1)-simplices.  Returns, per
-    column, the row index of its lowest one after reduction, or -1 if the
-    column reduces to zero.  The lows are those of the standard
-    left-to-right reduction.
 
-    Columns are visited from the highest dimension down, in index order
-    within a dimension.  A column j that ends with low i pairs i as a
-    birth, so column i reduces to zero and is skipped (cleared) when its
-    dimension comes up.  Lowest ones come from int.bit_length; a column's
-    lowest one is a row of the dimension below, so one owner table serves
-    every dimension.
+def _apparent_pairs(faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(deaths, births) of the apparent pairs of `reduce_columns`'s face
+    array: column j and row i with i j's youngest facet and j i's oldest
+    cofacet.  Both come from one pass over the slots (the columns of
+    `faces`): a running max, and an `np.minimum.at` into an array with one
+    extra slot, which the -1 pads index and nothing reads."""
+    n = len(faces)
+    columns = np.arange(n)
+    young = np.full(n, -1, dtype=np.intp)
+    oldest = np.full(n + 1, n, dtype=np.intp)
+    for slot in faces.T:
+        np.maximum(young, slot, out=young)
+        np.minimum.at(oldest, slot, columns)
+    deaths = np.flatnonzero(young >= 0)
+    deaths = deaths[oldest[young[deaths]] == deaths]
+    return deaths, young[deaths]
+
+
+# Residue columns whose rows are read into Python lists at a time; bounds
+# those lists, which for every residue row at once would take about
+# 200 B per row.
+ROW_BLOCK = 4096
+
+
+def reduce_columns(faces: np.ndarray) -> np.ndarray:
+    """Persistence reduction over Z/2: apparent pairs first, then the rest
+    with clearing.
+
+    Row j of `faces` holds the filtration positions of the facets of
+    simplex j in any order, padded with -1 (a vertex has none); rows and
+    positions share the filtration order, in which every facet precedes its
+    cofaces.  Returns, per column, the row index of its lowest one after
+    reduction, or -1 if the column reduces to zero.  The lows are those of
+    the standard left-to-right reduction.
+
+    A pair (i, j) is apparent when i is j's youngest facet and j is i's
+    oldest cofacet (Bauer, "Ripser", J. Appl. Comput. Topol. 2021): no
+    column before j has i in its boundary, so j's unreduced boundary is
+    already reduced, with low i.  The residue, the columns no apparent pair
+    decides, is reduced from the highest dimension down, in index order
+    within a dimension, with clearing (Chen & Kerber, "Persistent homology
+    computation with a twist", EuroCG 2011): a column already paired as a
+    birth reduces to zero and is skipped.  Columns are sets of rows, adding
+    one is a symmetric difference and the low is the max; only the reduced
+    residue columns are kept, and an apparent column is read again from
+    `faces` when it is added.  A low i met in column j is owned, if at all,
+    by a column before j: an apparent owner is i's oldest cofacet, and i is
+    in column j only if some column up to j has it in its boundary.  So
+    the lows are the standard ones.
     """
-    n = len(columns)
-    masks = [0] * n
-    low_owner = [-1] * n  # row -> column currently holding that lowest one
-    lows = [-1] * n
-    for j in sorted(range(n), key=lambda j: -len(columns[j])):
-        if low_owner[j] >= 0:  # cleared: j is already paired as a birth
-            continue
-        col = 0
-        for r in columns[j]:
-            col |= 1 << r
-        while col:
-            low = col.bit_length() - 1
-            other = low_owner[low]
-            if other < 0:
-                lows[j] = low
-                low_owner[low] = j
-                break
-            col ^= masks[other]
-        masks[j] = col
+    n = len(faces)
+    lows = np.full(n, -1, dtype=np.intp)
+    owner = np.full(n, -1, dtype=np.intp)  # row -> column whose low it is
+    deaths, births = _apparent_pairs(faces)
+    lows[deaths] = births
+    owner[births] = deaths
+    size = np.zeros(n, dtype=np.intp)  # dimension + 1, or 0 for a vertex
+    for slot in faces.T:
+        size += slot >= 0
+    reduced: dict[int, set[int]] = {}
+    for s in range(faces.shape[1], 0, -1):
+        # the dimension above is done, so every column it pairs is cleared
+        todo = np.flatnonzero((size == s) & (lows < 0) & (owner < 0))
+        for lo in range(0, len(todo), ROW_BLOCK):
+            block = todo[lo:lo + ROW_BLOCK]
+            for j, rows in zip(block.tolist(), faces[block].tolist()):
+                col = set(rows)
+                col.discard(-1)
+                while col:
+                    low = max(col)
+                    other = int(owner[low])
+                    if other < 0:
+                        owner[low] = j
+                        lows[j] = low
+                        reduced[j] = col
+                        break
+                    col ^= reduced.get(other) or set(faces[other].tolist())
+                    col.discard(-1)
     return lows
 
 
@@ -126,24 +187,32 @@ def _normalize_filtration(filtration):
 def reduce(filtration, reduced: bool = True) -> PersistenceDiagram:
     """Reduce a face-closed, face-before-coface sorted filtration.
 
-    The pairing is unique for any valid order, so permuting entries within
-    equal (value, dim) groups leaves the diagram unchanged.
+    A filtration from `complexgen.build_filtration` carries its face
+    relation, values and dimensions in filtration order; any other one gets
+    them from its entries through `boundary_columns`.  The pairing is unique
+    for any valid order, so permuting entries within equal (value, dim)
+    groups leaves the diagram unchanged.
     """
-    entries = _normalize_filtration(filtration)
-    lows = reduce_columns(boundary_columns([verts for _, verts in entries]))
-    killed = set()
-    pairs = []
-    for j, low in enumerate(lows):
-        if low >= 0:
-            killed.add(low)
-            birth_value, birth_verts = entries[low]
-            pairs.append((len(birth_verts) - 1, birth_value, entries[j][0]))
-    for j, low in enumerate(lows):
-        if low < 0 and j not in killed:
-            value, verts = entries[j]
-            pairs.append((len(verts) - 1, value, INF))
-    pairs.sort(key=lambda p: (p[0], p[1], p[2]))
-    return PersistenceDiagram(pairs, reduced=reduced, n_simplices=len(entries))
+    faces = getattr(filtration, "_faces", None)
+    if faces is not None:
+        values, dims = filtration._values, filtration._dims
+    else:
+        entries = _normalize_filtration(filtration)
+        faces = _face_array(boundary_columns([verts for _, verts in entries]))
+        values = np.array([value for value, _ in entries], dtype=float)
+        dims = np.array([len(verts) - 1 for _, verts in entries], dtype=np.intp)
+    lows = reduce_columns(faces)
+    deaths = np.flatnonzero(lows >= 0)
+    births = lows[deaths]
+    unpaired = lows < 0
+    unpaired[births] = False
+    essential = np.flatnonzero(unpaired)
+    dim = np.concatenate((dims[births], dims[essential]))
+    birth = np.concatenate((values[births], values[essential]))
+    death = np.concatenate((values[deaths], np.full(len(essential), INF)))
+    order = np.lexsort((death, birth, dim))
+    pairs = list(zip(dim[order].tolist(), birth[order].tolist(), death[order].tolist()))
+    return PersistenceDiagram(pairs, reduced=reduced, n_simplices=len(values))
 
 
 def betti_at(pd: PersistenceDiagram, p: int, r: float, eps: float = 0.0) -> int:
@@ -251,7 +320,7 @@ def euler_characteristic_ok(fc, eps: float = 0.0) -> bool:
     are counted by binary search in values sorted once, per dimension
     parity."""
     entries = _normalize_filtration(fc)
-    pd = reduce(entries, reduced=False)
+    pd = reduce(fc, reduced=False)
     pmax = max(len(v) - 1 for _, v in entries)
     parities = (range(0, pmax + 1, 2), range(1, pmax + 1, 2))
     cells = [sorted(value for value, verts in entries if len(verts) - 1 in dims)

@@ -347,7 +347,7 @@ def _even_class_radii(ps: PointSet):
         expected[(1, 0)] = math.sqrt(1.0 / (1.0 - s2)) / 2.0
         expected[(1, 1)] = math.sqrt(1.0 + 2.0 * s2) / 2.0
     errs = {cls: 0.0 for cls in expected}
-    checked = [cs for cs in complexgen.enumerate_even(ps) if cs.cls in expected]
+    checked = [cs for cs in complexgen.enumerate_mosaic(ps) if cs.cls in expected]
     radii = circumspheres(ps, [cs.vertices for cs in checked]).radius
     for cs, r in zip(checked, radii.tolist()):
         errs[cs.cls] = max(errs[cs.cls], _rel_err(r, expected[cs.cls]))

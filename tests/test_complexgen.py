@@ -17,8 +17,7 @@ from extremal_cech.complexgen import (
     build_filtration,
     classify,
     criticality_check,
-    enumerate_even,
-    enumerate_odd,
+    enumerate_mosaic,
     load_filtration,
     pick_thresholds,
     radius_value,
@@ -116,29 +115,29 @@ def even_reference(ps):
 class TestEnumerateEven:
     def test_census_2_5(self):
         ps = build_even(2, 5)
-        counts = class_counts(enumerate_even(ps))
+        counts = class_counts(enumerate_mosaic(ps))
         assert counts[(0, -1)] == 10
         assert counts[(1, -1)] == 25  # one circle pair, n^2 long edges
         for (ell, j), c in counts.items():
             assert c == even_class_count(2, 5, ell, j)
-        assert sum(counts.values()) == len(list(enumerate_even(ps)))
+        assert sum(counts.values()) == len(list(enumerate_mosaic(ps)))
 
     def test_census_3_6(self):
         ps = build_even(3, 6)
-        counts = class_counts(enumerate_even(ps))
+        counts = class_counts(enumerate_mosaic(ps))
         for ell in range(3):
             for j in range(-1, ell + 1):
                 assert counts[(ell, j)] == even_class_count(3, 6, ell, j)
 
     def test_below_min_n_rejected(self):
         with pytest.raises(ValueError):
-            enumerate_even(build_even(2, 4))
+            enumerate_mosaic(build_even(2, 4))
 
     @pytest.mark.parametrize("k,n", [(2, 5), (2, 8), (3, 6)])
     def test_matches_reference_in_size_then_vertex_order(self, k, n):
         ps = build_even(k, n)
         reference = even_reference(ps)
-        assert enumerate_even(ps) == sorted(reference, key=lambda cs: (cs.dim, cs.vertices))
+        assert enumerate_mosaic(ps) == sorted(reference, key=lambda cs: (cs.dim, cs.vertices))
 
 
 def face_closure_odd(ps):
@@ -159,12 +158,12 @@ class TestEnumerateOdd:
                              + [build_odd(3, 3, 0.005)],
                              ids=["3d-2", "3d-3", "3d-4", "3d-30", "odd-2-2", "odd-2-3", "odd-3-3"])
     def test_matches_face_closure(self, ps):
-        assert enumerate_odd(ps) == face_closure_odd(ps)
+        assert enumerate_mosaic(ps) == face_closure_odd(ps)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_3d_census(self, n):
         ps = build_3d(n, 0.01)
-        counts = class_counts(enumerate_odd(ps))
+        counts = class_counts(enumerate_mosaic(ps))
         assert counts[(0, -1)] == 2 * n + 2
         assert counts[(0, 0)] + counts[(1, -1)] == 2 * n + (n + 1) ** 2
         assert counts[(1, 0)] == 2 * n * (n + 1)
@@ -172,7 +171,7 @@ class TestEnumerateOdd:
 
     def test_odd_top_simplices(self):
         ps = build_odd(2, 2, 0.005)
-        simplices = enumerate_odd(ps)
+        simplices = enumerate_mosaic(ps)
         assert sum(1 for cs in simplices if cs.dim == 5) == 8  # n^(k+1)
         counts = class_counts(simplices)
         for (ell, j), c in counts.items():
@@ -181,7 +180,7 @@ class TestEnumerateOdd:
     def test_no_short_edge_count(self):
         # p-simplices touching p+1 circles, one point each
         ps = build_odd(2, 3, 0.005)
-        counts = class_counts(enumerate_odd(ps))
+        counts = class_counts(enumerate_mosaic(ps))
         for p in range(3):
             assert counts[(p, -1)] == comb(3, p + 1) * 4 ** (p + 1)
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -110,7 +111,84 @@ class TestReduce:
         filtrations += shuffled_equal_value_orders(even_2_5[1], 10)
         for filtration in filtrations:
             columns = boundary_columns([verts for _, verts in filtration])
-            assert homology.reduce_columns(columns) == standard_lows(columns)
+            lows = homology.reduce_columns(homology._face_array(columns))
+            assert lows.tolist() == standard_lows(columns)
+
+
+BUILT = [("3d", 1, 2), ("3d", 1, 8), ("even", 2, 5), ("even", 3, 6), ("odd", 2, 2),
+         ("odd", 2, 3), ("odd", 3, 3)]
+
+
+class TestBuiltFaceRelation:
+    """`reduce` on a built filtration reads the build's face relation; on
+    any other it pads `boundary_columns`.  The two must agree."""
+
+    @pytest.mark.parametrize("kind,k,n", BUILT)
+    def test_faces_match_boundary_columns(self, kind, k, n, pipeline):
+        _, fc, _, _ = pipeline(kind, k, n)
+        columns = boundary_columns([verts for _, verts in fc.as_filtration()])
+        assert [sorted(row[row >= 0].tolist()) for row in fc._faces] == columns
+        assert fc._values.tolist() == [value for value, _ in fc.entries]
+        assert fc._dims.tolist() == [cs.dim for _, cs in fc.entries]
+
+    @pytest.mark.parametrize("kind,k,n", BUILT)
+    @pytest.mark.parametrize("reduced", [True, False])
+    def test_pairs_match_boundary_path(self, kind, k, n, reduced, pipeline):
+        _, fc, _, _ = pipeline(kind, k, n)
+        pd = reduce(fc, reduced=reduced)
+        assert pd.pairs == reduce(fc.as_filtration(), reduced=reduced).pairs
+        assert pd.n_simplices == len(fc)
+
+    # even_2_5, whose equal-value groups are largest, is in test_shuffle_invariance
+    @pytest.mark.parametrize("name", ["threed_n2", "odd_2_2"])
+    def test_pairs_match_shuffled_orders(self, name, request):
+        _, fc, _, _ = request.getfixturevalue(name)
+        base = reduce(fc).pairs
+        for shuffled in shuffled_equal_value_orders(fc, 5):
+            assert reduce(shuffled).pairs == base
+
+    @pytest.mark.parametrize("kind,k,n", BUILT)
+    def test_apparent_pairs_are_standard_lows(self, kind, k, n, pipeline):
+        _, fc, _, _ = pipeline(kind, k, n)
+        lows = standard_lows(boundary_columns([verts for _, verts in fc.as_filtration()]))
+        deaths, births = homology._apparent_pairs(fc._faces)
+        assert len(deaths) > 0
+        assert [lows[j] for j in deaths.tolist()] == births.tolist()
+
+    def test_apparent_pairs_on_shuffled_orders(self, even_2_5):
+        for filtration in shuffled_equal_value_orders(even_2_5[1], 10):
+            columns = boundary_columns([verts for _, verts in filtration])
+            deaths, births = homology._apparent_pairs(homology._face_array(columns))
+            lows = standard_lows(columns)
+            assert [lows[j] for j in deaths.tolist()] == births.tolist()
+
+    def test_peak_memory_3d_100(self, pipeline):
+        """The reduction keeps its columns sparse: one `reduce` of 3d n=100
+        (40,803 simplices) stays within 10 MB; bitset columns peaked near
+        45 MB."""
+        _, fc, _, _ = pipeline("3d", 1, 100)
+        assert reduce_peak_mb(fc) <= 10.0
+
+
+def reduce_peak_mb(fc):
+    """tracemalloc peak of one `reduce(fc)`, in MB."""
+    tracemalloc.start()
+    try:
+        reduce(fc)
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.slow
+def test_3d_300_exact_counts_and_peak_memory(pipeline):
+    """The paper's 3d counts at n=300, beta_1 = (n+1)^2 - 1 and beta_2 = n^2,
+    from a reduction whose peak stays within 60 MB.  The thresholds are gap
+    midpoints, read with no slack: the class gaps here are a few 1e-13."""
+    _, fc, thresholds, pd = pipeline("3d", 1, 300)
+    assert betti_at(pd, 1, complexgen.threshold_after(thresholds, (1, -1))) == 90_600
+    assert betti_at(pd, 2, complexgen.threshold_after(thresholds, (1, 0))) == 90_000
+    assert reduce_peak_mb(fc) <= 60.0
 
 
 class TestBoundaryColumns:

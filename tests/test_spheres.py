@@ -186,9 +186,10 @@ class TestDegeneracyFallback:
     """Simplices whose smallest-to-largest singular value ratio is near
     rel_eps: their Gram eigenvalue ratio, about 1e-18, is below eps, so the
     certificate cannot clear them and the SVD decides, as in `circumsphere`.
-    The rows just above rel_eps are checked on the degeneracy test alone:
-    their Gram systems are numerically singular, and the solve that follows
-    can raise LinAlgError, in `circumsphere` as in the batch."""
+    The rows just above rel_eps pass the SVD test, but their Gram systems
+    are numerically singular: where the solve finds one exactly singular,
+    the batch reports the row degenerate and `circumsphere` raises
+    AffineDegeneracyError."""
 
     REL_EPS = DEFAULT_TOL.rel_eps
 
@@ -224,6 +225,29 @@ class TestDegeneracyFallback:
         flat = sv[:, -1] <= self.REL_EPS * sv[:, 0]
         assert flat.any() and not flat.all()
         assert np.array_equal(geometry._degenerate(rel, gram, self.REL_EPS), flat)
+
+    @pytest.mark.parametrize("d,singular", [(2, True), (3, True), (4, False)])
+    def test_singular_gram_system_is_degenerate(self, d, singular):
+        pts = np.vstack((np.zeros(d), self.flat_rel(d, 1.002 * self.REL_EPS))) + 0.25
+        rel = (pts[1:] - pts[0])[None]
+        assert not geometry._degenerate(rel, rel @ rel.transpose(0, 2, 1), self.REL_EPS).any()
+        # with a regular simplex on each side, whose verdicts must not move
+        regular = np.vstack((np.zeros(d), np.eye(d))) + 2.0
+        both = np.vstack((pts, regular))
+        simplices = [tuple(range(d + 1, 2 * d + 2)), tuple(range(d + 1)),
+                     tuple(range(d + 1, 2 * d + 2))]
+        batch = circumspheres(both, simplices)
+        alone = circumspheres(both, simplices[:1])
+        assert batch.degenerate.tolist() == [False, singular, False]
+        for field in ("radius", "interior", "empty"):
+            row = getattr(alone, field).tolist()
+            assert [getattr(batch, field)[i].tolist() for i in (0, 2)] == row + row
+        if singular:
+            assert math.isnan(batch.radius[1]) and not batch.critical[1]
+            with pytest.raises(AffineDegeneracyError, match="singular"):
+                circumsphere(pts)
+        else:
+            assert circumsphere(pts).radius > 0.0
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_flat_simplex_is_degenerate(self, d):
