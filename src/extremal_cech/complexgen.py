@@ -12,12 +12,12 @@ so dim = touch + short + 1.  Every simplex of a validated construction is
 critical: its circumcenter is interior and its circumsphere strictly empty,
 so its radius value is its circumradius (Bauer & Edelsbrunner, The Morse
 theory of Cech and Delaunay complexes, 2017).  The build proves this with
-one batched circumsphere pass (`geometry.circumspheres`); a simplex that
-pass does not clear is checked one at a time, and the first one that is
-not critical raises NotCriticalError.  So every built filtration is
-critical, and its values are the pass's circumradii.
-`criticality_check` recomputes the spheres for any point set and
-filtration, loaded or hand-made ones included.
+one batched circumsphere pass (`geometry.circumspheres`), which decides
+every verdict and names every failure; the first simplex that is not
+critical raises NotCriticalError.  So every built filtration is critical,
+and its values are the pass's circumradii.  `criticality_check` runs the
+same pass for any point set and filtration, loaded or hand-made ones
+included.
 One product-form enumeration serves all three kinds: each circle
 contributes nothing, one point or one consecutive pair.  It emits int
 arrays (vertex ids, touch, short) and each simplex's facet positions in
@@ -32,23 +32,16 @@ and dim breaks ties.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import construct
 from .construct import PointSet, KIND_EVEN, KIND_3D, KIND_ODD
-from .geometry import (
-    AffineDegeneracyError,
-    Tolerance,
-    DEFAULT_TOL,
-    barycentric_interior,
-    circumsphere,
-    circumspheres,
-    emptiness_violations,
-    is_empty_sphere,
-    min_enclosing_ball,
-)
+from .geometry import (DEFAULT_TOL, Tolerance, circumspheres, degeneracy_reason,
+                       emptiness_violations, is_empty_sphere, min_enclosing_ball)
+from .geometry import barycentric_interior, circumsphere  # only the benchmark's trace reads these
 
 __all__ = [
     "ClassifiedSimplex",
@@ -318,10 +311,9 @@ def build_filtration(ps: PointSet, tol: Tolerance = DEFAULT_TOL) -> FilteredComp
     """Enumerate the mosaic, prove every simplex critical, take circumradii
     as values and sort face-before-coface.
 
-    Each simplex the batched pass does not clear goes, in enumeration
-    order, through the one-at-a-time check of `criticality_check`; the first
-    one that is not critical raises NotCriticalError, so a per-simplex pass
-    would raise the same error.
+    The first simplex in enumeration order that the batched pass finds not
+    critical raises NotCriticalError, with the reason `criticality_check`
+    gives for it.
 
     The closed-form facets raise each value to its facets' maximum and are
     the face-order check: a facet sorted after its coface raises
@@ -330,10 +322,9 @@ def build_filtration(ps: PointSet, tol: Tolerance = DEFAULT_TOL) -> FilteredComp
     m = _mosaic(ps)
     batch = circumspheres(ps, m.ids, tol)
     verts = m.vertex_tuples()
-    for i in np.flatnonzero(~batch.critical):
-        failure = _criticality_failure(ps, verts[i], tol)
-        if failure is not None:
-            raise failure
+    bad = np.flatnonzero(~batch.critical)
+    if len(bad):
+        raise _not_critical(ps, verts[bad[0]], batch, bad[0], tol)
     values = batch.radius.copy()
 
     # enforce exact monotonicity under face inclusion: a face and a coface
@@ -409,35 +400,26 @@ def criticality_check(ps: PointSet, fc: FilteredComplex,
                       tol: Tolerance = DEFAULT_TOL) -> CriticalityReport:
     """Check every simplex for the two criticality conditions: circumcenter
     in the simplex interior, and strict emptiness of the circumsphere.
-    Failures are data, not errors.  One batched pass clears the critical
-    simplices; each simplex it does not clear is checked again one at a
-    time, in filtration order, which gives the verdict and the failure
-    message.  The spheres are always computed afresh; a filtration from
-    `build_filtration` passes by construction."""
-    critical = circumspheres(ps, [cs.vertices for _, cs in fc.entries], tol).critical
-    failures = []
-    for i in np.flatnonzero(~critical):
-        cs = fc.entries[i][1]
-        failure = _criticality_failure(ps, cs.vertices, tol)
-        if failure is not None:
-            failures.append((cs.vertices, failure.reason))
+    Failures are data, not errors, in filtration order, each with its
+    reason from one batched pass (see `_not_critical`).  The spheres are
+    always computed afresh; a filtration from `build_filtration` passes."""
+    verts = [cs.vertices for _, cs in fc.entries]
+    batch = circumspheres(ps, verts, tol)
+    failures = [(verts[i], _not_critical(ps, verts[i], batch, i, tol).reason)
+                for i in np.flatnonzero(~batch.critical).tolist()]
     return CriticalityReport(len(fc), failures)
 
 
-def _criticality_failure(ps: PointSet, verts: tuple[int, ...],
-                         tol: Tolerance) -> NotCriticalError | None:
-    """Why one simplex is not critical, as the error to raise, or None if it is."""
-    pts = ps.points[list(verts)]
-    try:
-        sphere = circumsphere(pts, tol)
-    except AffineDegeneracyError as exc:
-        return NotCriticalError(verts, reason=f"degenerate circumsphere: {exc}")
-    if not barycentric_interior(pts, sphere.center, tol):
+def _not_critical(ps: PointSet, verts: tuple[int, ...], batch, i: int,
+                  tol: Tolerance) -> NotCriticalError:
+    """Why simplex `verts`, row i of `batch`, is not critical: degenerate,
+    else a circumcenter outside it, else the first point inside its sphere."""
+    if batch.degenerate[i]:
+        reason = degeneracy_reason(ps.points[list(verts)], tol)
+        return NotCriticalError(verts, reason=f"degenerate circumsphere: {reason}")
+    if not batch.interior[i]:
         return NotCriticalError(verts, reason="circumcenter not in simplex interior")
-    if not is_empty_sphere(sphere, ps, exclude=verts, strict=True, tol=tol):
-        bad = emptiness_violations(sphere, ps, exclude=verts, strict=True, tol=tol)
-        return NotCriticalError(verts, bad[0])
-    return None
+    return NotCriticalError(verts, int(batch.offender[i]))
 
 
 # ---------------------------------------------------------------------------
@@ -455,15 +437,30 @@ def save_filtration(fc: FilteredComplex, path) -> None:
 
 
 def load_filtration(path) -> FilteredComplex:
+    """Read a `save_filtration` file.  A line with a field count other than
+    dim + 5, a negative dim or a value that is not finite raises ValueError
+    naming the path and the line number."""
     entries = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             parts = line.split()
-            if not parts:
-                continue
-            value = float(parts[0])
-            dim = int(parts[1])
-            verts = tuple(int(v) for v in parts[2:2 + dim + 1])
-            touch, short = int(parts[-2]), int(parts[-1])
-            entries.append((value, ClassifiedSimplex(verts, touch, short)))
+            if parts:
+                try:
+                    entries.append(_entry(parts))
+                except ValueError as exc:
+                    raise ValueError(f"{path}, line {lineno}: {exc}") from None
     return FilteredComplex(entries)
+
+
+def _entry(parts: list[str]) -> tuple[float, ClassifiedSimplex]:
+    """One line of the filtration file format, checked."""
+    dim = int(parts[1]) if len(parts) > 1 else 0
+    if dim < 0:
+        raise ValueError(f"dimension {dim} is negative")
+    if len(parts) != dim + 5:
+        raise ValueError(f"{len(parts)} fields, expected dim + 5 = {dim + 5}")
+    value = float(parts[0])
+    if not math.isfinite(value):
+        raise ValueError(f"value {parts[0]} is not finite")
+    *verts, touch, short = map(int, parts[2:])
+    return value, ClassifiedSimplex(tuple(verts), touch, short)

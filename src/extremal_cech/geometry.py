@@ -1,13 +1,15 @@
 """Floating-point geometric kernel.
 
-Distances, smallest enclosing balls, circumspheres (one at a time, or
-batched over many simplices), barycentric interiority and empty-sphere
-predicates, all in 64-bit arithmetic with fixed tolerances.  The batched
-pass puts filters in front of two of its tests, as in Shewchuk's filtered
-predicates (Adaptive precision floating-point arithmetic and fast robust
-geometric predicates, DCG 1997).  Emptiness is read first from an
-expanded-form distance, and only an entry within a forward-error band of
-the bound is computed again from differences.  Degeneracy is certified
+Distances, smallest enclosing balls, circumspheres, barycentric
+interiority and empty-sphere predicates, all in 64-bit arithmetic with
+fixed tolerances.  Every circumsphere, `circumsphere`'s one included, comes
+from one batched kernel, which gives each simplex's center, radius,
+degeneracy, interiority and first point inside.  It puts filters in front
+of two of its tests, as in Shewchuk's filtered predicates (Adaptive
+precision floating-point arithmetic and fast robust geometric predicates,
+DCG 1997).  Emptiness is read first from an expanded-form distance, and
+only an entry within a forward-error band of the bound is computed again
+from differences.  Degeneracy is certified
 first from the Gram eigenvalues, and only a row they cannot certify runs
 the SVD test.  So every verdict is the plain floating-point test's; no
 predicate is decided in exact arithmetic.  The fixed tolerances are not
@@ -38,6 +40,7 @@ __all__ = [
     "barycentric_interior",
     "circumsphere",
     "circumspheres",
+    "degeneracy_reason",
     "is_empty_sphere",
     "min_enclosing_ball",
     "squared_distance",
@@ -174,30 +177,27 @@ def min_enclosing_ball(points, tol: Tolerance = DEFAULT_TOL) -> Sphere:
 
 
 def circumsphere(points, tol: Tolerance = DEFAULT_TOL) -> Sphere:
-    """Smallest sphere through all the points, center in their affine hull.
+    """Smallest sphere through all the points, center in their affine hull:
+    the one-row case of `circumspheres`, bit for bit.  Degenerate input is
+    rejected with AffineDegeneracyError (see `degeneracy_reason`)."""
+    pts = _as_matrix(points)
+    batch = circumspheres(pts, [np.arange(len(pts))[None]], tol)
+    if batch.degenerate[0]:
+        raise AffineDegeneracyError(degeneracy_reason(pts, tol))
+    return Sphere(batch.center[0], float(batch.radius[0]))
 
-    Requires affinely independent points; degenerate input is rejected with
-    AffineDegeneracyError rather than regularized.
-    """
+
+def degeneracy_reason(points, tol: Tolerance = DEFAULT_TOL) -> str:
+    """Why `circumspheres` finds a simplex with these vertices degenerate:
+    too many points, the SVD test, or else a singular Gram system."""
     pts = _as_matrix(points)
     m, d = pts.shape
     if m > d + 1:
-        raise AffineDegeneracyError(f"{m} points cannot be affinely independent in R^{d}")
-    if m == 1:
-        return Sphere(pts[0].copy(), 0.0)
-    rel = pts[1:] - pts[0]
-    sv = np.linalg.svd(rel, compute_uv=False)
-    if sv[-1] <= tol.rel_eps * sv[0]:
-        raise AffineDegeneracyError("points are affinely dependent beyond tolerance")
-    rhs = 0.5 * np.einsum("ij,ij->i", rel, rel)
-    try:
-        alpha = np.linalg.solve(rel @ rel.T, rhs)
-    except np.linalg.LinAlgError:
-        raise AffineDegeneracyError("Gram system is numerically singular") from None
-    center = pts[0] + rel.T @ alpha
-    diffs = pts - center
-    radius = float(np.mean(np.sqrt(np.einsum("ij,ij->i", diffs, diffs))))
-    return Sphere(center, radius)
+        return f"{m} points cannot be affinely independent in R^{d}"
+    rel = (pts[1:] - pts[0])[None]
+    if _degenerate(rel, rel @ rel.transpose(0, 2, 1), tol.rel_eps)[0]:
+        return "points are affinely dependent beyond tolerance"
+    return "Gram system is numerically singular"
 
 
 # Entries of one point-to-center distance block in `circumspheres`; bounds
@@ -211,22 +211,25 @@ EPS = float(np.finfo(float).eps)
 class SphereBatch:
     """Per-simplex circumsphere data from `circumspheres`, in input order.
 
-    radius is the circumradius; interior says every barycentric coordinate
-    of the circumcenter exceeds interior_eps; empty says every point other
-    than the simplex's own vertices lies strictly outside the circumsphere.
-    Where degenerate, radius is nan and interior and empty are False.
-    degenerate is the verdict of `circumsphere`'s SVD test, or a Gram
-    system the solve finds singular, where `circumsphere` raises
-    AffineDegeneracyError too; empty is the verdict of strict
-    `is_empty_sphere`'s differences from the batch's centers.  The filters
-    in front of the two tests settle only the rows and entries their error
-    bounds allow.
+    center (b, d) is the circumcenter and radius its largest vertex
+    distance; interior says every barycentric coordinate of the center
+    exceeds interior_eps; offender is the lowest id of a point other than
+    the simplex's own vertices that is not strictly outside the sphere, as
+    strict `is_empty_sphere` decides, or -1.  degenerate is the SVD test of
+    `_degenerate` or a Gram system the solve finds singular; there center
+    and radius are nan, interior is False and offender is -1.
     """
 
+    center: np.ndarray
     radius: np.ndarray
     degenerate: np.ndarray
     interior: np.ndarray
-    empty: np.ndarray
+    offender: np.ndarray
+
+    @property
+    def empty(self) -> np.ndarray:
+        """Every point but the simplex's vertices strictly outside."""
+        return (self.offender < 0) & ~self.degenerate
 
     @property
     def critical(self) -> np.ndarray:
@@ -241,11 +244,10 @@ def circumspheres(points, simplices, tol: Tolerance = DEFAULT_TOL) -> SphereBatc
     sequence of vertex-index tuples of any sizes, or a sequence of (b, m)
     int arrays, each a block of b simplices of size m, whose rows are taken
     in order.  Tuples are first grouped by size; each group or block then
-    goes through one kernel, `_sphere_block`.  The degeneracy test is
-    `circumsphere`'s and the interior and emptiness tests are
-    `barycentric_interior`'s and strict `is_empty_sphere`'s, with the same
-    tolerances; the filters of `_degenerate` and `_strictly_empty` change
-    no verdict.  An empty simplex or one of more than d+1 points is
+    goes through one kernel, `_sphere_block`.  The interior and emptiness
+    tests are `barycentric_interior`'s and strict `is_empty_sphere`'s, with
+    the same tolerances; the filters of `_degenerate` and `_first_inside`
+    change no verdict.  An empty simplex or one of more than d+1 points is
     reported degenerate.
     """
     pts = np.asarray(getattr(points, "points", points), dtype=float)
@@ -257,16 +259,17 @@ def circumspheres(points, simplices, tol: Tolerance = DEFAULT_TOL) -> SphereBatc
     else:
         groups = _group_by_size(simplices)
         count = len(simplices)
+    center = np.full((count, pts.shape[1]), np.nan)
     radius = np.full(count, np.nan)
     degenerate = np.ones(count, dtype=bool)
     interior = np.zeros(count, dtype=bool)
-    empty = np.zeros(count, dtype=bool)
+    offender = np.full(count, -1, dtype=np.intp)
     sq = np.einsum("ij,ij->i", pts, pts)
     for rows, idx in groups:
         if 1 <= idx.shape[1] <= pts.shape[1] + 1:
-            radius[rows], degenerate[rows], interior[rows], empty[rows] = (
-                _sphere_block(pts, sq, idx, tol))
-    return SphereBatch(radius, degenerate, interior, empty)
+            (center[rows], radius[rows], degenerate[rows], interior[rows],
+             offender[rows]) = _sphere_block(pts, sq, idx, tol)
+    return SphereBatch(center, radius, degenerate, interior, offender)
 
 
 def _group_by_size(simplices) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -283,11 +286,11 @@ def _group_by_size(simplices) -> list[tuple[np.ndarray, np.ndarray]]:
 
 
 def _sphere_block(pts: np.ndarray, sq: np.ndarray, idx: np.ndarray, tol: Tolerance):
-    """radius, degenerate, interior and empty of the b simplices of size m
-    (1 <= m <= d+1) whose vertex ids are the rows of `idx`; `sq` holds the
-    squared norms of `pts`.  The Gram systems are solved in one stacked
-    call; the solution coefficients are the barycentric coordinates of the
-    circumcenter."""
+    """center, radius, degenerate, interior and offender of the b simplices
+    of size m (1 <= m <= d+1) whose vertex ids are the rows of `idx`; `sq`
+    holds the squared norms of `pts`.  The Gram systems are solved in one
+    stacked call; the solution coefficients are the barycentric coordinates
+    of the circumcenter."""
     b, m = idx.shape
     verts = pts[idx]
     if m == 1:
@@ -305,15 +308,16 @@ def _sphere_block(pts: np.ndarray, sq: np.ndarray, idx: np.ndarray, tol: Toleran
         r2 = np.max(np.einsum("bij,bij->bi", diffs, diffs), axis=1)
         inside = ((1.0 - alpha.sum(axis=1) > tol.interior_eps)
                   & np.all(alpha > tol.interior_eps, axis=1) & ~deg)
-    empty = _strictly_empty(pts, sq, idx, center, r2 + tol.abs_eps) & ~deg
-    return np.where(deg, np.nan, np.sqrt(r2)), deg, inside, empty
+    offender = _first_inside(pts, sq, idx, center, r2 + tol.abs_eps)
+    center[deg], r2[deg], offender[deg] = np.nan, np.nan, -1
+    return center, np.sqrt(r2), deg, inside, offender
 
 
 def _gram_solve(gram: np.ndarray, rhs: np.ndarray, deg: np.ndarray):
     """(alpha, deg): the stacked Gram systems solved in one call, with the
     identity in place of each degenerate row's.  A row whose system LAPACK
-    finds exactly singular, where `circumsphere` raises, is made degenerate
-    as well; each system is solved on its own, so no other row changes."""
+    finds exactly singular is made degenerate as well; each system is
+    solved on its own, so no other row changes."""
     gram[deg] = np.eye(gram.shape[1])  # keeps the stacked solve nonsingular
     try:
         return np.linalg.solve(gram, rhs[..., None])[..., 0], deg
@@ -331,7 +335,7 @@ def _singular(gram: np.ndarray) -> bool:
 
 
 def _degenerate(rel: np.ndarray, gram: np.ndarray, rel_eps: float) -> np.ndarray:
-    """`circumsphere`'s test `sv[-1] <= rel_eps * sv[0]` on the singular
+    """The degeneracy test `sv[-1] <= rel_eps * sv[0]` on the singular
     values of each stacked `rel` (k = m-1 rows in R^d), with `gram` its
     computed rel @ rel.T.
 
@@ -359,11 +363,11 @@ def _degenerate(rel: np.ndarray, gram: np.ndarray, rel_eps: float) -> np.ndarray
     return deg
 
 
-def _strictly_empty(pts: np.ndarray, sq: np.ndarray, idx: np.ndarray,
-                    center: np.ndarray, bound: np.ndarray) -> np.ndarray:
-    """Per row: every point but the row's vertices has |p - center|^2 >=
-    bound, each |p - center|^2 summed over the differences as
-    `is_empty_sphere` does.
+def _first_inside(pts: np.ndarray, sq: np.ndarray, idx: np.ndarray,
+                  center: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    """Per row: the lowest id of a point other than the row's vertices with
+    |p - center|^2 < bound, each |p - center|^2 summed over the differences
+    as `is_empty_sphere` does, or -1 if there is none.
 
     A block of DISTANCE_BLOCK distances at a time takes the expanded form
     |p|^2 - 2 c.p + |c|^2 from one matrix product, as the (d+2)-term dot
@@ -386,22 +390,21 @@ def _strictly_empty(pts: np.ndarray, sq: np.ndarray, idx: np.ndarray,
     above, below = bound + band, bound - band
     lhs = np.column_stack((-2.0 * center, np.ones(len(center)), csq))
     rhs = np.vstack((pts.T, sq, np.ones(len(pts))))
-    empty = np.empty(len(center), dtype=bool)
+    first = np.full(len(center), -1, dtype=np.intp)
     step = max(1, DISTANCE_BLOCK // len(pts))
     for lo in range(0, len(center), step):
         d2 = lhs[lo:lo + step] @ rhs
         ok = d2 > above[lo:lo + step, None]
         ok[np.arange(len(ok))[:, None], idx[lo:lo + step]] = True
-        clear = ok.all(axis=1)
-        unsure = np.flatnonzero(~clear)
+        unsure = np.flatnonzero(~ok.all(axis=1))
         if len(unsure):
             rows, cols = np.nonzero(~(ok[unsure] | (d2[unsure] < below[lo + unsure, None])))
             rows = unsure[rows]
             diffs = pts[cols] - center[lo + rows]
             ok[rows, cols] = np.einsum("ij,ij->i", diffs, diffs) >= bound[lo + rows]
-            clear[unsure] = ok[unsure].all(axis=1)
-        empty[lo:lo + step] = clear
-    return empty
+            bad = unsure[~ok[unsure].all(axis=1)]
+            first[lo + bad] = np.argmin(ok[bad], axis=1)
+    return first
 
 
 def affine_distance(points, x) -> float:

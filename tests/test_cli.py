@@ -223,8 +223,9 @@ class TestNumericFailuresExit3:
         assert err.startswith("error: reduction/rank cross-check failed")
 
     def test_affine_degeneracy(self, monkeypatch, capsys):
-        real = verify.circumsphere
-        monkeypatch.setattr(verify, "circumsphere", lambda pts: real(np.zeros_like(pts)))
+        real = verify.circumspheres
+        monkeypatch.setattr(verify, "circumspheres",
+                            lambda ps, simplices: real(np.zeros_like(ps.points), simplices))
         code, out, err = run(["verify", "--hypotheses", "--k", "1", "--n", "2"], capsys)
         assert (code, out) == (3, "")
         assert err == "error: points are affinely dependent beyond tolerance\n"

@@ -7,7 +7,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from extremal_cech import complexgen, homology
+from extremal_cech import complexgen, geometry, homology
 from extremal_cech.complexgen import (
     ClassifiedSimplex,
     FilteredComplex,
@@ -35,6 +35,7 @@ from extremal_cech.geometry import (
 
 from conftest import cached_pipeline, mosaic_complex
 from test_acceptance import ACCEPTED
+from test_spheres import reference_circumspheres
 
 
 def class_counts(simplices):
@@ -279,6 +280,21 @@ class TestFiltration:
         save_filtration(back, path2)
         assert path.read_bytes() == path2.read_bytes()
 
+    @pytest.mark.parametrize("line,reason", [
+        ("0.5 1 3 4 0", "5 fields, expected dim + 5 = 6"),
+        ("0.5 1 3 4 0 1 2", "7 fields, expected dim + 5 = 6"),
+        ("0.5", "1 fields, expected dim + 5 = 5"),
+        ("0.5 -1 0 -1", "dimension -1 is negative"),
+        ("nan 0 3 0 -1", "value nan is not finite"),
+        ("inf 1 3 4 1 -1", "value inf is not finite"),
+    ])
+    def test_load_rejects_malformed_lines(self, tmp_path, line, reason):
+        path = tmp_path / "filt.txt"
+        path.write_text("0 0 3 0 -1\n\n" + line + "\n")
+        with pytest.raises(ValueError) as err:
+            load_filtration(path)
+        assert str(err.value) == f"{path}, line 3: {reason}"
+
     def test_deterministic_output(self, tmp_path):
         ps = build_3d(3, 0.01)
         a = build_filtration(ps)
@@ -306,6 +322,22 @@ def diagram_multiset(pd):
     return Counter((dim, round(birth, 12), round(death, 12)) for dim, birth, death in pd.pairs)
 
 
+def reference_failures(ps, simplices):
+    """`criticality_check`'s failures for simplices none of which is
+    degenerate, from the reference kernel: a circumcenter outside the
+    simplex, or else the first point inside the circumsphere."""
+    ref = reference_circumspheres(ps, simplices)
+    assert not ref["degenerate"].any()
+    failures = []
+    for v, inside, offender in zip(simplices, ref["interior"].tolist(),
+                                   ref["offender"].tolist()):
+        if not inside:
+            failures.append((v, "circumcenter not in simplex interior"))
+        elif offender >= 0:
+            failures.append((v, f"circumsphere not strictly empty: point {offender}"))
+    return failures
+
+
 def scalar_predicates(ps, verts):
     pts = ps.points[list(verts)]
     sphere = circumsphere(pts)
@@ -329,14 +361,13 @@ class TestBatchedSpheres:
         ps = build_3d(10, 0.5)
         fc = mosaic_complex(ps)
         verts = [cs.vertices for _, cs in fc.entries]
-        scalar = [complexgen._criticality_failure(ps, v, DEFAULT_TOL) for v in verts]
         for shift in range(4):  # each predicate, under every vertex order
             rotated = [v[shift % len(v):] + v[:shift % len(v)] for v in verts]
             batch = circumspheres(ps, rotated)
             assert list(zip(batch.interior, batch.empty)) == [
                 scalar_predicates(ps, v) for v in rotated]
-        assert criticality_check(ps, fc).failures == [
-            (v, f.reason) for v, f in zip(verts, scalar) if f is not None]
+        failures = criticality_check(ps, fc).failures
+        assert failures and failures == reference_failures(ps, verts)
 
     def test_degenerate_and_oversized_go_to_scalar_path(self):
         base = build_3d(3, 0.01)
@@ -351,10 +382,11 @@ class TestBatchedSpheres:
         assert np.all(np.isnan(batch.radius[:2]))
         fc = FilteredComplex([(0.0, ClassifiedSimplex(v, 1, 1)) for v in odd_ones + good])
         failures = criticality_check(ps, fc).failures
-        assert [v for v, _ in failures[:2]] == odd_ones
-        assert all(r.startswith("degenerate circumsphere") for _, r in failures[:2])
-        scalar = [(v, complexgen._criticality_failure(ps, v, DEFAULT_TOL)) for v in good]
-        assert failures[2:] == [(v, f.reason) for v, f in scalar if f is not None]
+        assert failures[:2] == [
+            ((0, 1, 2), "degenerate circumsphere: points are affinely dependent beyond tolerance"),
+            ((0, 1, 4, 5, 6), "degenerate circumsphere: 5 points cannot be affinely "
+                              "independent in R^3")]
+        assert failures[2:] == reference_failures(ps, good)
 
 
 class TestSinglePass:
@@ -369,6 +401,31 @@ class TestSinglePass:
         monkeypatch.setattr(complexgen, "circumspheres", counting)
         build_validated("3d", k=1, n=4)  # validates at its first delta
         assert len(calls) == 1
+
+    def test_failures_come_from_the_one_pass(self, monkeypatch):
+        # a failing build and a check each make one batched call, and the
+        # scalar sphere functions are never reached
+        calls = []
+        batched = complexgen.circumspheres
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return batched(*args, **kwargs)
+
+        def scalar(*args, **kwargs):
+            raise AssertionError("scalar sphere function called")
+
+        monkeypatch.setattr(complexgen, "circumspheres", counting)
+        for module in (complexgen, geometry):
+            for name in ("circumsphere", "barycentric_interior", "is_empty_sphere",
+                         "emptiness_violations"):
+                monkeypatch.setattr(module, name, scalar)
+        ps = build_3d(10, 0.5)
+        with pytest.raises(NotCriticalError):
+            build_filtration(ps)
+        assert len(calls) == 1
+        assert not criticality_check(ps, mosaic_complex(ps)).ok
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("kind,k,n", ACCEPTED)
     def test_enumeration_lists_faces_first(self, kind, k, n):

@@ -27,15 +27,22 @@ from conftest import cached_pipeline
 from test_acceptance import ACCEPTED
 
 
+FIELDS = ("center", "radius", "degenerate", "interior", "offender", "empty")
+
+
 def reference_circumspheres(pts, simplices, tol=DEFAULT_TOL):
-    """The kernel before the filters: a stacked SVD test for degeneracy,
-    and every point-to-center distance summed over the differences."""
+    """The kernel before the filters, as a dict of FIELDS: a stacked SVD
+    test for degeneracy, and every point-to-center distance summed over the
+    differences; the offender is the first point of the distance matrix
+    below the strict bound."""
     pts = np.asarray(getattr(pts, "points", pts), dtype=float)
     n_pts, d = pts.shape
     count = len(simplices)
+    center_out = np.full((count, d), np.nan)
     radius = np.full(count, np.nan)
     degenerate = np.ones(count, dtype=bool)
     interior = np.zeros(count, dtype=bool)
+    offender = np.full(count, -1)
     empty = np.zeros(count, dtype=bool)
     groups = {}
     for i, verts in enumerate(simplices):
@@ -65,23 +72,33 @@ def reference_circumspheres(pts, simplices, tol=DEFAULT_TOL):
             inside = ((1.0 - alpha.sum(axis=1) > tol.interior_eps)
                       & np.all(alpha > tol.interior_eps, axis=1) & ~deg)
         degenerate[rows] = deg
+        center_out[rows] = np.where(deg[:, None], np.nan, center)
         radius[rows] = np.where(deg, np.nan, np.sqrt(r2))
         interior[rows] = inside
         diffs = pts[None, :, :] - center[:, None, :]
         d2 = np.einsum("bij,bij->bi", diffs, diffs)
         d2[np.arange(len(rows))[:, None], idx] = np.inf
-        empty[rows] = np.all(d2 >= (r2 + tol.abs_eps)[:, None], axis=1) & ~deg
-    return radius, degenerate, interior, empty
+        bound = (r2 + tol.abs_eps)[:, None]
+        empty[rows] = np.all(d2 >= bound, axis=1) & ~deg
+        below = d2 < bound
+        offender[rows] = np.where(below.any(axis=1) & ~deg, below.argmax(axis=1), -1)
+    return {"center": center_out, "radius": radius, "degenerate": degenerate,
+            "interior": interior, "offender": offender, "empty": empty}
 
 
-def fields(batch):
-    return ([r.hex() for r in batch[0].tolist()],) + tuple(f.tolist() for f in batch[1:])
+def bits(values):
+    """An array as a list, floats by their hex form (so bit for bit)."""
+    values = np.asarray(values)
+    if values.dtype.kind == "f":
+        return [x.hex() for x in values.ravel().tolist()]
+    return values.tolist()
 
 
 def assert_as_reference(pts, simplices, tol=DEFAULT_TOL):
     batch = circumspheres(pts, simplices, tol)
-    assert fields((batch.radius, batch.degenerate, batch.interior, batch.empty)) == fields(
-        reference_circumspheres(pts, simplices, tol))
+    reference = reference_circumspheres(pts, simplices, tol)
+    for name in FIELDS:
+        assert bits(getattr(batch, name)) == bits(reference[name]), name
     return batch
 
 
@@ -93,8 +110,8 @@ class TestAsReference:
         verts = m.vertex_tuples()
         batch = assert_as_reference(ps, verts)
         blocks = circumspheres(ps, m.ids)
-        for name in ("radius", "degenerate", "interior", "empty"):
-            assert np.array_equal(getattr(blocks, name), getattr(batch, name), equal_nan=True)
+        for name in FIELDS:
+            assert bits(getattr(blocks, name)) == bits(getattr(batch, name)), name
 
     @pytest.mark.parametrize("kind,k,n", ACCEPTED)
     def test_mosaics_as_scalar_predicates(self, kind, k, n):
@@ -141,6 +158,38 @@ class TestAsReference:
         simplices = [tuple(rng.choice(len(pts), size=int(rng.integers(2, 5)),
                                       replace=False).tolist()) for _ in range(2000)]
         assert_as_reference(pts, simplices)
+
+
+def assert_circumsphere_is_its_row(pts, simplices):
+    """`circumsphere` of each simplex's points is its batch row bit for bit,
+    and raises exactly where the row is degenerate."""
+    batch = circumspheres(pts, simplices)
+    for i, v in enumerate(simplices):
+        if batch.degenerate[i]:
+            with pytest.raises(AffineDegeneracyError):
+                circumsphere(pts[list(v)])
+        else:
+            sphere = circumsphere(pts[list(v)])
+            assert (bits(sphere.center), sphere.radius.hex()) == (
+                bits(batch.center[i]), batch.radius[i].hex())
+    return batch
+
+
+class TestCircumsphereIsOneRow:
+    @pytest.mark.parametrize("kind,k,n", ACCEPTED)
+    def test_mosaic_rows(self, kind, k, n):
+        ps = cached_pipeline(kind, k, n)[0]
+        assert_circumsphere_is_its_row(ps.points, complexgen._mosaic(ps).vertex_tuples())
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_degenerate_rows_raise(self, d):
+        rng = np.random.default_rng(d)
+        pts = rng.random((12, d))
+        pts[5] = 0.5 * (pts[0] + pts[1])
+        simplices = [tuple(rng.choice(12, size=int(rng.integers(1, d + 3)),
+                                      replace=False).tolist()) for _ in range(300)]
+        batch = assert_circumsphere_is_its_row(pts, simplices + [(0, 1, 5)])
+        assert batch.degenerate.any() and not batch.degenerate.all()
 
 
 class TestEmptinessBand:
@@ -254,7 +303,7 @@ class TestDegeneracyFallback:
         pts = np.vstack((np.zeros(d), self.flat_rel(d, 0.998 * self.REL_EPS))) + 0.25
         batch = assert_as_reference(pts, [tuple(range(d + 1))])
         assert batch.degenerate.tolist() == [True]
-        with pytest.raises(AffineDegeneracyError):
+        with pytest.raises(AffineDegeneracyError, match="affinely dependent beyond tolerance"):
             circumsphere(pts)
 
 

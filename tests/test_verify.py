@@ -31,6 +31,25 @@ class TestBetti3d:
         ids = {c.claim_id for c in verify.verify_betti_3d(2)}
         assert "3d/oracle/b1" in ids and "3d/oracle/b2" in ids
 
+    def test_class_read_inside_a_gap_narrower_than_abs_eps(self):
+        # a triangle's boundary cycle lives for 0.8 abs_eps between the
+        # edge class and the triangle class: the gap midpoint sees it, a
+        # read at midpoint + abs_eps would not
+        gap = 0.8 * DEFAULT_TOL.abs_eps
+        entries = [(0.0, ClassifiedSimplex((v,), 0, -1)) for v in range(3)]
+        entries += [(0.5, ClassifiedSimplex(e, 1, -1)) for e in ((0, 1), (0, 2), (1, 2))]
+        entries.append((0.5 + gap, ClassifiedSimplex((0, 1, 2), 1, 0)))
+        fc = FilteredComplex(entries)
+        thresholds = complexgen.pick_thresholds(fc)
+        pd = homology.reduce(fc)
+        assert verify._betti_at_class(pd, thresholds, (1, -1), 1) == 1
+        assert verify._betti_at_class(pd, thresholds, (0, -1), 0) == 2
+
+    @pytest.mark.slow
+    def test_exact_counts_at_200(self):
+        # the class gaps at n=200 are below 2 abs_eps
+        assert_no_failures(verify.verify_betti_3d(200))
+
 
 class TestBettiEvenOdd:
     def test_even_within_baseline(self):
