@@ -24,16 +24,19 @@ arrays (vertex ids, touch, short) and each simplex's facet positions in
 closed form, and the build works on those arrays: the monotone fix is a
 max over the facets per size, the sort is one stable argsort of the
 values over rows already in (dim, vertex list) order, and the face-order
-check is a rank compare over the facets.  The (value, ClassifiedSimplex)
-entries are built once, at the end.  Sorting by (value, dim, vertex list)
-passes the check: after the fix no facet's value exceeds its coface's,
-and dim breaks ties.
+check is a rank compare over the facets.  The built filtration keeps
+those arrays, in filtration order, and makes no Python object per simplex:
+its (value, ClassifiedSimplex) entries are built from them only when read.
+Sorting by (value, dim, vertex list) passes the check: after the fix no
+facet's value exceeds its coface's, and dim breaks ties.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -92,8 +95,7 @@ class InvalidSimplexError(ValueError):
     """Vertex labels do not describe a mosaic simplex."""
 
 
-@dataclass(frozen=True)
-class ClassifiedSimplex:
+class ClassifiedSimplex(NamedTuple):
     """Sorted vertex-id tuple plus its (touch, short) class."""
 
     vertices: tuple[int, ...]
@@ -109,30 +111,61 @@ class ClassifiedSimplex:
         return (self.touch, self.short)
 
 
-@dataclass
 class FilteredComplex:
     """Radius-sorted list of (value, simplex), closed under faces, with every
-    face preceding its cofaces.
+    face preceding its cofaces.  Two complexes are equal when their entries
+    are.
 
-    A filtration from `build_filtration` has every simplex critical, and
-    carries its class ranges and, for `homology.reduce`, its face relation,
-    values and dimensions in filtration order, all from the build's arrays:
-    `_faces[i]` holds the positions of simplex i's facets, padded with -1.
-    Loaded and hand-made filtrations carry none of these and no proof of
-    criticality.
+    A filtration from `build_filtration` has every simplex critical and
+    holds arrays in filtration order, not entries: the values, dims, touch
+    and short, and for `homology.reduce` the face relation, `_faces[i]`
+    holding the positions of simplex i's facets padded with -1.  Its vertex
+    lists are the mosaic's per-size id blocks `_ids`, position i being row
+    `_rows[i]` of them.  `entries` is built from these arrays on first read
+    and kept; `len`, `values`, `dims`, `max_dim` and `class_ranges` read the
+    arrays.  Loaded and hand-made filtrations are given their entries, and
+    carry no arrays and no proof of criticality.
     """
 
-    entries: list[tuple[float, ClassifiedSimplex]]
-    _class_ranges: dict | None = field(default=None, init=False, repr=False, compare=False)
-    _faces: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    _values: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    _dims: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    def __init__(self, entries: list[tuple[float, ClassifiedSimplex]]):
+        self._entries = entries
+        self._values = self._dims = self._touch = self._short = None
+        self._faces = self._ids = self._rows = self._class_ranges = None
+
+    @property
+    def entries(self) -> list[tuple[float, ClassifiedSimplex]]:
+        if self._entries is None:
+            verts = _vertex_tuples(self._ids)
+            # what the NamedTuple's constructor does, without a Python call
+            # per simplex
+            make = functools.partial(tuple.__new__, ClassifiedSimplex)
+            self._entries = list(zip(self._values.tolist(), map(make, zip(
+                map(verts.__getitem__, self._rows.tolist()),
+                self._touch.tolist(), self._short.tolist()))))
+        return self._entries
+
+    def __eq__(self, other):
+        if not isinstance(other, FilteredComplex):
+            return NotImplemented
+        return self.entries == other.entries
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self._values) if self._entries is None else len(self._entries)
+
+    def values(self) -> np.ndarray:
+        """The values in filtration order."""
+        if self._values is not None:
+            return self._values
+        return np.array([value for value, _ in self._entries], dtype=float)
+
+    def dims(self) -> np.ndarray:
+        """The dimensions in filtration order."""
+        if self._dims is not None:
+            return self._dims
+        return np.array([cs.dim for _, cs in self._entries], dtype=np.intp)
 
     def max_dim(self) -> int:
-        return max(cs.dim for _, cs in self.entries)
+        return int(self.dims().max())
 
     def class_ranges(self) -> dict[tuple[int, int], tuple[float, float, int]]:
         """Per (touch, short) class: (min value, max value, count)."""
@@ -181,12 +214,13 @@ class _Mosaic:
     A row has two slots per circle, in circle order: a lone point fills
     the first, a pair fills both with its ascending ids, and the others
     stay empty; so the ids of a row, read in slot order, are its ascending
-    vertex list.  `facets[i, j]` is the row of the facet that drops the
-    vertex in slot j; where there is none (an empty slot, or i is a vertex)
-    it is i itself, which leaves a max of values or a rank compare with row
-    i unchanged.  Rows `blocks[s - 1]` are the simplices of size s, and
-    `ids[s - 1]` holds their vertex lists as one (rows, s) int array, the
-    block form `geometry.circumspheres` takes.
+    vertex list, and `m[row]` is that list as a tuple.  `facets[i, j]` is
+    the row of the facet that drops the vertex in slot j; where there is
+    none (an empty slot, or i is a vertex) it is i itself, which leaves a
+    max of values or a rank compare with row i unchanged.  Rows
+    `blocks[s - 1]` are the simplices of size s, and `ids[s - 1]` holds
+    their vertex lists as one (rows, s) int array, the block form
+    `geometry.circumspheres` takes.
     """
 
     ids: list[np.ndarray]
@@ -195,11 +229,22 @@ class _Mosaic:
     facets: np.ndarray
     blocks: list[tuple[int, int]]
 
+    def __getitem__(self, row) -> tuple[int, ...]:
+        for block, (lo, hi) in zip(self.ids, self.blocks):
+            if row < hi:
+                return tuple(block[row - lo].tolist())
+        raise IndexError(row)
+
     def vertex_tuples(self) -> list[tuple[int, ...]]:
-        out = []
-        for block in self.ids:
-            out += map(tuple, block.tolist())
-        return out
+        return _vertex_tuples(self.ids)
+
+
+def _vertex_tuples(ids: list[np.ndarray]) -> list[tuple[int, ...]]:
+    """The vertex tuples of per-size id blocks, row after row."""
+    out = []
+    for block in ids:
+        out += map(tuple, block.tolist())
+    return out
 
 
 def _mosaic(ps: PointSet) -> _Mosaic:
@@ -283,8 +328,9 @@ def _check_face_order(facets: np.ndarray, rank: np.ndarray, verts) -> None:
     """Raise RuntimeError unless every facet ranks below its coface.
 
     `facets` rows hold facet rows as in `_Mosaic.facets`, `rank` is each
-    row's filtration position, and `verts` names the rows.  The error names
-    the first coface in filtration order and its first late facet."""
+    row's filtration position, and `verts[row]` names a row; only the two
+    rows the error names are read.  The error names the first coface in
+    filtration order and its first late facet."""
     late = rank[facets] > rank[:, None]
     if late.any():
         bad = np.flatnonzero(late.any(axis=1))
@@ -321,11 +367,10 @@ def build_filtration(ps: PointSet, tol: Tolerance = DEFAULT_TOL) -> FilteredComp
     """
     m = _mosaic(ps)
     batch = circumspheres(ps, m.ids, tol)
-    verts = m.vertex_tuples()
     bad = np.flatnonzero(~batch.critical)
     if len(bad):
-        raise _not_critical(ps, verts[bad[0]], batch, bad[0], tol)
-    values = batch.radius.copy()
+        raise _not_critical(ps, m[bad[0]], batch, bad[0], tol)
+    values = batch.radius
 
     # enforce exact monotonicity under face inclusion: a face and a coface
     # can determine the same ball, and floating point may then disagree by
@@ -339,17 +384,15 @@ def build_filtration(ps: PointSet, tol: Tolerance = DEFAULT_TOL) -> FilteredComp
     order = np.argsort(values, kind="stable")
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
-    _check_face_order(m.facets, rank, verts)
-    sorted_values = values[order]
-    fc = FilteredComplex([
-        (value, ClassifiedSimplex(verts[i], t, s))
-        for value, i, t, s in zip(sorted_values.tolist(), order.tolist(),
-                                  m.touch[order].tolist(), m.short[order].tolist())])
+    _check_face_order(m.facets, rank, m)
+    fc = FilteredComplex(None)
     fc._class_ranges = _class_ranges(m.touch, m.short, values)
     own = m.facets == np.arange(len(order))[:, None]
     fc._faces = np.where(own, -1, rank[m.facets])[order]
-    fc._values = sorted_values
-    fc._dims = (m.touch + m.short + 1)[order]
+    fc._values = values[order]
+    fc._touch, fc._short = m.touch[order], m.short[order]
+    fc._dims = fc._touch + fc._short + 1
+    fc._ids, fc._rows = m.ids, order
     return fc
 
 

@@ -9,13 +9,13 @@ of two of its tests, as in Shewchuk's filtered predicates (Adaptive
 precision floating-point arithmetic and fast robust geometric predicates,
 DCG 1997).  Emptiness is read first from an expanded-form distance, and
 only an entry within a forward-error band of the bound is computed again
-from differences.  Degeneracy is certified
-first from the Gram eigenvalues, and only a row they cannot certify runs
-the SVD test.  So every verdict is the plain floating-point test's; no
-predicate is decided in exact arithmetic.  The fixed tolerances are not
-safe at every size: on the 3d family the smallest strict-emptiness
-clearance is 2(delta/n)^2, which at the default delta = 0.1/n falls below
-abs_eps = 1e-12 from n ~ 376.
+from differences.  Non-degeneracy is certified first by a batched
+Cholesky factorization of each shifted Gram matrix, and only a row it
+cannot certify runs the SVD test.  So every verdict is the plain
+floating-point test's; no predicate is decided in exact arithmetic.  The
+fixed tolerances are not safe at every size: on the 3d family the
+smallest strict-emptiness clearance is 2(delta/n)^2, which at the default
+delta = 0.1/n falls below abs_eps = 1e-12 from n ~ 376.
 
 Every function is pure and thread-safe.
 """
@@ -339,28 +339,58 @@ def _degenerate(rel: np.ndarray, gram: np.ndarray, rel_eps: float) -> np.ndarray
     values of each stacked `rel` (k = m-1 rows in R^d), with `gram` its
     computed rel @ rel.T.
 
-    A row is certified independent, with no SVD, when its Gram eigenvalues
-    give lam_min > (rel_eps^2 + C eps) lam_max with C = 4k(d + 4), and
-    lam_max is far enough above underflow (tiny / eps) for relative error
-    bounds to hold.  With s = sigma_max^2: forming the Gram matrix errs by
-    at most gamma_d s per entry, so by k gamma_d s in norm, and LAPACK's
-    bound on a computed symmetric eigenvalue is p(k) eps ||G|| (the Users'
-    Guide takes p = 1; here p = k).  So each computed eigenvalue is within
-    E eps s of sigma_i^2, E = k(d + 2)/2, and the computed singular values
-    are within k eps sigma_max of the exact ones by the same bound.  A
-    certified row has sigma_min^2 > (rel_eps^2 + (C - 2E - 1) eps) s, while
-    the SVD test can hold only if sigma_min^2 <= (rel_eps^2 + (4k + 2) eps) s;
-    C exceeds 2E + 4k + 3.  Only the other rows run the SVD.
+    A row is certified independent, with no SVD, when the Cholesky
+    factorization of A = G - s I, s = c tr(G) with c = rel_eps^2 + C eps
+    and C = 8k(d + 4), finds every pivot > 0, and tr(G) is far enough above
+    underflow (tiny / eps) for relative error bounds to hold.  Write G0 for
+    the exact rel @ rel.T and T = tr(G0) >= sigma_max^2, and bound gamma_n
+    by n eps.  Forming G errs by at most gamma_d |rel||rel|^T entrywise, so
+    by d eps T in norm, and tr(G) by as much.  Subtracting s rounds each
+    diagonal entry by at most eps tr(G).  A successful factorization gives
+    R^T R = A + dA with |dA| <= gamma_(k+1) |R^T||R| (Higham, Accuracy and
+    Stability of Numerical Algorithms, Thm 10.3), so ||dA|| is at most
+    gamma_(k+1) ||R||_F^2, about (k + 1) eps tr(G), while A + dA is positive
+    definite.  So lam_min(G) > s - (k + 2) eps tr(G), and with the computed
+    s >= c (1 - (k + 2) eps) tr(G) and c <= 1 (a larger c certifies
+    nothing), sigma_min^2 = lam_min(G0) > (rel_eps^2 + (C - 2(k + d + 2)) eps) T
+    up to eps^2 terms.  The computed singular values are within
+    k eps sigma_max of the exact ones (LAPACK's bound p(k) eps ||rel||
+    with p = k), so the SVD test can hold only if
+    sigma_min^2 <= (rel_eps^2 + (4k + 2) eps) T.  Certifying soundly needs
+    C > 6k + 2d + 6; C = 8k(d + 4) leaves a wide margin, since p = k is a
+    convention, not a proven bound.  A nan or inf pivot is not > 0, so an
+    overflowing row reaches the SVD, as does every uncertified row.
     """
     k, d = rel.shape[1:]
-    lam = np.linalg.eigvalsh(gram)
-    certified = ((lam[:, 0] > (rel_eps**2 + 4 * k * (d + 4) * EPS) * lam[:, -1])
-                 & (lam[:, -1] > np.finfo(float).tiny / EPS))
+    trace = np.trace(gram, axis1=1, axis2=2)
+    shifted = gram.copy()
+    diagonal = np.arange(k)
+    shifted[:, diagonal, diagonal] -= ((rel_eps**2 + 8 * k * (d + 4) * EPS) * trace)[:, None]
+    certified = (trace > np.finfo(float).tiny / EPS) & _positive_pivots(shifted)
     deg = np.zeros(len(rel), dtype=bool)
     if not certified.all():
         sv = np.linalg.svd(rel[~certified], compute_uv=False)
         deg[~certified] = sv[:, -1] <= rel_eps * sv[:, 0]
     return deg
+
+
+def _positive_pivots(a: np.ndarray) -> np.ndarray:
+    """Per stacked symmetric matrix: whether the Cholesky factorization
+    a = L L^T, one column at a time over the whole stack, finds every pivot
+    > 0.  A row that fails goes on with nan or inf entries and stays
+    failed."""
+    k = a.shape[1]
+    low = np.zeros_like(a)
+    ok = np.ones(len(a), dtype=bool)
+    with np.errstate(all="ignore"):
+        for j in range(k):
+            row = low[:, j, :j]
+            pivot = a[:, j, j] - np.einsum("bp,bp->b", row, row)
+            ok &= pivot > 0.0
+            low[:, j, j] = root = np.sqrt(pivot)
+            low[:, j + 1:, j] = (a[:, j + 1:, j]
+                                 - np.einsum("bip,bp->bi", low[:, j + 1:, :j], row)) / root[:, None]
+    return ok
 
 
 def _first_inside(pts: np.ndarray, sq: np.ndarray, idx: np.ndarray,

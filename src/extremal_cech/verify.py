@@ -32,8 +32,8 @@ from .construct import (
     half_edge,
     min_n,
 )
-from .geometry import DEFAULT_TOL, AffineDegeneracyError, affine_distance, circumspheres
-from .geometry import circumsphere  # only the benchmark's trace reads this name
+from .geometry import DEFAULT_TOL, AffineDegeneracyError, circumspheres
+from .geometry import affine_distance, circumsphere  # only the benchmark's trace reads these
 
 __all__ = [
     "PASS",
@@ -138,9 +138,7 @@ def verify_betti_3d(n: int, delta="auto", oracle_check: bool | None = None) -> l
     b2 = _betti_at_class(pd, thresholds, (1, 0), 2)
     claims.append(_claim("3d/b2", params, n**2, b2, b2 == n**2))
 
-    counts = {d: 0 for d in range(4)}
-    for _, cs in fc.entries:
-        counts[cs.dim] += 1
+    counts = np.bincount(fc.dims(), minlength=4).tolist()
     census = {
         "vertices": (counts[0], 2 * n + 2),
         "edges": (counts[1], 2 * n + (n + 1) ** 2),
@@ -456,6 +454,33 @@ def _twin_partner(ps: PointSet, cs, v: int) -> int | None:
     return None
 
 
+def _facet_distances(points: np.ndarray, simplices, centers: np.ndarray) -> list:
+    """Per simplex of two or more vertices, (h2, dist2): the squared
+    distance of each vertex, and of the simplex's center, to the affine hull
+    of the facet opposite that vertex; None for a vertex.  One batch per
+    simplex size and dropped vertex: a stacked QR of the facet's edge
+    vectors gives each distance as the residual of a projection, as
+    `affine_distance` does by least squares.  The closed forms from the
+    Gram inverse of the simplex's own edges cancel catastrophically where
+    those edges are nearly parallel."""
+    sizes = np.fromiter(map(len, simplices), dtype=np.intp, count=len(simplices))
+    out = [None] * len(simplices)
+    for m in np.unique(sizes[sizes > 1]).tolist():
+        rows = np.flatnonzero(sizes == m)
+        verts = points[np.array([simplices[i] for i in rows.tolist()], dtype=np.intp)]
+        h2, dist2 = np.empty((len(rows), m)), np.empty((len(rows), m))
+        for drop in range(m):
+            rest = np.delete(verts, drop, axis=1)
+            q, _ = np.linalg.qr((rest[:, 1:] - rest[:, :1]).transpose(0, 2, 1))
+            for out_col, x in ((h2, verts[:, drop]), (dist2, centers[rows])):
+                y = x - rest[:, 0]
+                resid = y - np.einsum("bij,bkj,bk->bi", q, q, y)
+                out_col[:, drop] = np.einsum("bi,bi->b", resid, resid)
+        for i, h2_row, dist2_row in zip(rows.tolist(), h2.tolist(), dist2.tolist()):
+            out[i] = (h2_row, dist2_row)
+    return out
+
+
 def _hypothesis_errors(ps: PointSet, fc):
     """Max absolute discrepancies, per simplex class, between the measured
     squared radii/heights/offsets of an odd construction and the
@@ -469,18 +494,19 @@ def _hypothesis_errors(ps: PointSet, fc):
     def bump(kind, cls, err):
         errs[kind][cls] = max(errs[kind].get(cls, 0.0), err)
 
-    batch = circumspheres(ps, [cs.vertices for _, cs in fc.entries])
+    simplices = [cs.vertices for _, cs in fc.entries]
+    batch = circumspheres(ps, simplices)
     if batch.degenerate.any():
         raise AffineDegeneracyError("points are affinely dependent beyond tolerance")
-    for (_, cs), center, radius in zip(fc.entries, batch.center, batch.radius.tolist()):
+    facets = _facet_distances(ps.points, simplices, batch.center)
+    for (_, cs), radius, distances in zip(fc.entries, batch.radius.tolist(), facets):
         ell, j = cs.touch, cs.short
         r_ell2 = construct.regular_simplex_circumradius_sq(ell)
         bump("radius", cs.cls, abs(radius**2 - r_ell2 - (j + 1) * eps2 / (ell + 1) ** 2))
-        if cs.dim == 0:
+        if distances is None:
             continue
 
-        rests = [[v for v in cs.vertices if v != drop] for drop in cs.vertices]
-        facet_dist2 = [affine_distance(ps.points[rest], center) ** 2 for rest in rests]
+        vertex_h2, facet_dist2 = distances
         d_s2 = min(facet_dist2)
         if j == -1:
             bump("center_noshort", cs.cls,
@@ -488,11 +514,10 @@ def _hypothesis_errors(ps: PointSet, fc):
         else:
             bump("center_short", cs.cls, abs(d_s2 - eps2 / (ell + 1) ** 2))
 
-        for drop, rest, dist2 in zip(cs.vertices, rests, facet_dist2):
+        for drop, h2, dist2 in zip(cs.vertices, vertex_h2, facet_dist2):
             if _twin_partner(ps, cs, drop) is None:
                 if ell < 1:
                     continue
-                h2 = affine_distance(ps.points[rest], ps.points[drop]) ** 2
                 h_ell2 = construct.regular_simplex_height_sq(ell)
                 bump("pyramid_height", cs.cls,
                      abs(h2 - h_ell2 + (j + 1) * eps2 / ell**2))
@@ -569,11 +594,12 @@ def verify_upper_bound_sanity(ps: PointSet, fc=None) -> list[ClaimResult]:
         fc = complexgen.build_filtration(ps)
     pd = homology.reduce(fc, reduced=False)
     pmax = fc.max_dim()
-    values = sorted({value for value, _ in fc.entries})
+    all_values, dims = fc.values(), fc.dims()
+    values = np.unique(all_values).tolist()
     reach = [r + DEFAULT_TOL.abs_eps for r in values]
     violations = 0
     for p in range(pmax + 1):
-        cells = sorted(value for value, cs in fc.entries if cs.dim == p)
+        cells = np.sort(all_values[dims == p]).tolist()
         profile = homology.betti_profile(pd, p)
         radii = [r for r, _ in profile]
         for x in reach:

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 from math import comb
 
@@ -22,6 +23,7 @@ from extremal_cech.complexgen import (
     pick_thresholds,
     radius_value,
     save_filtration,
+    threshold_after,
 )
 from extremal_cech.construct import build_3d, build_even, build_odd, build_validated, half_edge
 from extremal_cech.geometry import (
@@ -35,7 +37,7 @@ from extremal_cech.geometry import (
 
 from conftest import cached_pipeline, mosaic_complex
 from test_acceptance import ACCEPTED
-from test_spheres import reference_circumspheres
+from test_spheres import bits, reference_circumspheres
 
 
 def class_counts(simplices):
@@ -83,6 +85,15 @@ class TestClassify:
         ps = build_3d(3, 0.01)
         with pytest.raises(InvalidSimplexError):
             classify(ps, (0, 1, 2))
+
+    def test_simplex_is_an_immutable_hashable_tuple(self):
+        cs = ClassifiedSimplex(vertices=(0, 1, 3), touch=1, short=0)
+        assert cs == ClassifiedSimplex((0, 1, 3), 1, 0) == ((0, 1, 3), 1, 0)
+        assert (cs.dim, cs.cls) == (2, (1, 0))
+        assert hash(cs) == hash(((0, 1, 3), 1, 0))
+        assert len({cs, ClassifiedSimplex((0, 1, 3), 1, 0)}) == 1
+        with pytest.raises(AttributeError):
+            cs.touch = 0
 
 
 def circle_items(ps, circle, want_pair):
@@ -496,6 +507,58 @@ class TestArrayBuild:
         entries = reference_build(ps)
         assert exact(fc.entries) == exact(entries)
         assert fc.class_ranges() == FilteredComplex(entries).class_ranges()
+
+    @pytest.mark.parametrize("kind,k,n", ACCEPTED)
+    def test_lazy_entries_match_eager_ones(self, kind, k, n):
+        """The entries a build makes on first read, against entries built
+        eagerly from the enumeration, the batch radii, the monotone fix
+        over boundary_columns and a stable sort by value."""
+        ps = cached_pipeline(kind, k, n)[0]
+        simplices = enumerate_mosaic(ps)
+        values = circumspheres(ps, [cs.vertices for cs in simplices]).radius.tolist()
+        for j, rows in enumerate(homology.boundary_columns([cs.vertices for cs in simplices])):
+            values[j] = max([values[j]] + [values[r] for r in rows])
+        order = sorted(range(len(simplices)), key=values.__getitem__)
+        eager = [(values[i], simplices[i]) for i in order]
+        fc = build_filtration(ps)
+        assert len(fc) == len(eager) and fc._entries is None
+        assert exact(fc.entries) == exact(eager)
+        assert all(type(cs) is ClassifiedSimplex for _, cs in fc.entries)
+        assert fc.entries is fc.entries
+        hand_made = FilteredComplex(eager)
+        assert fc == hand_made
+        for read in ("values", "dims"):
+            assert bits(getattr(fc, read)()) == bits(getattr(hand_made, read)())
+        assert (fc.max_dim(), fc.class_ranges()) == (hand_made.max_dim(), hand_made.class_ranges())
+
+    def test_built_complex_is_read_without_entries(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a ClassifiedSimplex was constructed")
+
+        monkeypatch.setattr(complexgen, "ClassifiedSimplex", forbidden)
+        ps, fc, thresholds = build_validated("3d", k=1, n=4)
+        pd = homology.reduce(fc)
+        assert pick_thresholds(fc) == thresholds
+        assert fc.class_ranges()[(1, 1)][2] == 4**2
+        assert len(fc) == 10 + 33 + 40 + 16  # vertices, edges, triangles, tetrahedra
+        assert fc.max_dim() == 3
+        assert homology.betti_at(pd, 2, threshold_after(thresholds, (1, 0))) == 4**2
+        assert fc._entries is None
+
+
+@pytest.mark.slow
+def test_3d_300_build_keeps_arrays_only():
+    """A built 3d n=300 complex (362,403 simplices) holds its arrays, not
+    per-simplex objects: at most 40 MB stays allocated after the build
+    (127 MB when it held a list of entries)."""
+    tracemalloc.start()
+    try:
+        built = build_validated("3d", k=1, n=300)
+        held = tracemalloc.get_traced_memory()[0] / 1e6
+    finally:
+        tracemalloc.stop()
+    assert len(built[1]) == 362_403
+    assert held <= 40.0
 
 
 def face_order_message(columns, rank, verts):

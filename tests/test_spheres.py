@@ -307,6 +307,29 @@ class TestDegeneracyFallback:
             circumsphere(pts)
 
 
+@pytest.mark.parametrize("d", range(2, 9))
+def test_certificate_matches_svd_on_near_flat_rows(d):
+    """`_degenerate` is the SVD test on rows of k = 1..d edge vectors in
+    R^d whose smallest-to-largest singular value ratio is log-uniform in
+    [1e-12, 1e-6], across rel_eps, so on both sides of the test and of the
+    Cholesky certificate's margin."""
+    rng = np.random.default_rng(100 + d)
+    rel_eps = DEFAULT_TOL.rel_eps
+    for k in range(1, d + 1):
+        b = 200
+        ratio = 10.0 ** rng.uniform(-12, -6, size=b)
+        sv = np.sort(ratio[:, None] ** rng.uniform(0, 1, size=(b, k)), axis=1)[:, ::-1]
+        sv[:, 0], sv[:, -1] = 1.0, ratio if k > 1 else 1.0
+        u, _ = np.linalg.qr(rng.normal(size=(b, k, k)))
+        v, _ = np.linalg.qr(rng.normal(size=(b, d, k)))
+        scale = 10.0 ** rng.uniform(-3, 3, size=(b, 1, 1))
+        rel = scale * (u * sv[:, None, :]) @ v.transpose(0, 2, 1)
+        computed = np.linalg.svd(rel, compute_uv=False)
+        flat = computed[:, -1] <= rel_eps * computed[:, 0]
+        gram = rel @ rel.transpose(0, 2, 1)
+        assert np.array_equal(geometry._degenerate(rel, gram, rel_eps), flat), (d, k)
+
+
 def test_peak_memory_is_blocked():
     """One call on 3d n=60 stays within 3(d+1)^2 doubles per simplex for the
     per-size arrays plus 8 distance blocks; a (simplices x points) distance
