@@ -110,6 +110,8 @@ def _cmd_betti(args) -> int:
     vec = homology.betti_of_subcomplex(fc, args.radius, reduced=not args.unreduced,
                                        eps=1e-12)
     if args.p is not None:
+        if not 0 <= args.p < len(vec):
+            raise ValueError(f"--p {args.p} is outside 0..{len(vec) - 1}")
         print(vec[args.p])
     else:
         print(" ".join(str(b) for b in vec))

@@ -1,34 +1,30 @@
 """Combinatorial enumeration of the Delaunay mosaics, radius assignment,
 simplex classification and filtration assembly.
 
-The mosaics of the constructed families have a closed combinatorial form:
-every simplex picks one point or two consecutive points from each of a
-subset of the circles.  Simplices are classified by
+Every simplex of a mosaic of the constructed families picks nothing, one
+point or two consecutive points from each circle, and is classified by
 
 * touch = number of circles touched minus one,
 * short = number of circles contributing a consecutive pair minus one,
 
-so dim = touch + short + 1.  Every simplex of a validated construction is
-critical: its circumcenter is interior and its circumsphere strictly empty,
+so dim = touch + short + 1.  One product-form enumeration serves all three
+kinds and emits int arrays (vertex ids, touch, short) with each simplex's
+facets in closed form.  Every simplex of a validated construction is
+critical, its circumcenter interior and its circumsphere strictly empty,
 so its radius value is its circumradius (Bauer & Edelsbrunner, The Morse
 theory of Cech and Delaunay complexes, 2017).  The build proves this with
-one batched circumsphere pass (`geometry.circumspheres`), which decides
-every verdict and names every failure; the first simplex that is not
-critical raises NotCriticalError.  So every built filtration is critical,
-and its values are the pass's circumradii.  `criticality_check` runs the
-same pass for any point set and filtration, loaded or hand-made ones
-included.
-One product-form enumeration serves all three kinds: each circle
-contributes nothing, one point or one consecutive pair.  It emits int
-arrays (vertex ids, touch, short) and each simplex's facet positions in
-closed form, and the build works on those arrays: the monotone fix is a
-max over the facets per size, the sort is one stable argsort of the
-values over rows already in (dim, vertex list) order, and the face-order
-check is a rank compare over the facets.  The built filtration keeps
-those arrays, in filtration order, and makes no Python object per simplex:
-its (value, ClassifiedSimplex) entries are built from them only when read.
-Sorting by (value, dim, vertex list) passes the check: after the fix no
-facet's value exceeds its coface's, and dim breaks ties.
+one batched circumsphere pass (`geometry.circumspheres`) and raises
+NotCriticalError on the first simplex that fails; `criticality_check` runs
+the same pass on any point set and filtration.  On the arrays, the
+monotone fix is a max over the facets per size, the sort one stable
+argsort of the values over rows in (dim, vertex list) order, and the
+face-order check a rank compare over the facets.  The sort passes it: after
+the fix no facet's value exceeds its coface's, and dim breaks ties.
+
+A FilteredComplex has one form, arrays in filtration order: a built one
+keeps the build's and makes no Python object per simplex, and one made
+from a list of entries, loaded or hand-made, converts the list once.  Its
+(value, ClassifiedSimplex) entries are a view, built only when read.
 """
 
 from __future__ import annotations
@@ -40,10 +36,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import construct
+from . import construct, homology
 from .construct import PointSet, KIND_EVEN, KIND_3D, KIND_ODD
-from .geometry import (DEFAULT_TOL, Tolerance, circumspheres, degeneracy_reason,
-                       emptiness_violations, is_empty_sphere, min_enclosing_ball)
+from .geometry import (DEFAULT_TOL, Tolerance, _group_by_size, circumspheres,
+                       degeneracy_reason, emptiness_violations, is_empty_sphere,
+                       min_enclosing_ball)
 from .geometry import barycentric_interior, circumsphere  # only the benchmark's trace reads these
 
 __all__ = [
@@ -112,37 +109,44 @@ class ClassifiedSimplex(NamedTuple):
 
 
 class FilteredComplex:
-    """Radius-sorted list of (value, simplex), closed under faces, with every
-    face preceding its cofaces.  Two complexes are equal when their entries
-    are.
+    """Radius-sorted (value, simplex) entries, closed under faces, with every
+    face preceding its cofaces; equal when their entries are.
 
-    A filtration from `build_filtration` has every simplex critical and
-    holds arrays in filtration order, not entries: the values, dims, touch
-    and short, and for `homology.reduce` the face relation, `_faces[i]`
-    holding the positions of simplex i's facets padded with -1.  Its vertex
-    lists are the mosaic's per-size id blocks `_ids`, position i being row
-    `_rows[i]` of them.  `entries` is built from these arrays on first read
-    and kept; `len`, `values`, `dims`, `max_dim` and `class_ranges` read the
-    arrays.  Loaded and hand-made filtrations are given their entries, and
-    carry no arrays and no proof of criticality.
+    A complex is its arrays in filtration order, however it was made:
+    values, touch, short, and per-size vertex-id blocks, position i being
+    row `rows[i]` of the blocks read one after another (dims are the block
+    sizes less one).  A built one comes with its face relation and every
+    simplex critical; one made from entries, loaded or hand-made, gets its
+    face relation from `homology.face_array` on first use.  `entries` is a
+    view, built on first read unless the list given seeds it, and kept.
     """
 
     def __init__(self, entries: list[tuple[float, ClassifiedSimplex]]):
-        self._entries = entries
-        self._values = self._dims = self._touch = self._short = None
-        self._faces = self._ids = self._rows = self._class_ranges = None
+        groups = _group_by_size([cs.vertices for _, cs in entries])
+        # each position's row: the inverse of the positions taken block by block
+        rows = np.argsort(np.concatenate([np.empty(0, np.intp), *(g for g, _ in groups)]))
+        touch, short = np.array([cs.cls for _, cs in entries], dtype=np.intp).reshape(-1, 2).T
+        self._set_arrays(np.array([value for value, _ in entries], dtype=float), touch, short,
+                   [block for _, block in groups], rows, None, entries)
+
+    def _set_arrays(self, values, touch, short, ids, rows, faces, entries=None):
+        sizes = np.repeat(np.array([b.shape[1] for b in ids], dtype=np.intp), [len(b) for b in ids])
+        self._values, self._touch, self._short = values, touch, short
+        self._ids, self._rows, self._dims = ids, rows, sizes[rows] - 1
+        self._faces, self._entries = faces, entries
 
     @property
     def entries(self) -> list[tuple[float, ClassifiedSimplex]]:
         if self._entries is None:
-            verts = _vertex_tuples(self._ids)
             # what the NamedTuple's constructor does, without a Python call
             # per simplex
             make = functools.partial(tuple.__new__, ClassifiedSimplex)
             self._entries = list(zip(self._values.tolist(), map(make, zip(
-                map(verts.__getitem__, self._rows.tolist()),
-                self._touch.tolist(), self._short.tolist()))))
+                self._vertex_lists(), self._touch.tolist(), self._short.tolist()))))
         return self._entries
+
+    def _vertex_lists(self):
+        return map(_vertex_tuples(self._ids).__getitem__, self._rows.tolist())
 
     def __eq__(self, other):
         if not isinstance(other, FilteredComplex):
@@ -150,37 +154,51 @@ class FilteredComplex:
         return self.entries == other.entries
 
     def __len__(self) -> int:
-        return len(self._values) if self._entries is None else len(self._entries)
+        return len(self._values)
 
     def values(self) -> np.ndarray:
         """The values in filtration order."""
-        if self._values is not None:
-            return self._values
-        return np.array([value for value, _ in self._entries], dtype=float)
+        return self._values
 
     def dims(self) -> np.ndarray:
         """The dimensions in filtration order."""
-        if self._dims is not None:
-            return self._dims
-        return np.array([cs.dim for _, cs in self._entries], dtype=np.intp)
+        return self._dims
+
+    def classes(self) -> tuple[np.ndarray, np.ndarray]:
+        """touch and short in filtration order."""
+        return self._touch, self._short
+
+    def blocks(self) -> tuple[list[np.ndarray], np.ndarray]:
+        """The per-size vertex-id blocks, and each position's row in them."""
+        return self._ids, self._rows
+
+    def faces(self) -> np.ndarray:
+        """Row i: the positions of simplex i's facets, padded with -1."""
+        if self._faces is None:
+            self._faces = homology.face_array(list(self._vertex_lists()))
+        return self._faces
 
     def max_dim(self) -> int:
         return int(self.dims().max())
 
     def class_ranges(self) -> dict[tuple[int, int], tuple[float, float, int]]:
         """Per (touch, short) class: (min value, max value, count)."""
-        if self._class_ranges is not None:
-            return dict(self._class_ranges)
-        out: dict[tuple[int, int], list] = {}
-        for value, cs in self.entries:
-            rec = out.setdefault(cs.cls, [value, value, 0])
-            rec[0] = min(rec[0], value)
-            rec[1] = max(rec[1], value)
-            rec[2] += 1
-        return {c: tuple(v) for c, v in out.items()}
+        touch, short, values = self._touch, self._short, self._values
+        if not len(values):
+            return {}
+        key = touch * (short.max() + 2) + short + 1
+        order = np.lexsort((values, key))
+        key = key[order]
+        first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+        last = np.append(first[1:], len(key)) - 1
+        head = order[first]
+        return {(t, s): (lo, hi, count) for t, s, lo, hi, count in zip(
+            touch[head].tolist(), short[head].tolist(), values[head].tolist(),
+            values[order[last]].tolist(), (last - first + 1).tolist())}
 
     def as_filtration(self) -> list[tuple[float, tuple[int, ...]]]:
-        return [(value, cs.vertices) for value, cs in self.entries]
+        """(value, vertex tuple) per simplex, in filtration order."""
+        return list(zip(self._values.tolist(), self._vertex_lists()))
 
 
 def classify(ps: PointSet, vertices) -> ClassifiedSimplex:
@@ -230,13 +248,19 @@ class _Mosaic:
     blocks: list[tuple[int, int]]
 
     def __getitem__(self, row) -> tuple[int, ...]:
-        for block, (lo, hi) in zip(self.ids, self.blocks):
-            if row < hi:
-                return tuple(block[row - lo].tolist())
-        raise IndexError(row)
+        return _row_vertices(self.ids, row)
 
     def vertex_tuples(self) -> list[tuple[int, ...]]:
         return _vertex_tuples(self.ids)
+
+
+def _row_vertices(ids: list[np.ndarray], row: int) -> tuple[int, ...]:
+    """The vertex tuple of one row of per-size id blocks."""
+    for block in ids:
+        if row < len(block):
+            return tuple(block[row].tolist())
+        row -= len(block)
+    raise IndexError(row)
 
 
 def _vertex_tuples(ids: list[np.ndarray]) -> list[tuple[int, ...]]:
@@ -340,19 +364,6 @@ def _check_face_order(facets: np.ndarray, rank: np.ndarray, verts) -> None:
             f"face {verts[r]} does not precede coface {verts[i]} in the filtration")
 
 
-def _class_ranges(touch, short, values) -> dict[tuple[int, int], tuple[float, float, int]]:
-    """`FilteredComplex.class_ranges` from per-simplex arrays."""
-    key = touch * (short.max() + 2) + short + 1
-    order = np.lexsort((values, key))
-    key = key[order]
-    first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-    last = np.append(first[1:], len(key)) - 1
-    head = order[first]
-    return {(t, s): (lo, hi, count) for t, s, lo, hi, count in zip(
-        touch[head].tolist(), short[head].tolist(), values[head].tolist(),
-        values[order[last]].tolist(), (last - first + 1).tolist())}
-
-
 def build_filtration(ps: PointSet, tol: Tolerance = DEFAULT_TOL) -> FilteredComplex:
     """Enumerate the mosaic, prove every simplex critical, take circumradii
     as values and sort face-before-coface.
@@ -385,14 +396,10 @@ def build_filtration(ps: PointSet, tol: Tolerance = DEFAULT_TOL) -> FilteredComp
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
     _check_face_order(m.facets, rank, m)
-    fc = FilteredComplex(None)
-    fc._class_ranges = _class_ranges(m.touch, m.short, values)
     own = m.facets == np.arange(len(order))[:, None]
-    fc._faces = np.where(own, -1, rank[m.facets])[order]
-    fc._values = values[order]
-    fc._touch, fc._short = m.touch[order], m.short[order]
-    fc._dims = fc._touch + fc._short + 1
-    fc._ids, fc._rows = m.ids, order
+    fc = FilteredComplex.__new__(FilteredComplex)
+    fc._set_arrays(values[order], m.touch[order], m.short[order], m.ids, order,
+             np.where(own, -1, rank[m.facets])[order])
     return fc
 
 
@@ -446,11 +453,11 @@ def criticality_check(ps: PointSet, fc: FilteredComplex,
     Failures are data, not errors, in filtration order, each with its
     reason from one batched pass (see `_not_critical`).  The spheres are
     always computed afresh; a filtration from `build_filtration` passes."""
-    verts = [cs.vertices for _, cs in fc.entries]
-    batch = circumspheres(ps, verts, tol)
-    failures = [(verts[i], _not_critical(ps, verts[i], batch, i, tol).reason)
-                for i in np.flatnonzero(~batch.critical).tolist()]
-    return CriticalityReport(len(fc), failures)
+    ids, rows = fc.blocks()
+    batch = circumspheres(ps, ids, tol)
+    errors = [_not_critical(ps, _row_vertices(ids, row), batch, row, tol)
+              for row in rows[~batch.critical[rows]].tolist()]
+    return CriticalityReport(len(fc), [(err.simplex, err.reason) for err in errors])
 
 
 def _not_critical(ps: PointSet, verts: tuple[int, ...], batch, i: int,
@@ -480,23 +487,31 @@ def save_filtration(fc: FilteredComplex, path) -> None:
 
 
 def load_filtration(path) -> FilteredComplex:
-    """Read a `save_filtration` file.  A line with a field count other than
-    dim + 5, a negative dim or a value that is not finite raises ValueError
-    naming the path and the line number."""
+    """Read a `save_filtration` file, checked for what a build guarantees.
+    A line whose field count is not dim + 5, whose dim is negative or not
+    touch + short + 1, whose value is not finite or below the line before,
+    or whose vertex ids do not ascend strictly raises ValueError naming the
+    path and the line; a file not face-closed raises naming the path."""
     entries = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             parts = line.split()
             if parts:
                 try:
-                    entries.append(_entry(parts))
+                    entries.append(_entry(parts, entries[-1][0] if entries else -math.inf))
                 except ValueError as exc:
                     raise ValueError(f"{path}, line {lineno}: {exc}") from None
-    return FilteredComplex(entries)
+    fc = FilteredComplex(entries)
+    try:
+        fc.faces()
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return fc
 
 
-def _entry(parts: list[str]) -> tuple[float, ClassifiedSimplex]:
-    """One line of the filtration file format, checked."""
+def _entry(parts: list[str], previous: float) -> tuple[float, ClassifiedSimplex]:
+    """One line of the filtration file format, checked against itself and
+    the value of the line before."""
     dim = int(parts[1]) if len(parts) > 1 else 0
     if dim < 0:
         raise ValueError(f"dimension {dim} is negative")
@@ -505,5 +520,11 @@ def _entry(parts: list[str]) -> tuple[float, ClassifiedSimplex]:
     value = float(parts[0])
     if not math.isfinite(value):
         raise ValueError(f"value {parts[0]} is not finite")
+    if value < previous:
+        raise ValueError(f"value {parts[0]} is below the previous line's {previous!r}")
     *verts, touch, short = map(int, parts[2:])
+    if touch + short + 1 != dim:
+        raise ValueError(f"class ({touch}, {short}) gives dim {touch + short + 1}, not {dim}")
+    if any(a >= b for a, b in zip(verts, verts[1:])):
+        raise ValueError(f"vertex ids {' '.join(map(str, verts))} are not strictly ascending")
     return value, ClassifiedSimplex(tuple(verts), touch, short)

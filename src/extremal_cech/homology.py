@@ -2,16 +2,14 @@
 
 The boundary matrix in filtration order is one (n, w) int array: row j
 holds the filtration positions of simplex j's facets, padded with -1.  A
-filtration from `complexgen.build_filtration` carries it from the build's
-closed-form facets; any other gets it from `boundary_columns` (the facet
-positions of each simplex in a face-before-coface list).  There is one
-kernel, `reduce_columns`.  It pairs the apparent pairs first, with array
-operations (Bauer, "Ripser", J. Appl. Comput. Topol. 2021), and reduces
-only the residue, top dimension first with clearing (Chen & Kerber,
-"Persistent homology computation with a twist", EuroCG 2011), on columns
-kept as sparse Python sets, so its memory grows with the complex.  The
-lowest ones define birth/death pairs and unkilled births are essential
-classes.  Queries over all filtration values (`betti_profile`,
+`complexgen.FilteredComplex` gives it (`faces()`); a CechComplex or a raw
+(value, vertices) list gets it from `face_array`, as does a complex made
+from entries.  One kernel, `reduce_columns`, pairs the apparent pairs with
+array operations and reduces the residue with clearing; the lowest ones
+define birth/death pairs and unkilled births are essential classes.  Every
+Betti query reads the one diagram of the whole filtration: a sublevel
+complex is a prefix, and the reduction of a prefix is the prefix of the
+reduction.  Queries over all filtration values (`betti_profile`,
 `euler_characteristic_ok`) sort the births, deaths and values once and
 count by binary search.
 """
@@ -32,6 +30,7 @@ __all__ = [
     "betti_profile",
     "boundary_columns",
     "diagram_svg",
+    "face_array",
     "load_diagram",
     "reduce",
     "reduce_columns",
@@ -66,10 +65,10 @@ def boundary_columns(simplices) -> list[list[int]]:
     return columns
 
 
-def _face_array(columns) -> np.ndarray:
-    """`boundary_columns` output as one (n, w) int array, w the longest
-    column (at least 1), each row padded with -1: the form
-    `reduce_columns` takes."""
+def face_array(simplices) -> np.ndarray:
+    """`boundary_columns(simplices)` as the (n, w) int array `reduce_columns`
+    takes: w the longest column (at least 1), each row padded with -1."""
+    columns = boundary_columns(simplices)
     sizes = np.fromiter(map(len, columns), dtype=np.intp, count=len(columns))
     faces = np.full((len(columns), max(int(sizes.max(initial=0)), 1)), -1, dtype=np.intp)
     cols = np.arange(int(sizes.sum())) - np.repeat(np.cumsum(sizes) - sizes, sizes)
@@ -176,32 +175,27 @@ class PersistenceDiagram:
         return [p for p in self.pairs if p[2] != INF]
 
 
-def _normalize_filtration(filtration):
-    """Accept a FilteredComplex, a CechComplex-style object, or a raw list of
-    (value, vertex-tuple)."""
-    if hasattr(filtration, "as_filtration"):
-        return filtration.as_filtration()
-    return [(float(v), tuple(verts)) for v, verts in filtration]
+def _arrays(filtration):
+    """(values, dims, a call giving the face relation) of a FilteredComplex,
+    or of the (value, vertices) pairs of a CechComplex or a list."""
+    if hasattr(filtration, "faces"):
+        return filtration.values(), filtration.dims(), filtration.faces
+    pairs = filtration.as_filtration() if hasattr(filtration, "as_filtration") else filtration
+    verts = [tuple(v) for _, v in pairs]
+    return (np.array([value for value, _ in pairs], dtype=float),
+            np.array([len(v) - 1 for v in verts], dtype=np.intp), lambda: face_array(verts))
 
 
 def reduce(filtration, reduced: bool = True) -> PersistenceDiagram:
     """Reduce a face-closed, face-before-coface sorted filtration.
 
-    A filtration from `complexgen.build_filtration` carries its face
-    relation, values and dimensions in filtration order; any other one gets
-    them from its entries through `boundary_columns`.  The pairing is unique
-    for any valid order, so permuting entries within equal (value, dim)
-    groups leaves the diagram unchanged.
+    A FilteredComplex gives its values, dims and face relation through its
+    methods; a CechComplex or a raw (value, vertices) list gets them through
+    `face_array`.  The pairing is unique for any valid order, so permuting
+    entries within equal (value, dim) groups leaves the diagram unchanged.
     """
-    faces = getattr(filtration, "_faces", None)
-    if faces is not None:
-        values, dims = filtration._values, filtration._dims
-    else:
-        entries = _normalize_filtration(filtration)
-        faces = _face_array(boundary_columns([verts for _, verts in entries]))
-        values = np.array([value for value, _ in entries], dtype=float)
-        dims = np.array([len(verts) - 1 for _, verts in entries], dtype=np.intp)
-    lows = reduce_columns(faces)
+    values, dims, faces = _arrays(filtration)
+    lows = reduce_columns(faces())
     deaths = np.flatnonzero(lows >= 0)
     births = lows[deaths]
     unpaired = lows < 0
@@ -296,17 +290,15 @@ def _betti_by_rank(entries, pmax: int) -> list[int]:
 
 def betti_of_subcomplex(fc, r: float, pmax: int | None = None, reduced: bool = True,
                         eps: float = 0.0) -> list[int]:
-    """All Betti numbers of the sublevel complex at r, via reduction, cross
-    checked against direct rank computations on the same subcomplex."""
-    entries = _normalize_filtration(fc)
-    if pmax is None:
-        pmax = max((len(v) - 1 for _, v in entries), default=0)
-    sub = [(value, verts) for value, verts in entries if value <= r + eps]
-    if not sub:
-        return [0] * (pmax + 1)
-    pd = reduce(sub, reduced=reduced)
+    """All Betti numbers of the sublevel complex at r (values <= r + eps)
+    of a FilteredComplex, read from the diagram of the whole complex and
+    cross checked against direct rank computations on the sublevel."""
+    entries = fc.as_filtration()
+    pmax = int(fc.dims().max(initial=0)) if pmax is None else pmax
+    pd = reduce(fc, reduced=reduced)
     vec = [betti_at(pd, p, r, eps) for p in range(pmax + 1)]
-    check = _betti_by_rank(sub, pmax)
+    check = _betti_by_rank([(value, verts) for value, verts in entries if value <= r + eps],
+                           pmax)
     if reduced:
         check[0] = max(0, check[0] - 1)
     if vec != check:
@@ -319,14 +311,11 @@ def euler_characteristic_ok(fc, eps: float = 0.0) -> bool:
     count equals the alternating sum of unreduced Betti numbers.  Both sides
     are counted by binary search in values sorted once, per dimension
     parity."""
-    entries = _normalize_filtration(fc)
+    values, dims, _ = _arrays(fc)
     pd = reduce(fc, reduced=False)
-    pmax = max(len(v) - 1 for _, v in entries)
-    parities = (range(0, pmax + 1, 2), range(1, pmax + 1, 2))
-    cells = [sorted(value for value, verts in entries if len(verts) - 1 in dims)
-             for dims in parities]
-    alive = [_alive_counter(pd, dims) for dims in parities]
-    for r in sorted({v for v, _ in entries}):
+    cells = [np.sort(values[dims % 2 == parity]).tolist() for parity in (0, 1)]
+    alive = [_alive_counter(pd, range(parity, int(dims.max()) + 1, 2)) for parity in (0, 1)]
+    for r in sorted(set(values.tolist())):
         x = r + eps
         chi_cells = bisect.bisect_right(cells[0], x) - bisect.bisect_right(cells[1], x)
         if chi_cells != alive[0](x) - alive[1](x):

@@ -11,7 +11,6 @@ becomes the acceptance bound for every larger n.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -329,12 +328,6 @@ def verify_suspension(k: int, n: int, delta="auto") -> list[ClaimResult]:
 # closed-form radii and interval bounds
 
 
-def _rel_err(observed: float, expected: float) -> float:
-    if expected == 0.0:
-        return abs(observed)
-    return abs(observed - expected) / abs(expected)
-
-
 def _even_class_radii(ps: PointSet):
     """Max relative error of computed circumradii against the closed forms,
     per checked class family, on an even point set."""
@@ -350,7 +343,8 @@ def _even_class_radii(ps: PointSet):
     checked = [cs for cs in complexgen.enumerate_mosaic(ps) if cs.cls in expected]
     radii = circumspheres(ps, [cs.vertices for cs in checked]).radius
     for cs, r in zip(checked, radii.tolist()):
-        errs[cs.cls] = max(errs[cs.cls], _rel_err(r, expected[cs.cls]))
+        want = expected[cs.cls]
+        errs[cs.cls] = max(errs[cs.cls], abs(r - want) / abs(want) if want else abs(r))
     return errs
 
 
@@ -401,16 +395,14 @@ def _threed_interval_claims(n: int, delta_grid) -> list[ClaimResult]:
         ps = construct.build_3d(n, delta)
         eps = half_edge(ps)
         fc = complexgen.build_filtration(ps)
-        tri_max = 0.0
-        for r, cs in fc.entries:
-            if cs.dim == 1 and cs.short == -1:
-                edge_ok &= 0.5 - 1e-15 <= r <= 0.5 * (1.0 + delta**4) + 1e-15
-            elif cs.dim == 2:
-                tri_lo_ok &= r >= 0.5 + 0.25 * eps * eps - 1e-15
-                tri_max = max(tri_max, r)
-            elif cs.dim == 3:
-                tet_lo_ok &= r >= 0.5 + (5.0 / 11.0) * eps * eps - 1e-15
-        excesses.append(max(0.0, tri_max - (0.5 + 0.25 * eps * eps)))
+        values, dims = fc.values(), fc.dims()
+        edges = values[(dims == 1) & (fc.classes()[1] == -1)]
+        edge_ok &= bool(np.all((0.5 - 1e-15 <= edges)
+                               & (edges <= 0.5 * (1.0 + delta**4) + 1e-15)))
+        tris = values[dims == 2]
+        tri_lo_ok &= bool(np.all(tris >= 0.5 + 0.25 * eps * eps - 1e-15))
+        tet_lo_ok &= bool(np.all(values[dims == 3] >= 0.5 + (5.0 / 11.0) * eps * eps - 1e-15))
+        excesses.append(max(0.0, float(tris.max(initial=0.0)) - (0.5 + 0.25 * eps * eps)))
         epss.append(delta)
     claims = [
         _claim("radii/3d/edge-interval", params, "1/2 <= R_E <= (1+delta^4)/2",
@@ -447,37 +439,32 @@ def _slope_claim(claim_id, params, xs, errs, threshold) -> ClaimResult:
 # convergence of the second-order radius expansions
 
 
-def _twin_partner(ps: PointSet, cs, v: int) -> int | None:
-    for w in cs.vertices:
-        if w != v and ps.consecutive(v, w):
-            return w
-    return None
-
-
-def _facet_distances(points: np.ndarray, simplices, centers: np.ndarray) -> list:
+def _facet_distances(points: np.ndarray, blocks, centers: np.ndarray) -> list:
     """Per simplex of two or more vertices, (h2, dist2): the squared
     distance of each vertex, and of the simplex's center, to the affine hull
     of the facet opposite that vertex; None for a vertex.  One batch per
-    simplex size and dropped vertex: a stacked QR of the facet's edge
-    vectors gives each distance as the residual of a projection, as
-    `affine_distance` does by least squares.  The closed forms from the
-    Gram inverse of the simplex's own edges cancel catastrophically where
-    those edges are nearly parallel."""
-    sizes = np.fromiter(map(len, simplices), dtype=np.intp, count=len(simplices))
-    out = [None] * len(simplices)
-    for m in np.unique(sizes[sizes > 1]).tolist():
-        rows = np.flatnonzero(sizes == m)
-        verts = points[np.array([simplices[i] for i in rows.tolist()], dtype=np.intp)]
-        h2, dist2 = np.empty((len(rows), m)), np.empty((len(rows), m))
+    (rows, size) vertex-id block, rows in block order as in `centers`, and
+    dropped vertex: a stacked QR of the facet's edge vectors gives each
+    distance as the residual of a projection, as `affine_distance` does by
+    least squares.  The closed forms from the Gram inverse of the simplex's
+    own edges cancel catastrophically where those edges are nearly
+    parallel."""
+    out = []
+    for block in blocks:
+        m = block.shape[1]
+        if m < 2:
+            out += [None] * len(block)
+            continue
+        verts, center = points[block], centers[len(out):len(out) + len(block)]
+        h2, dist2 = np.empty((len(block), m)), np.empty((len(block), m))
         for drop in range(m):
             rest = np.delete(verts, drop, axis=1)
             q, _ = np.linalg.qr((rest[:, 1:] - rest[:, :1]).transpose(0, 2, 1))
-            for out_col, x in ((h2, verts[:, drop]), (dist2, centers[rows])):
+            for out_col, x in ((h2, verts[:, drop]), (dist2, center)):
                 y = x - rest[:, 0]
                 resid = y - np.einsum("bij,bkj,bk->bi", q, q, y)
                 out_col[:, drop] = np.einsum("bi,bi->b", resid, resid)
-        for i, h2_row, dist2_row in zip(rows.tolist(), h2.tolist(), dist2.tolist()):
-            out[i] = (h2_row, dist2_row)
+        out += zip(h2.tolist(), dist2.tolist())
     return out
 
 
@@ -494,46 +481,49 @@ def _hypothesis_errors(ps: PointSet, fc):
     def bump(kind, cls, err):
         errs[kind][cls] = max(errs[kind].get(cls, 0.0), err)
 
-    simplices = [cs.vertices for _, cs in fc.entries]
-    batch = circumspheres(ps, simplices)
+    blocks, rows = fc.blocks()  # every list below is in block row order
+    touch, short = (a[np.argsort(rows)].tolist() for a in fc.classes())
+    batch = circumspheres(ps, blocks)
     if batch.degenerate.any():
         raise AffineDegeneracyError("points are affinely dependent beyond tolerance")
-    facets = _facet_distances(ps.points, simplices, batch.center)
-    for (_, cs), radius, distances in zip(fc.entries, batch.radius.tolist(), facets):
-        ell, j = cs.touch, cs.short
+    facets = _facet_distances(ps.points, blocks, batch.center)
+    verts = [tuple(row) for block in blocks for row in block.tolist()]
+    for vertices, ell, j, radius, distances in zip(verts, touch, short,
+                                                    batch.radius.tolist(), facets):
+        cls = (ell, j)
         r_ell2 = construct.regular_simplex_circumradius_sq(ell)
-        bump("radius", cs.cls, abs(radius**2 - r_ell2 - (j + 1) * eps2 / (ell + 1) ** 2))
+        bump("radius", cls, abs(radius**2 - r_ell2 - (j + 1) * eps2 / (ell + 1) ** 2))
         if distances is None:
             continue
 
         vertex_h2, facet_dist2 = distances
         d_s2 = min(facet_dist2)
         if j == -1:
-            bump("center_noshort", cs.cls,
+            bump("center_noshort", cls,
                  abs(d_s2 - construct.regular_simplex_inradius_gap_sq(ell)))
         else:
-            bump("center_short", cs.cls, abs(d_s2 - eps2 / (ell + 1) ** 2))
+            bump("center_short", cls, abs(d_s2 - eps2 / (ell + 1) ** 2))
 
-        for drop, h2, dist2 in zip(cs.vertices, vertex_h2, facet_dist2):
-            if _twin_partner(ps, cs, drop) is None:
+        for drop, h2, dist2 in zip(vertices, vertex_h2, facet_dist2):
+            if not any(w != drop and ps.consecutive(drop, w) for w in vertices):
                 if ell < 1:
                     continue
                 h_ell2 = construct.regular_simplex_height_sq(ell)
-                bump("pyramid_height", cs.cls,
+                bump("pyramid_height", cls,
                      abs(h2 - h_ell2 + (j + 1) * eps2 / ell**2))
                 d_ell2 = construct.regular_simplex_inradius_gap_sq(ell)
                 shift = (2 * ell + 1) * (j + 1) * eps2 / (ell**2 * (ell + 1) ** 2)
-                bump("pyramid_offset", cs.cls, abs(dist2 - d_ell2 + shift))
+                bump("pyramid_offset", cls, abs(dist2 - d_ell2 + shift))
             else:
-                bump("bipyramid_offset", cs.cls, abs(dist2 - eps2 / (ell + 1) ** 2))
+                bump("bipyramid_offset", cls, abs(dist2 - eps2 / (ell + 1) ** 2))
     return errs
 
 
 def _bisector_violations(ps: PointSet, fc, bound: float) -> int:
     """Count vertices whose distance to the bisector hyperplane of a mosaic
     edge they are long-connected to exceeds the cubic bound."""
-    b, c = np.array([cs.vertices for _, cs in fc.entries if cs.dim == 1],
-                    dtype=np.intp).reshape(-1, 2).T
+    b, c = np.vstack([np.empty((0, 2), np.intp),
+                      *(block for block in fc.blocks()[0] if block.shape[1] == 2)]).T
     pts, circle = ps.points, ps.labels[:, 0]
     diffs = pts[:, None, :] - pts[None, :, :]
     dist2 = np.einsum("abi,abi->ab", diffs, diffs)
@@ -594,18 +584,15 @@ def verify_upper_bound_sanity(ps: PointSet, fc=None) -> list[ClaimResult]:
         fc = complexgen.build_filtration(ps)
     pd = homology.reduce(fc, reduced=False)
     pmax = fc.max_dim()
-    all_values, dims = fc.values(), fc.dims()
-    values = np.unique(all_values).tolist()
-    reach = [r + DEFAULT_TOL.abs_eps for r in values]
+    values, dims = fc.values(), fc.dims()
+    reach = np.array(sorted(set(values.tolist()))) + DEFAULT_TOL.abs_eps
     violations = 0
     for p in range(pmax + 1):
-        cells = np.sort(all_values[dims == p]).tolist()
         profile = homology.betti_profile(pd, p)
-        radii = [r for r, _ in profile]
-        for x in reach:
-            at = bisect.bisect_right(radii, x)
-            betti = profile[at - 1][1] if at else 0
-            violations += betti > bisect.bisect_right(cells, x)
+        betti = np.array([0] + [b for _, b in profile])
+        at = np.searchsorted([r for r, _ in profile], reach, side="right")
+        cells = np.searchsorted(np.sort(values[dims == p]), reach, side="right")
+        violations += int(np.count_nonzero(betti[at] > cells))
     params = {"kind": ps.kind, "k": ps.k, "n": ps.n}
     return [_claim("upper-bound/cells", params, 0, violations, violations == 0,
-                   f"checked {len(values)} filtration values, dims 0..{pmax}")]
+                   f"checked {len(reach)} filtration values, dims 0..{pmax}")]

@@ -126,6 +126,13 @@ class TestBetti:
         assert code == 0
         assert out.strip() == "6 0 0 0"
 
+    @pytest.mark.parametrize("p", ["7", "4", "-1"])
+    def test_p_out_of_range_is_a_usage_error(self, p, capsys):
+        code, out, err = run(["betti", "--kind", "3d", "--n", "2", "--radius", "0.6",
+                              "--p", p], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: --p {p} is outside 0..3\n"
+
 
 class TestPersistence:
     def test_diagram_and_svg(self, tmp_path, capsys):

@@ -8,7 +8,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from extremal_cech import complexgen, geometry, homology
+from extremal_cech import complexgen, geometry, homology, verify
 from extremal_cech.complexgen import (
     ClassifiedSimplex,
     FilteredComplex,
@@ -298,6 +298,10 @@ class TestFiltration:
         ("0.5 -1 0 -1", "dimension -1 is negative"),
         ("nan 0 3 0 -1", "value nan is not finite"),
         ("inf 1 3 4 1 -1", "value inf is not finite"),
+        ("0.5 1 3 4 5 7", "class (5, 7) gives dim 13, not 1"),
+        ("0.5 1 4 3 0 0", "vertex ids 4 3 are not strictly ascending"),
+        ("0.5 1 3 3 0 0", "vertex ids 3 3 are not strictly ascending"),
+        ("-0.5 0 4 0 -1", "value -0.5 is below the previous line's 0.0"),
     ])
     def test_load_rejects_malformed_lines(self, tmp_path, line, reason):
         path = tmp_path / "filt.txt"
@@ -305,6 +309,30 @@ class TestFiltration:
         with pytest.raises(ValueError) as err:
             load_filtration(path)
         assert str(err.value) == f"{path}, line 3: {reason}"
+
+    @pytest.mark.parametrize("lines,reason", [
+        (["0 0 3 0 -1", "0.5 1 3 4 1 -1"], "facet (4,) missing before (3, 4)"),
+        (["0 0 3 0 -1", "0.5 1 3 4 1 -1", "0.5 0 4 0 -1"], "facet (4,) missing before (3, 4)"),
+    ], ids=["missing", "late"])
+    def test_load_rejects_files_not_face_closed(self, tmp_path, lines, reason):
+        path = tmp_path / "filt.txt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as err:
+            load_filtration(path)
+        assert str(err.value) == f"{path}: filtration not closed/sorted: {reason}"
+
+    def test_empty_complex(self, tmp_path):
+        """An empty complex, hand-made or loaded from an empty file, has no
+        simplices, classes, thresholds or pairs, and beta_0 = 0."""
+        path = tmp_path / "empty.txt"
+        path.write_text("")
+        for fc in (FilteredComplex([]), load_filtration(path)):
+            assert len(fc) == 0
+            assert fc.class_ranges() == {}
+            assert pick_thresholds(fc) == []
+            assert homology.reduce(fc).pairs == []
+            assert homology.betti_of_subcomplex(fc, 0.5) == [0]
+            assert criticality_check(build_3d(2, 0.01), fc).ok
 
     def test_deterministic_output(self, tmp_path):
         ps = build_3d(3, 0.01)
@@ -489,6 +517,20 @@ def reference_build(ps, tol=DEFAULT_TOL):
     return [(values[i], simplices[i]) for i in order]
 
 
+def hexed(obj):
+    """obj with every float, in arrays, tuples, lists and dicts, by its hex
+    form, and arrays as (dtype, list): equal only when equal bit for bit."""
+    if isinstance(obj, np.ndarray):
+        return obj.dtype.str, bits(obj)
+    if isinstance(obj, float):
+        return obj.hex()
+    if isinstance(obj, dict):
+        return {key: hexed(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return type(obj)(map(hexed, obj))
+    return obj
+
+
 def exact(entries):
     return [(value.hex(), cs.vertices, cs.touch, cs.short) for value, cs in entries]
 
@@ -527,9 +569,14 @@ class TestArrayBuild:
         assert fc.entries is fc.entries
         hand_made = FilteredComplex(eager)
         assert fc == hand_made
-        for read in ("values", "dims"):
-            assert bits(getattr(fc, read)()) == bits(getattr(hand_made, read)())
-        assert (fc.max_dim(), fc.class_ranges()) == (hand_made.max_dim(), hand_made.class_ranges())
+        # the same arrays, class ranges and diagram, bit for bit, and the
+        # same face relation, whose rows list the facets in another order
+        for read in ("values", "dims", "classes", "max_dim", "class_ranges", "as_filtration"):
+            assert hexed(getattr(hand_made, read)()) == hexed(getattr(fc, read)()), read
+        assert bits(np.sort(hand_made.faces(), axis=1)) == bits(np.sort(fc.faces(), axis=1))
+        for reduced in (True, False):
+            built, made = homology.reduce(fc, reduced), homology.reduce(hand_made, reduced)
+            assert hexed(made.pairs) == hexed(built.pairs) and made == built
 
     def test_built_complex_is_read_without_entries(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -543,6 +590,11 @@ class TestArrayBuild:
         assert len(fc) == 10 + 33 + 40 + 16  # vertices, edges, triangles, tetrahedra
         assert fc.max_dim() == 3
         assert homology.betti_at(pd, 2, threshold_after(thresholds, (1, 0))) == 4**2
+        assert criticality_check(ps, fc).ok
+        assert homology.betti_of_subcomplex(fc, threshold_after(thresholds, (1, 0))) == \
+            [0, 0, 4**2, 0]
+        assert homology.euler_characteristic_ok(fc)
+        assert verify.verify_upper_bound_sanity(ps, fc)[0].ok
         assert fc._entries is None
 
 

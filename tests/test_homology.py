@@ -110,9 +110,9 @@ class TestReduce:
         filtrations = [fc.as_filtration() for _, fc, _, _ in (threed_n2, even_2_5, odd_2_2)]
         filtrations += shuffled_equal_value_orders(even_2_5[1], 10)
         for filtration in filtrations:
-            columns = boundary_columns([verts for _, verts in filtration])
-            lows = homology.reduce_columns(homology._face_array(columns))
-            assert lows.tolist() == standard_lows(columns)
+            verts = [verts for _, verts in filtration]
+            lows = homology.reduce_columns(homology.face_array(verts))
+            assert lows.tolist() == standard_lows(boundary_columns(verts))
 
 
 BUILT = [("3d", 1, 2), ("3d", 1, 8), ("even", 2, 5), ("even", 3, 6), ("odd", 2, 2),
@@ -121,15 +121,15 @@ BUILT = [("3d", 1, 2), ("3d", 1, 8), ("even", 2, 5), ("even", 3, 6), ("odd", 2, 
 
 class TestBuiltFaceRelation:
     """`reduce` on a built filtration reads the build's face relation; on
-    any other it pads `boundary_columns`.  The two must agree."""
+    a raw list it pads `boundary_columns`.  The two must agree."""
 
     @pytest.mark.parametrize("kind,k,n", BUILT)
     def test_faces_match_boundary_columns(self, kind, k, n, pipeline):
         _, fc, _, _ = pipeline(kind, k, n)
         columns = boundary_columns([verts for _, verts in fc.as_filtration()])
-        assert [sorted(row[row >= 0].tolist()) for row in fc._faces] == columns
-        assert fc._values.tolist() == [value for value, _ in fc.entries]
-        assert fc._dims.tolist() == [cs.dim for _, cs in fc.entries]
+        assert [sorted(row[row >= 0].tolist()) for row in fc.faces()] == columns
+        assert fc.values().tolist() == [value for value, _ in fc.entries]
+        assert fc.dims().tolist() == [cs.dim for _, cs in fc.entries]
 
     @pytest.mark.parametrize("kind,k,n", BUILT)
     @pytest.mark.parametrize("reduced", [True, False])
@@ -151,15 +151,15 @@ class TestBuiltFaceRelation:
     def test_apparent_pairs_are_standard_lows(self, kind, k, n, pipeline):
         _, fc, _, _ = pipeline(kind, k, n)
         lows = standard_lows(boundary_columns([verts for _, verts in fc.as_filtration()]))
-        deaths, births = homology._apparent_pairs(fc._faces)
+        deaths, births = homology._apparent_pairs(fc.faces())
         assert len(deaths) > 0
         assert [lows[j] for j in deaths.tolist()] == births.tolist()
 
     def test_apparent_pairs_on_shuffled_orders(self, even_2_5):
         for filtration in shuffled_equal_value_orders(even_2_5[1], 10):
-            columns = boundary_columns([verts for _, verts in filtration])
-            deaths, births = homology._apparent_pairs(homology._face_array(columns))
-            lows = standard_lows(columns)
+            verts = [verts for _, verts in filtration]
+            deaths, births = homology._apparent_pairs(homology.face_array(verts))
+            lows = standard_lows(boundary_columns(verts))
             assert [lows[j] for j in deaths.tolist()] == births.tolist()
 
     def test_peak_memory_3d_100(self, pipeline):
@@ -248,6 +248,50 @@ class TestBettiOfSubcomplex:
     def test_unreduced_component_count(self, even_2_5):
         _, fc, _, _ = even_2_5
         assert betti_of_subcomplex(fc, 0.2, reduced=False)[0] == 10
+
+    @pytest.mark.parametrize("kind,k,n", [("3d", 1, 8), ("even", 2, 5), ("odd", 2, 2)])
+    def test_matches_reduction_of_the_sublevel(self, kind, k, n, pipeline):
+        """The Betti numbers read from the whole diagram, against a second
+        reduction of the sublevel list: at every class threshold and at 8
+        midpoints of gaps between distinct values."""
+        _, fc, thresholds, _ = pipeline(kind, k, n)
+        values = sorted(set(fc.values().tolist()))
+        step = (len(values) - 1) / 8
+        gaps = [int(i * step) for i in range(8)]
+        radii = [th.rho for th in thresholds]
+        radii += [0.5 * (values[i] + values[i + 1]) for i in gaps]
+        for r in radii:
+            for eps in (0.0, 1e-12):
+                for reduced in (True, False):
+                    assert betti_of_subcomplex(fc, r, reduced=reduced, eps=eps) == \
+                        sublevel_betti(fc, r, reduced, eps), (r, eps, reduced)
+
+    def test_reads_the_whole_diagram(self, even_2_5, monkeypatch):
+        """One reduction, of the whole complex, and no second face relation."""
+        _, fc, thresholds, _ = even_2_5
+        calls = []
+        real = homology.reduce
+
+        def reduce_once(filtration, **kwargs):
+            calls.append(filtration)
+            return real(filtration, **kwargs)
+
+        monkeypatch.setattr(homology, "reduce", reduce_once)
+        monkeypatch.setattr(homology, "boundary_columns", None)
+        for th in thresholds:
+            betti_of_subcomplex(fc, th.rho)
+        assert len(calls) == len(thresholds) and all(call is fc for call in calls)
+
+
+def sublevel_betti(fc, r, reduced, eps):
+    """Reference: reduce the sublevel complex at r again, as a pair list."""
+    entries = fc.as_filtration()
+    pmax = max(len(v) - 1 for _, v in entries)
+    sub = [(value, verts) for value, verts in entries if value <= r + eps]
+    if not sub:
+        return [0] * (pmax + 1)
+    pd = reduce(sub, reduced=reduced)
+    return [betti_at(pd, p, r, eps) for p in range(pmax + 1)]
 
 
 class TestInvariants:
