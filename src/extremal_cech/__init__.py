@@ -11,7 +11,6 @@ from .construct import (
     KIND_EVEN,
     KIND_ODD,
     KIND_SUSPENDED,
-    ConstructionScales,
     PointSet,
     build_3d,
     build_even,
@@ -22,7 +21,6 @@ from .construct import (
     load_points,
     min_n,
     save_points,
-    scales,
 )
 from .complexgen import (
     ClassifiedSimplex,
@@ -35,7 +33,6 @@ from .complexgen import (
 )
 from .geometry import (
     Sphere,
-    Tolerance,
     barycentric_interior,
     circumsphere,
     is_empty_sphere,

@@ -14,10 +14,11 @@ files; nothing embeds timestamps.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import complexgen, construct, homology, oracle, verify
-from .geometry import AffineDegeneracyError
+from .geometry import DEFAULT_TOL, AffineDegeneracyError
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -106,9 +107,11 @@ def _cmd_filtration(args) -> int:
 
 
 def _cmd_betti(args) -> int:
+    if math.isnan(args.radius):
+        raise ValueError("--radius must be a number, not nan")
     _, fc, _ = _build_validated(args)
     vec = homology.betti_of_subcomplex(fc, args.radius, reduced=not args.unreduced,
-                                       eps=1e-12)
+                                       eps=DEFAULT_TOL.abs_eps)
     if args.p is not None:
         if not 0 <= args.p < len(vec):
             raise ValueError(f"--p {args.p} is outside 0..{len(vec) - 1}")
@@ -168,19 +171,22 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    def k_or(default):
+        return default if args.k is None else args.k
+
     claims = []
     if args.theorem == "3.1":
         claims += verify.verify_betti_3d(args.n)
     elif args.theorem == "2.1":
-        claims += verify.verify_betti_even(args.k or 2, args.n)
+        claims += verify.verify_betti_even(k_or(2), args.n)
     elif args.theorem == "4.1":
-        claims += verify.verify_betti_odd(args.k or 1, args.n)
+        claims += verify.verify_betti_odd(k_or(1), args.n)
     if args.suspension:
-        claims += verify.verify_suspension(args.k or 2, args.n)
+        claims += verify.verify_suspension(k_or(2), args.n)
     if args.radii:
-        claims += verify.verify_radius_formulas(args.k or 2, args.n)
+        claims += verify.verify_radius_formulas(k_or(2), args.n)
     if args.hypotheses:
-        claims += verify.verify_hypotheses(args.k or 1, args.n)
+        claims += verify.verify_hypotheses(k_or(1), args.n)
     if args.all:
         claims += verify.verify_betti_3d(2)
         claims += verify.verify_betti_even(2, 5)

@@ -38,9 +38,8 @@ import numpy as np
 
 from . import construct, homology
 from .construct import PointSet, KIND_EVEN, KIND_3D, KIND_ODD
-from .geometry import (DEFAULT_TOL, Tolerance, _group_by_size, circumspheres,
-                       degeneracy_reason, emptiness_violations, is_empty_sphere,
-                       min_enclosing_ball)
+from .geometry import (_group_by_size, circumspheres, degeneracy_reason,
+                       emptiness_violations, is_empty_sphere, min_enclosing_ball)
 from .geometry import barycentric_interior, circumsphere  # only the benchmark's trace reads these
 
 __all__ = [
@@ -336,14 +335,14 @@ def enumerate_mosaic(ps: PointSet) -> list[ClassifiedSimplex]:
             for v, t, s in zip(m.vertex_tuples(), m.touch.tolist(), m.short.tolist())]
 
 
-def radius_value(ps: PointSet, simplex, tol: Tolerance = DEFAULT_TOL) -> float:
+def radius_value(ps: PointSet, simplex) -> float:
     """Radius-function value of a mosaic simplex: the miniball radius of its
     vertices, whose bounding sphere must be strictly empty against the rest
     of the point set.  For critical simplices this equals the circumradius."""
     verts = simplex.vertices if isinstance(simplex, ClassifiedSimplex) else tuple(simplex)
-    ball = min_enclosing_ball(ps.points[list(verts)], tol)
-    if not is_empty_sphere(ball, ps, exclude=verts, strict=True, tol=tol):
-        offenders = emptiness_violations(ball, ps, exclude=verts, strict=True, tol=tol)
+    ball = min_enclosing_ball(ps.points[list(verts)])
+    if not is_empty_sphere(ball, ps, exclude=verts, strict=True):
+        offenders = emptiness_violations(ball, ps, exclude=verts, strict=True)
         raise NotCriticalError(verts, offenders[0])
     return ball.radius
 
@@ -364,7 +363,7 @@ def _check_face_order(facets: np.ndarray, rank: np.ndarray, verts) -> None:
             f"face {verts[r]} does not precede coface {verts[i]} in the filtration")
 
 
-def build_filtration(ps: PointSet, tol: Tolerance = DEFAULT_TOL) -> FilteredComplex:
+def build_filtration(ps: PointSet) -> FilteredComplex:
     """Enumerate the mosaic, prove every simplex critical, take circumradii
     as values and sort face-before-coface.
 
@@ -377,10 +376,10 @@ def build_filtration(ps: PointSet, tol: Tolerance = DEFAULT_TOL) -> FilteredComp
     RuntimeError.
     """
     m = _mosaic(ps)
-    batch = circumspheres(ps, m.ids, tol)
+    batch = circumspheres(ps, m.ids)
     bad = np.flatnonzero(~batch.critical)
     if len(bad):
-        raise _not_critical(ps, m[bad[0]], batch, bad[0], tol)
+        raise _not_critical(ps, m[bad[0]], batch, bad[0])
     values = batch.radius
 
     # enforce exact monotonicity under face inclusion: a face and a coface
@@ -446,26 +445,24 @@ class CriticalityReport:
         return not self.failures
 
 
-def criticality_check(ps: PointSet, fc: FilteredComplex,
-                      tol: Tolerance = DEFAULT_TOL) -> CriticalityReport:
+def criticality_check(ps: PointSet, fc: FilteredComplex) -> CriticalityReport:
     """Check every simplex for the two criticality conditions: circumcenter
     in the simplex interior, and strict emptiness of the circumsphere.
     Failures are data, not errors, in filtration order, each with its
     reason from one batched pass (see `_not_critical`).  The spheres are
     always computed afresh; a filtration from `build_filtration` passes."""
     ids, rows = fc.blocks()
-    batch = circumspheres(ps, ids, tol)
-    errors = [_not_critical(ps, _row_vertices(ids, row), batch, row, tol)
+    batch = circumspheres(ps, ids)
+    errors = [_not_critical(ps, _row_vertices(ids, row), batch, row)
               for row in rows[~batch.critical[rows]].tolist()]
     return CriticalityReport(len(fc), [(err.simplex, err.reason) for err in errors])
 
 
-def _not_critical(ps: PointSet, verts: tuple[int, ...], batch, i: int,
-                  tol: Tolerance) -> NotCriticalError:
+def _not_critical(ps: PointSet, verts: tuple[int, ...], batch, i: int) -> NotCriticalError:
     """Why simplex `verts`, row i of `batch`, is not critical: degenerate,
     else a circumcenter outside it, else the first point inside its sphere."""
     if batch.degenerate[i]:
-        reason = degeneracy_reason(ps.points[list(verts)], tol)
+        reason = degeneracy_reason(ps.points[list(verts)])
         return NotCriticalError(verts, reason=f"degenerate circumsphere: {reason}")
     if not batch.interior[i]:
         return NotCriticalError(verts, reason="circumcenter not in simplex interior")
@@ -478,10 +475,10 @@ def _not_critical(ps: PointSet, verts: tuple[int, ...], batch, i: int,
 
 
 def save_filtration(fc: FilteredComplex, path) -> None:
-    lines = []
-    for value, cs in fc.entries:
-        verts = " ".join(str(v) for v in cs.vertices)
-        lines.append(f"{format(value, '.17g')} {cs.dim} {verts} {cs.touch} {cs.short}")
+    touch, short = fc.classes()
+    lines = [f"{format(value, '.17g')} {dim} {' '.join(map(str, verts))} {t} {s}"
+             for (value, verts), dim, t, s in zip(fc.as_filtration(), fc.dims().tolist(),
+                                                  touch.tolist(), short.tolist())]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

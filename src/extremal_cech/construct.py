@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Tolerance, DEFAULT_TOL, squared_distance
+from .geometry import squared_distance
 
 __all__ = [
     "KIND_EVEN",
@@ -272,30 +272,6 @@ def half_edge(ps: PointSet) -> float:
     return 0.5 * math.sqrt(squared_distance(ps.points[first[0]], ps.points[first[1]]))
 
 
-@dataclass(frozen=True)
-class ConstructionScales:
-    """The scale parameters a construction is analyzed in terms of: the
-    half short-edge lengths and the regular-simplex circumradius, height
-    and circumcenter-to-facet gap (all squared) for the circle count."""
-
-    half_short_edge: float
-    circumradius_sq: float
-    height_sq: float
-    center_gap_sq: float
-
-
-def scales(ps: PointSet) -> ConstructionScales:
-    k = 1 if ps.kind == KIND_3D else ps.k
-    if ps.kind == KIND_SUSPENDED:
-        k = ps.k - 1
-    return ConstructionScales(
-        half_short_edge=half_edge(ps),
-        circumradius_sq=regular_simplex_circumradius_sq(k),
-        height_sq=regular_simplex_height_sq(k),
-        center_gap_sq=regular_simplex_inradius_gap_sq(k),
-    )
-
-
 def default_delta(n: int) -> float:
     return min(1e-2, 1e-1 / n)
 
@@ -316,7 +292,7 @@ def delta_candidates(n: int, delta="auto"):
 
 
 def build_validated(kind: str, k: int | None = None, n: int | None = None,
-                    delta="auto", tol: Tolerance = DEFAULT_TOL):
+                    delta="auto"):
     """Build a point set together with a validated filtration and thresholds.
 
     The build proves every simplex critical or raises NotCriticalError, and
@@ -329,7 +305,7 @@ def build_validated(kind: str, k: int | None = None, n: int | None = None,
 
     if kind == KIND_EVEN:
         ps = build_even(k, n)
-        fc = complexgen.build_filtration(ps, tol=tol)
+        fc = complexgen.build_filtration(ps)
         return ps, fc, complexgen.pick_thresholds(fc)
 
     if kind not in (KIND_3D, KIND_ODD):
@@ -339,7 +315,7 @@ def build_validated(kind: str, k: int | None = None, n: int | None = None,
     for cand in delta_candidates(n, delta):
         ps = build_3d(n, cand) if kind == KIND_3D else build_odd(k, n, cand)
         try:
-            fc = complexgen.build_filtration(ps, tol=tol)
+            fc = complexgen.build_filtration(ps)
             thresholds = complexgen.pick_thresholds(fc)
         except (complexgen.NotCriticalError, complexgen.OverlapError) as exc:
             last_error = exc

@@ -12,10 +12,15 @@ only an entry within a forward-error band of the bound is computed again
 from differences.  Non-degeneracy is certified first by a batched
 Cholesky factorization of each shifted Gram matrix, and only a row it
 cannot certify runs the SVD test.  So every verdict is the plain
-floating-point test's; no predicate is decided in exact arithmetic.  The
-fixed tolerances are not safe at every size: on the 3d family the
-smallest strict-emptiness clearance is 2(delta/n)^2, which at the default
-delta = 0.1/n falls below abs_eps = 1e-12 from n ~ 376.
+floating-point test's; no predicate is decided in exact arithmetic.
+
+The slacks live here and nowhere else: every predicate reads the one
+record `DEFAULT_TOL`, no function takes a tolerance, and the other modules
+read `DEFAULT_TOL.abs_eps` where they compare radii.  So a change of how a
+slack is decided is a change to this module alone.  The fixed slacks are
+not safe at every size: on the 3d family the smallest strict-emptiness
+clearance is 2(delta/n)^2, which at the default delta = 0.1/n falls below
+abs_eps = 1e-12 from n ~ 376.
 
 Every function is pure and thread-safe.
 """
@@ -57,7 +62,9 @@ class AffineDegeneracyError(ValueError):
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Numerical slack used by the predicates.
+    """The type of `DEFAULT_TOL`, the one record of the numerical slacks.
+    Every predicate reads that instance and takes no other; the other
+    modules read its abs_eps where they compare radii.
 
     abs_eps guards comparisons of squared lengths, rel_eps guards relative
     residuals (affine-hull membership, equidistance), interior_eps is the
@@ -70,12 +77,6 @@ class Tolerance:
     abs_eps: float = 1e-12
     rel_eps: float = 1e-9
     interior_eps: float = 1e-10
-
-    def __post_init__(self):
-        if min(self.abs_eps, self.rel_eps, self.interior_eps) <= 0.0:
-            raise ValueError("tolerances must be strictly positive")
-        if self.abs_eps > self.rel_eps:
-            raise ValueError("abs_eps must not exceed rel_eps")
 
 
 DEFAULT_TOL = Tolerance()
@@ -136,7 +137,7 @@ def _ball_through(pts: np.ndarray) -> Sphere:
     return Sphere(center, radius)
 
 
-def min_enclosing_ball(points, tol: Tolerance = DEFAULT_TOL) -> Sphere:
+def min_enclosing_ball(points) -> Sphere:
     """Smallest ball containing all the points (miniball).
 
     Recursive move-to-front Welzl scheme processed in input order; no
@@ -154,7 +155,7 @@ def min_enclosing_ball(points, tol: Tolerance = DEFAULT_TOL) -> Sphere:
         if ball is None:
             return -math.inf
         r2 = ball.radius**2
-        return r2 + tol.abs_eps * min(1.0, r2)
+        return r2 + DEFAULT_TOL.abs_eps * min(1.0, r2)
 
     def recurse(end: int, boundary: list) -> Sphere | None:
         ball = _ball_through(np.asarray(boundary)) if boundary else None
@@ -176,18 +177,18 @@ def min_enclosing_ball(points, tol: Tolerance = DEFAULT_TOL) -> Sphere:
     return ball
 
 
-def circumsphere(points, tol: Tolerance = DEFAULT_TOL) -> Sphere:
+def circumsphere(points) -> Sphere:
     """Smallest sphere through all the points, center in their affine hull:
     the one-row case of `circumspheres`, bit for bit.  Degenerate input is
     rejected with AffineDegeneracyError (see `degeneracy_reason`)."""
     pts = _as_matrix(points)
-    batch = circumspheres(pts, [np.arange(len(pts))[None]], tol)
+    batch = circumspheres(pts, [np.arange(len(pts))[None]])
     if batch.degenerate[0]:
-        raise AffineDegeneracyError(degeneracy_reason(pts, tol))
+        raise AffineDegeneracyError(degeneracy_reason(pts))
     return Sphere(batch.center[0], float(batch.radius[0]))
 
 
-def degeneracy_reason(points, tol: Tolerance = DEFAULT_TOL) -> str:
+def degeneracy_reason(points) -> str:
     """Why `circumspheres` finds a simplex with these vertices degenerate:
     too many points, the SVD test, or else a singular Gram system."""
     pts = _as_matrix(points)
@@ -195,7 +196,7 @@ def degeneracy_reason(points, tol: Tolerance = DEFAULT_TOL) -> str:
     if m > d + 1:
         return f"{m} points cannot be affinely independent in R^{d}"
     rel = (pts[1:] - pts[0])[None]
-    if _degenerate(rel, rel @ rel.transpose(0, 2, 1), tol.rel_eps)[0]:
+    if _degenerate(rel, rel @ rel.transpose(0, 2, 1), DEFAULT_TOL.rel_eps)[0]:
         return "points are affinely dependent beyond tolerance"
     return "Gram system is numerically singular"
 
@@ -237,7 +238,7 @@ class SphereBatch:
         return self.interior & self.empty
 
 
-def circumspheres(points, simplices, tol: Tolerance = DEFAULT_TOL) -> SphereBatch:
+def circumspheres(points, simplices) -> SphereBatch:
     """Circumspheres of many simplices of one point set at once.
 
     `points` may be a PointSet or a coordinate array.  `simplices` is a
@@ -268,7 +269,7 @@ def circumspheres(points, simplices, tol: Tolerance = DEFAULT_TOL) -> SphereBatc
     for rows, idx in groups:
         if 1 <= idx.shape[1] <= pts.shape[1] + 1:
             (center[rows], radius[rows], degenerate[rows], interior[rows],
-             offender[rows]) = _sphere_block(pts, sq, idx, tol)
+             offender[rows]) = _sphere_block(pts, sq, idx)
     return SphereBatch(center, radius, degenerate, interior, offender)
 
 
@@ -285,7 +286,7 @@ def _group_by_size(simplices) -> list[tuple[np.ndarray, np.ndarray]]:
     return groups
 
 
-def _sphere_block(pts: np.ndarray, sq: np.ndarray, idx: np.ndarray, tol: Tolerance):
+def _sphere_block(pts: np.ndarray, sq: np.ndarray, idx: np.ndarray):
     """center, radius, degenerate, interior and offender of the b simplices
     of size m (1 <= m <= d+1) whose vertex ids are the rows of `idx`; `sq`
     holds the squared norms of `pts`.  The Gram systems are solved in one
@@ -302,13 +303,14 @@ def _sphere_block(pts: np.ndarray, sq: np.ndarray, idx: np.ndarray, tol: Toleran
         rel = verts[:, 1:] - verts[:, :1]
         gram = rel @ rel.transpose(0, 2, 1)
         rhs = 0.5 * np.einsum("bij,bij->bi", rel, rel)
-        alpha, deg = _gram_solve(gram, rhs, _degenerate(rel, gram, tol.rel_eps))
+        alpha, deg = _gram_solve(gram, rhs, _degenerate(rel, gram, DEFAULT_TOL.rel_eps))
         center = verts[:, 0] + np.einsum("bi,bij->bj", alpha, rel)
         diffs = verts - center[:, None]
         r2 = np.max(np.einsum("bij,bij->bi", diffs, diffs), axis=1)
-        inside = ((1.0 - alpha.sum(axis=1) > tol.interior_eps)
-                  & np.all(alpha > tol.interior_eps, axis=1) & ~deg)
-    offender = _first_inside(pts, sq, idx, center, r2 + tol.abs_eps)
+        interior_eps = DEFAULT_TOL.interior_eps
+        inside = ((1.0 - alpha.sum(axis=1) > interior_eps)
+                  & np.all(alpha > interior_eps, axis=1) & ~deg)
+    offender = _first_inside(pts, sq, idx, center, r2 + DEFAULT_TOL.abs_eps)
     center[deg], r2[deg], offender[deg] = np.nan, np.nan, -1
     return center, np.sqrt(r2), deg, inside, offender
 
@@ -450,7 +452,7 @@ def affine_distance(points, x) -> float:
     return float(np.linalg.norm(basis @ coeff - (x - pts[0])))
 
 
-def barycentric_coordinates(simplex_points, x, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def barycentric_coordinates(simplex_points, x) -> np.ndarray:
     """Barycentric coordinates of x with respect to an affinely independent
     simplex.  Raises if x is farther from the affine hull than
     rel_eps * diameter."""
@@ -459,29 +461,28 @@ def barycentric_coordinates(simplex_points, x, tol: Tolerance = DEFAULT_TOL) -> 
     m = len(pts)
     if m == 1:
         resid = math.sqrt(squared_distance(x, pts[0]))
-        if resid > tol.abs_eps:
+        if resid > DEFAULT_TOL.abs_eps:
             raise ValueError("point is not in the affine hull of the simplex")
         return np.array([1.0])
     basis = (pts[1:] - pts[0]).T
     sv = np.linalg.svd(basis, compute_uv=False)
-    if sv[-1] <= tol.rel_eps * sv[0]:
+    if sv[-1] <= DEFAULT_TOL.rel_eps * sv[0]:
         raise AffineDegeneracyError("simplex is affinely degenerate")
     coeff, *_ = np.linalg.lstsq(basis, x - pts[0], rcond=None)
     resid = float(np.linalg.norm(basis @ coeff - (x - pts[0])))
     diam = math.sqrt(max(squared_distance(p, q) for p in pts for q in pts))
-    if resid > max(tol.abs_eps, tol.rel_eps * diam):
+    if resid > max(DEFAULT_TOL.abs_eps, DEFAULT_TOL.rel_eps * diam):
         raise ValueError("point is not in the affine hull of the simplex")
     return np.concatenate([[1.0 - float(np.sum(coeff))], coeff])
 
 
-def barycentric_interior(simplex_points, x, tol: Tolerance = DEFAULT_TOL) -> bool:
+def barycentric_interior(simplex_points, x) -> bool:
     """True iff every barycentric coordinate of x exceeds interior_eps."""
-    coords = barycentric_coordinates(simplex_points, x, tol)
-    return bool(np.all(coords > tol.interior_eps))
+    coords = barycentric_coordinates(simplex_points, x)
+    return bool(np.all(coords > DEFAULT_TOL.interior_eps))
 
 
-def is_empty_sphere(sphere: Sphere, points, exclude=(), strict: bool = True,
-                    tol: Tolerance = DEFAULT_TOL) -> bool:
+def is_empty_sphere(sphere: Sphere, points, exclude=(), strict: bool = True) -> bool:
     """Emptiness predicate for a sphere against a point set.
 
     Strict mode demands every non-excluded point lie strictly outside
@@ -489,24 +490,23 @@ def is_empty_sphere(sphere: Sphere, points, exclude=(), strict: bool = True,
     the sphere (>= radius^2 - abs_eps).  `points` may be a PointSet or a
     coordinate array; `exclude` holds point indices to skip.
     """
-    return not _violations(sphere, points, exclude, strict, tol).any()
+    return not _violations(sphere, points, exclude, strict).any()
 
 
-def emptiness_violations(sphere: Sphere, points, exclude=(), strict: bool = True,
-                         tol: Tolerance = DEFAULT_TOL) -> list[int]:
+def emptiness_violations(sphere: Sphere, points, exclude=(), strict: bool = True) -> list[int]:
     """Indices of points that violate the emptiness predicate, ascending,
     for reporting."""
-    return np.flatnonzero(_violations(sphere, points, exclude, strict, tol)).tolist()
+    return np.flatnonzero(_violations(sphere, points, exclude, strict)).tolist()
 
 
-def _violations(sphere: Sphere, points, exclude, strict: bool, tol: Tolerance) -> np.ndarray:
+def _violations(sphere: Sphere, points, exclude, strict: bool) -> np.ndarray:
     """Per point: not excluded, and its squared distance to the center,
     summed over the differences as in the recheck of `circumspheres`, is
     not at least radius^2 + abs_eps (strict) or radius^2 - abs_eps."""
     pts = np.asarray(getattr(points, "points", points), dtype=float)
     diffs = pts.reshape(-1, len(sphere.center)) - sphere.center
     r2 = sphere.radius**2
-    bound = r2 + tol.abs_eps if strict else r2 - tol.abs_eps
+    bound = r2 + DEFAULT_TOL.abs_eps if strict else r2 - DEFAULT_TOL.abs_eps
     bad = ~(np.einsum("ij,ij->i", diffs, diffs) >= bound)
     for idx in exclude:
         bad[idx] = False

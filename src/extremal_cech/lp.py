@@ -17,6 +17,7 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 _PIVOT_TOL = 1e-10
+_FEASIBLE_TOL = 1e-9  # phase 1 may end this far below a zero artificial sum
 
 
 def _pivot(tab: np.ndarray, row: int, col: int) -> None:
@@ -56,7 +57,7 @@ def _simplex(tab: np.ndarray, basis: list[int], n_cols: int) -> str:
         basis[leave] = enter
 
 
-def solve_lp_max(c, A, b, tol: float = 1e-9):
+def solve_lp_max(c, A, b):
     """Maximize c.x subject to A x <= b with x free.
 
     Returns (status, x, objective); x and objective are None unless the
@@ -107,7 +108,7 @@ def solve_lp_max(c, A, b, tol: float = 1e-9):
             if basis[i] >= n_struct:
                 tab[-1] -= tab[i]
         status = _simplex(tab, basis, n_total)
-        if status != OPTIMAL or tab[-1, -1] < -tol:
+        if status != OPTIMAL or tab[-1, -1] < -_FEASIBLE_TOL:
             return INFEASIBLE, None, None
         # drive leftover artificials out of the basis where possible
         for i in range(m):

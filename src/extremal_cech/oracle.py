@@ -21,10 +21,9 @@ so no face of the mosaic has a facet outside it.  The LP decides emptiness up to
 margin tolerance, so the tests keep the scan of every subset as the
 reference and require the same `MatchReport` from the grown run.
 
-A miniball radius is a pure function of the subset's coordinates and the
-tolerance, so a bounded memo keeps it: the Cech complexes of one point set
-at several radii, or of point sets sharing coordinates, solve each subset
-once.
+A miniball radius is a pure function of the subset's coordinates, so a
+bounded memo keeps it: the Cech complexes of one point set at several
+radii, or of point sets sharing coordinates, solve each subset once.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ import numpy as np
 
 from . import complexgen, homology
 from .construct import PointSet, KIND_EVEN
-from .geometry import Tolerance, DEFAULT_TOL, min_enclosing_ball
+from .geometry import DEFAULT_TOL, min_enclosing_ball
 from .lp import OPTIMAL, solve_lp_max
 
 __all__ = [
@@ -74,6 +73,13 @@ class CechComplex:
 
     def as_filtration(self):
         return [(value, verts) for verts, value in self.simplices]
+
+
+def _check_maxdim(ps: PointSet, maxdim: int) -> None:
+    """Refuse a maxdim outside 0..ps.dim, where no simplex exists or none
+    fits in the ambient space."""
+    if not 0 <= maxdim <= ps.dim:
+        raise ValueError(f"maxdim {maxdim} is outside 0..{ps.dim}")
 
 
 def _check_budget(n_points: int, maxdim: int, budget: int) -> None:
@@ -118,20 +124,20 @@ _MINIBALL_MEMO_SIZE = 1 << 14
 _miniball_memo: dict[tuple, float] = {}
 
 
-def _miniball_radius(points: np.ndarray, tol: Tolerance) -> float:
-    """`min_enclosing_ball(points, tol).radius`, memoized on the coordinate
-    bytes and the tolerance; the oldest entry goes once the memo is full."""
-    key = (points.dtype.str, points.shape, points.tobytes(), tol)
+def _miniball_radius(points: np.ndarray) -> float:
+    """`min_enclosing_ball(points).radius`, memoized on the coordinate
+    bytes; the oldest entry goes once the memo is full."""
+    key = (points.dtype.str, points.shape, points.tobytes())
     radius = _miniball_memo.get(key)
     if radius is None:
-        radius = min_enclosing_ball(points, tol).radius
+        radius = min_enclosing_ball(points).radius
         if len(_miniball_memo) >= _MINIBALL_MEMO_SIZE:
             del _miniball_memo[next(iter(_miniball_memo))]
         _miniball_memo[key] = radius
     return radius
 
 
-def _miniball_radii(points: np.ndarray, maxdim: int, r: float, tol: Tolerance):
+def _miniball_radii(points: np.ndarray, maxdim: int, r: float):
     """Miniball radius per subset in the Cech complex at r, made exactly
     monotone under face inclusion (a face's value may exceed its coface's by
     floating-point noise when both determine the same ball).
@@ -141,11 +147,11 @@ def _miniball_radii(points: np.ndarray, maxdim: int, r: float, tol: Tolerance):
     faces drops only values the cut discards, and every kept value is
     computed exactly as a scan of all subsets computes it.
     """
-    cut = r + tol.abs_eps
+    cut = r + DEFAULT_TOL.abs_eps
     values: dict[tuple[int, ...], float] = {}
 
     def accept(verts):
-        value = _miniball_radius(points[list(verts)], tol)
+        value = _miniball_radius(points[list(verts)])
         if len(verts) > 1:
             value = max(value, max(values[f] for f in
                                    itertools.combinations(verts, len(verts) - 1)))
@@ -158,25 +164,23 @@ def _miniball_radii(points: np.ndarray, maxdim: int, r: float, tol: Tolerance):
     return values
 
 
-def cech(ps: PointSet, r: float, maxdim: int, budget: int = DEFAULT_BUDGET,
-         tol: Tolerance = DEFAULT_TOL) -> CechComplex:
+def cech(ps: PointSet, r: float, maxdim: int, budget: int = DEFAULT_BUDGET) -> CechComplex:
     """Cech complex of the point set at radius r, up to dimension maxdim:
     miniballs over every subset whose facets all lie in the complex at r."""
-    if maxdim > ps.dim:
-        raise ValueError("maxdim cannot exceed the ambient dimension")
+    _check_maxdim(ps, maxdim)
     _check_budget(len(ps), maxdim, budget)
-    kept = list(_miniball_radii(ps.points, maxdim, r, tol).items())
+    kept = list(_miniball_radii(ps.points, maxdim, r).items())
     kept.sort(key=lambda sv: (sv[1], len(sv[0]), sv[0]))
     return CechComplex(maxdim, r, kept)
 
 
 def cech_betti(ps: PointSet, r: float, pmax: int, budget: int = DEFAULT_BUDGET,
-               tol: Tolerance = DEFAULT_TOL, reduced: bool = True) -> list[int]:
+               reduced: bool = True) -> list[int]:
     """Betti numbers beta_0..beta_pmax of the Cech complex at radius r.
     Needs simplices one dimension above pmax to witness deaths."""
-    cx = cech(ps, r, min(pmax + 1, ps.dim), budget, tol)
+    cx = cech(ps, r, min(pmax + 1, ps.dim), budget)
     pd = homology.reduce(cx, reduced=reduced)
-    return [homology.betti_at(pd, p, r, tol.abs_eps) for p in range(pmax + 1)]
+    return [homology.betti_at(pd, p, r, DEFAULT_TOL.abs_eps) for p in range(pmax + 1)]
 
 
 @dataclass
@@ -192,24 +196,22 @@ class EqualityReport:
 
 def cech_equals_alpha_betti(ps: PointSet, r: float, pmax: int,
                             fc: complexgen.FilteredComplex | None = None,
-                            budget: int = DEFAULT_BUDGET,
-                            tol: Tolerance = DEFAULT_TOL) -> EqualityReport:
+                            budget: int = DEFAULT_BUDGET) -> EqualityReport:
     """Compare Betti vectors of the Cech complex and the alpha sublevel
     complex at the same radius (both share the homotopy type of the union of
     balls, so the vectors must agree)."""
     if ps.kind == KIND_EVEN:
         top = math.sqrt(2.0) / 2.0
-        if r >= top - tol.abs_eps:
+        if r >= top - DEFAULT_TOL.abs_eps:
             raise ValueError("radius must stay below the even top-cell value")
-    cvec = cech_betti(ps, r, pmax, budget, tol)
+    cvec = cech_betti(ps, r, pmax, budget)
     if fc is None:
-        fc = complexgen.build_filtration(ps, tol=tol)
-    avec = homology.betti_of_subcomplex(fc, r, pmax=pmax, eps=tol.abs_eps)
+        fc = complexgen.build_filtration(ps)
+    avec = homology.betti_of_subcomplex(fc, r, pmax=pmax, eps=DEFAULT_TOL.abs_eps)
     return EqualityReport(r, cvec, avec)
 
 
-def delaunay_face_test(ps: PointSet, vertices, tol: Tolerance = DEFAULT_TOL,
-                       strict: bool = True) -> bool:
+def delaunay_face_test(ps: PointSet, vertices, strict: bool = True) -> bool:
     """True iff some sphere passes through the given vertices with every
     other point strictly farther out.
 
@@ -219,6 +221,7 @@ def delaunay_face_test(ps: PointSet, vertices, tol: Tolerance = DEFAULT_TOL,
     clearance outside the sphere, so the strictness threshold shares
     abs_eps with the geometry module's emptiness predicate.
     """
+    rel_eps, abs_eps = DEFAULT_TOL.rel_eps, DEFAULT_TOL.abs_eps
     verts = tuple(sorted(int(v) for v in vertices))
     pts = ps.points
     d = ps.dim
@@ -231,10 +234,10 @@ def delaunay_face_test(ps: PointSet, vertices, tol: Tolerance = DEFAULT_TOL,
         eq_lhs = 2.0 * (a0 - pts[list(verts[1:])])
         eq_rhs = np.array([float(a0 @ a0 - pts[i] @ pts[i]) for i in verts[1:]])
         z0, *_ = np.linalg.lstsq(eq_lhs, eq_rhs, rcond=None)
-        if np.linalg.norm(eq_lhs @ z0 - eq_rhs) > tol.rel_eps * (1.0 + np.linalg.norm(eq_rhs)):
+        if np.linalg.norm(eq_lhs @ z0 - eq_rhs) > rel_eps * (1.0 + np.linalg.norm(eq_rhs)):
             return False  # no equidistant center at all
         _, sv, vt = np.linalg.svd(eq_lhs)
-        rank = int(np.sum(sv > tol.rel_eps * sv[0]))
+        rank = int(np.sum(sv > rel_eps * sv[0]))
         null = vt[rank:].T  # (d, q)
     else:
         z0 = np.zeros(d)
@@ -267,7 +270,7 @@ def delaunay_face_test(ps: PointSet, vertices, tol: Tolerance = DEFAULT_TOL,
     status, _, margin = solve_lp_max(c, np.array(rows), np.array(rhs))
     if status != OPTIMAL:
         return False
-    return margin > (tol.abs_eps if strict else -tol.abs_eps)
+    return margin > (abs_eps if strict else -abs_eps)
 
 
 @dataclass
@@ -287,7 +290,6 @@ class MatchReport:
 
 def enumeration_matches_oracle(ps: PointSet, maxdim: int,
                                budget: int = DEFAULT_BUDGET,
-                               tol: Tolerance = DEFAULT_TOL,
                                strict: bool = True) -> MatchReport:
     """Compare the enumerated mosaic (up to maxdim) against the subsets
     passing the empty-sphere feasibility test.
@@ -296,11 +298,12 @@ def enumeration_matches_oracle(ps: PointSet, maxdim: int,
     a Delaunay face is a Delaunay face.  The budget still counts all
     C(N, <= maxdim+1) subsets, so the inputs a scan of every subset refuses
     are refused here too."""
+    _check_maxdim(ps, maxdim)
     _check_budget(len(ps), maxdim, budget)
     enumerated = {cs.vertices for cs in complexgen.enumerate_mosaic(ps)
                   if cs.dim <= maxdim}
     oracle_faces = _grow_faces(
-        len(ps), maxdim, lambda verts: delaunay_face_test(ps, verts, tol, strict=strict))
+        len(ps), maxdim, lambda verts: delaunay_face_test(ps, verts, strict=strict))
     missing = sorted(oracle_faces - enumerated)
     extra = sorted(enumerated - oracle_faces)
     return MatchReport(len(enumerated), len(oracle_faces), missing, extra)

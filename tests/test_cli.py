@@ -133,6 +133,11 @@ class TestBetti:
         assert (code, out) == (2, "")
         assert err == f"error: --p {p} is outside 0..3\n"
 
+    def test_nan_radius_is_a_usage_error(self, capsys):
+        code, out, err = run(["betti", "--kind", "3d", "--n", "8", "--radius", "nan"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: --radius must be a number, not nan\n"
+
 
 class TestPersistence:
     def test_diagram_and_svg(self, tmp_path, capsys):
@@ -166,6 +171,14 @@ class TestVerify:
         with pytest.raises(SystemExit):
             cli.main(["verify", "--n", "2"])
 
+    @pytest.mark.parametrize("flags", [["--theorem", "4.1", "--n", "2"],
+                                       ["--theorem", "2.1", "--n", "5"],
+                                       ["--hypotheses", "--n", "2"]])
+    def test_k_zero_is_not_the_default(self, flags, capsys):
+        code, out, err = run(["verify", *flags, "--k", "0"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+
 
 class TestOracleCommand:
     def test_3d_n2(self, capsys):
@@ -178,6 +191,13 @@ class TestOracleCommand:
                            capsys)
         assert code == 3
         assert "budget" in err
+
+    @pytest.mark.parametrize("maxdim", ["-1", "4"])
+    def test_maxdim_outside_the_dimension_exits_2(self, maxdim, capsys):
+        code, out, err = run(["oracle", "--kind", "3d", "--n", "2", "--maxdim", maxdim],
+                             capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: maxdim {maxdim} is outside 0..3\n"
 
 
 class TestRadiiCommand:

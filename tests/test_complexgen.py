@@ -27,7 +27,6 @@ from extremal_cech.complexgen import (
 )
 from extremal_cech.construct import build_3d, build_even, build_odd, build_validated, half_edge
 from extremal_cech.geometry import (
-    DEFAULT_TOL,
     barycentric_interior,
     circumsphere,
     circumspheres,
@@ -343,6 +342,16 @@ class TestFiltration:
         save_filtration(b, tmp_path / "b.txt")
         assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
 
+    def test_save_leaves_entries_unbuilt(self, tmp_path):
+        """A built complex is written from its arrays, with no
+        ClassifiedSimplex per simplex, in the format its entries give."""
+        fc = build_filtration(build_3d(3, 0.01))
+        save_filtration(fc, tmp_path / "f.txt")
+        assert fc._entries is None
+        lines = [f"{format(value, '.17g')} {cs.dim} {' '.join(map(str, cs.vertices))} "
+                 f"{cs.touch} {cs.short}" for value, cs in fc.entries]
+        assert (tmp_path / "f.txt").read_text() == "\n".join(lines) + "\n"
+
 
 def welzl_filtration(simplices, radii):
     """Filtration assembled from per-simplex miniball radii, the way it was
@@ -499,14 +508,14 @@ class TestSinglePass:
 DIFFERENTIAL = ACCEPTED + (("3d", 1, 30), ("odd", 3, 4))
 
 
-def reference_build(ps, tol=DEFAULT_TOL):
+def reference_build(ps):
     """The list-of-tuples build on the reference enumeration: one sphere
     pass, the face relation from boundary_columns, the sequential monotone
     fix, and a sort by (value, dim, vertex list)."""
     simplices = even_reference(ps) if ps.kind == "even" else face_closure_odd(ps)
     verts = [cs.vertices for cs in simplices]
     columns = homology.boundary_columns(verts)
-    batch = circumspheres(ps, verts, tol)
+    batch = circumspheres(ps, verts)
     assert batch.critical.all()
     values = batch.radius.tolist()
     for j, rows in enumerate(columns):

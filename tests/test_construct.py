@@ -272,14 +272,10 @@ def test_builders_are_deterministic():
 
 
 def test_scales_invariants():
-    ps = build_odd(2, 3, 0.006)
-    sc = construct.scales(ps)
-    assert 0.006 / 3 < sc.half_short_edge < math.pi / 2 * 0.006 / 3
-    assert sc.circumradius_sq == pytest.approx(2 / 6)       # k/(2k+2)
-    assert sc.height_sq == pytest.approx(3 / 4)             # (k+1)/(2k)
-    assert sc.center_gap_sq == pytest.approx(1 / 12)        # 1/(2k(k+1))
-    assert construct.scales(build_even(2, 5)).half_short_edge == pytest.approx(
-        math.sqrt(2) / 2 * math.sin(math.pi / 5))
-    # 3d and suspended report the scales of their underlying circle count
-    assert construct.scales(build_3d(3, 0.01)).height_sq == pytest.approx(1.0)
-    assert construct.scales(build_suspended(2, 2, 0.005, 0.5)).height_sq == pytest.approx(1.0)
+    assert 0.006 / 3 < half_edge(build_odd(2, 3, 0.006)) < math.pi / 2 * 0.006 / 3
+    assert construct.regular_simplex_circumradius_sq(2) == pytest.approx(2 / 6)  # k/(2k+2)
+    assert construct.regular_simplex_height_sq(2) == pytest.approx(3 / 4)        # (k+1)/(2k)
+    assert construct.regular_simplex_inradius_gap_sq(2) == pytest.approx(1 / 12)  # 1/(2k(k+1))
+    assert half_edge(build_even(2, 5)) == pytest.approx(math.sqrt(2) / 2 * math.sin(math.pi / 5))
+    # the 3d set's circles, and the suspended k=2 set's, are the k=1 case
+    assert construct.regular_simplex_height_sq(1) == pytest.approx(1.0)

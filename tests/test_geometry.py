@@ -10,7 +10,6 @@ from extremal_cech.geometry import (
     AffineDegeneracyError,
     DimensionMismatchError,
     Sphere,
-    Tolerance,
     barycentric_coordinates,
     barycentric_interior,
     circumsphere,
@@ -216,10 +215,3 @@ class TestEmptySphere:
         sphere = Sphere(np.zeros(4), math.sqrt(2.0) / 2.0)
         assert is_empty_sphere(sphere, ps, strict=False)
         assert not is_empty_sphere(sphere, ps, strict=True)
-
-
-def test_tolerance_validation():
-    with pytest.raises(ValueError):
-        Tolerance(abs_eps=-1.0)
-    with pytest.raises(ValueError):
-        Tolerance(abs_eps=1e-3, rel_eps=1e-9)

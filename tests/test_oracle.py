@@ -64,22 +64,22 @@ class TestCech:
         assert cech_betti(ps, 0.5, 1)[1] == 26
 
 
-def brute_force_values(ps, maxdim, tol=DEFAULT_TOL):
+def brute_force_values(ps, maxdim):
     """The miniball radius of every subset, made monotone by the max over
     its facets."""
     values = {}
     for size in range(1, maxdim + 2):
         for verts in itertools.combinations(range(len(ps)), size):
-            value = min_enclosing_ball(ps.points[list(verts)], tol).radius
+            value = min_enclosing_ball(ps.points[list(verts)]).radius
             if size > 1:
                 value = max(value, max(values[f] for f in itertools.combinations(verts, size - 1)))
             values[verts] = value
     return values
 
 
-def brute_force_cech(values, r, tol=DEFAULT_TOL):
+def brute_force_cech(values, r):
     """Reference Cech complex: all subsets with value <= r + abs_eps."""
-    kept = [(verts, value) for verts, value in values.items() if value <= r + tol.abs_eps]
+    kept = [(verts, value) for verts, value in values.items() if value <= r + DEFAULT_TOL.abs_eps]
     kept.sort(key=lambda sv: (sv[1], len(sv[0]), sv[0]))
     return kept
 
@@ -108,9 +108,9 @@ class TestPrunedCech:
         monkeypatch.setattr(oracle, "_miniball_memo", {})
         calls = []
 
-        def counting(points, tol=DEFAULT_TOL):
+        def counting(points):
             calls.append(len(points))
-            return min_enclosing_ball(points, tol)
+            return min_enclosing_ball(points)
 
         monkeypatch.setattr(oracle, "min_enclosing_ball", counting)
         cech(ps, min(th.rho for th in thresholds), 4)
@@ -121,9 +121,9 @@ class TestPrunedCech:
         monkeypatch.setattr(oracle, "_miniball_memo", {})
         calls = []
 
-        def counting(points, tol=DEFAULT_TOL):
+        def counting(points):
             calls.append(points.tobytes())
-            return min_enclosing_ball(points, tol)
+            return min_enclosing_ball(points)
 
         monkeypatch.setattr(oracle, "min_enclosing_ball", counting)
         for th in thresholds:
@@ -210,6 +210,12 @@ class TestEnumerationMatch:
         ps, _, _, _ = even_2_5
         with pytest.raises(BudgetExceededError):
             enumeration_matches_oracle(ps, 3, budget=5)
+
+    @pytest.mark.parametrize("maxdim", [-1, 4])
+    def test_maxdim_outside_the_dimension(self, threed_n2, maxdim):
+        ps, _, _, _ = threed_n2
+        with pytest.raises(ValueError, match=f"maxdim {maxdim} is outside 0..3"):
+            enumeration_matches_oracle(ps, maxdim)
 
 
 def full_scan_match(ps, maxdim, strict):

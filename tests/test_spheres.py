@@ -14,7 +14,6 @@ from extremal_cech.geometry import (
     DEFAULT_TOL,
     AffineDegeneracyError,
     Sphere,
-    Tolerance,
     barycentric_interior,
     circumsphere,
     circumspheres,
@@ -30,11 +29,12 @@ from test_acceptance import ACCEPTED
 FIELDS = ("center", "radius", "degenerate", "interior", "offender", "empty")
 
 
-def reference_circumspheres(pts, simplices, tol=DEFAULT_TOL):
+def reference_circumspheres(pts, simplices):
     """The kernel before the filters, as a dict of FIELDS: a stacked SVD
     test for degeneracy, and every point-to-center distance summed over the
     differences; the offender is the first point of the distance matrix
     below the strict bound."""
+    tol = DEFAULT_TOL
     pts = np.asarray(getattr(pts, "points", pts), dtype=float)
     n_pts, d = pts.shape
     count = len(simplices)
@@ -94,9 +94,9 @@ def bits(values):
     return values.tolist()
 
 
-def assert_as_reference(pts, simplices, tol=DEFAULT_TOL):
-    batch = circumspheres(pts, simplices, tol)
-    reference = reference_circumspheres(pts, simplices, tol)
+def assert_as_reference(pts, simplices):
+    batch = circumspheres(pts, simplices)
+    reference = reference_circumspheres(pts, simplices)
     for name in FIELDS:
         assert bits(getattr(batch, name)) == bits(reference[name]), name
     return batch
@@ -220,15 +220,20 @@ class TestEmptinessBand:
 
 
 def test_subnormal_distances_get_the_difference_verdict():
-    # points ~1e-161 apart and an abs_eps of a few subnormals: the distances
+    # points ~1e-161 apart and a bound of a few subnormals: the distances
     # underflow, with absolute rounding errors the relative band alone
-    # would not cover (only vertices: the Gram systems of larger simplices
-    # underflow to singular)
+    # would not cover (only vertices, each its own center at radius 0: the
+    # Gram systems of larger simplices underflow to singular)
     rng = np.random.default_rng(3)
+    idx = np.arange(30)[:, None]
     for units in range(1, 40):
-        tol = Tolerance(abs_eps=units * 5e-324)
         pts = rng.random((30, 2)) * 1e-161
-        assert_as_reference(pts, [(i,) for i in range(30)], tol)
+        bound = np.full(30, units * 5e-324)
+        first = geometry._first_inside(pts, np.einsum("ij,ij->i", pts, pts), idx, pts, bound)
+        diffs = pts[None, :, :] - pts[:, None, :]
+        below = np.einsum("bij,bij->bi", diffs, diffs) < bound[:, None]
+        below[idx[:, 0], idx[:, 0]] = False
+        assert first.tolist() == np.where(below.any(axis=1), below.argmax(axis=1), -1).tolist()
 
 
 class TestDegeneracyFallback:

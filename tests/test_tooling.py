@@ -1,15 +1,19 @@
 """The benchmark's layer trace wraps package attributes by name
 (`perfbench/tracer.py`'s SITES) and reads `homology.HAVE_COMPILED`
 (`perfbench/run.py`).  A rename or removal in the package breaks
-`perfbench/run.py --trace 1`, so every such name must resolve.  And only
+`perfbench/run.py --trace 1`, so every such name must resolve.  Only
 `complexgen` reads a FilteredComplex's private fields; every other module
-goes through its methods."""
+goes through its methods.  And the numerical slacks are one record,
+`geometry.DEFAULT_TOL`, that no public function takes as a parameter."""
 
 import importlib
 import importlib.util
+import inspect
+import pkgutil
 import re
 from pathlib import Path
 
+import extremal_cech
 from extremal_cech import homology
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -36,3 +40,38 @@ def test_only_complexgen_reads_private_complex_fields():
              for lineno, line in enumerate(path.read_text().splitlines(), 1)
              if PRIVATE_FIELDS.search(line)]
     assert reads == []
+
+
+def public_routines():
+    """(qualified name, routine) for every function in a package module's
+    `__all__` and every method of a class there."""
+    for info in pkgutil.iter_modules(extremal_cech.__path__):
+        module = importlib.import_module(f"extremal_cech.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            obj = getattr(module, name)
+            if inspect.isclass(obj):
+                for attr, member in inspect.getmembers(obj, inspect.isroutine):
+                    yield f"{info.name}.{name}.{attr}", member
+            elif inspect.isroutine(obj):
+                yield f"{info.name}.{name}", obj
+
+
+def test_no_public_function_takes_a_tolerance():
+    routines = dict(public_routines())
+    assert "geometry.circumspheres" in routines
+    assert "complexgen.FilteredComplex.faces" in routines
+    with_tol = []
+    for name, routine in routines.items():
+        try:
+            params = inspect.signature(routine).parameters
+        except ValueError:  # a builtin without a signature
+            continue
+        if "tol" in params:
+            with_tol.append(name)
+    assert with_tol == []
+    constructions = [f"{path.relative_to(ROOT)}:{lineno}: {line.strip()}"
+                     for path in sorted((ROOT / "src").rglob("*.py"))
+                     for lineno, line in enumerate(path.read_text().splitlines(), 1)
+                     if "Tolerance(" in line]
+    assert len(constructions) == 1
+    assert constructions[0].endswith("DEFAULT_TOL = Tolerance()")
