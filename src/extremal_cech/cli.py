@@ -2,10 +2,11 @@
 
 Subcommands: generate, filtration, betti, persistence, radii, oracle,
 verify.  Exit codes: 0 success / all PASS, 1 claim or check FAIL, 2 usage
-error (argparse default, bad parameters or input files), 3 numeric,
-controller or consistency failure (delta controller exhausted, class
-overlap, a simplex the build finds not critical, affinely degenerate
-simplex, subset budget, face-order check, reduction/rank cross-check).
+error (argparse default, bad parameters, bad or unreadable input files,
+unwritable output files), 3 numeric, controller or consistency failure
+(delta controller exhausted, class overlap, a simplex the build finds not
+critical, affinely degenerate simplex, subset budget, face-order check,
+reduction/rank cross-check).
 
 Outputs are deterministic: identical invocations produce byte-identical
 files; nothing embeds timestamps.
@@ -278,7 +279,9 @@ def main(argv=None) -> int:
         # consistency checks
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
+        # a bad parameter, or an input file that cannot be read or an
+        # output that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

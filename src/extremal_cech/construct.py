@@ -273,6 +273,10 @@ def half_edge(ps: PointSet) -> float:
 
 
 def default_delta(n: int) -> float:
+    """The controller's first delta, 0.1/n capped at 0.01; n below 2 is
+    refused as the delta-bearing builders refuse it."""
+    if n < 2:
+        raise ValueError("n must be >= 2")
     return min(1e-2, 1e-1 / n)
 
 

@@ -22,13 +22,16 @@ not safe at every size: on the 3d family the smallest strict-emptiness
 clearance is 2(delta/n)^2, which at the default delta = 0.1/n falls below
 abs_eps = 1e-12 from n ~ 376.
 
-Every function is pure and thread-safe.
+Every function is pure and thread-safe.  The one piece of state, the
+bounded memo of `min_enclosing_ball`'s boundary solves, changes no result:
+a hit returns what the same boundary bytes gave on the miss.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,6 +140,29 @@ def _ball_through(pts: np.ndarray) -> Sphere:
     return Sphere(center, radius)
 
 
+# Boundary solves of `min_enclosing_ball`, keyed on the boundary's shape and
+# bytes; the oldest entry goes once the memo is full.  Inserts hold the lock,
+# so no eviction iterates the dict while another thread changes it.
+_BALL_MEMO_SIZE = 1 << 12
+_ball_memo: dict[tuple, Sphere] = {}
+_ball_memo_lock = threading.Lock()
+
+
+def _memo_ball_through(pts: np.ndarray) -> Sphere:
+    """`_ball_through(pts)` from the memo, computed from `pts` on a miss;
+    a memoized center is read-only."""
+    key = (pts.shape, pts.tobytes())
+    ball = _ball_memo.get(key)
+    if ball is None:
+        ball = _ball_through(pts)
+        ball.center.flags.writeable = False
+        with _ball_memo_lock:
+            if len(_ball_memo) >= _BALL_MEMO_SIZE:
+                del _ball_memo[next(iter(_ball_memo))]
+            _ball_memo[key] = ball
+    return ball
+
+
 def min_enclosing_ball(points) -> Sphere:
     """Smallest ball containing all the points (miniball).
 
@@ -145,6 +171,12 @@ def min_enclosing_ball(points) -> Sphere:
     as inside when its squared distance exceeds r^2 by at most
     abs_eps * min(1, r^2): an absolute slack alone would put two points
     up to sqrt(abs_eps) apart inside a ball of radius 0.
+
+    Processing in input order, the call on a set replays every boundary
+    solve of the call on its prefix, so the solves go through one bounded
+    memo of _BALL_MEMO_SIZE = 4096 boundaries, oldest out first.  A hit
+    returns the sphere the same boundary bytes gave before, so the memo
+    changes no result, and the returned center is the caller's own copy.
     """
     pts = _as_matrix(points)
     d = pts.shape[1]
@@ -158,14 +190,15 @@ def min_enclosing_ball(points) -> Sphere:
         return r2 + DEFAULT_TOL.abs_eps * min(1.0, r2)
 
     def recurse(end: int, boundary: list) -> Sphere | None:
-        ball = _ball_through(np.asarray(boundary)) if boundary else None
+        ball = _memo_ball_through(np.asarray(boundary)) if boundary else None
         if len(boundary) == d + 1:
             return ball
         limit = inside_limit(ball)
         i = 0
         while i < end:
             p = pts[order[i]]
-            if ball is None or squared_distance(p, ball.center) > limit:
+            # `squared_distance`'s arithmetic, without its conversions and checks
+            if ball is None or float(np.dot(diff := p - ball.center, diff)) > limit:
                 ball = recurse(i, boundary + [p])
                 limit = inside_limit(ball)
                 order.insert(0, order.pop(i))
@@ -174,7 +207,7 @@ def min_enclosing_ball(points) -> Sphere:
 
     ball = recurse(len(order), [])
     assert ball is not None
-    return ball
+    return Sphere(ball.center.copy(), ball.radius)
 
 
 def circumsphere(points) -> Sphere:

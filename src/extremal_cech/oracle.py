@@ -21,9 +21,14 @@ so no face of the mosaic has a facet outside it.  The LP decides emptiness up to
 margin tolerance, so the tests keep the scan of every subset as the
 reference and require the same `MatchReport` from the grown run.
 
-A miniball radius is a pure function of the subset's coordinates, so a
-bounded memo keeps it: the Cech complexes of one point set at several
-radii, or of point sets sharing coordinates, solve each subset once.
+Miniballs are memoized at two levels.  A subset's radius is a pure
+function of its coordinates, so a bounded memo here keeps it: the Cech
+complexes of one point set at several radii, or of point sets sharing
+coordinates, solve each subset once.  Below it, `geometry` memoizes each
+boundary solve of the Welzl recursion, which the miniball of a subset grown
+by one vertex replays from the miniball of the subset: a cold
+`verify --all` makes 547 solves where it made 3,190, and
+`oracle --kind even --k 2 --n 5` 140 where it made 520.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@ import functools
 
 import pytest
 
-from extremal_cech import complexgen, homology
+from extremal_cech import complexgen, geometry, homology, oracle, verify
 from extremal_cech.construct import build_validated
 from extremal_cech.geometry import circumspheres
 
@@ -13,6 +13,23 @@ def cached_pipeline(kind, k, n, delta="auto"):
     test modules to keep the suite fast."""
     ps, fc, thresholds = build_validated(kind, k=k, n=n, delta=delta)
     return ps, fc, thresholds, homology.reduce(fc)
+
+
+def reset_memos(mp):
+    """Give `geometry` and `oracle` fresh, empty memos through the
+    MonkeyPatch `mp`, which puts the old ones back when it is undone, and
+    clear `verify`'s caches, so a run in the process starts cold."""
+    mp.setattr(geometry, "_ball_memo", {})
+    mp.setattr(oracle, "_miniball_memo", {})
+    for cached in vars(verify).values():
+        if hasattr(cached, "cache_clear"):
+            cached.cache_clear()
+
+
+@pytest.fixture
+def fresh_memos(monkeypatch):
+    """Empty memos and cleared caches for one test (see `reset_memos`)."""
+    reset_memos(monkeypatch)
 
 
 @pytest.fixture(scope="session")

@@ -214,6 +214,31 @@ def test_usage_error_exit_2():
     assert exc.value.code == 2
 
 
+class TestBadInputExit2:
+    """A size no construction accepts and a file that cannot be read or
+    written end as one `error: ...` line on stderr and exit 2."""
+
+    @pytest.mark.parametrize("command", ["generate", "filtration"])
+    @pytest.mark.parametrize("kind", [["--kind", "3d"], ["--kind", "odd", "--k", "2"]])
+    def test_n_0_with_the_default_delta(self, command, kind, tmp_path, capsys):
+        code, out, err = run([command, *kind, "--n", "0", "-o", str(tmp_path / "x")], capsys)
+        assert (code, out, err) == (2, "", "error: n must be >= 2\n")
+
+    def test_missing_points_file(self, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        code, out, err = run(["filtration", "--kind", "3d", "--n", "3", "--points", str(missing),
+                              "-o", str(tmp_path / "x")], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and str(missing) in err and err.count("\n") == 1
+
+    def test_unwritable_output(self, tmp_path, capsys):
+        target = tmp_path / "no-such-dir" / "x.csv"
+        code, out, err = run(["persistence", "--kind", "3d", "--n", "3", "-o", str(target)],
+                             capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and str(target) in err and err.count("\n") == 1
+
+
 class TestNumericFailuresExit3:
     """A numeric or consistency failure anywhere in a command ends as
     `error: ...` on stderr and exit 3, not as a traceback."""

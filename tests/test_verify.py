@@ -205,10 +205,7 @@ class TestReporting:
 
 
 class TestCaching:
-    def test_all_builds_each_pipeline_once(self, monkeypatch, capsys):
-        for cached in (verify._pipeline, verify._suspension_run, verify.baseline_bound,
-                       verify._suspension_baseline):
-            cached.cache_clear()
+    def test_all_builds_each_pipeline_once(self, fresh_memos, monkeypatch, capsys):
         builds = collections.Counter()
         real = verify.build_validated
 
