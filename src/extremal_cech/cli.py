@@ -124,7 +124,7 @@ def _cmd_betti(args) -> int:
 
 def _cmd_persistence(args) -> int:
     _, fc, _ = _build_validated(args)
-    pd = homology.reduce(fc, reduced=not args.unreduced)
+    pd = homology.reduce(fc)
     homology.save_diagram(pd, args.output)
     print(f"wrote {len(pd.pairs)} pairs to {args.output}")
     if args.svg:
@@ -163,9 +163,9 @@ def _cmd_oracle(args) -> int:
                 fh.write(f"extra,{' '.join(map(str, v))}\n")
     ok = rep.ok
     pmax = min(ps.dim - 1, fc.max_dim())
-    for th in thresholds:
-        eq = oracle.cech_equals_alpha_betti(ps, th.rho, pmax, fc=fc, budget=args.budget)
-        print(f"cech vs alpha at rho={th.rho:.9g}: {eq.cech_vector} vs "
+    for eq in oracle.cech_equals_alpha_betti(ps, [th.rho for th in thresholds], pmax,
+                                             fc=fc, budget=args.budget):
+        print(f"cech vs alpha at rho={eq.radius:.9g}: {eq.cech_vector} vs "
               f"{eq.alpha_vector} -> {'PASS' if eq.ok else 'FAIL'}")
         ok &= eq.ok
     return EXIT_OK if ok else EXIT_FAIL
@@ -238,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_construction_args(p, kinds=("even", "3d", "odd"))
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--svg", help="also write a births-vs-deaths SVG scatter")
-    p.add_argument("--unreduced", action="store_true")
     p.set_defaults(func=_cmd_persistence)
 
     p = sub.add_parser("radii", help="print per-class radius ranges and thresholds")

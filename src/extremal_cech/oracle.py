@@ -21,14 +21,14 @@ so no face of the mosaic has a facet outside it.  The LP decides emptiness up to
 margin tolerance, so the tests keep the scan of every subset as the
 reference and require the same `MatchReport` from the grown run.
 
-Miniballs are memoized at two levels.  A subset's radius is a pure
-function of its coordinates, so a bounded memo here keeps it: the Cech
-complexes of one point set at several radii, or of point sets sharing
-coordinates, solve each subset once.  Below it, `geometry` memoizes each
-boundary solve of the Welzl recursion, which the miniball of a subset grown
-by one vertex replays from the miniball of the subset: a cold
-`verify --all` makes 547 solves where it made 3,190, and
-`oracle --kind even --k 2 --n 5` 140 where it made 520.
+The Cech oracle answers several radii on one point set with one complex:
+a subset's value does not depend on the cut, so the complex at r is the
+prefix of the complex at R >= r, and the diagram of a prefix is the prefix
+of the diagram.  It builds the complex once, at the largest radius, reduces
+it once and reads every radius from that diagram.  Its only memo is the one
+in `geometry`, of each boundary solve of the Welzl recursion, which the
+miniball of a subset grown by one vertex replays from the miniball of the
+subset.
 """
 
 from __future__ import annotations
@@ -93,7 +93,10 @@ def _check_budget(n_points: int, maxdim: int, budget: int) -> None:
     The budget counts all those subsets, not the miniballs or LPs solved:
     both oracles test only subsets whose facets were accepted, but the
     inputs refused are the same as for a scan of every subset, at every
-    radius."""
+    radius.  A budget below 1 admits no subset and is refused as a bad
+    parameter."""
+    if budget < 1:
+        raise ValueError(f"budget {budget} is below 1")
     total = sum(math.comb(n_points, m) for m in range(1, maxdim + 2))
     if total > budget:
         raise BudgetExceededError(
@@ -125,23 +128,6 @@ def _grow_faces(n_points: int, maxdim: int, accept) -> set[tuple[int, ...]]:
     return kept
 
 
-_MINIBALL_MEMO_SIZE = 1 << 14
-_miniball_memo: dict[tuple, float] = {}
-
-
-def _miniball_radius(points: np.ndarray) -> float:
-    """`min_enclosing_ball(points).radius`, memoized on the coordinate
-    bytes; the oldest entry goes once the memo is full."""
-    key = (points.dtype.str, points.shape, points.tobytes())
-    radius = _miniball_memo.get(key)
-    if radius is None:
-        radius = min_enclosing_ball(points).radius
-        if len(_miniball_memo) >= _MINIBALL_MEMO_SIZE:
-            del _miniball_memo[next(iter(_miniball_memo))]
-        _miniball_memo[key] = radius
-    return radius
-
-
 def _miniball_radii(points: np.ndarray, maxdim: int, r: float):
     """Miniball radius per subset in the Cech complex at r, made exactly
     monotone under face inclusion (a face's value may exceed its coface's by
@@ -156,7 +142,7 @@ def _miniball_radii(points: np.ndarray, maxdim: int, r: float):
     values: dict[tuple[int, ...], float] = {}
 
     def accept(verts):
-        value = _miniball_radius(points[list(verts)])
+        value = min_enclosing_ball(points[list(verts)]).radius
         if len(verts) > 1:
             value = max(value, max(values[f] for f in
                                    itertools.combinations(verts, len(verts) - 1)))
@@ -179,13 +165,15 @@ def cech(ps: PointSet, r: float, maxdim: int, budget: int = DEFAULT_BUDGET) -> C
     return CechComplex(maxdim, r, kept)
 
 
-def cech_betti(ps: PointSet, r: float, pmax: int, budget: int = DEFAULT_BUDGET,
-               reduced: bool = True) -> list[int]:
-    """Betti numbers beta_0..beta_pmax of the Cech complex at radius r.
-    Needs simplices one dimension above pmax to witness deaths."""
-    cx = cech(ps, r, min(pmax + 1, ps.dim), budget)
-    pd = homology.reduce(cx, reduced=reduced)
-    return [homology.betti_at(pd, p, r, DEFAULT_TOL.abs_eps) for p in range(pmax + 1)]
+def cech_betti(ps: PointSet, radii, pmax: int,
+               budget: int = DEFAULT_BUDGET) -> list[list[int]]:
+    """Betti numbers beta_0..beta_pmax of the Cech complex at each radius,
+    all read from the diagram of the complex at the largest radius.  Needs
+    simplices one dimension above pmax to witness deaths."""
+    cx = cech(ps, max(radii), min(pmax + 1, ps.dim), budget)
+    pd = homology.reduce(cx)
+    return [[homology.betti_at(pd, p, r, DEFAULT_TOL.abs_eps) for p in range(pmax + 1)]
+            for r in radii]
 
 
 @dataclass
@@ -199,21 +187,22 @@ class EqualityReport:
         return self.cech_vector == self.alpha_vector
 
 
-def cech_equals_alpha_betti(ps: PointSet, r: float, pmax: int,
+def cech_equals_alpha_betti(ps: PointSet, radii, pmax: int,
                             fc: complexgen.FilteredComplex | None = None,
-                            budget: int = DEFAULT_BUDGET) -> EqualityReport:
+                            budget: int = DEFAULT_BUDGET) -> list[EqualityReport]:
     """Compare Betti vectors of the Cech complex and the alpha sublevel
-    complex at the same radius (both share the homotopy type of the union of
+    complex at each radius (both share the homotopy type of the union of
     balls, so the vectors must agree)."""
     if ps.kind == KIND_EVEN:
         top = math.sqrt(2.0) / 2.0
-        if r >= top - DEFAULT_TOL.abs_eps:
+        if max(radii) >= top - DEFAULT_TOL.abs_eps:
             raise ValueError("radius must stay below the even top-cell value")
-    cvec = cech_betti(ps, r, pmax, budget)
+    cvecs = cech_betti(ps, radii, pmax, budget)
     if fc is None:
         fc = complexgen.build_filtration(ps)
-    avec = homology.betti_of_subcomplex(fc, r, pmax=pmax, eps=DEFAULT_TOL.abs_eps)
-    return EqualityReport(r, cvec, avec)
+    eps = DEFAULT_TOL.abs_eps
+    return [EqualityReport(r, cvec, homology.betti_of_subcomplex(fc, r, pmax=pmax, eps=eps))
+            for r, cvec in zip(radii, cvecs)]
 
 
 def delaunay_face_test(ps: PointSet, vertices, strict: bool = True) -> bool:
@@ -302,13 +291,17 @@ def enumeration_matches_oracle(ps: PointSet, maxdim: int,
     The test runs only on subsets whose facets all passed, since a face of
     a Delaunay face is a Delaunay face.  The budget still counts all
     C(N, <= maxdim+1) subsets, so the inputs a scan of every subset refuses
-    are refused here too."""
+    are refused here too.  On the even kind the oracle leaves out the top
+    cell conv(A), the set of all points, as the mosaic does; it is a
+    candidate only when it has at most maxdim+1 points, as at k=1 n=3."""
     _check_maxdim(ps, maxdim)
     _check_budget(len(ps), maxdim, budget)
     enumerated = {cs.vertices for cs in complexgen.enumerate_mosaic(ps)
                   if cs.dim <= maxdim}
     oracle_faces = _grow_faces(
         len(ps), maxdim, lambda verts: delaunay_face_test(ps, verts, strict=strict))
+    if ps.kind == KIND_EVEN:
+        oracle_faces.discard(tuple(range(len(ps))))
     missing = sorted(oracle_faces - enumerated)
     extra = sorted(enumerated - oracle_faces)
     return MatchReport(len(enumerated), len(oracle_faces), missing, extra)

@@ -152,8 +152,8 @@ def verify_betti_3d(n: int, delta="auto", oracle_check: bool | None = None) -> l
     if oracle_check:
         rho1 = threshold_after(thresholds, (1, -1))
         rho2 = threshold_after(thresholds, (1, 0))
-        c1 = oracle.cech_betti(ps, rho1, 1)[1]
-        c2 = oracle.cech_betti(ps, rho2, 2)[2]
+        at_rho1, at_rho2 = oracle.cech_betti(ps, (rho1, rho2), 2)
+        c1, c2 = at_rho1[1], at_rho2[2]
         claims.append(_claim("3d/oracle/b1", params, b1, c1, c1 == b1))
         claims.append(_claim("3d/oracle/b2", params, b2, c2, c2 == b2))
     return claims
@@ -265,7 +265,7 @@ def _suspension_run(k: int, n: int, delta):
     expected = homology.betti_at(pd, p_void, rho)
 
     bare = _strip_apexes(build_suspended(k, n, ps.delta, 0.5))
-    no_apex = oracle.cech_betti(bare, rho, 2 * k - 1)[2 * k - 1]
+    no_apex = oracle.cech_betti(bare, [rho], 2 * k - 1)[0][2 * k - 1]
 
     # Candidate heights: the default, then a logarithmic ladder of offsets
     # just above the verifying radius.  Above rho no subset containing both
@@ -280,7 +280,7 @@ def _suspension_run(k: int, n: int, delta):
     accepted_h = None
     for h in candidates:
         sps = build_suspended(k, n, ps.delta, h)
-        betti = oracle.cech_betti(sps, rho, 2 * k - 1)[2 * k - 1]
+        betti = oracle.cech_betti(sps, [rho], 2 * k - 1)[0][2 * k - 1]
         if betti == expected:
             observed, accepted_h = betti, h
             break

@@ -2,7 +2,7 @@ import functools
 
 import pytest
 
-from extremal_cech import complexgen, geometry, homology, oracle, verify
+from extremal_cech import complexgen, geometry, homology, verify
 from extremal_cech.construct import build_validated
 from extremal_cech.geometry import circumspheres
 
@@ -16,11 +16,10 @@ def cached_pipeline(kind, k, n, delta="auto"):
 
 
 def reset_memos(mp):
-    """Give `geometry` and `oracle` fresh, empty memos through the
-    MonkeyPatch `mp`, which puts the old ones back when it is undone, and
-    clear `verify`'s caches, so a run in the process starts cold."""
+    """Give `geometry` a fresh, empty memo through the MonkeyPatch `mp`,
+    which puts the old one back when it is undone, and clear `verify`'s
+    caches, so a run in the process starts cold."""
     mp.setattr(geometry, "_ball_memo", {})
-    mp.setattr(oracle, "_miniball_memo", {})
     for cached in vars(verify).values():
         if hasattr(cached, "cache_clear"):
             cached.cache_clear()

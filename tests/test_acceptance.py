@@ -130,8 +130,8 @@ def test_criterion_08_oracle_equivalence():
         match = oracle.enumeration_matches_oracle(ps, maxdim)
         ok &= match.ok
         pmax = min(ps.dim - 1, fc.max_dim())
-        agree = all(oracle.cech_equals_alpha_betti(ps, th.rho, pmax, fc=fc).ok
-                    for th in thresholds)
+        agree = all(eq.ok for eq in oracle.cech_equals_alpha_betti(
+            ps, [th.rho for th in thresholds], pmax, fc=fc))
         ok &= agree
         detail.append(f"{kind}(k={k},n={n}): match={match.ok}, cech=alpha={agree}")
     elapsed = time.time() - t0

@@ -155,6 +155,15 @@ class TestPersistence:
         run(["persistence", "--kind", "even", "--k", "2", "--n", "5", "-o", str(b)], capsys)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_unreduced_is_not_an_option(self, tmp_path, capsys):
+        # the diagram file holds the same pairs under either convention
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["persistence", "--kind", "3d", "--n", "2",
+                      "-o", str(tmp_path / "d.csv"), "--unreduced"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --unreduced" in capsys.readouterr().err
+        assert not (tmp_path / "d.csv").exists()
+
 
 class TestVerify:
     def test_betti_suite_3d(self, tmp_path, capsys):
@@ -191,6 +200,20 @@ class TestOracleCommand:
                            capsys)
         assert code == 3
         assert "budget" in err
+
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    def test_budget_below_one_exits_2(self, budget, capsys):
+        code, out, err = run(["oracle", "--kind", "3d", "--n", "2", "--budget", budget],
+                             capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: budget {budget} is below 1\n"
+
+    def test_even_top_cell_simplex_passes(self, capsys):
+        # conv(A) of even k=1 n=3 is a triangle that the mosaic leaves out
+        code, out, _ = run(["oracle", "--kind", "even", "--k", "1", "--n", "3"], capsys)
+        assert code == 0
+        assert "6 enumerated, 6 oracle, 0 missing, 0 extra -> PASS" in out
+        assert "FAIL" not in out
 
     @pytest.mark.parametrize("maxdim", ["-1", "4"])
     def test_maxdim_outside_the_dimension_exits_2(self, maxdim, capsys):

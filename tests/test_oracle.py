@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from extremal_cech import complexgen, oracle
+from extremal_cech import complexgen, homology, oracle
 from extremal_cech.construct import PointSet, build_3d, build_suspended
 from extremal_cech.geometry import DEFAULT_TOL, min_enclosing_ball
 from extremal_cech.oracle import (
@@ -57,11 +57,11 @@ class TestCech:
     def test_3d_betti_at_thresholds(self, threed_n2):
         ps, _, thresholds, _ = threed_n2
         rho1 = complexgen.threshold_after(thresholds, (1, -1))
-        assert cech_betti(ps, rho1, 1)[1] == 8
+        assert cech_betti(ps, [rho1], 1)[0][1] == 8
 
     def test_even_betti_at_half(self, even_2_5):
         ps, _, _, _ = even_2_5
-        assert cech_betti(ps, 0.5, 1)[1] == 26
+        assert cech_betti(ps, [0.5], 1)[0][1] == 26
 
 
 def brute_force_values(ps, maxdim):
@@ -82,6 +82,31 @@ def brute_force_cech(values, r):
     kept = [(verts, value) for verts, value in values.items() if value <= r + DEFAULT_TOL.abs_eps]
     kept.sort(key=lambda sv: (sv[1], len(sv[0]), sv[0]))
     return kept
+
+
+def reference_cech_betti(ps, r, pmax):
+    """Betti numbers at r from the Cech complex built and reduced at r."""
+    pd = homology.reduce(cech(ps, r, min(pmax + 1, ps.dim)))
+    return [homology.betti_at(pd, p, r, DEFAULT_TOL.abs_eps) for p in range(pmax + 1)]
+
+
+class TestOneComplexForAllRadii:
+    """The complex at the largest radius answers every smaller radius as
+    the complex built at that radius does."""
+
+    @pytest.mark.parametrize("kind,k,n", [("3d", 1, 2), ("even", 2, 5), ("odd", 2, 2),
+                                          ("suspended", 2, 2)])
+    def test_equals_one_complex_per_radius(self, pipeline, kind, k, n):
+        if kind == "suspended":
+            base, _, thresholds, _ = pipeline("odd", k - 1, n)
+            ps = build_suspended(k, n, base.delta, 0.5)
+        else:
+            ps, _, thresholds, _ = pipeline(kind, k, n)
+        # descending, so the largest radius is not the last one
+        radii = [*sorted((th.rho for th in thresholds), reverse=True), 0.0]
+        pmax = ps.dim - 1
+        assert cech_betti(ps, radii, pmax) == [reference_cech_betti(ps, r, pmax)
+                                               for r in radii]
 
 
 class TestPrunedCech:
@@ -105,7 +130,6 @@ class TestPrunedCech:
 
     def test_skips_miniballs_above_the_cut(self, even_2_5, monkeypatch):
         ps, _, thresholds, _ = even_2_5
-        monkeypatch.setattr(oracle, "_miniball_memo", {})
         calls = []
 
         def counting(points):
@@ -118,43 +142,51 @@ class TestPrunedCech:
 
     def test_one_miniball_per_subset_across_radii(self, even_2_5, monkeypatch):
         ps, _, thresholds, _ = even_2_5
-        monkeypatch.setattr(oracle, "_miniball_memo", {})
         calls = []
+        cechs = []
 
         def counting(points):
             calls.append(points.tobytes())
             return min_enclosing_ball(points)
 
+        def recording(*args, **kwargs):
+            cechs.append(args[1])
+            return cech(*args, **kwargs)
+
         monkeypatch.setattr(oracle, "min_enclosing_ball", counting)
-        for th in thresholds:
-            cech(ps, th.rho, 4)
+        monkeypatch.setattr(oracle, "cech", recording)
+        rhos = [th.rho for th in thresholds]
+        cech_betti(ps, rhos, 3)
         assert len(thresholds) == 4
-        assert len(calls) == len(set(calls)) == 130  # without the memo: 345
+        assert cechs == [max(rhos)]
+        assert len(calls) == len(set(calls)) == 130  # one complex per radius: 345
 
 
 class TestCechEqualsAlpha:
     def test_3d_rho2(self, threed_n2):
         ps, fc, thresholds, _ = threed_n2
         rho2 = complexgen.threshold_after(thresholds, (1, 0))
-        report = cech_equals_alpha_betti(ps, rho2, 2, fc=fc)
+        [report] = cech_equals_alpha_betti(ps, [rho2], 2, fc=fc)
         assert report.ok
         assert report.cech_vector == [0, 0, 4]
 
     def test_radius_zero(self, threed_n2):
         ps, fc, _, _ = threed_n2
-        report = cech_equals_alpha_betti(ps, 0.0, 2, fc=fc)
+        [report] = cech_equals_alpha_betti(ps, [0.0], 2, fc=fc)
         assert report.ok
         assert report.cech_vector[0] == len(ps) - 1
 
     def test_even_top_radius_rejected(self, even_2_5):
         ps, fc, _, _ = even_2_5
         with pytest.raises(ValueError):
-            cech_equals_alpha_betti(ps, 0.71, 2, fc=fc)
+            cech_equals_alpha_betti(ps, [0.5, 0.71], 2, fc=fc)
 
     def test_all_thresholds_agree(self, odd_2_2):
         ps, fc, thresholds, _ = odd_2_2
-        for th in thresholds:
-            assert cech_equals_alpha_betti(ps, th.rho, 4, fc=fc).ok
+        rhos = [th.rho for th in thresholds]
+        reports = cech_equals_alpha_betti(ps, rhos, 4, fc=fc)
+        assert [rep.radius for rep in reports] == rhos
+        assert all(rep.ok for rep in reports)
 
 
 class TestDelaunayFaceTest:
