@@ -2,11 +2,12 @@
 
 Subcommands: generate, filtration, betti, persistence, radii, oracle,
 verify.  Exit codes: 0 success / all PASS, 1 claim or check FAIL, 2 usage
-error (argparse default, bad parameters, bad or unreadable input files,
-unwritable output files), 3 numeric, controller or consistency failure
-(delta controller exhausted, class overlap, a simplex the build finds not
-critical, affinely degenerate simplex, subset budget, face-order check,
-reduction/rank cross-check).
+error (argparse default, bad parameters such as a missing --k, a 3d --k
+other than 1, a non-finite --radius or nothing selected to verify, bad or
+unreadable input files, unwritable output files), 3 numeric, controller or
+consistency failure (delta controller exhausted, class overlap, a simplex
+the build finds not critical, affinely degenerate simplex, subset budget,
+face-order check, reduction/rank cross-check).
 
 Outputs are deterministic: identical invocations produce byte-identical
 files; nothing embeds timestamps.
@@ -15,6 +16,7 @@ files; nothing embeds timestamps.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -35,7 +37,6 @@ def _add_construction_args(p, kinds=_KIND_CHOICES):
     p.add_argument("--n", type=int, required=True, help="points-per-circle parameter")
     p.add_argument("--delta", default="auto",
                    help="arc half-width; 'auto' engages the halving controller")
-    p.add_argument("--h", type=float, default=0.5, help="apex height (suspended kind)")
 
 
 def _parse_delta(value):
@@ -43,11 +44,13 @@ def _parse_delta(value):
 
 
 def _default_k(args):
-    if args.k is not None:
-        return args.k
     if args.kind == "3d":
+        if args.k not in (None, 1):
+            raise ValueError(f"--k {args.k} is not 1, the only k of kind 3d")
         return 1
-    raise SystemExit(f"error: --k is required for kind {args.kind}")
+    if args.k is None:
+        raise ValueError(f"--k is required for kind {args.kind}")
+    return args.k
 
 
 def _build_plain(args) -> construct.PointSet:
@@ -67,9 +70,6 @@ def _build_plain(args) -> construct.PointSet:
 
 
 def _build_validated(args):
-    if args.kind == "suspended":
-        raise SystemExit("error: the suspended kind has no combinatorial filtration; "
-                         "use `verify --suspension` or `generate`")
     return construct.build_validated(args.kind, k=_default_k(args), n=args.n,
                                      delta=_parse_delta(args.delta))
 
@@ -110,6 +110,8 @@ def _cmd_filtration(args) -> int:
 def _cmd_betti(args) -> int:
     if math.isnan(args.radius):
         raise ValueError("--radius must be a number, not nan")
+    if math.isinf(args.radius):
+        raise ValueError(f"--radius must be finite, not {args.radius}")
     _, fc, _ = _build_validated(args)
     vec = homology.betti_of_subcomplex(fc, args.radius, reduced=not args.unreduced,
                                        eps=DEFAULT_TOL.abs_eps)
@@ -197,7 +199,7 @@ def _cmd_verify(args) -> int:
         claims += verify.verify_hypotheses(1, 2)
         claims += verify.verify_suspension(2, 2)
     if not claims:
-        raise SystemExit("error: nothing selected; pass --theorem/--suspension/"
+        raise ValueError("nothing selected; pass --theorem/--suspension/"
                          "--radii/--hypotheses/--all")
     for line in verify.claims_lines(claims):
         print(line)
@@ -214,10 +216,14 @@ def build_parser() -> argparse.ArgumentParser:
         prog="extremal-cech",
         description="Extremal point sets for Cech/Alpha complexes: generation, "
                     "filtrations, persistence, and claim verification.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # full option names only: abbreviated, generate's --h reads as --help elsewhere
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        parser_class=functools.partial(argparse.ArgumentParser, allow_abbrev=False))
 
     p = sub.add_parser("generate", help="write a point-set CSV")
     _add_construction_args(p)
+    p.add_argument("--h", type=float, default=0.5, help="apex height (suspended kind)")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_generate)
 

@@ -437,7 +437,6 @@ def threshold_after(thresholds: list[Threshold], cls: tuple[int, int]) -> float:
 
 @dataclass
 class CriticalityReport:
-    n_checked: int
     failures: list[tuple[tuple[int, ...], str]]
 
     @property
@@ -455,7 +454,7 @@ def criticality_check(ps: PointSet, fc: FilteredComplex) -> CriticalityReport:
     batch = circumspheres(ps, ids)
     errors = [_not_critical(ps, _row_vertices(ids, row), batch, row)
               for row in rows[~batch.critical[rows]].tolist()]
-    return CriticalityReport(len(fc), [(err.simplex, err.reason) for err in errors])
+    return CriticalityReport([(err.simplex, err.reason) for err in errors])
 
 
 def _not_critical(ps: PointSet, verts: tuple[int, ...], batch, i: int) -> NotCriticalError:

@@ -2,9 +2,9 @@
 
 The boundary matrix in filtration order is one (n, w) int array: row j
 holds the filtration positions of simplex j's facets, padded with -1.  A
-`complexgen.FilteredComplex` gives it (`faces()`); a CechComplex or a raw
-(value, vertices) list gets it from `face_array`, as does a complex made
-from entries.  One kernel, `reduce_columns`, pairs the apparent pairs with
+`complexgen.FilteredComplex` gives it (`faces()`); a (value, vertices)
+list, such as the Cech complex of `oracle.cech`, gets it from
+`face_array`.  One kernel, `reduce_columns`, pairs the apparent pairs with
 array operations and reduces the residue with clearing; the lowest ones
 define birth/death pairs and unkilled births are essential classes.  Every
 Betti query reads the one diagram of the whole filtration: a sublevel
@@ -166,23 +166,15 @@ class PersistenceDiagram:
 
     pairs: list[tuple[int, float, float]]
     reduced: bool = True
-    n_simplices: int = 0
-
-    def essentials(self) -> list[tuple[int, float, float]]:
-        return [p for p in self.pairs if p[2] == INF]
-
-    def finite(self) -> list[tuple[int, float, float]]:
-        return [p for p in self.pairs if p[2] != INF]
 
 
 def _arrays(filtration):
     """(values, dims, a call giving the face relation) of a FilteredComplex,
-    or of the (value, vertices) pairs of a CechComplex or a list."""
+    or of a list of (value, vertices) pairs."""
     if hasattr(filtration, "faces"):
         return filtration.values(), filtration.dims(), filtration.faces
-    pairs = filtration.as_filtration() if hasattr(filtration, "as_filtration") else filtration
-    verts = [tuple(v) for _, v in pairs]
-    return (np.array([value for value, _ in pairs], dtype=float),
+    verts = [tuple(v) for _, v in filtration]
+    return (np.array([value for value, _ in filtration], dtype=float),
             np.array([len(v) - 1 for v in verts], dtype=np.intp), lambda: face_array(verts))
 
 
@@ -190,9 +182,9 @@ def reduce(filtration, reduced: bool = True) -> PersistenceDiagram:
     """Reduce a face-closed, face-before-coface sorted filtration.
 
     A FilteredComplex gives its values, dims and face relation through its
-    methods; a CechComplex or a raw (value, vertices) list gets them through
-    `face_array`.  The pairing is unique for any valid order, so permuting
-    entries within equal (value, dim) groups leaves the diagram unchanged.
+    methods; a (value, vertices) list gets them through `face_array`.  The
+    pairing is unique for any valid order, so permuting entries within
+    equal (value, dim) groups leaves the diagram unchanged.
     """
     values, dims, faces = _arrays(filtration)
     lows = reduce_columns(faces())
@@ -206,7 +198,7 @@ def reduce(filtration, reduced: bool = True) -> PersistenceDiagram:
     death = np.concatenate((values[deaths], np.full(len(essential), INF)))
     order = np.lexsort((death, birth, dim))
     pairs = list(zip(dim[order].tolist(), birth[order].tolist(), death[order].tolist()))
-    return PersistenceDiagram(pairs, reduced=reduced, n_simplices=len(values))
+    return PersistenceDiagram(pairs, reduced=reduced)
 
 
 def betti_at(pd: PersistenceDiagram, p: int, r: float, eps: float = 0.0) -> int:
@@ -337,7 +329,7 @@ def save_diagram(pd: PersistenceDiagram, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def load_diagram(path, reduced: bool = True) -> PersistenceDiagram:
+def load_diagram(path) -> PersistenceDiagram:
     pairs = []
     with open(path) as fh:
         header = fh.readline().strip()
@@ -349,18 +341,19 @@ def load_diagram(path, reduced: bool = True) -> PersistenceDiagram:
             dim_s, birth_s, death_s = line.strip().split(",")
             death = INF if death_s == "inf" else float(death_s)
             pairs.append((int(dim_s), float(birth_s), death))
-    return PersistenceDiagram(pairs, reduced=reduced)
+    return PersistenceDiagram(pairs)
 
 
 _SVG_COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
+_SVG_SIZE = 420
 
 
-def diagram_svg(pd: PersistenceDiagram, path, size: int = 420) -> None:
+def diagram_svg(pd: PersistenceDiagram, path) -> None:
     """Births-vs-deaths scatter as a standalone SVG, one color per dimension;
     essential classes are drawn on the top border."""
     finite_vals = [v for p in pd.pairs for v in (p[1], p[2]) if v != INF]
     hi = max(finite_vals, default=1.0) * 1.05 or 1.0
-    margin, plot = 40.0, float(size - 60)
+    margin, plot = 40.0, float(_SVG_SIZE - 60)
 
     def sx(v):
         return margin + plot * v / hi
@@ -369,7 +362,7 @@ def diagram_svg(pd: PersistenceDiagram, path, size: int = 420) -> None:
         return margin + plot * (1.0 - v / hi)
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}">',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_SIZE}" height="{_SVG_SIZE}">',
         f'<rect x="{margin}" y="{margin}" width="{plot}" height="{plot}" '
         'fill="white" stroke="black"/>',
         f'<line x1="{sx(0)}" y1="{sy(0)}" x2="{sx(hi)}" y2="{sy(hi)}" '

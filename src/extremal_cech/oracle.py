@@ -46,7 +46,6 @@ from .lp import OPTIMAL, solve_lp_max
 
 __all__ = [
     "BudgetExceededError",
-    "CechComplex",
     "EqualityReport",
     "MatchReport",
     "cech",
@@ -62,22 +61,6 @@ _LP_BOX = 10.0  # all constructions live well inside this box
 
 class BudgetExceededError(RuntimeError):
     """Subset enumeration would exceed the configured budget."""
-
-
-@dataclass
-class CechComplex:
-    """All vertex subsets of size <= maxdim+1 with miniball radius <= r
-    (monotone under face inclusion), sorted by (radius, size, vertices)."""
-
-    maxdim: int
-    radius: float
-    simplices: list[tuple[tuple[int, ...], float]]
-
-    def __len__(self) -> int:
-        return len(self.simplices)
-
-    def as_filtration(self):
-        return [(value, verts) for verts, value in self.simplices]
 
 
 def _check_maxdim(ps: PointSet, maxdim: int) -> None:
@@ -155,14 +138,17 @@ def _miniball_radii(points: np.ndarray, maxdim: int, r: float):
     return values
 
 
-def cech(ps: PointSet, r: float, maxdim: int, budget: int = DEFAULT_BUDGET) -> CechComplex:
+def cech(ps: PointSet, r: float, maxdim: int,
+         budget: int = DEFAULT_BUDGET) -> list[tuple[float, tuple[int, ...]]]:
     """Cech complex of the point set at radius r, up to dimension maxdim:
-    miniballs over every subset whose facets all lie in the complex at r."""
+    miniballs over every subset whose facets all lie in the complex at r.
+    Returns the (value, vertices) filtration `homology.reduce` reads, sorted
+    by (value, size, vertices)."""
     _check_maxdim(ps, maxdim)
     _check_budget(len(ps), maxdim, budget)
-    kept = list(_miniball_radii(ps.points, maxdim, r).items())
-    kept.sort(key=lambda sv: (sv[1], len(sv[0]), sv[0]))
-    return CechComplex(maxdim, r, kept)
+    kept = [(value, verts) for verts, value in _miniball_radii(ps.points, maxdim, r).items()]
+    kept.sort(key=lambda vs: (vs[0], len(vs[1]), vs[1]))
+    return kept
 
 
 def cech_betti(ps: PointSet, radii, pmax: int,
@@ -187,19 +173,16 @@ class EqualityReport:
         return self.cech_vector == self.alpha_vector
 
 
-def cech_equals_alpha_betti(ps: PointSet, radii, pmax: int,
-                            fc: complexgen.FilteredComplex | None = None,
+def cech_equals_alpha_betti(ps: PointSet, radii, pmax: int, fc: complexgen.FilteredComplex,
                             budget: int = DEFAULT_BUDGET) -> list[EqualityReport]:
-    """Compare Betti vectors of the Cech complex and the alpha sublevel
-    complex at each radius (both share the homotopy type of the union of
-    balls, so the vectors must agree)."""
+    """Compare Betti vectors of the Cech complex and of `fc`, the alpha
+    filtration of `ps`, at each radius (both share the homotopy type of the
+    union of balls, so the vectors must agree)."""
     if ps.kind == KIND_EVEN:
         top = math.sqrt(2.0) / 2.0
         if max(radii) >= top - DEFAULT_TOL.abs_eps:
             raise ValueError("radius must stay below the even top-cell value")
     cvecs = cech_betti(ps, radii, pmax, budget)
-    if fc is None:
-        fc = complexgen.build_filtration(ps)
     eps = DEFAULT_TOL.abs_eps
     return [EqualityReport(r, cvec, homology.betti_of_subcomplex(fc, r, pmax=pmax, eps=eps))
             for r, cvec in zip(radii, cvecs)]

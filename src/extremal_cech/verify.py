@@ -104,11 +104,11 @@ def claims_csv(claims: list[ClaimResult]) -> str:
 
 
 @functools.lru_cache(maxsize=None)
-def _pipeline(kind: str, k: int | None, n: int, delta):
-    """Validated construction plus its reduced persistence diagram, cached
-    across claims.  Every caller passes all four arguments positionally, so
-    each (kind, k, n, delta) has exactly one cache key."""
-    ps, fc, thresholds = build_validated(kind, k=k, n=n, delta=delta)
+def _pipeline(kind: str, k: int | None, n: int):
+    """Validated construction at the controller's delta plus its reduced
+    persistence diagram, cached across claims.  Every caller passes all
+    three arguments positionally, so each (kind, k, n) has one cache key."""
+    ps, fc, thresholds = build_validated(kind, k=k, n=n)
     pd = homology.reduce(fc)
     return ps, fc, thresholds, pd
 
@@ -123,12 +123,12 @@ def _betti_at_class(pd, thresholds, cls, p) -> int:
 # exact three-dimensional counts
 
 
-def verify_betti_3d(n: int, delta="auto", oracle_check: bool | None = None) -> list[ClaimResult]:
+def verify_betti_3d(n: int) -> list[ClaimResult]:
     """Exact first/second Betti numbers and the simplex census of the
-    two-linked-circles construction."""
+    two-linked-circles construction, checked by the Cech oracle at n <= 3."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    ps, fc, thresholds, pd = _pipeline(KIND_3D, 1, n, delta)
+    ps, fc, thresholds, pd = _pipeline(KIND_3D, 1, n)
     params = {"n": n, "delta": ps.delta}
     claims = []
 
@@ -147,9 +147,7 @@ def verify_betti_3d(n: int, delta="auto", oracle_check: bool | None = None) -> l
     for name, (got, want) in census.items():
         claims.append(_claim(f"3d/census/{name}", params, want, got, got == want))
 
-    if oracle_check is None:
-        oracle_check = n <= 3
-    if oracle_check:
+    if n <= 3:
         rho1 = threshold_after(thresholds, (1, -1))
         rho2 = threshold_after(thresholds, (1, 0))
         at_rho1, at_rho2 = oracle.cech_betti(ps, (rho1, rho2), 2)
@@ -185,10 +183,10 @@ def _odd_cases(k: int, n: int):
 def _deviations(family: str, k: int, n: int) -> list[tuple[int, int, int, float]]:
     """(p, observed, leading, normalized deviation) per homology dimension."""
     if family == "even":
-        ps, fc, thresholds, pd = _pipeline(KIND_EVEN, k, n, "auto")
+        ps, fc, thresholds, pd = _pipeline(KIND_EVEN, k, n)
         cases = _even_cases(k, n)
     else:
-        ps, fc, thresholds, pd = _pipeline(KIND_ODD, k, n, "auto")
+        ps, fc, thresholds, pd = _pipeline(KIND_ODD, k, n)
         cases = _odd_cases(k, n)
     out = []
     for p, cls, leading, scale in cases:
@@ -197,7 +195,6 @@ def _deviations(family: str, k: int, n: int) -> list[tuple[int, int, int, float]
     return out
 
 
-@functools.lru_cache(maxsize=None)
 def baseline_bound(family: str, k: int) -> float:
     """Acceptance bound for the normalized deviations: the maximum observed
     at the two smallest admissible n."""
@@ -234,8 +231,8 @@ def verify_betti_odd(k: int, n: int) -> list[ClaimResult]:
             dev <= bound + 1e-9, f"normalized deviation {dev:g}"))
     if k == 1:
         # the dedicated 3d pipeline must agree with the odd one at k=1
-        _, _, th3, pd3 = _pipeline(KIND_3D, 1, n, "auto")
-        _, _, tho, pdo = _pipeline(KIND_ODD, 1, n, "auto")
+        _, _, th3, pd3 = _pipeline(KIND_3D, 1, n)
+        _, _, tho, pdo = _pipeline(KIND_ODD, 1, n)
         for p, cls in ((1, (1, -1)), (2, (1, 0))):
             a = _betti_at_class(pd3, th3, cls, p)
             b = _betti_at_class(pdo, tho, cls, p)
@@ -254,12 +251,12 @@ def _strip_apexes(sps: PointSet) -> PointSet:
 
 
 @functools.lru_cache(maxsize=None)
-def _suspension_run(k: int, n: int, delta):
+def _suspension_run(k: int, n: int):
     """Search apex heights until the suspended Cech complex turns every void
     of the hyperplane set into one dimension higher.  Returns
     (expected voids, observed, accepted h, rho, no-apex betti).  Called
-    with all three arguments positionally, for one cache key per run."""
-    ps, fc, thresholds, pd = _pipeline(KIND_ODD, k - 1, n, delta)
+    with both arguments positionally, for one cache key per run."""
+    ps, fc, thresholds, pd = _pipeline(KIND_ODD, k - 1, n)
     p_void = 2 * k - 2
     rho = threshold_after(thresholds, (k - 1, k - 2))
     expected = homology.betti_at(pd, p_void, rho)
@@ -287,25 +284,24 @@ def _suspension_run(k: int, n: int, delta):
     return expected, observed, accepted_h, rho, no_apex
 
 
-@functools.lru_cache(maxsize=None)
 def _suspension_baseline(k: int) -> float:
     devs = []
     for n in (2, 3):
-        expected, observed, accepted_h, _, _ = _suspension_run(k, n, "auto")
+        expected, observed, accepted_h, _, _ = _suspension_run(k, n)
         if observed is None:
             observed = expected  # bound falls back to the hyperplane count
         devs.append(abs(observed - (n + 1) ** k) / n ** (k - 1))
     return max(devs)
 
 
-def verify_suspension(k: int, n: int, delta="auto") -> list[ClaimResult]:
+def verify_suspension(k: int, n: int) -> list[ClaimResult]:
     """beta_{2k-1} of the suspended set at the verifying radius: equals the
     hyperplane set's void count, and sits within the baseline band around
     (n+1)^k."""
     if k != 2:
         raise ValueError("suspension verification runs at k = 2 desk scale")
     params = {"k": k, "n": n}
-    expected, observed, accepted_h, rho, no_apex = _suspension_run(k, n, delta)
+    expected, observed, accepted_h, rho, no_apex = _suspension_run(k, n)
     claims = [
         _claim("suspension/no-apex", params, 0, no_apex, no_apex == 0),
     ]
@@ -348,7 +344,7 @@ def _even_class_radii(ps: PointSet):
     return errs
 
 
-def verify_radius_formulas(k: int, n: int, delta_grid=DELTA_GRID) -> list[ClaimResult]:
+def verify_radius_formulas(k: int, n: int) -> list[ClaimResult]:
     """Closed-form circumradii for the even families, the numeric bounds on
     the ideal triangle/tetrahedron size, and the interval bounds for the
     three-dimensional construction."""
@@ -380,18 +376,18 @@ def verify_radius_formulas(k: int, n: int, delta_grid=DELTA_GRID) -> list[ClaimR
     claims.append(_claim("radii/triangle-limit", {"n": 1000}, 0.5, f"{r_tiny:.12g}",
                          abs(r_tiny - 0.5) < 1e-5))
 
-    claims.extend(_threed_interval_claims(n, delta_grid))
+    claims.extend(_threed_interval_claims(n))
     return claims
 
 
-def _threed_interval_claims(n: int, delta_grid) -> list[ClaimResult]:
+def _threed_interval_claims(n: int) -> list[ClaimResult]:
     """Edge/triangle/tetrahedron circumradius intervals for the 3d family.
     Constant-free bounds are asserted outright at every grid delta; the
     triangle upper bound's fourth-order slack is checked as a slope fit."""
     edge_ok, tri_lo_ok, tet_lo_ok = True, True, True
     excesses, epss = [], []
     params = {"n": n}
-    for delta in delta_grid:
+    for delta in DELTA_GRID:
         ps = construct.build_3d(n, delta)
         eps = half_edge(ps)
         fc = complexgen.build_filtration(ps)
@@ -533,7 +529,7 @@ def _bisector_violations(ps: PointSet, fc, bound: float) -> int:
     return int(np.count_nonzero(far & (num / (2.0 * gap[:, None]) > bound + 1e-15)))
 
 
-def verify_hypotheses(k: int, n: int, delta_grid=DELTA_GRID) -> list[ClaimResult]:
+def verify_hypotheses(k: int, n: int) -> list[ClaimResult]:
     """Slope fits of the expansion errors across the delta grid: third order
     for the squared circumradius and the pyramid/bi-pyramid terms, second
     order for the circumcenter depth of short-edge-free simplices, plus the
@@ -544,7 +540,7 @@ def verify_hypotheses(k: int, n: int, delta_grid=DELTA_GRID) -> list[ClaimResult
     per_delta = []
     epss = []
     bisector_bad = 0
-    for delta in delta_grid:
+    for delta in DELTA_GRID:
         ps = build_odd(k, n, delta)
         fc = complexgen.build_filtration(ps)
         per_delta.append(_hypothesis_errors(ps, fc))
@@ -575,13 +571,11 @@ def verify_hypotheses(k: int, n: int, delta_grid=DELTA_GRID) -> list[ClaimResult
 # cell-count sanity bound
 
 
-def verify_upper_bound_sanity(ps: PointSet, fc=None) -> list[ClaimResult]:
-    """beta_p at every filtration value never exceeds the number of
-    p-simplices present (every p-cycle needs a p-cell to be born).  Both
-    counts come from binary searches: in each dimension's sorted cell
-    values, and in its unreduced Betti profile."""
-    if fc is None:
-        fc = complexgen.build_filtration(ps)
+def verify_upper_bound_sanity(ps: PointSet, fc) -> list[ClaimResult]:
+    """beta_p at every filtration value of `fc`, the filtration of `ps`,
+    never exceeds the number of p-simplices present (every p-cycle needs a
+    p-cell to be born).  Both counts come from binary searches: in each
+    dimension's sorted cell values, and in its unreduced Betti profile."""
     pd = homology.reduce(fc, reduced=False)
     pmax = fc.max_dim()
     values, dims = fc.values(), fc.dims()

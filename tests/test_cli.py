@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -138,6 +140,14 @@ class TestBetti:
         assert (code, out) == (2, "")
         assert err == "error: --radius must be a number, not nan\n"
 
+    @pytest.mark.parametrize("value", ["inf", "-inf"])
+    def test_infinite_radius_is_a_usage_error(self, value, capsys):
+        # at r = inf no essential class satisfies birth <= r < death
+        code, out, err = run(["betti", "--kind", "3d", "--n", "2", f"--radius={value}",
+                              "--unreduced"], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: --radius must be finite, not {value}\n"
+
 
 class TestPersistence:
     def test_diagram_and_svg(self, tmp_path, capsys):
@@ -177,8 +187,10 @@ class TestVerify:
         assert csv.read_text().startswith("claim_id,")
 
     def test_nothing_selected_is_usage_error(self, capsys):
-        with pytest.raises(SystemExit):
-            cli.main(["verify", "--n", "2"])
+        code, out, err = run(["verify", "--n", "2"], capsys)
+        assert (code, out) == (2, "")
+        assert err == ("error: nothing selected; pass --theorem/--suspension/"
+                       "--radii/--hypotheses/--all\n")
 
     @pytest.mark.parametrize("flags", [["--theorem", "4.1", "--n", "2"],
                                        ["--theorem", "2.1", "--n", "5"],
@@ -237,9 +249,31 @@ def test_usage_error_exit_2():
     assert exc.value.code == 2
 
 
+def test_apex_height_is_a_generate_option_only(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["filtration", "--kind", "3d", "--n", "2", "--h", "0.3",
+                  "-o", str(tmp_path / "f.txt")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --h 0.3" in capsys.readouterr().err
+    assert not (tmp_path / "f.txt").exists()
+
+
 class TestBadInputExit2:
-    """A size no construction accepts and a file that cannot be read or
-    written end as one `error: ...` line on stderr and exit 2."""
+    """A size no construction accepts, a --k a kind cannot take, and a file
+    that cannot be read or written end as one `error: ...` line on stderr
+    and exit 2."""
+
+    @pytest.mark.parametrize("command", [["radii"], ["betti", "--radius", "0.5"],
+                                         ["generate", "-o", os.devnull]])
+    @pytest.mark.parametrize("kind", ["even", "odd"])
+    def test_missing_k(self, command, kind, capsys):
+        code, out, err = run([command[0], "--kind", kind, "--n", "3", *command[1:]], capsys)
+        assert (code, out, err) == (2, "", f"error: --k is required for kind {kind}\n")
+
+    @pytest.mark.parametrize("k", ["5", "0"])
+    def test_3d_k_other_than_1(self, k, capsys):
+        code, out, err = run(["radii", "--kind", "3d", "--n", "2", "--k", k], capsys)
+        assert (code, out, err) == (2, "", f"error: --k {k} is not 1, the only k of kind 3d\n")
 
     @pytest.mark.parametrize("command", ["generate", "filtration"])
     @pytest.mark.parametrize("kind", [["--kind", "3d"], ["--kind", "odd", "--k", "2"]])

@@ -27,7 +27,7 @@ class TestCech:
     def test_radius_zero_vertices_only(self, threed_n2):
         ps, _, _, _ = threed_n2
         cx = cech(ps, 0.0, 2)
-        assert all(len(v) == 1 for v, _ in cx.simplices)
+        assert all(len(v) == 1 for _, v in cx)
         assert len(cx) == len(ps)
 
     def test_monotone_in_radius(self, threed_n2):
@@ -35,15 +35,15 @@ class TestCech:
         rhos = sorted(t.rho for t in thresholds)
         prev = set()
         for rho in rhos:
-            cur = {v for v, _ in cech(ps, rho, 3).simplices}
+            cur = {v for _, v in cech(ps, rho, 3)}
             assert prev <= cur
             prev = cur
 
     def test_face_closed_and_value_monotone(self, threed_n2):
         ps, _, thresholds, _ = threed_n2
         cx = cech(ps, thresholds[-1].rho, 3)
-        values = dict(cx.simplices)
-        for verts, value in cx.simplices:
+        values = {verts: value for value, verts in cx}
+        for value, verts in cx:
             for facet in itertools.combinations(verts, len(verts) - 1):
                 if facet:
                     assert facet in values
@@ -79,8 +79,8 @@ def brute_force_values(ps, maxdim):
 
 def brute_force_cech(values, r):
     """Reference Cech complex: all subsets with value <= r + abs_eps."""
-    kept = [(verts, value) for verts, value in values.items() if value <= r + DEFAULT_TOL.abs_eps]
-    kept.sort(key=lambda sv: (sv[1], len(sv[0]), sv[0]))
+    kept = [(value, verts) for verts, value in values.items() if value <= r + DEFAULT_TOL.abs_eps]
+    kept.sort(key=lambda vs: (vs[0], len(vs[1]), vs[1]))
     return kept
 
 
@@ -125,7 +125,7 @@ class TestPrunedCech:
         values = brute_force_values(ps, ps.dim)
         above = max(values.values()) + 1.0
         for r in [0.0, *(th.rho for th in thresholds), above]:
-            assert cech(ps, r, ps.dim).simplices == brute_force_cech(values, r), r
+            assert cech(ps, r, ps.dim) == brute_force_cech(values, r), r
         assert len(cech(ps, above, ps.dim)) == len(values)
 
     def test_skips_miniballs_above_the_cut(self, even_2_5, monkeypatch):
