@@ -3,11 +3,12 @@
 Subcommands: generate, filtration, betti, persistence, radii, oracle,
 verify.  Exit codes: 0 success / all PASS, 1 claim or check FAIL, 2 usage
 error (argparse default, bad parameters such as a missing --k, a 3d --k
-other than 1, a non-finite --radius or nothing selected to verify, bad or
-unreadable input files, unwritable output files), 3 numeric, controller or
-consistency failure (delta controller exhausted, class overlap, a simplex
-the build finds not critical, affinely degenerate simplex, subset budget,
-face-order check, reduction/rank cross-check).
+other than 1, a non-finite --radius, nothing selected to verify, verify
+--all with --n or --k, verify --theorem 3.1 with a --k other than 1, bad
+or unreadable input files, unwritable output files), 3 numeric or
+consistency failure (class overlap or a simplex the build finds not
+critical at the one delta built, affinely degenerate simplex, subset
+budget, face-order check, reduction/rank cross-check).
 
 Outputs are deterministic: identical invocations produce byte-identical
 files; nothing embeds timestamps.
@@ -36,7 +37,7 @@ def _add_construction_args(p, kinds=_KIND_CHOICES):
     p.add_argument("--k", type=int, default=None, help="circle-count parameter")
     p.add_argument("--n", type=int, required=True, help="points-per-circle parameter")
     p.add_argument("--delta", default="auto",
-                   help="arc half-width; 'auto' engages the halving controller")
+                   help="arc half-width; 'auto' is 0.1/n capped at 0.01")
 
 
 def _parse_delta(value):
@@ -55,7 +56,7 @@ def _default_k(args):
 
 def _build_plain(args) -> construct.PointSet:
     """Construct a point set without downstream validation (generate only).
-    Explicit deltas are used verbatim; 'auto' takes the controller default."""
+    Explicit deltas are used verbatim; 'auto' takes the default delta."""
     delta = _parse_delta(args.delta)
     k = _default_k(args)
     if args.kind == "even":
@@ -174,22 +175,28 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.all and (args.n, args.k) != (None, None):
+        raise ValueError("--all runs a fixed claim set and takes no --n or --k")
+    if args.theorem == "3.1" and args.k not in (None, 1):
+        raise ValueError(f"--k {args.k} is not 1, the only k of theorem 3.1")
+
     def k_or(default):
         return default if args.k is None else args.k
 
+    n = 2 if args.n is None else args.n
     claims = []
     if args.theorem == "3.1":
-        claims += verify.verify_betti_3d(args.n)
+        claims += verify.verify_betti_3d(n)
     elif args.theorem == "2.1":
-        claims += verify.verify_betti_even(k_or(2), args.n)
+        claims += verify.verify_betti_even(k_or(2), n)
     elif args.theorem == "4.1":
-        claims += verify.verify_betti_odd(k_or(1), args.n)
+        claims += verify.verify_betti_odd(k_or(1), n)
     if args.suspension:
-        claims += verify.verify_suspension(k_or(2), args.n)
+        claims += verify.verify_suspension(k_or(2), n)
     if args.radii:
-        claims += verify.verify_radius_formulas(k_or(2), args.n)
+        claims += verify.verify_radius_formulas(k_or(2), n)
     if args.hypotheses:
-        claims += verify.verify_hypotheses(k_or(1), args.n)
+        claims += verify.verify_hypotheses(k_or(1), n)
     if args.all:
         claims += verify.verify_betti_3d(2)
         claims += verify.verify_betti_even(2, 5)
@@ -267,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hypotheses", action="store_true")
     p.add_argument("--all", action="store_true")
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--n", type=int, default=None, help="default 2")
     p.add_argument("--csv", help="also write claim results as CSV")
     p.set_defaults(func=_cmd_verify)
     return parser
@@ -279,9 +286,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (AffineDegeneracyError, RuntimeError) as exc:
-        # NotCriticalError, OverlapError, DeltaExhaustedError and
-        # BudgetExceededError are RuntimeErrors, as are the package's
-        # consistency checks
+        # NotCriticalError, OverlapError and BudgetExceededError are
+        # RuntimeErrors, as are the package's consistency checks
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ValueError, OSError) as exc:

@@ -33,7 +33,6 @@ __all__ = [
     "KIND_3D",
     "KIND_ODD",
     "KIND_SUSPENDED",
-    "DeltaExhaustedError",
     "PointSet",
     "build_3d",
     "build_even",
@@ -54,14 +53,6 @@ KIND_ODD = "odd"
 KIND_SUSPENDED = "suspended"
 
 _KINDS = (KIND_EVEN, KIND_3D, KIND_ODD, KIND_SUSPENDED)
-
-# Delta policy: start small, halve on downstream validation failure.
-DELTA_HALVINGS = 12
-DELTA_FLOOR = 1e-4
-
-
-class DeltaExhaustedError(RuntimeError):
-    """The halving controller ran out of candidate delta values."""
 
 
 def regular_simplex_circumradius_sq(k: int) -> float:
@@ -273,26 +264,11 @@ def half_edge(ps: PointSet) -> float:
 
 
 def default_delta(n: int) -> float:
-    """The controller's first delta, 0.1/n capped at 0.01; n below 2 is
-    refused as the delta-bearing builders refuse it."""
+    """The delta of `build_validated(..., delta="auto")`, 0.1/n capped at
+    0.01; n below 2 is refused as the delta-bearing builders refuse it."""
     if n < 2:
         raise ValueError("n must be >= 2")
     return min(1e-2, 1e-1 / n)
-
-
-def delta_candidates(n: int, delta="auto"):
-    """The sequence the halving controller tries: either the single explicit
-    value, or the default followed by up to DELTA_HALVINGS halvings, floored
-    at DELTA_FLOOR to stay clear of double-precision noise."""
-    if delta != "auto":
-        return [float(delta)]
-    out = [default_delta(n)]
-    for _ in range(DELTA_HALVINGS):
-        nxt = out[-1] / 2.0
-        if nxt < DELTA_FLOOR:
-            break
-        out.append(nxt)
-    return out
 
 
 def build_validated(kind: str, k: int | None = None, n: int | None = None,
@@ -301,8 +277,11 @@ def build_validated(kind: str, k: int | None = None, n: int | None = None,
 
     The build proves every simplex critical or raises NotCriticalError, and
     `pick_thresholds` separates the radius classes or raises OverlapError.
-    For the delta-bearing kinds the controller halves delta (policy above)
-    on either error; this function is the single authority for retries.
+    The delta-bearing kinds are built once, at `default_delta(n)` for
+    delta="auto" or at the explicit delta: no instance is known that a
+    smaller delta rescues, and the strict-emptiness clearance 2(delta/n)^2
+    only shrinks with it.  Either error then names the construction and its
+    delta before the build's own message (the simplex and the offender).
     Returns (point_set, filtered_complex, thresholds).
     """
     from . import complexgen  # deferred: complexgen imports this module
@@ -315,20 +294,14 @@ def build_validated(kind: str, k: int | None = None, n: int | None = None,
     if kind not in (KIND_3D, KIND_ODD):
         raise ValueError(f"build_validated does not handle kind {kind!r}")
 
-    last_error = None
-    for cand in delta_candidates(n, delta):
-        ps = build_3d(n, cand) if kind == KIND_3D else build_odd(k, n, cand)
-        try:
-            fc = complexgen.build_filtration(ps)
-            thresholds = complexgen.pick_thresholds(fc)
-        except (complexgen.NotCriticalError, complexgen.OverlapError) as exc:
-            last_error = exc
-            continue
-        return ps, fc, thresholds
-    raise DeltaExhaustedError(
-        f"no delta in {delta_candidates(n, delta)} validated for kind={kind}, "
-        f"k={k}, n={n}: {last_error}"
-    )
+    delta = default_delta(n) if delta == "auto" else float(delta)
+    ps = build_3d(n, delta) if kind == KIND_3D else build_odd(k, n, delta)
+    try:
+        fc = complexgen.build_filtration(ps)
+        return ps, fc, complexgen.pick_thresholds(fc)
+    except (complexgen.NotCriticalError, complexgen.OverlapError) as exc:
+        exc.args = (f"kind={kind} k={ps.k} n={n} at delta={delta!r}: {exc}",)
+        raise
 
 
 # ---------------------------------------------------------------------------

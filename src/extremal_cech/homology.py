@@ -27,6 +27,7 @@ __all__ = [
     "PersistenceDiagram",
     "betti_at",
     "betti_of_subcomplex",
+    "betti_of_subcomplexes",
     "betti_profile",
     "boundary_columns",
     "diagram_svg",
@@ -285,17 +286,28 @@ def betti_of_subcomplex(fc, r: float, pmax: int | None = None, reduced: bool = T
     """All Betti numbers of the sublevel complex at r (values <= r + eps)
     of a FilteredComplex, read from the diagram of the whole complex and
     cross checked against direct rank computations on the sublevel."""
+    return betti_of_subcomplexes(fc, [r], pmax, reduced, eps)[0]
+
+
+def betti_of_subcomplexes(fc, radii, pmax: int | None = None, reduced: bool = True,
+                          eps: float = 0.0) -> list[list[int]]:
+    """`betti_of_subcomplex` at each radius, every vector read from one
+    diagram of the whole complex and each cross checked on its own
+    sublevel."""
     entries = fc.as_filtration()
     pmax = int(fc.dims().max(initial=0)) if pmax is None else pmax
     pd = reduce(fc, reduced=reduced)
-    vec = [betti_at(pd, p, r, eps) for p in range(pmax + 1)]
-    check = _betti_by_rank([(value, verts) for value, verts in entries if value <= r + eps],
-                           pmax)
-    if reduced:
-        check[0] = max(0, check[0] - 1)
-    if vec != check:
-        raise RuntimeError(f"reduction/rank cross-check failed: {vec} vs {check}")
-    return vec
+    out = []
+    for r in radii:
+        vec = [betti_at(pd, p, r, eps) for p in range(pmax + 1)]
+        check = _betti_by_rank([(value, verts) for value, verts in entries
+                                if value <= r + eps], pmax)
+        if reduced:
+            check[0] = max(0, check[0] - 1)
+        if vec != check:
+            raise RuntimeError(f"reduction/rank cross-check failed: {vec} vs {check}")
+        out.append(vec)
+    return out
 
 
 def euler_characteristic_ok(fc, eps: float = 0.0) -> bool:

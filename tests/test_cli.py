@@ -200,8 +200,36 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("flags", [["--n", "9"], ["--k", "4"], ["--n", "9", "--k", "4"]])
+    def test_all_takes_no_n_or_k(self, flags, capsys):
+        code, out, err = run(["verify", "--all", *flags], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: --all runs a fixed claim set and takes no --n or --k\n"
+
+    def test_theorem_3_1_takes_only_k_1(self, capsys):
+        code, out, err = run(["verify", "--theorem", "3.1", "--n", "2", "--k", "5"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: --k 5 is not 1, the only k of theorem 3.1\n"
+        code, out, _ = run(["verify", "--theorem", "3.1", "--n", "2", "--k", "1"], capsys)
+        assert code == 0 and out.endswith("8 claims, 0 failures\n")
+
 
 class TestOracleCommand:
+    def test_reduces_each_side_once(self, monkeypatch, capsys):
+        # one Cech and one alpha diagram for all eight thresholds; one alpha
+        # reduction per threshold would make 9
+        real = homology.reduce
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(homology, "reduce", counting)
+        code, out, _ = run(["oracle", "--kind", "odd", "--k", "2", "--n", "2"], capsys)
+        assert code == 0 and "FAIL" not in out
+        assert len(calls) == 2
+
     def test_3d_n2(self, capsys):
         code, out, _ = run(["oracle", "--kind", "3d", "--n", "2"], capsys)
         assert code == 0

@@ -4,14 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from extremal_cech import construct
+from extremal_cech import cli, complexgen, construct
+from extremal_cech.complexgen import NotCriticalError, OverlapError
 from extremal_cech.construct import (
-    DELTA_FLOOR,
     build_3d,
     build_even,
     build_odd,
     build_suspended,
-    delta_candidates,
+    build_validated,
+    default_delta,
     half_edge,
     load_points,
     min_n,
@@ -214,13 +215,64 @@ def test_even_half_edge_closed_form():
         math.sqrt(2) / 2 * math.sin(math.pi / 5), rel=1e-15)
 
 
-def test_delta_candidates_policy():
-    cands = delta_candidates(2)
-    assert cands[0] == 0.01
-    assert all(b == a / 2 for a, b in zip(cands, cands[1:]))
-    assert min(cands) >= DELTA_FLOOR
-    assert len(cands) <= 13
-    assert delta_candidates(2, 0.25) == [0.25]
+def counting_builds(monkeypatch):
+    """Record each `complexgen.build_filtration` call of `build_validated`
+    as its point set's delta and the error it raised, or None."""
+    real = complexgen.build_filtration
+    builds = []
+
+    def counting(ps):
+        builds.append([ps.delta, None])
+        try:
+            return real(ps)
+        except Exception as exc:
+            builds[-1][1] = exc
+            raise
+
+    monkeypatch.setattr(complexgen, "build_filtration", counting)
+    return builds
+
+
+class TestOneDelta:
+    """`build_validated` builds once, at `default_delta(n)` or the explicit
+    delta, and a failure is the build's own error, naming the delta."""
+
+    @pytest.mark.parametrize("n,error", [(10, NotCriticalError), (3, OverlapError)])
+    def test_explicit_delta_fails_in_one_build(self, monkeypatch, n, error):
+        builds = counting_builds(monkeypatch)
+        with pytest.raises(error) as exc:
+            build_validated("3d", k=1, n=n, delta=0.5)
+        assert str(exc.value).startswith(f"kind=3d k=1 n={n} at delta=0.5: ")
+        assert len(builds) == 1
+
+    @pytest.mark.slow
+    def test_3d_400_fails_in_one_build(self, monkeypatch, tmp_path, capsys):
+        # the strict-emptiness clearance 2(delta/n)^2 = 7.8e-13 is below
+        # abs_eps = 1e-12 at the default delta
+        builds = counting_builds(monkeypatch)
+        out = tmp_path / "f.txt"
+        code = cli.main(["filtration", "--kind", "3d", "--n", "400", "-o", str(out)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert captured.err == ("error: kind=3d k=1 n=400 at delta=0.00025: "
+                                "sphere of (0, 401) not strictly empty: point 1 inside\n")
+        [(delta, error)] = builds
+        assert delta == default_delta(400) == 0.00025
+        assert isinstance(error, NotCriticalError) and error.offender == 1
+        assert not out.exists()
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("kind,k,ns", [
+        ("3d", 1, range(2, 61)),
+        ("odd", 1, range(2, 30)),
+        ("odd", 2, range(2, 25)),
+        ("odd", 3, range(2, 9)),
+        ("odd", 4, range(2, 5)),
+    ])
+    def test_every_swept_size_validates_at_the_default_delta(self, kind, k, ns):
+        for n in ns:
+            ps, _, _ = build_validated(kind, k=k, n=n)
+            assert ps.delta == default_delta(n)
 
 
 class TestPointFile:

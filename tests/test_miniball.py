@@ -99,7 +99,7 @@ def assert_as_reference(points):
 
 
 def test_crosscheck_subsets():
-    assert len(crosscheck_subsets()) == 710
+    assert len(crosscheck_subsets()) == 293
 
 
 def test_cold_memo_matches_reference(fresh_memos):
@@ -158,4 +158,4 @@ def test_verify_all_solves_each_boundary_once(fresh_memos, monkeypatch, capsys):
     monkeypatch.setattr(np.linalg, "lstsq", counting)
     assert cli.main(["verify", "--all"]) == 0
     assert "53 claims, 0 failures" in capsys.readouterr().out
-    assert 0 < len(solves) <= 600  # 547 distinct boundaries; 3,190 without the memo
+    assert 0 < len(solves) <= 200  # 165 distinct boundaries; 832 without the memo

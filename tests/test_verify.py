@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from extremal_cech import cli, complexgen, homology, verify
+from extremal_cech import cli, complexgen, homology, oracle, verify
 from extremal_cech.complexgen import ClassifiedSimplex, FilteredComplex
 from extremal_cech.construct import build_odd
 from extremal_cech.geometry import DEFAULT_TOL
@@ -77,13 +77,49 @@ class TestBettiEvenOdd:
 
 
 class TestSuspension:
-    @pytest.mark.parametrize("n,expected", [(2, 4), (3, 9)])
-    def test_void_counts(self, n, expected):
+    @pytest.mark.parametrize("n,expected", [(n, n**2) for n in range(2, 8)])
+    def test_void_counts(self, n, expected, monkeypatch):
+        heights = []
+        real = verify.build_suspended
+
+        def recording(k, n, delta, h):
+            heights.append(h)
+            return real(k, n, delta, h)
+
+        monkeypatch.setattr(verify, "build_suspended", recording)
         claims = verify.verify_suspension(2, n)
         assert_no_failures(claims)
         by_id = {c.claim_id: c for c in claims}
         assert by_id["suspension/voids"].observed == expected
+        assert by_id["suspension/band"].expected == expected
         assert by_id["suspension/no-apex"].observed == 0
+        assert len(heights) == 1
+
+    def test_apex_below_rho_loses_a_void_at_odd_n(self, monkeypatch):
+        real = verify.build_suspended
+        monkeypatch.setattr(verify, "build_suspended",
+                            lambda k, n, delta, h: real(k, n, delta, 0.5))
+        by_id = {c.claim_id: c for c in verify.verify_suspension(2, 3)}
+        voids = by_id["suspension/voids"]
+        assert (voids.status, voids.expected, voids.observed) == (FAIL, 9, 8)
+        assert voids.detail.startswith("h=0.5, ")
+        assert by_id["suspension/band"].status == FAIL
+
+    def test_count_off_by_one_fails_the_band(self, monkeypatch):
+        # 5 at n=2 lies inside the band 9+-2.5*n fitted at n = 2, 3
+        real = oracle.cech_betti
+
+        def one_more(ps, radii, pmax):
+            vecs = real(ps, radii, pmax)
+            if ps.apex_ids:
+                vecs[0][pmax] += 1
+            return vecs
+
+        monkeypatch.setattr(oracle, "cech_betti", one_more)
+        by_id = {c.claim_id: c for c in verify.verify_suspension(2, 2)}
+        band = by_id["suspension/band"]
+        assert (band.status, band.expected, band.observed) == (FAIL, 4, 5)
+        assert by_id["suspension/no-apex"].status == PASS
 
     def test_k_restricted(self):
         with pytest.raises(ValueError):
@@ -217,3 +253,25 @@ class TestCaching:
         assert cli.main(["verify", "--all"]) == 0
         assert "53 claims, 0 failures" in capsys.readouterr().out
         assert builds and set(builds.values()) == {1}, builds
+
+    def test_all_makes_three_cech_complexes(self, fresh_memos, monkeypatch, capsys):
+        # the 3d n=2 cross-check, and the suspended set at its one apex
+        # height with and without the apexes
+        cechs = []
+        balls = []
+        real_cech, real_ball = oracle.cech, oracle.min_enclosing_ball
+
+        def recording(ps, *args, **kwargs):
+            cechs.append(ps.kind)
+            return real_cech(ps, *args, **kwargs)
+
+        def counting(points):
+            balls.append(1)
+            return real_ball(points)
+
+        monkeypatch.setattr(oracle, "cech", recording)
+        monkeypatch.setattr(oracle, "min_enclosing_ball", counting)
+        assert cli.main(["verify", "--all"]) == 0
+        assert "53 claims, 0 failures" in capsys.readouterr().out
+        assert sorted(cechs) == ["3d", "suspended", "suspended"]
+        assert len(balls) == 208
