@@ -26,7 +26,6 @@ from .complexgen import (
     ClassifiedSimplex,
     FilteredComplex,
     build_filtration,
-    classify,
     criticality_check,
     pick_thresholds,
     radius_value,

@@ -3,12 +3,16 @@
 Subcommands: generate, filtration, betti, persistence, radii, oracle,
 verify.  Exit codes: 0 success / all PASS, 1 claim or check FAIL, 2 usage
 error (argparse default, bad parameters such as a missing --k, a 3d --k
-other than 1, a non-finite --radius, nothing selected to verify, verify
---all with --n or --k, verify --theorem 3.1 with a --k other than 1, bad
-or unreadable input files, unwritable output files), 3 numeric or
-consistency failure (class overlap or a simplex the build finds not
-critical at the one delta built, affinely degenerate simplex, subset
-budget, face-order check, reduction/rank cross-check).
+other than 1, a non-finite --radius, an even --radius not below the
+top-cell value, nothing selected to verify, verify --all with --n or --k,
+verify --theorem 3.1 with a --k other than 1, bad or unreadable input
+files, unwritable output files), 3 numeric or consistency failure (class
+overlap or a simplex the build finds not critical at the one delta built,
+affinely degenerate simplex, subset budget, face-order check,
+reduction/rank cross-check).  `generate` writes the point set alone and
+validates nothing, so it never exits 3; every other command that builds
+validates through `construct.validate`, a loaded set included, so one
+failure prints one message.
 
 Outputs are deterministic: identical invocations produce byte-identical
 files; nothing embeds timestamps.
@@ -54,32 +58,14 @@ def _default_k(args):
     return args.k
 
 
-def _build_plain(args) -> construct.PointSet:
-    """Construct a point set without downstream validation (generate only).
-    Explicit deltas are used verbatim; 'auto' takes the default delta."""
-    delta = _parse_delta(args.delta)
-    k = _default_k(args)
-    if args.kind == "even":
-        return construct.build_even(k, args.n)
-    if delta == "auto":
-        delta = construct.default_delta(args.n)
-    if args.kind == "3d":
-        return construct.build_3d(args.n, delta)
-    if args.kind == "odd":
-        return construct.build_odd(k, args.n, delta)
-    return construct.build_suspended(k, args.n, delta, args.h)
-
-
 def _build_validated(args):
     return construct.build_validated(args.kind, k=_default_k(args), n=args.n,
                                      delta=_parse_delta(args.delta))
 
 
 def _cmd_generate(args) -> int:
-    if args.delta == "auto" and args.kind in ("3d", "odd"):
-        ps, _, _ = _build_validated(args)
-    else:
-        ps = _build_plain(args)
+    ps = construct.build(args.kind, _default_k(args), args.n, _parse_delta(args.delta),
+                         h=args.h)
     construct.save_points(ps, args.output)
     print(f"wrote {len(ps)} points to {args.output}")
     return EXIT_OK
@@ -97,12 +83,9 @@ def _load_matching(args) -> construct.PointSet:
 
 def _cmd_filtration(args) -> int:
     if args.points:
-        # a loaded set gets the validation a constructed one gets
-        ps = _load_matching(args)
-        fc = complexgen.build_filtration(ps)
-        complexgen.pick_thresholds(fc)
+        fc, _ = construct.validate(_load_matching(args))
     else:
-        ps, fc, _ = _build_validated(args)
+        _, fc, _ = _build_validated(args)
     complexgen.save_filtration(fc, args.output)
     print(f"wrote {len(fc)} simplices to {args.output}")
     return EXIT_OK
@@ -113,6 +96,8 @@ def _cmd_betti(args) -> int:
         raise ValueError("--radius must be a number, not nan")
     if math.isinf(args.radius):
         raise ValueError(f"--radius must be finite, not {args.radius}")
+    if args.kind == "even":
+        construct.check_below_even_top(args.radius)
     _, fc, _ = _build_validated(args)
     vec = homology.betti_of_subcomplex(fc, args.radius, reduced=not args.unreduced,
                                        eps=DEFAULT_TOL.abs_eps)

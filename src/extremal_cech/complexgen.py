@@ -46,12 +46,10 @@ __all__ = [
     "ClassifiedSimplex",
     "CriticalityReport",
     "FilteredComplex",
-    "InvalidSimplexError",
     "NotCriticalError",
     "OverlapError",
     "Threshold",
     "build_filtration",
-    "classify",
     "criticality_check",
     "enumerate_mosaic",
     "load_filtration",
@@ -85,10 +83,6 @@ class OverlapError(RuntimeError):
     def __init__(self, class_a, class_b):
         super().__init__(f"radius ranges of classes {class_a} and {class_b} overlap")
         self.classes = (class_a, class_b)
-
-
-class InvalidSimplexError(ValueError):
-    """Vertex labels do not describe a mosaic simplex."""
 
 
 class ClassifiedSimplex(NamedTuple):
@@ -198,29 +192,6 @@ class FilteredComplex:
     def as_filtration(self) -> list[tuple[float, tuple[int, ...]]]:
         """(value, vertex tuple) per simplex, in filtration order."""
         return list(zip(self._values.tolist(), self._vertex_lists()))
-
-
-def classify(ps: PointSet, vertices) -> ClassifiedSimplex:
-    """Classify a vertex set by its labels; rejects same-circle pairs that
-    are not consecutive and anything touching more than two points per
-    circle."""
-    verts = tuple(sorted(int(v) for v in vertices))
-    if not verts:
-        raise InvalidSimplexError("empty simplex")
-    by_circle: dict[int, list[int]] = {}
-    for v in verts:
-        by_circle.setdefault(ps.circle_of(v), []).append(v)
-    pairs = 0
-    for circle, members in by_circle.items():
-        if circle < 0:
-            raise InvalidSimplexError("apex points are not mosaic vertices")
-        if len(members) == 1:
-            continue
-        if len(members) != 2 or not ps.consecutive(members[0], members[1]):
-            raise InvalidSimplexError(
-                f"vertices {members} on circle {circle} are not a consecutive pair")
-        pairs += 1
-    return ClassifiedSimplex(verts, touch=len(by_circle) - 1, short=pairs - 1)
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,6 +17,10 @@ Each family places points on circles so that same-circle neighbors are close
 
 Construction metadata (circle id, index along circle) travels with the
 points; the complex enumeration is driven entirely by these labels.
+
+`build` is the one dispatch from a kind, k, n and delta to its point set,
+and `validate` the one step from a point set, constructed or loaded, to its
+validated filtration and thresholds; `build_validated` is the two in turn.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import squared_distance
+from .geometry import DEFAULT_TOL, squared_distance
 
 __all__ = [
     "KIND_EVEN",
@@ -34,17 +38,21 @@ __all__ = [
     "KIND_ODD",
     "KIND_SUSPENDED",
     "PointSet",
+    "EVEN_RADIUS",
+    "build",
     "build_3d",
     "build_even",
     "build_odd",
     "build_suspended",
     "build_validated",
+    "check_below_even_top",
     "construction_labels",
     "default_delta",
     "half_edge",
     "load_points",
     "min_n",
     "save_points",
+    "validate",
 ]
 
 KIND_EVEN = "even"
@@ -53,6 +61,11 @@ KIND_ODD = "odd"
 KIND_SUSPENDED = "suspended"
 
 _KINDS = (KIND_EVEN, KIND_3D, KIND_ODD, KIND_SUSPENDED)
+
+# The radius of the even kind's circles.  All even points lie on the sphere
+# of this radius about the origin, so conv(A), the top cell the even mosaic
+# leaves out, enters the filtration at this value.
+EVEN_RADIUS = math.sqrt(2.0) / 2.0
 
 
 def regular_simplex_circumradius_sq(k: int) -> float:
@@ -159,14 +172,13 @@ def build_even(k: int, n: int) -> PointSet:
     if n < 3:
         raise ValueError("n must be >= 3")
     d = 2 * k
-    rad = math.sqrt(2.0) / 2.0
     pts = np.zeros((k * n, d))
     for ell in range(k):
         for t in range(n):
             angle = 2.0 * math.pi * t / n
             i = ell * n + t
-            pts[i, 2 * ell] = rad * math.cos(angle)
-            pts[i, 2 * ell + 1] = rad * math.sin(angle)
+            pts[i, 2 * ell] = EVEN_RADIUS * math.cos(angle)
+            pts[i, 2 * ell + 1] = EVEN_RADIUS * math.sin(angle)
     return PointSet(KIND_EVEN, d, k, n, 0.0, pts, construction_labels(KIND_EVEN, k, n))
 
 
@@ -237,7 +249,7 @@ def build_suspended(k: int, n: int, delta: float, h: float) -> PointSet:
     of R^{2k}, plus two apex points at (0, ..., 0, +-h)."""
     if k < 2:
         raise ValueError("k must be >= 2")
-    if h <= 0.0:
+    if h is None or h <= 0.0:
         raise ValueError("h must be positive")
     base = build_odd(k - 1, n, delta)
     d = 2 * k
@@ -258,7 +270,7 @@ def half_edge(ps: PointSet) -> float:
     otherwise it is measured from the coordinates.
     """
     if ps.kind == KIND_EVEN:
-        return math.sqrt(2.0) / 2.0 * math.sin(math.pi / ps.n)
+        return EVEN_RADIUS * math.sin(math.pi / ps.n)
     first = np.flatnonzero(ps.labels[:, 0] == 0)[:2]
     return 0.5 * math.sqrt(squared_distance(ps.points[first[0]], ps.points[first[1]]))
 
@@ -271,37 +283,65 @@ def default_delta(n: int) -> float:
     return min(1e-2, 1e-1 / n)
 
 
-def build_validated(kind: str, k: int | None = None, n: int | None = None,
-                    delta="auto"):
-    """Build a point set together with a validated filtration and thresholds.
+def check_below_even_top(radius: float) -> None:
+    """Raise ValueError unless `radius` lies below `EVEN_RADIUS` less
+    `abs_eps`.  From there on conv(A), which the even mosaic leaves out,
+    would fill the (2k-1)-sphere, so the mosaic's Betti numbers are not
+    those of the union of balls."""
+    if radius >= EVEN_RADIUS - DEFAULT_TOL.abs_eps:
+        raise ValueError(f"radius {radius!r} is not below the even top-cell value "
+                         f"sqrt(2)/2 less abs_eps")
+
+
+def build(kind: str, k: int | None, n: int, delta="auto", h: float | None = None) -> PointSet:
+    """The point set of `kind` for k and n, unvalidated.  The delta-bearing
+    kinds are built at `default_delta(n)` for delta="auto", else at the
+    given delta; the even kind has no delta, and only the suspended kind
+    reads the apex height h."""
+    if kind == KIND_EVEN:
+        return build_even(k, n)
+    if kind not in _KINDS:
+        raise ValueError(f"unknown kind {kind!r}")
+    delta = default_delta(n) if delta == "auto" else float(delta)
+    if kind == KIND_3D:
+        return build_3d(n, delta)
+    if kind == KIND_ODD:
+        return build_odd(k, n, delta)
+    return build_suspended(k, n, delta, h)
+
+
+def validate(ps: PointSet):
+    """The filtration and thresholds of a point set, constructed or loaded.
 
     The build proves every simplex critical or raises NotCriticalError, and
     `pick_thresholds` separates the radius classes or raises OverlapError.
-    The delta-bearing kinds are built once, at `default_delta(n)` for
-    delta="auto" or at the explicit delta: no instance is known that a
-    smaller delta rescues, and the strict-emptiness clearance 2(delta/n)^2
-    only shrinks with it.  Either error then names the construction and its
-    delta before the build's own message (the simplex and the offender).
-    Returns (point_set, filtered_complex, thresholds).
+    Either error names the set, `kind=... k=... n=...` and for the
+    delta-bearing kinds ` at delta=...`, before the build's own message
+    (the simplex and the offender).  Returns (filtered_complex, thresholds).
     """
     from . import complexgen  # deferred: complexgen imports this module
 
-    if kind == KIND_EVEN:
-        ps = build_even(k, n)
-        fc = complexgen.build_filtration(ps)
-        return ps, fc, complexgen.pick_thresholds(fc)
-
-    if kind not in (KIND_3D, KIND_ODD):
-        raise ValueError(f"build_validated does not handle kind {kind!r}")
-
-    delta = default_delta(n) if delta == "auto" else float(delta)
-    ps = build_3d(n, delta) if kind == KIND_3D else build_odd(k, n, delta)
     try:
         fc = complexgen.build_filtration(ps)
-        return ps, fc, complexgen.pick_thresholds(fc)
+        return fc, complexgen.pick_thresholds(fc)
     except (complexgen.NotCriticalError, complexgen.OverlapError) as exc:
-        exc.args = (f"kind={kind} k={ps.k} n={n} at delta={delta!r}: {exc}",)
+        where = f"kind={ps.kind} k={ps.k} n={ps.n}"
+        if ps.kind != KIND_EVEN:
+            where += f" at delta={ps.delta!r}"
+        exc.args = (f"{where}: {exc}",)
         raise
+
+
+def build_validated(kind: str, k: int | None = None, n: int | None = None,
+                    delta="auto"):
+    """`build`, then `validate`: a point set with its validated filtration
+    and thresholds.  There is one build, at `default_delta(n)` for
+    delta="auto" or at the explicit delta: no instance is known that a
+    smaller delta rescues, and the strict-emptiness clearance 2(delta/n)^2
+    only shrinks with it.  Returns (point_set, filtered_complex, thresholds).
+    """
+    ps = build(kind, k, n, delta)
+    return (ps, *validate(ps))
 
 
 # ---------------------------------------------------------------------------
@@ -323,24 +363,43 @@ def save_points(ps: PointSet, path) -> None:
 
 
 def load_points(path) -> PointSet:
+    """Read a `save_points` file.  A header that is not `# kind,d,k,n,delta,h`
+    with the kind's d, or a row that is not two labels and d coordinates,
+    raises ValueError naming the path and the line; so do a non-finite
+    coordinate, and a point count or labels other than those of the
+    construction the header names."""
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or not lines[0].startswith("#"):
-        raise ValueError("missing point-set header line")
-    kind, d, k, n, delta, h = lines[0][1:].strip().split(",")
-    if kind not in _KINDS:
-        raise ValueError(f"unknown kind {kind!r}")
-    d, k, n = int(d), int(k), int(n)
-    rows = [ln.split(",") for ln in lines[1:]]
-    pts = np.array([[float(c) for c in row[2:]] for row in rows])
-    labels = np.array([[int(row[0]), int(row[1])] for row in rows], dtype=int)
-    if pts.shape != (len(rows), d):
-        raise ValueError("row width does not match header dimension")
+        lines = [(lineno, ln.strip()) for lineno, ln in enumerate(fh, 1) if ln.strip()]
+    if not lines or not lines[0][1].startswith("#"):
+        raise ValueError(f"{path}: missing point-set header line")
+    lineno, text = lines[0]
+    try:
+        fields = text[1:].strip().split(",")
+        if len(fields) != 6:
+            raise ValueError(f"header has {len(fields)} fields, not kind,d,k,n,delta,h")
+        kind, d, k, n, delta, h = fields
+        if kind not in _KINDS:
+            raise ValueError(f"unknown kind {kind!r}")
+        d, k, n, delta, h = int(d), int(k), int(n), float(delta), float(h)
+        dim = {KIND_3D: 3, KIND_ODD: 2 * k + 1}.get(kind, 2 * k)
+        if d != dim:
+            raise ValueError(f"d={d}, but kind={kind} k={k} has d={dim}")
+        labels, pts = [], []
+        for lineno, text in lines[1:]:
+            fields = text.split(",")
+            if len(fields) != d + 2:
+                raise ValueError(f"{len(fields)} fields, expected 2 + d = {d + 2}")
+            labels.append((int(fields[0]), int(fields[1])))
+            pts.append([float(c) for c in fields[2:]])
+    except ValueError as exc:
+        raise ValueError(f"{path}, line {lineno}: {exc}") from None
+    pts = np.array(pts, dtype=float).reshape(len(pts), d)
+    labels = np.array(labels, dtype=int).reshape(len(labels), 2)
     nonfinite = np.flatnonzero(~np.all(np.isfinite(pts), axis=1))
     if nonfinite.size:
         i = int(nonfinite[0])
         raise ValueError(f"{path} row {i + 1} after the header has a non-finite "
-                         f"coordinate: {','.join(rows[i])}")
+                         f"coordinate: {lines[i + 1][1]}")
     # count before listing the labels, so a huge k or n in the header fails fast
     circles, per_circle, apexes = _layout(kind, k, n)
     n_expected = max(circles, 0) * max(per_circle, 0) + apexes
@@ -355,5 +414,4 @@ def load_points(path) -> PointSet:
         raise ValueError(f"{path} labels point {i} {tuple(labels[i].tolist())}, but its "
                          f"header {header} gives it {tuple(expected[i].tolist())}")
     apex_ids = tuple(int(i) for i in np.flatnonzero(labels[:, 0] == -1))
-    return PointSet(kind, d, k, n, float(delta), pts, labels, h=float(h),
-                    apex_ids=apex_ids)
+    return PointSet(kind, d, k, n, delta, pts, labels, h=h, apex_ids=apex_ids)

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import complexgen, homology
-from .construct import PointSet, KIND_EVEN
+from .construct import KIND_EVEN, PointSet, check_below_even_top
 from .geometry import DEFAULT_TOL, min_enclosing_ball
 from .lp import OPTIMAL, solve_lp_max
 
@@ -180,9 +180,7 @@ def cech_equals_alpha_betti(ps: PointSet, radii, pmax: int, fc: complexgen.Filte
     union of balls, so the vectors must agree).  Each side is reduced once
     for all radii."""
     if ps.kind == KIND_EVEN:
-        top = math.sqrt(2.0) / 2.0
-        if max(radii) >= top - DEFAULT_TOL.abs_eps:
-            raise ValueError("radius must stay below the even top-cell value")
+        check_below_even_top(max(radii))
     cvecs = cech_betti(ps, radii, pmax, budget)
     avecs = homology.betti_of_subcomplexes(fc, radii, pmax=pmax, eps=DEFAULT_TOL.abs_eps)
     return [EqualityReport(*row) for row in zip(radii, cvecs, avecs)]

@@ -104,13 +104,19 @@ def claims_csv(claims: list[ClaimResult]) -> str:
 
 
 @functools.lru_cache(maxsize=None)
+def _validated(kind: str, k: int | None, n: int):
+    """Validated construction at the default delta, cached across claims.
+    Every caller passes all three arguments positionally, so each (kind, k,
+    n) has one cache key."""
+    return build_validated(kind, k=k, n=n)
+
+
+@functools.lru_cache(maxsize=None)
 def _pipeline(kind: str, k: int | None, n: int):
-    """Validated construction at the default delta plus its reduced
-    persistence diagram, cached across claims.  Every caller passes all
-    three arguments positionally, so each (kind, k, n) has one cache key."""
-    ps, fc, thresholds = build_validated(kind, k=k, n=n)
-    pd = homology.reduce(fc)
-    return ps, fc, thresholds, pd
+    """`_validated` plus its reduced persistence diagram, cached across
+    claims."""
+    ps, fc, thresholds = _validated(kind, k, n)
+    return ps, fc, thresholds, homology.reduce(fc)
 
 
 def _betti_at_class(pd, thresholds, cls, p) -> int:
@@ -303,9 +309,11 @@ def verify_suspension(k: int, n: int) -> list[ClaimResult]:
 # closed-form radii and interval bounds
 
 
-def _even_class_radii(ps: PointSet):
-    """Max relative error of computed circumradii against the closed forms,
-    per checked class family, on an even point set."""
+def _even_class_radii(ps: PointSet, fc):
+    """Max relative error of the values of `fc`, the validated filtration of
+    the even set `ps`, against the closed-form circumradii, per checked
+    class.  Every simplex of a validated build is critical, so its value
+    is its circumradius."""
     s2 = half_edge(ps) ** 2
     expected = {}
     for ell in range(ps.k):
@@ -314,12 +322,12 @@ def _even_class_radii(ps: PointSet):
     if ps.k >= 2:
         expected[(1, 0)] = math.sqrt(1.0 / (1.0 - s2)) / 2.0
         expected[(1, 1)] = math.sqrt(1.0 + 2.0 * s2) / 2.0
-    errs = {cls: 0.0 for cls in expected}
-    checked = [cs for cs in complexgen.enumerate_mosaic(ps) if cs.cls in expected]
-    radii = circumspheres(ps, [cs.vertices for cs in checked]).radius
-    for cs, r in zip(checked, radii.tolist()):
-        want = expected[cs.cls]
-        errs[cs.cls] = max(errs[cs.cls], abs(r - want) / abs(want) if want else abs(r))
+    values, (touch, short) = fc.values(), fc.classes()
+    errs = {}
+    for (ell, j), want in expected.items():
+        radii = values[(touch == ell) & (short == j)]
+        err = np.abs(radii - want) / abs(want) if want else np.abs(radii)
+        errs[(ell, j)] = float(err.max(initial=0.0))
     return errs
 
 
@@ -330,8 +338,8 @@ def verify_radius_formulas(k: int, n: int) -> list[ClaimResult]:
     claims = []
     params = {"k": k, "n": n}
 
-    ps = construct.build_even(k, n)
-    for cls, err in sorted(_even_class_radii(ps).items()):
+    ps, fc, _ = _validated(KIND_EVEN, k, n)
+    for cls, err in sorted(_even_class_radii(ps, fc).items()):
         claims.append(_claim(
             f"radii/even/class{cls}", params, "rel err <= 1e-9", f"{err:.3g}",
             err <= 1e-9))
@@ -350,7 +358,7 @@ def verify_radius_formulas(k: int, n: int) -> list[ClaimResult]:
     claims.append(_claim("radii/tetra-diameter-bounds", params,
                          "1+(10/11)s^2 <= 2R <= 1+s^2", f"{two_R:.12g}", ok_R))
 
-    s_tiny = math.sqrt(2.0) / 2.0 * math.sin(math.pi / 1000.0)
+    s_tiny = construct.EVEN_RADIUS * math.sin(math.pi / 1000.0)
     r_tiny = math.sqrt(1.0 / (1.0 - s_tiny**2)) / 2.0
     claims.append(_claim("radii/triangle-limit", {"n": 1000}, 0.5, f"{r_tiny:.12g}",
                          abs(r_tiny - 0.5) < 1e-5))

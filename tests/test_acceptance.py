@@ -87,7 +87,8 @@ def test_criterion_05_closed_form_radii():
     worst = 0.0
     for k in (1, 2, 3, 4):
         for n in range(max(3, min_n(k)), 11):
-            for err in verify._even_class_radii(build_even(k, n)).values():
+            ps = build_even(k, n)
+            for err in verify._even_class_radii(ps, complexgen.build_filtration(ps)).values():
                 worst = max(worst, err)
     report(5, worst <= 1e-9,
            f"max relative error {worst:.2e} <= 1e-9 over k<=4, n<=10")

@@ -28,6 +28,15 @@ class TestGenerate:
         run(["generate", "--kind", "even", "--k", "2", "--n", "5", "-o", str(b)], capsys)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_auto_delta_builds_no_filtration(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(complexgen, "build_filtration", lambda ps: calls.append(ps))
+        out = tmp_path / "pts.csv"
+        code, _, _ = run(["generate", "--kind", "3d", "--n", "2", "--delta", "auto",
+                          "-o", str(out)], capsys)
+        assert (code, calls) == (0, [])
+        assert out.read_text().startswith(f"# 3d,3,1,2,{construct.default_delta(2)!r},")
+
     def test_suspended(self, tmp_path, capsys):
         out = tmp_path / "s.csv"
         code, _, _ = run(["generate", "--kind", "suspended", "--k", "2", "--n", "2",
@@ -57,15 +66,36 @@ class TestFiltration:
         assert "empty" in err
 
     def test_loaded_points_are_validated(self, tmp_path, capsys):
+        # a loaded set fails with the message of the same set constructed
         pts = tmp_path / "pts.csv"
         run(["generate", "--kind", "3d", "--n", "3", "--delta", "0.5", "-o", str(pts)],
             capsys)
         out = tmp_path / "f.txt"
-        code, _, err = run(["filtration", "--kind", "3d", "--n", "3", "--points", str(pts),
-                            "-o", str(out)], capsys)
-        assert code == 3
-        assert "overlap" in err
+        flags = ["filtration", "--kind", "3d", "--n", "3", "-o", str(out)]
+        for extra in (["--points", str(pts)], ["--delta", "0.5"]):
+            assert run([*flags, *extra], capsys) == (
+                3, "", "error: kind=3d k=1 n=3 at delta=0.5: "
+                       "radius ranges of classes (1, -1) and (1, 0) overlap\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("line,text,keep,message", [
+        (2, "0", 9, "1 fields, expected 2 + d = 5"),
+        (3, "0,1,0.5,0.5", 9, "4 fields, expected 2 + d = 5"),
+        (2, "0,0,a,0,0", 9, "could not convert string to float: 'a'"),
+        (1, "# 3d,3,1,3", 9, "header has 4 fields, not kind,d,k,n,delta,h"),
+        (1, "# 3d,3,1,3,zz,0", 1, "could not convert string to float: 'zz'"),
+    ], ids=["one-field-row", "short-row", "non-numeric", "short-header", "bad-delta-no-rows"])
+    def test_unreadable_point_file_names_the_line(self, tmp_path, capsys, line, text, keep,
+                                                  message):
+        pts = tmp_path / "pts.csv"
+        run(["generate", "--kind", "3d", "--n", "3", "--delta", "auto", "-o", str(pts)],
+            capsys)
+        lines = pts.read_text().splitlines()
+        lines[line - 1] = text
+        pts.write_text("\n".join(lines[:keep]) + "\n")
+        code, out, err = run(["filtration", "--kind", "3d", "--n", "3", "--points", str(pts),
+                              "-o", str(tmp_path / "f.txt")], capsys)
+        assert (code, out, err) == (2, "", f"error: {pts}, line {line}: {message}\n")
 
     def test_loaded_points_must_match_flags(self, tmp_path, capsys):
         pts = tmp_path / "pts.csv"
@@ -115,6 +145,20 @@ class TestBetti:
                             "--radius", "0.5", "--p", "1"], capsys)
         assert code == 0
         assert out.strip() == "26"
+
+    @pytest.mark.parametrize("radius", ["0.7072", "1.0"])
+    def test_even_radius_at_the_top_cell_is_a_usage_error(self, radius, capsys):
+        # conv(A), which the even mosaic leaves out, fills the sphere at sqrt(2)/2
+        code, out, err = run(["betti", "--kind", "even", "--k", "2", "--n", "5",
+                              "--radius", radius], capsys)
+        assert (code, out) == (2, "")
+        assert err == (f"error: radius {float(radius)!r} is not below the even top-cell "
+                       "value sqrt(2)/2 less abs_eps\n")
+
+    def test_even_radius_below_the_top_cell(self, capsys):
+        code, out, _ = run(["betti", "--kind", "even", "--k", "2", "--n", "5",
+                            "--radius", "0.70"], capsys)
+        assert (code, out) == (0, "0 0 0 1\n")
 
     def test_vector_output(self, capsys):
         code, out, _ = run(["betti", "--kind", "3d", "--n", "2", "--radius", "0.0"],
@@ -340,7 +384,8 @@ class TestNumericFailuresExit3:
         code, out, err = run(["filtration", "--kind", "even", "--k", "2", "--n", "5",
                               "-o", str(tmp_path / "f.txt")], capsys)
         assert (code, out) == (3, "")
-        assert err == "error: sphere of (0,) not strictly empty: point 1 inside\n"
+        assert err == ("error: kind=even k=2 n=5: "
+                       "sphere of (0,) not strictly empty: point 1 inside\n")
 
     def test_face_order_check(self, monkeypatch, tmp_path, capsys):
         real = complexgen._check_face_order

@@ -12,11 +12,9 @@ from extremal_cech import complexgen, geometry, homology, verify
 from extremal_cech.complexgen import (
     ClassifiedSimplex,
     FilteredComplex,
-    InvalidSimplexError,
     NotCriticalError,
     OverlapError,
     build_filtration,
-    classify,
     criticality_check,
     enumerate_mosaic,
     load_filtration,
@@ -55,36 +53,6 @@ def odd_class_count(k, n, ell, j):
 
 
 class TestClassify:
-    def test_vertex(self):
-        ps = build_even(2, 5)
-        cs = classify(ps, (3,))
-        assert (cs.touch, cs.short, cs.dim) == (0, -1, 0)
-
-    def test_long_edge(self):
-        ps = build_even(2, 5)
-        cs = classify(ps, (0, 5))
-        assert cs.cls == (1, -1)
-
-    def test_3d_tetrahedron(self):
-        ps = build_3d(2, 0.01)
-        cs = classify(ps, (0, 1, 3, 4))
-        assert cs.cls == (1, 1)
-        assert cs.dim == 3
-
-    def test_even_wraparound_pair(self):
-        ps = build_even(2, 5)
-        assert classify(ps, (0, 4)).cls == (0, 0)
-
-    def test_non_consecutive_rejected(self):
-        ps = build_3d(3, 0.01)
-        with pytest.raises(InvalidSimplexError):
-            classify(ps, (0, 2))
-
-    def test_three_on_circle_rejected(self):
-        ps = build_3d(3, 0.01)
-        with pytest.raises(InvalidSimplexError):
-            classify(ps, (0, 1, 2))
-
     def test_simplex_is_an_immutable_hashable_tuple(self):
         cs = ClassifiedSimplex(vertices=(0, 1, 3), touch=1, short=0)
         assert cs == ClassifiedSimplex((0, 1, 3), 1, 0) == ((0, 1, 3), 1, 0)
@@ -151,6 +119,14 @@ class TestEnumerateEven:
         assert enumerate_mosaic(ps) == sorted(reference, key=lambda cs: (cs.dim, cs.vertices))
 
 
+def classify_by_labels(ps, verts):
+    """Reference classification from the labels: touch is the circles
+    touched less one, short the circles giving a pair less one."""
+    per_circle = Counter(ps.circle_of(v) for v in verts)
+    pairs = sum(1 for count in per_circle.values() if count == 2)
+    return ClassifiedSimplex(verts, touch=len(per_circle) - 1, short=pairs - 1)
+
+
 def face_closure_odd(ps):
     """Reference enumeration: every subset of every top simplex (one
     consecutive pair from each circle), classified from its labels."""
@@ -160,7 +136,7 @@ def face_closure_odd(ps):
         top = tuple(sorted(v for pair in combo for v in pair))
         for size in range(1, len(top) + 1):
             seen.update(itertools.combinations(top, size))
-    return [classify(ps, verts) for verts in sorted(seen, key=lambda v: (len(v), v))]
+    return [classify_by_labels(ps, verts) for verts in sorted(seen, key=lambda v: (len(v), v))]
 
 
 class TestEnumerateOdd:

@@ -215,6 +215,25 @@ def test_even_half_edge_closed_form():
         math.sqrt(2) / 2 * math.sin(math.pi / 5), rel=1e-15)
 
 
+@pytest.mark.parametrize("kind,k,delta,h,expected", [
+    ("even", 2, "auto", None, build_even(2, 5)),
+    ("3d", 1, "auto", None, build_3d(5, default_delta(5))),
+    ("odd", 2, 0.003, None, build_odd(2, 5, 0.003)),
+    ("suspended", 2, "auto", 0.5, build_suspended(2, 5, default_delta(5), 0.5)),
+], ids=["even", "3d", "odd", "suspended"])
+def test_build_dispatches_to_the_kinds_builder(kind, k, delta, h, expected):
+    ps = construct.build(kind, k, 5, delta, h=h)
+    assert (ps.kind, ps.k, ps.delta, ps.h) == (expected.kind, expected.k, expected.delta, expected.h)
+    assert np.array_equal(ps.points, expected.points)
+
+
+def test_build_refuses_an_unknown_kind_and_a_missing_apex_height():
+    with pytest.raises(ValueError, match="unknown kind 'cube'"):
+        construct.build("cube", 1, 5)
+    with pytest.raises(ValueError, match="h must be positive"):
+        construct.build("suspended", 2, 5)
+
+
 def counting_builds(monkeypatch):
     """Record each `complexgen.build_filtration` call of `build_validated`
     as its point set's delta and the error it raised, or None."""

@@ -4,8 +4,10 @@
 `perfbench/run.py --trace 1`, so every such name must resolve.  Only
 `complexgen` reads a FilteredComplex's private fields; every other module
 goes through its methods.  And the numerical slacks are one record,
-`geometry.DEFAULT_TOL`, that no public function takes as a parameter."""
+`geometry.DEFAULT_TOL`, that no public function takes as a parameter.
+Every module-level import is read, exported or wrapped by the trace."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -21,10 +23,15 @@ TRACER = ROOT / "perfbench" / "tracer.py"
 PRIVATE_FIELDS = re.compile(r"(\.|[\"'])_(faces|values|dims|ids|rows|entries|touch|short)\b")
 
 
-def test_traced_names_resolve():
+def load_tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_traced_names_resolve():
+    tracer = load_tracer()
     missing = [f"{module}.{attr}" for module, attr, _, _ in tracer.SITES
                if not hasattr(importlib.import_module(f"extremal_cech.{module}"), attr)]
     assert tracer.SITES
@@ -75,3 +82,32 @@ def test_no_public_function_takes_a_tolerance():
                      if "Tolerance(" in line]
     assert len(constructions) == 1
     assert constructions[0].endswith("DEFAULT_TOL = Tolerance()")
+
+
+def test_every_module_import_is_used():
+    # a module-level import is read in its module, exported by its
+    # `__all__`, or wrapped by a tracer site for that module; the package's
+    # `__init__` imports only to export
+    traced = {(module, attr) for module, attr, _, _ in load_tracer().SITES}
+    unused, trace_only = [], set()
+    for path in sorted((ROOT / "src" / "extremal_cech").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        read |= set(getattr(importlib.import_module(f"extremal_cech.{path.stem}"),
+                            "__all__", ()))
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if getattr(node, "module", None) == "__future__" or name in read:
+                    continue
+                if (path.stem, name) in traced:
+                    trace_only.add((path.stem, name))
+                else:
+                    unused.append(f"{path.name}:{node.lineno}: {name}")
+    assert unused == []
+    assert trace_only == {("complexgen", "barycentric_interior"), ("complexgen", "circumsphere"),
+                          ("verify", "affine_distance"), ("verify", "circumsphere")}

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from extremal_cech import cli, complexgen, homology, oracle, verify
+from extremal_cech import cli, complexgen, geometry, homology, oracle, verify
 from extremal_cech.complexgen import ClassifiedSimplex, FilteredComplex
 from extremal_cech.construct import build_odd
 from extremal_cech.geometry import DEFAULT_TOL
@@ -275,3 +275,27 @@ class TestCaching:
         assert "53 claims, 0 failures" in capsys.readouterr().out
         assert sorted(cechs) == ["3d", "suspended", "suspended"]
         assert len(balls) == 208
+
+    def test_all_makes_one_sphere_pass_per_even_instance(self, fresh_memos, monkeypatch,
+                                                          capsys):
+        # the radius claims read the validated even filtration that the even
+        # Betti claims built; a second pass over its mosaic would make 20
+        real = geometry.circumspheres
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        for module in (geometry, complexgen, verify):
+            monkeypatch.setattr(module, "circumspheres", counting)
+        assert cli.main(["verify", "--all"]) == 0
+        assert "53 claims, 0 failures" in capsys.readouterr().out
+        assert len(calls) == 19
+
+    def test_radii_alone_reduces_nothing(self, fresh_memos, monkeypatch, capsys):
+        reductions = []
+        monkeypatch.setattr(homology, "reduce", lambda *args, **kwargs: reductions.append(1))
+        assert cli.main(["verify", "--radii", "--k", "2", "--n", "5"]) == 0
+        assert "0 failures" in capsys.readouterr().out
+        assert reductions == []
