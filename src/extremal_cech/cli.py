@@ -3,13 +3,16 @@
 Subcommands: generate, filtration, betti, persistence, radii, oracle,
 verify.  Exit codes: 0 success / all PASS, 1 claim or check FAIL, 2 usage
 error (argparse default, bad parameters such as a missing --k, a 3d --k
-other than 1, a non-finite --radius, an even --radius not below the
+other than 1, a --delta other than auto with kind even, a --h with a kind
+other than suspended, a mosaic of more than `construct.MAX_SIMPLICES`
+simplices, a non-finite --radius, an even --radius not below the
 top-cell value, nothing selected to verify, verify --all with --n or --k,
 verify --theorem 3.1 with a --k other than 1, bad or unreadable input
 files, unwritable output files), 3 numeric or consistency failure (class
 overlap or a simplex the build finds not critical at the one delta built,
 affinely degenerate simplex, subset budget, face-order check,
-reduction/rank cross-check).  `generate` writes the point set alone and
+reduction/rank cross-check), 141 (128 + SIGPIPE) when the reader of stdout
+has gone, with nothing on stderr.  `generate` writes the point set alone and
 validates nothing, so it never exits 3; every other command that builds
 validates through `construct.validate`, a loaded set included, so one
 failure prints one message.
@@ -23,6 +26,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 
 from . import complexgen, construct, homology, oracle, verify
@@ -32,6 +36,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
+EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process SIGPIPE ended
 
 _KIND_CHOICES = ("even", "3d", "odd", "suspended")
 
@@ -46,6 +51,15 @@ def _add_construction_args(p, kinds=_KIND_CHOICES):
 
 def _parse_delta(value):
     return "auto" if value == "auto" else float(value)
+
+
+def _check_kind_flags(args):
+    """Refuse a --delta or --h the kind does not read: the even kind has no
+    delta, and only the suspended kind has an apex height."""
+    if args.kind == "even" and args.delta != "auto":
+        raise ValueError(f"--delta {args.delta} is given, but kind even has no delta")
+    if getattr(args, "h", None) is not None and args.kind != "suspended":
+        raise ValueError(f"--h {args.h} is given, but only kind suspended has an apex height")
 
 
 def _default_k(args):
@@ -65,7 +79,7 @@ def _build_validated(args):
 
 def _cmd_generate(args) -> int:
     ps = construct.build(args.kind, _default_k(args), args.n, _parse_delta(args.delta),
-                         h=args.h)
+                         h=0.5 if args.h is None else args.h)
     construct.save_points(ps, args.output)
     print(f"wrote {len(ps)} points to {args.output}")
     return EXIT_OK
@@ -136,8 +150,7 @@ def _cmd_radii(args) -> int:
 def _cmd_oracle(args) -> int:
     ps, fc, thresholds = _build_validated(args)
     maxdim = args.maxdim if args.maxdim is not None else ps.dim
-    rep = oracle.enumeration_matches_oracle(ps, maxdim, budget=args.budget,
-                                            strict=not args.relaxed)
+    rep = oracle.enumeration_matches_oracle(ps, maxdim, budget=args.budget)
     print(f"enumeration vs empty-sphere oracle (maxdim {maxdim}): "
           f"{rep.n_enumerated} enumerated, {rep.n_oracle} oracle, "
           f"{len(rep.missing)} missing, {len(rep.extra)} extra -> "
@@ -215,7 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="write a point-set CSV")
     _add_construction_args(p)
-    p.add_argument("--h", type=float, default=0.5, help="apex height (suspended kind)")
+    p.add_argument("--h", type=float, default=None,
+                   help="apex height (suspended kind only, default 0.5)")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_generate)
 
@@ -246,8 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_construction_args(p, kinds=("even", "3d", "odd"))
     p.add_argument("--maxdim", type=int, default=None)
     p.add_argument("--budget", type=int, default=oracle.DEFAULT_BUDGET)
-    p.add_argument("--relaxed", action="store_true",
-                   help="accept zero-margin empty spheres in the face test")
     p.add_argument("--diff-csv", help="dump the symmetric difference, if any")
     p.set_defaults(func=_cmd_oracle)
 
@@ -269,7 +281,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        if hasattr(args, "kind"):
+            _check_kind_flags(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader of stdout is gone: nothing is left to say, so the
+        # final flush writes to devnull, and the exit is SIGPIPE's
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except (AffineDegeneracyError, RuntimeError) as exc:
         # NotCriticalError, OverlapError and BudgetExceededError are
         # RuntimeErrors, as are the package's consistency checks

@@ -38,9 +38,9 @@ import numpy as np
 
 from . import construct, homology
 from .construct import PointSet, KIND_EVEN, KIND_3D, KIND_ODD
-from .geometry import (_group_by_size, circumspheres, degeneracy_reason,
-                       emptiness_violations, is_empty_sphere, min_enclosing_ball)
-from .geometry import barycentric_interior, circumsphere  # only the benchmark's trace reads these
+from .geometry import _group_by_size, circumspheres, degeneracy_reason
+# only the benchmark's trace reads these
+from .geometry import barycentric_interior, circumsphere, is_empty_sphere, min_enclosing_ball
 
 __all__ = [
     "ClassifiedSimplex",
@@ -307,15 +307,14 @@ def enumerate_mosaic(ps: PointSet) -> list[ClassifiedSimplex]:
 
 
 def radius_value(ps: PointSet, simplex) -> float:
-    """Radius-function value of a mosaic simplex: the miniball radius of its
-    vertices, whose bounding sphere must be strictly empty against the rest
-    of the point set.  For critical simplices this equals the circumradius."""
+    """Radius-function value of a critical simplex, its circumradius: the
+    one-row case of the build's check.  A simplex that is not critical
+    raises the NotCriticalError the build raises for it."""
     verts = simplex.vertices if isinstance(simplex, ClassifiedSimplex) else tuple(simplex)
-    ball = min_enclosing_ball(ps.points[list(verts)])
-    if not is_empty_sphere(ball, ps, exclude=verts, strict=True):
-        offenders = emptiness_violations(ball, ps, exclude=verts, strict=True)
-        raise NotCriticalError(verts, offenders[0])
-    return ball.radius
+    batch = circumspheres(ps, [verts])
+    if not batch.critical[0]:
+        raise _not_critical(ps, verts, batch, 0)
+    return float(batch.radius[0])
 
 
 def _check_face_order(facets: np.ndarray, rank: np.ndarray, verts) -> None:

@@ -39,6 +39,7 @@ __all__ = [
     "KIND_SUSPENDED",
     "PointSet",
     "EVEN_RADIUS",
+    "MAX_SIMPLICES",
     "build",
     "build_3d",
     "build_even",
@@ -51,6 +52,7 @@ __all__ = [
     "half_edge",
     "load_points",
     "min_n",
+    "mosaic_size",
     "save_points",
     "validate",
 ]
@@ -66,6 +68,12 @@ _KINDS = (KIND_EVEN, KIND_3D, KIND_ODD, KIND_SUSPENDED)
 # of this radius about the origin, so conv(A), the top cell the even mosaic
 # leaves out, enters the filtration at this value.
 EVEN_RADIUS = math.sqrt(2.0) / 2.0
+
+# The most simplices one build may hold.  The ladder's peak RSS is about
+# 900 bytes a simplex, so 2^22 is about 4 GB.  It admits 3d up to n = 1023,
+# even k=5 up to n = 10 and odd k=3 up to n = 21, and no even k=6 at or
+# above min_n(6) = 8.
+MAX_SIMPLICES = 1 << 22
 
 
 def regular_simplex_circumradius_sq(k: int) -> float:
@@ -153,6 +161,32 @@ def _layout(kind: str, k: int, n: int) -> tuple[int, int, int]:
         return k, n, 0
     circles = {KIND_3D: 2, KIND_ODD: k + 1, KIND_SUSPENDED: k}[kind]
     return circles, n + 1, 2 if kind == KIND_SUSPENDED else 0
+
+
+def mosaic_size(kind: str, k: int, n: int) -> int:
+    """The number of simplices of the mosaic of an even, 3d or odd point set
+    for k and n: each circle contributes nothing, one of its points or one
+    of its n consecutive pairs, and not all contribute nothing."""
+    circles, per_circle, _ = _layout(kind, k, n)
+    return (1 + per_circle + n) ** circles - 1
+
+
+def _check_mosaic_size(kind: str, k: int | None, n: int) -> None:
+    """Raise ValueError, naming the count, if the mosaic of kind, k and n
+    has more than MAX_SIMPLICES simplices.  A k or n below 1, which the
+    builders refuse, and the suspended kind, which has no mosaic, pass."""
+    k = 1 if kind == KIND_3D else k
+    if kind == KIND_SUSPENDED or min(k, n) < 1:
+        return
+    circles, per_circle, _ = _layout(kind, k, n)
+    options = 1 + per_circle + n
+    # the power is formed only where it is small, so a huge k fails fast
+    if circles * math.log2(options) > 64:
+        count = f"{options}^{circles} - 1"
+    elif (count := mosaic_size(kind, k, n)) <= MAX_SIMPLICES:
+        return
+    raise ValueError(f"kind={kind} k={k} n={n}: the mosaic has {count} simplices, "
+                     f"more than the {MAX_SIMPLICES} one build may hold")
 
 
 def construction_labels(kind: str, k: int, n: int) -> np.ndarray:
@@ -321,6 +355,7 @@ def validate(ps: PointSet):
     """
     from . import complexgen  # deferred: complexgen imports this module
 
+    _check_mosaic_size(ps.kind, ps.k, ps.n)
     try:
         fc = complexgen.build_filtration(ps)
         return fc, complexgen.pick_thresholds(fc)
@@ -335,11 +370,14 @@ def validate(ps: PointSet):
 def build_validated(kind: str, k: int | None = None, n: int | None = None,
                     delta="auto"):
     """`build`, then `validate`: a point set with its validated filtration
-    and thresholds.  There is one build, at `default_delta(n)` for
-    delta="auto" or at the explicit delta: no instance is known that a
-    smaller delta rescues, and the strict-emptiness clearance 2(delta/n)^2
-    only shrinks with it.  Returns (point_set, filtered_complex, thresholds).
+    and thresholds.  A mosaic of more than MAX_SIMPLICES simplices is
+    refused with ValueError before the point set is built.  There is one
+    build, at `default_delta(n)` for delta="auto" or at the explicit delta:
+    no instance is known that a smaller delta rescues, and the
+    strict-emptiness clearance 2(delta/n)^2 only shrinks with it.
+    Returns (point_set, filtered_complex, thresholds).
     """
+    _check_mosaic_size(kind, k, n)
     ps = build(kind, k, n, delta)
     return (ps, *validate(ps))
 

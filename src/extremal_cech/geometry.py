@@ -1,17 +1,19 @@
 """Floating-point geometric kernel.
 
 Distances, smallest enclosing balls, circumspheres, barycentric
-interiority and empty-sphere predicates, all in 64-bit arithmetic with
+interiority and the strict empty-sphere test, all in 64-bit arithmetic with
 fixed tolerances.  Every circumsphere, `circumsphere`'s one included, comes
 from one batched kernel, which gives each simplex's center, radius,
-degeneracy, interiority and first point inside.  It puts filters in front
-of two of its tests, as in Shewchuk's filtered predicates (Adaptive
-precision floating-point arithmetic and fast robust geometric predicates,
-DCG 1997).  Emptiness is read first from an expanded-form distance, and
-only an entry within a forward-error band of the bound is computed again
-from differences.  Non-degeneracy is certified first by a batched
-Cholesky factorization of each shifted Gram matrix, and only a row it
-cannot certify runs the SVD test.  So every verdict is the plain
+degeneracy, interiority and first point inside; its emptiness test,
+`_first_inside`, is the only one, and `is_empty_sphere` is its one-row
+case.  The kernel puts filters in front of two of its tests, as in
+Shewchuk's filtered predicates (Adaptive precision floating-point
+arithmetic and fast robust geometric predicates, DCG 1997).  Emptiness
+is read first from an expanded-form distance, and only an entry within a
+forward-error band of the bound is computed again from differences.
+Non-degeneracy is certified first by a batched Cholesky factorization of
+each shifted Gram matrix, and only a row it cannot certify runs the SVD
+test.  So every verdict is the plain
 floating-point test's; no predicate is decided in exact arithmetic.
 
 The slacks live here and nowhere else: every predicate reads the one
@@ -248,8 +250,9 @@ class SphereBatch:
     center (b, d) is the circumcenter and radius its largest vertex
     distance; interior says every barycentric coordinate of the center
     exceeds interior_eps; offender is the lowest id of a point other than
-    the simplex's own vertices that is not strictly outside the sphere, as
-    strict `is_empty_sphere` decides, or -1.  degenerate is the SVD test of
+    the simplex's own vertices that is not strictly outside the sphere, its
+    squared distance to the center, summed over the differences, below
+    radius^2 + abs_eps, or -1.  degenerate is the SVD test of
     `_degenerate` or a Gram system the solve finds singular; there center
     and radius are nan, interior is False and offender is -1.
     """
@@ -278,11 +281,11 @@ def circumspheres(points, simplices) -> SphereBatch:
     sequence of vertex-index tuples of any sizes, or a sequence of (b, m)
     int arrays, each a block of b simplices of size m, whose rows are taken
     in order.  Tuples are first grouped by size; each group or block then
-    goes through one kernel, `_sphere_block`.  The interior and emptiness
-    tests are `barycentric_interior`'s and strict `is_empty_sphere`'s, with
-    the same tolerances; the filters of `_degenerate` and `_first_inside`
-    change no verdict.  An empty simplex or one of more than d+1 points is
-    reported degenerate.
+    goes through one kernel, `_sphere_block`.  The interior test is
+    `barycentric_interior`'s, with the same tolerance, and the emptiness
+    test `_first_inside`, which `is_empty_sphere` runs on one sphere; the
+    filters of `_degenerate` and `_first_inside` change no verdict.  An
+    empty simplex or one of more than d+1 points is reported degenerate.
     """
     pts = np.asarray(getattr(points, "points", points), dtype=float)
     if len(simplices) and all(np.ndim(block) == 2 for block in simplices):
@@ -432,7 +435,7 @@ def _first_inside(pts: np.ndarray, sq: np.ndarray, idx: np.ndarray,
                   center: np.ndarray, bound: np.ndarray) -> np.ndarray:
     """Per row: the lowest id of a point other than the row's vertices with
     |p - center|^2 < bound, each |p - center|^2 summed over the differences
-    as `is_empty_sphere` does, or -1 if there is none.
+    (the difference form), or -1 if there is none.
 
     A block of DISTANCE_BLOCK distances at a time takes the expanded form
     |p|^2 - 2 c.p + |c|^2 from one matrix product, as the (d+2)-term dot
@@ -515,32 +518,18 @@ def barycentric_interior(simplex_points, x) -> bool:
     return bool(np.all(coords > DEFAULT_TOL.interior_eps))
 
 
-def is_empty_sphere(sphere: Sphere, points, exclude=(), strict: bool = True) -> bool:
-    """Emptiness predicate for a sphere against a point set.
-
-    Strict mode demands every non-excluded point lie strictly outside
-    (squared distance >= radius^2 + abs_eps); relaxed mode allows points on
-    the sphere (>= radius^2 - abs_eps).  `points` may be a PointSet or a
-    coordinate array; `exclude` holds point indices to skip.
+def is_empty_sphere(sphere: Sphere, points, exclude=()) -> bool:
+    """Whether every point but those indexed by `exclude` lies strictly
+    outside the sphere: its squared distance to the center, summed over the
+    differences, at least radius^2 + abs_eps.  The one-row case of the
+    emptiness test of `circumspheres`, `_first_inside`.  `points` may be a
+    PointSet or a coordinate array; an empty one gives True.
     """
-    return not _violations(sphere, points, exclude, strict).any()
-
-
-def emptiness_violations(sphere: Sphere, points, exclude=(), strict: bool = True) -> list[int]:
-    """Indices of points that violate the emptiness predicate, ascending,
-    for reporting."""
-    return np.flatnonzero(_violations(sphere, points, exclude, strict)).tolist()
-
-
-def _violations(sphere: Sphere, points, exclude, strict: bool) -> np.ndarray:
-    """Per point: not excluded, and its squared distance to the center,
-    summed over the differences as in the recheck of `circumspheres`, is
-    not at least radius^2 + abs_eps (strict) or radius^2 - abs_eps."""
-    pts = np.asarray(getattr(points, "points", points), dtype=float)
-    diffs = pts.reshape(-1, len(sphere.center)) - sphere.center
-    r2 = sphere.radius**2
-    bound = r2 + DEFAULT_TOL.abs_eps if strict else r2 - DEFAULT_TOL.abs_eps
-    bad = ~(np.einsum("ij,ij->i", diffs, diffs) >= bound)
-    for idx in exclude:
-        bad[idx] = False
-    return bad
+    center = np.asarray(sphere.center, dtype=float)
+    pts = np.asarray(getattr(points, "points", points), dtype=float).reshape(-1, len(center))
+    if not len(pts):
+        return True
+    idx = np.asarray(exclude, dtype=np.intp).reshape(1, -1)
+    bound = np.array([sphere.radius**2 + DEFAULT_TOL.abs_eps])
+    sq = np.einsum("ij,ij->i", pts, pts)
+    return bool(_first_inside(pts, sq, idx, center[None], bound)[0] < 0)

@@ -186,15 +186,15 @@ def cech_equals_alpha_betti(ps: PointSet, radii, pmax: int, fc: complexgen.Filte
     return [EqualityReport(*row) for row in zip(radii, cvecs, avecs)]
 
 
-def delaunay_face_test(ps: PointSet, vertices, strict: bool = True) -> bool:
+def delaunay_face_test(ps: PointSet, vertices) -> bool:
     """True iff some sphere passes through the given vertices with every
     other point strictly farther out.
 
     With g_i(z) = |a_i|^2 - 2 <z, a_i> (the power of z minus |z|^2), the
     sphere center z must satisfy g_i(z) = g_j(z) on vertices and
     g_b(z) >= g_i(z) + m elsewhere; the margin m is exactly the squared
-    clearance outside the sphere, so the strictness threshold shares
-    abs_eps with the geometry module's emptiness predicate.
+    clearance outside the sphere, and a face needs m > abs_eps, the
+    threshold of the geometry module's strict emptiness test.
     """
     rel_eps, abs_eps = DEFAULT_TOL.rel_eps, DEFAULT_TOL.abs_eps
     verts = tuple(sorted(int(v) for v in vertices))
@@ -245,7 +245,7 @@ def delaunay_face_test(ps: PointSet, vertices, strict: bool = True) -> bool:
     status, _, margin = solve_lp_max(c, np.array(rows), np.array(rhs))
     if status != OPTIMAL:
         return False
-    return margin > (abs_eps if strict else -abs_eps)
+    return margin > abs_eps
 
 
 @dataclass
@@ -264,8 +264,7 @@ class MatchReport:
 
 
 def enumeration_matches_oracle(ps: PointSet, maxdim: int,
-                               budget: int = DEFAULT_BUDGET,
-                               strict: bool = True) -> MatchReport:
+                               budget: int = DEFAULT_BUDGET) -> MatchReport:
     """Compare the enumerated mosaic (up to maxdim) against the subsets
     passing the empty-sphere feasibility test.
 
@@ -279,8 +278,7 @@ def enumeration_matches_oracle(ps: PointSet, maxdim: int,
     _check_budget(len(ps), maxdim, budget)
     enumerated = {cs.vertices for cs in complexgen.enumerate_mosaic(ps)
                   if cs.dim <= maxdim}
-    oracle_faces = _grow_faces(
-        len(ps), maxdim, lambda verts: delaunay_face_test(ps, verts, strict=strict))
+    oracle_faces = _grow_faces(len(ps), maxdim, lambda verts: delaunay_face_test(ps, verts))
     if ps.kind == KIND_EVEN:
         oracle_faces.discard(tuple(range(len(ps))))
     missing = sorted(oracle_faces - enumerated)

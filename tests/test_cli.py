@@ -1,4 +1,8 @@
 import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,10 +10,19 @@ import pytest
 from extremal_cech import cli, complexgen, construct, homology, verify
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
 def run(argv, capsys):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def popen(argv, **kwargs):
+    """`python -m extremal_cech.cli ARGV` in a fresh interpreter."""
+    return subprocess.Popen([sys.executable, "-m", "extremal_cech.cli", *argv],
+                            env=dict(os.environ, PYTHONPATH=str(SRC)), text=True, **kwargs)
 
 
 class TestGenerate:
@@ -43,6 +56,15 @@ class TestGenerate:
                           "--delta", "0.005", "--h", "0.5", "-o", str(out)], capsys)
         assert code == 0
         assert len(out.read_text().strip().splitlines()) == 1 + 8
+
+    def test_suspended_apex_height_defaults_to_half(self, tmp_path, capsys):
+        files = [tmp_path / "default.csv", tmp_path / "half.csv"]
+        for out, flags in zip(files, [[], ["--h", "0.5"]]):
+            code, _, _ = run(["generate", "--kind", "suspended", "--k", "2", "--n", "3",
+                              *flags, "-o", str(out)], capsys)
+            assert code == 0
+        assert files[0].read_text().splitlines()[0].endswith(",0.5")
+        assert files[0].read_bytes() == files[1].read_bytes()
 
 
 class TestFiltration:
@@ -306,6 +328,13 @@ class TestOracleCommand:
         assert (code, out) == (2, "")
         assert err == f"error: maxdim {maxdim} is outside 0..3\n"
 
+    def test_relaxed_is_not_an_option(self, capsys):
+        # the face test has one rule, an LP margin above abs_eps
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["oracle", "--kind", "3d", "--n", "2", "--relaxed"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --relaxed" in capsys.readouterr().err
+
 
 class TestRadiiCommand:
     def test_table(self, capsys):
@@ -352,6 +381,58 @@ class TestBadInputExit2:
     def test_n_0_with_the_default_delta(self, command, kind, tmp_path, capsys):
         code, out, err = run([command, *kind, "--n", "0", "-o", str(tmp_path / "x")], capsys)
         assert (code, out, err) == (2, "", "error: n must be >= 2\n")
+
+    @pytest.mark.parametrize("command", [["generate", "-o", os.devnull], ["filtration", "-o"],
+                                         ["betti", "--radius", "0.5"], ["persistence", "-o"],
+                                         ["radii"], ["oracle"]])
+    def test_even_takes_no_delta(self, command, tmp_path, capsys):
+        if command[-1] == "-o":
+            command = [*command, str(tmp_path / "x")]
+        code, out, err = run([command[0], "--kind", "even", "--k", "2", "--n", "5",
+                              "--delta", "0.3", *command[1:]], capsys)
+        assert (code, out, err) == (2, "", "error: --delta 0.3 is given, but kind even "
+                                           "has no delta\n")
+        assert not (tmp_path / "x").exists()
+
+    def test_even_takes_delta_auto(self, capsys):
+        runs = [run(["radii", "--kind", "even", "--k", "2", "--n", "5", *flags], capsys)
+                for flags in ([], ["--delta", "auto"])]
+        assert runs[0][0] == 0 and runs[0] == runs[1]
+
+    @pytest.mark.parametrize("kind", [["--kind", "3d"], ["--kind", "even", "--k", "2"],
+                                      ["--kind", "odd", "--k", "2"]])
+    def test_apex_height_only_for_suspended(self, kind, tmp_path, capsys):
+        out = tmp_path / "pts.csv"
+        code, stdout, err = run(["generate", *kind, "--n", "5", "--h", "0.3", "-o", str(out)],
+                                capsys)
+        assert (code, stdout, err) == (2, "", "error: --h 0.3 is given, but only kind "
+                                              "suspended has an apex height\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind,count", [(["--kind", "even", "--k", "6", "--n", "7"],
+                                             11390624),
+                                            (["--kind", "3d", "--n", "100000000"],
+                                             40000000800000003)])
+    def test_mosaic_too_large(self, kind, count, capsys):
+        start = time.perf_counter()
+        code, out, err = run(["radii", *kind], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"the mosaic has {count} simplices, more than the 4194304" in err
+
+    def test_loaded_mosaic_too_large(self, tmp_path, capsys):
+        # even k=6 n=8 is the first even k=6 at min_n(6); its file holds 48 points
+        pts = tmp_path / "pts.csv"
+        flags = ["--kind", "even", "--k", "6", "--n", "8"]
+        assert run(["generate", *flags, "-o", str(pts)], capsys)[0] == 0
+        start = time.perf_counter()
+        code, out, err = run(["filtration", *flags, "--points", str(pts),
+                              "-o", str(tmp_path / "f.txt")], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err == ("error: kind=even k=6 n=8: the mosaic has 24137568 simplices, "
+                       "more than the 4194304 one build may hold\n")
 
     def test_missing_points_file(self, tmp_path, capsys):
         missing = tmp_path / "missing.csv"
@@ -411,3 +492,28 @@ class TestNumericFailuresExit3:
         code, out, err = run(["verify", "--hypotheses", "--k", "1", "--n", "2"], capsys)
         assert (code, out) == (3, "")
         assert err == "error: points are affinely dependent beyond tolerance\n"
+
+
+def test_closed_stdout_exits_141_quietly():
+    # the read end is closed before the child writes: no `error:` line, and
+    # the exit a shell gives a process that SIGPIPE ended
+    proc = popen(["radii", "--kind", "3d", "--n", "30"], stdout=subprocess.PIPE,
+                 stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (141, "")
+
+
+def test_benchmark_correctness_gate():
+    # what the benchmark's crosscheck workload requires of its two runs
+    verify_run = popen(["verify", "--all"], stdout=subprocess.PIPE)
+    out = verify_run.communicate(timeout=120)[0]
+    assert verify_run.returncode == 0
+    assert "53 claims, 0 failures" in out.splitlines()
+    oracle_run = popen(["oracle", "--kind", "even", "--k", "2", "--n", "5"],
+                       stdout=subprocess.PIPE)
+    out = oracle_run.communicate(timeout=120)[0]
+    assert oracle_run.returncode == 0
+    lines = [line for line in out.splitlines() if " -> " in line]
+    assert len(lines) == 5 and all(line.endswith("PASS") for line in lines)

@@ -181,6 +181,21 @@ class TestRadiusValue:
         ps = build_even(2, 5)
         assert radius_value(ps, (0, 5)) == pytest.approx(0.5, rel=1e-12)
 
+    def test_is_the_batch_row(self):
+        ps = cached_pipeline("odd", 2, 2)[0]
+        m = complexgen._mosaic(ps)
+        values = [radius_value(ps, v) for v in m.vertex_tuples()]
+        assert bits(values) == bits(circumspheres(ps, m.ids).radius)
+
+    def test_not_critical_raises_the_builds_error(self):
+        ps = build_3d(10, 0.5)
+        with pytest.raises(NotCriticalError) as built:
+            build_filtration(ps)
+        with pytest.raises(NotCriticalError) as one:
+            radius_value(ps, built.value.simplex)
+        assert ((one.value.simplex, one.value.offender, one.value.reason)
+                == (built.value.simplex, built.value.offender, built.value.reason))
+
     @pytest.mark.parametrize("k,n", [(2, 5), (3, 6)])
     def test_even_closed_forms(self, k, n):
         ps = build_even(k, n)
@@ -366,7 +381,7 @@ def scalar_predicates(ps, verts):
     pts = ps.points[list(verts)]
     sphere = circumsphere(pts)
     return (barycentric_interior(pts, sphere.center),
-            is_empty_sphere(sphere, ps, exclude=verts, strict=True))
+            is_empty_sphere(sphere, ps, exclude=verts))
 
 
 class TestBatchedSpheres:
@@ -441,8 +456,7 @@ class TestSinglePass:
 
         monkeypatch.setattr(complexgen, "circumspheres", counting)
         for module in (complexgen, geometry):
-            for name in ("circumsphere", "barycentric_interior", "is_empty_sphere",
-                         "emptiness_violations"):
+            for name in ("circumsphere", "barycentric_interior", "is_empty_sphere"):
                 monkeypatch.setattr(module, name, scalar)
         ps = build_3d(10, 0.5)
         with pytest.raises(NotCriticalError):

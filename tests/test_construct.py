@@ -16,8 +16,12 @@ from extremal_cech.construct import (
     half_edge,
     load_points,
     min_n,
+    mosaic_size,
     save_points,
 )
+
+from conftest import cached_pipeline
+from test_acceptance import ACCEPTED
 
 
 def pairwise_distances(ps):
@@ -232,6 +236,17 @@ def test_build_refuses_an_unknown_kind_and_a_missing_apex_height():
         construct.build("cube", 1, 5)
     with pytest.raises(ValueError, match="h must be positive"):
         construct.build("suspended", 2, 5)
+
+
+@pytest.mark.parametrize("kind,k,n", ACCEPTED)
+def test_mosaic_size_is_the_built_count(kind, k, n):
+    assert mosaic_size(kind, k, n) == len(cached_pipeline(kind, k, n)[1])
+
+
+def test_mosaic_too_large_is_refused_before_the_build(monkeypatch):
+    monkeypatch.setattr(construct, "build", lambda *args: pytest.fail("point set built"))
+    with pytest.raises(ValueError, match="the mosaic has 11390624 simplices"):
+        build_validated("even", k=6, n=7)
 
 
 def counting_builds(monkeypatch):

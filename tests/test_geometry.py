@@ -207,11 +207,10 @@ class TestEmptySphere:
     def test_3d_long_edge_sphere_strictly_empty(self):
         ps = build_3d(2, 0.01)
         ball = min_enclosing_ball(ps.points[[0, 3]])
-        assert is_empty_sphere(ball, ps, exclude=(0, 3), strict=True)
+        assert is_empty_sphere(ball, ps, exclude=(0, 3))
 
     def test_even_global_sphere_relaxed_vs_strict(self):
         from extremal_cech.construct import build_even
         ps = build_even(2, 5)
         sphere = Sphere(np.zeros(4), math.sqrt(2.0) / 2.0)
-        assert is_empty_sphere(sphere, ps, strict=False)
-        assert not is_empty_sphere(sphere, ps, strict=True)
+        assert not is_empty_sphere(sphere, ps)

@@ -17,7 +17,6 @@ from extremal_cech.geometry import (
     barycentric_interior,
     circumsphere,
     circumspheres,
-    emptiness_violations,
     is_empty_sphere,
     squared_distance,
 )
@@ -127,7 +126,7 @@ class TestAsReference:
                 scalar.append((True, False, False))
                 continue
             scalar.append((False, barycentric_interior(pts, sphere.center),
-                           is_empty_sphere(sphere, ps, exclude=v, strict=True)))
+                           is_empty_sphere(sphere, ps, exclude=v)))
         assert list(zip(batch.degenerate.tolist(), batch.interior.tolist(),
                         batch.empty.tolist())) == scalar
 
@@ -213,10 +212,15 @@ class TestEmptinessBand:
 
     @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["outside", "inside"])
     def test_band_points_get_the_difference_verdict(self, sign):
+        # the batch row and `is_empty_sphere`, its one-row case, alike
         offsets = sign * np.linspace(1e-9, 1e-7, 60)
-        verdicts = [assert_as_reference(self.triangle_and_point(t), [(0, 1, 2)]).empty[0]
-                    for t in offsets]
-        assert verdicts == [sign > 0] * len(offsets)
+        verdicts = []
+        for t in offsets:
+            pts = self.triangle_and_point(t)
+            batch = assert_as_reference(pts, [(0, 1, 2)])
+            one_row = is_empty_sphere(circumsphere(pts[:3]), pts, exclude=(0, 1, 2))
+            verdicts.append((bool(batch.empty[0]), one_row))
+        assert verdicts == [(sign > 0, sign > 0)] * len(offsets)
 
 
 def test_subnormal_distances_get_the_difference_verdict():
@@ -354,10 +358,10 @@ def test_peak_memory_is_blocked():
     assert peak <= bound
 
 
-def violations_loop(sphere, pts, exclude, strict):
-    """`emptiness_violations` as it was: one squared distance per point."""
-    r2 = sphere.radius**2
-    bound = r2 + DEFAULT_TOL.abs_eps if strict else r2 - DEFAULT_TOL.abs_eps
+def violations_loop(sphere, pts, exclude):
+    """The points not strictly outside the sphere, by one squared distance
+    per point: the reference for `is_empty_sphere`."""
+    bound = sphere.radius**2 + DEFAULT_TOL.abs_eps
     return [i for i in range(len(pts))
             if i not in set(exclude) and squared_distance(pts[i], sphere.center) < bound]
 
@@ -367,10 +371,9 @@ def test_emptiness_violations_match_the_loop():
     checked = 0
     for v in complexgen._mosaic(ps).vertex_tuples():
         sphere = circumsphere(ps.points[list(v)])
-        for strict in (True, False):
-            found = emptiness_violations(sphere, ps, exclude=v, strict=strict)
-            assert found == violations_loop(sphere, ps.points, v, strict)
-            assert (found == []) == is_empty_sphere(sphere, ps, exclude=v, strict=strict)
-            checked += bool(found)
+        found = violations_loop(sphere, ps.points, v)
+        assert (found == []) == is_empty_sphere(sphere, ps, exclude=v)
+        assert is_empty_sphere(sphere, ps, exclude=v + tuple(found))
+        checked += bool(found)
     assert checked > 0
-    assert emptiness_violations(Sphere(np.zeros(3), 1.0), np.zeros((0, 3))) == []
+    assert is_empty_sphere(Sphere(np.zeros(3), 1.0), np.zeros((0, 3)))

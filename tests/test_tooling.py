@@ -110,4 +110,5 @@ def test_every_module_import_is_used():
                     unused.append(f"{path.name}:{node.lineno}: {name}")
     assert unused == []
     assert trace_only == {("complexgen", "barycentric_interior"), ("complexgen", "circumsphere"),
+                          ("complexgen", "is_empty_sphere"), ("complexgen", "min_enclosing_ball"),
                           ("verify", "affine_distance"), ("verify", "circumsphere")}
