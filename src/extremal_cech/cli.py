@@ -3,18 +3,19 @@
 Subcommands: generate, filtration, betti, persistence, radii, oracle,
 verify.  Exit codes: 0 success / all PASS, 1 claim or check FAIL, 2 usage
 error (argparse default, bad parameters such as a missing --k, a 3d --k
-other than 1, a --delta other than auto with kind even, a --h with a kind
-other than suspended, a mosaic of more than `construct.MAX_SIMPLICES`
-simplices, a non-finite --radius, an even --radius not below the
-top-cell value, nothing selected to verify, verify --all with --n or --k,
-verify --theorem 3.1 with a --k other than 1, bad or unreadable input
-files, unwritable output files), 3 numeric or consistency failure (class
-overlap or a simplex the build finds not critical at the one delta built,
-affinely degenerate simplex, subset budget, face-order check,
-reduction/rank cross-check), 141 (128 + SIGPIPE) when the reader of stdout
-has gone, with nothing on stderr.  `generate` writes the point set alone and
-validates nothing, so it never exits 3; every other command that builds
-validates through `construct.validate`, a loaded set included, so one
+other than 1, a --delta other than auto with kind even or with --points,
+a --h with a kind other than suspended, a mosaic of more than
+`construct.MAX_SIMPLICES` simplices, a non-finite --radius, an even
+--radius not below the top-cell value, nothing selected to verify,
+verify --all with --n or --k, verify --theorem 3.1 with a --k other than
+1, bad or unreadable input files, unwritable output files), 3 numeric or
+consistency failure (class overlap or a simplex the build finds not
+critical at the one delta built, affinely degenerate simplex, subset
+budget, face-order check, reduction/rank cross-check), 141 (128 +
+SIGPIPE) when the reader of stdout has gone, with nothing on stderr.
+`generate` writes the point set alone and validates nothing, so it never
+exits 3; every other command that builds validates through
+`construct.validate`, a loaded set included, so one
 failure prints one message.
 
 Outputs are deterministic: identical invocations produce byte-identical
@@ -55,9 +56,13 @@ def _parse_delta(value):
 
 def _check_kind_flags(args):
     """Refuse a --delta or --h the kind does not read: the even kind has no
-    delta, and only the suspended kind has an apex height."""
+    delta, a --points file's header fixes its delta, and only the suspended
+    kind has an apex height."""
     if args.kind == "even" and args.delta != "auto":
         raise ValueError(f"--delta {args.delta} is given, but kind even has no delta")
+    if getattr(args, "points", None) and args.delta != "auto":
+        raise ValueError(f"--delta {args.delta} is given, but the header of "
+                         f"{args.points} fixes delta")
     if getattr(args, "h", None) is not None and args.kind != "suspended":
         raise ValueError(f"--h {args.h} is given, but only kind suspended has an apex height")
 

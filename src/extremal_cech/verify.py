@@ -1,12 +1,14 @@
 """End-to-end verification of the quantitative claims the constructions
-realize: exact and leading-order Betti numbers, closed-form radii, interval
-bounds, radius-class orderings, criticality, convergence orders of the
+realize: exact Betti numbers, closed-form radii, interval bounds,
+radius-class orderings, criticality, convergence orders of the
 second-order radius expansions, and the suspended-void count.
 
-Asymptotic "plus/minus big-Oh" claims are made testable by a baseline
-procedure: the deviation from the leading term, normalized by the claimed
-slack scale, is measured at the two smallest admissible n and the maximum
-becomes the acceptance bound for every larger n.
+Every Betti claim compares with one exact integer.  For the even and odd
+sets that integer is an Euler count (`_exact_betti`): the reduced Euler
+characteristic of the classes up to the one read, corrected on the even
+kind by the spheres of the polyhedral join above p.  The class census and
+the join's homology are derived; that no homology lies below p is
+observed, on every even and odd instance the tests and the slow tier run.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .construct import (
     build_suspended,
     build_validated,
     half_edge,
-    min_n,
 )
 from .geometry import DEFAULT_TOL, AffineDegeneracyError, circumspheres
 from .geometry import affine_distance, circumsphere  # only the benchmark's trace reads these
@@ -132,8 +133,6 @@ def _betti_at_class(pd, thresholds, cls, p) -> int:
 def verify_betti_3d(n: int) -> list[ClaimResult]:
     """Exact first/second Betti numbers and the simplex census of the
     two-linked-circles construction, checked by the Cech oracle at n <= 3."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
     ps, fc, thresholds, pd = _pipeline(KIND_3D, 1, n)
     params = {"n": n, "delta": ps.delta}
     claims = []
@@ -164,77 +163,61 @@ def verify_betti_3d(n: int) -> list[ClaimResult]:
 
 
 # ---------------------------------------------------------------------------
-# leading-term counts with baseline deviation bounds
+# exact even and odd counts
 
 
-def _even_cases(k: int, n: int):
-    """Per p: (class threshold, leading term, slack scale).  Low range uses
-    the first class that touches p+1 circles; the high range walks the
-    classes touching all k circles."""
-    for p in range(0, 2 * k - 1):
-        if p <= k - 1:
-            yield p, (p, -1), comb(k, p + 1) * n ** (p + 1), 1.0
-        else:
-            yield p, (k - 1, p - k), comb(k - 1, p + 1 - k) * n**k, 1.0
+def _exact_betti(kind: str, k: int, n: int, cls: tuple[int, int], p: int) -> int:
+    """Reduced beta_p of the even or odd mosaic closed by class `cls`.
+
+    C circles carry P points and n consecutive pairs each (even: C=k, P=n;
+    odd: C=k+1, P=n+1).  A simplex on j circles, i of them with a pair, has
+    class (j-1, i-1) and dimension j+i-1; there are C(C,j) C(j,i) P^(j-i)
+    n^i of them, so the classes up to `cls` give the reduced Euler
+    characteristic chi.  On the even kind the simplices on at most t
+    circles, t = cls[0], form a polyhedral join of the n-gons, a wedge of
+    C(k,j) C(k-j-1,t-j) spheres S^(t+j-1) by the wedge lemma (Ziegler and
+    Zivaljevic 1993); the cells added at the class have dimension <= p and
+    leave that homology above p in place.  The odd kind has none above p."""
+    circles, points = (k, n) if kind == KIND_EVEN else (k + 1, n + 1)
+    t = cls[0]
+    chi = -1 + sum((-1) ** (j + i - 1) * comb(circles, j) * comb(j, i)
+                   * points ** (j - i) * n**i
+                   for j in range(1, t + 2) for i in range(j + 1) if (j - 1, i - 1) <= cls)
+    above = 0
+    if kind == KIND_EVEN:
+        above = sum((-1) ** (t + j - 1 - p) * comb(k, j) * comb(k - j - 1, t - j)
+                    for j in range(2, t + 1) if t + j - 1 > p)
+    return (-1) ** p * chi - above
 
 
-def _odd_cases(k: int, n: int):
-    for p in range(0, 2 * k + 1):
-        if p <= k:
-            yield p, (p, -1), comb(k + 1, p + 1) * (n + 1) ** (p + 1), 1.0
-        else:
-            yield p, (k, p - k - 1), comb(k, p - k) * (n + 1) ** (k + 1), float(n**k)
-
-
-def _deviations(family: str, k: int, n: int) -> list[tuple[int, int, int, float]]:
-    """(p, observed, leading, normalized deviation) per homology dimension."""
-    if family == "even":
-        ps, fc, thresholds, pd = _pipeline(KIND_EVEN, k, n)
-        cases = _even_cases(k, n)
-    else:
-        ps, fc, thresholds, pd = _pipeline(KIND_ODD, k, n)
-        cases = _odd_cases(k, n)
-    out = []
-    for p, cls, leading, scale in cases:
-        observed = _betti_at_class(pd, thresholds, cls, p)
-        out.append((p, observed, leading, abs(observed - leading) / scale))
-    return out
-
-
-def baseline_bound(family: str, k: int) -> float:
-    """Acceptance bound for the normalized deviations: the maximum observed
-    at the two smallest admissible n."""
-    ns = [min_n(k), min_n(k) + 1] if family == "even" else [2, 3]
-    return max(dev for n in ns for _, _, _, dev in _deviations(family, k, n))
-
-
-def verify_betti_even(k: int, n: int) -> list[ClaimResult]:
-    """Betti numbers of the even construction against the closed-form
-    leading terms, within the two-smallest-n baseline bound."""
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    if n < min_n(k):
-        raise ValueError(f"n must be >= min_n({k}) = {min_n(k)}")
-    bound = baseline_bound("even", k)
+def _betti_claims(kind: str, k: int, n: int) -> list[ClaimResult]:
+    """One claim per p, read after the first class that touches p+1 circles
+    in the low range, and walking the classes that touch every circle in
+    the high range."""
+    _, _, thresholds, pd = _pipeline(kind, k, n)
+    top = k - 1 if kind == KIND_EVEN else k
     claims = []
-    for p, observed, leading, dev in _deviations("even", k, n):
-        claims.append(_claim(
-            f"even/b{p}", {"k": k, "n": n}, f"{leading}+-{bound:g}", observed,
-            dev <= bound + 1e-9, f"deviation {dev:g}"))
+    for p in range(2 * top + 1):
+        cls = (p, -1) if p <= top else (top, p - top - 1)
+        observed = _betti_at_class(pd, thresholds, cls, p)
+        expected = _exact_betti(kind, k, n, cls, p)
+        claims.append(_claim(f"{kind}/b{p}", {"k": k, "n": n}, expected, observed,
+                             observed == expected, f"after class {cls}"))
     return claims
 
 
+def verify_betti_even(k: int, n: int) -> list[ClaimResult]:
+    """Reduced Betti numbers of the even construction against the exact
+    Euler count of `_exact_betti`."""
+    if k < 2:
+        raise ValueError("k must be >= 2")
+    return _betti_claims(KIND_EVEN, k, n)
+
+
 def verify_betti_odd(k: int, n: int) -> list[ClaimResult]:
-    """Betti numbers of the odd construction against the closed-form leading
-    terms; the range above dimension k is normalized by n^k."""
-    if k < 1 or n < 2:
-        raise ValueError("need k >= 1 and n >= 2")
-    bound = baseline_bound("odd", k)
-    claims = []
-    for p, observed, leading, dev in _deviations("odd", k, n):
-        claims.append(_claim(
-            f"odd/b{p}", {"k": k, "n": n}, f"{leading}+-{bound:g}*scale", observed,
-            dev <= bound + 1e-9, f"normalized deviation {dev:g}"))
+    """Reduced Betti numbers of the odd construction against the exact
+    Euler count of `_exact_betti`, and at k=1 against the 3d pipeline."""
+    claims = _betti_claims(KIND_ODD, k, n)
     if k == 1:
         # the dedicated 3d pipeline must agree with the odd one at k=1
         _, _, th3, pd3 = _pipeline(KIND_3D, 1, n)
@@ -521,8 +504,6 @@ def verify_hypotheses(k: int, n: int) -> list[ClaimResult]:
     for the squared circumradius and the pyramid/bi-pyramid terms, second
     order for the circumcenter depth of short-edge-free simplices, plus the
     cubic bisector bound with zero violations."""
-    if k < 1 or n < 2:
-        raise ValueError("need k >= 1 and n >= 2")
     params = {"k": k, "n": n}
     per_delta = []
     epss = []

@@ -79,7 +79,7 @@ def test_criterion_04_leading_terms():
     bad = [c for c in claims if c.status == verify.FAIL]
     elapsed = time.time() - t0
     report(4, not bad and elapsed < 120.0,
-           f"{len(claims)} leading-term claims within baseline bounds "
+           f"{len(claims)} even/odd Betti claims equal to their exact Euler counts "
            f"({elapsed:.1f}s < 120s)" + (f"; failures: {bad}" if bad else ""))
 
 

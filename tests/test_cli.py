@@ -81,6 +81,17 @@ class TestFiltration:
         assert f1.read_bytes() == f2.read_bytes()
         assert len(f1.read_text().strip().splitlines()) == 35
 
+    def test_points_take_no_delta(self, tmp_path, capsys):
+        # the file's header fixes delta, so a --delta X would go unread
+        pts = tmp_path / "pts.csv"
+        run(["generate", "--kind", "3d", "--n", "3", "-o", str(pts)], capsys)
+        out = tmp_path / "f.txt"
+        code, stdout, err = run(["filtration", "--kind", "3d", "--n", "3", "--points", str(pts),
+                                 "--delta", "0.7", "-o", str(out)], capsys)
+        assert (code, stdout, err) == (2, "", f"error: --delta 0.7 is given, but the header "
+                                              f"of {pts} fixes delta\n")
+        assert not out.exists()
+
     def test_explicit_bad_delta_exits_3(self, tmp_path, capsys):
         code, _, err = run(["filtration", "--kind", "3d", "--n", "10",
                             "--delta", "0.5", "-o", str(tmp_path / "f.txt")], capsys)

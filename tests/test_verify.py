@@ -51,9 +51,15 @@ class TestBetti3d:
         assert_no_failures(verify.verify_betti_3d(200))
 
 
+EVEN_KN = [(2, n) for n in range(5, 10)] + [(3, n) for n in range(6, 9)]
+ODD_KN = ([(1, n) for n in range(2, 8)] + [(2, n) for n in range(2, 7)]
+          + [(3, n) for n in range(2, 5)])
+
+
 class TestBettiEvenOdd:
-    def test_even_within_baseline(self):
-        assert_no_failures(verify.verify_betti_even(2, 7))
+    @pytest.mark.parametrize("k,n", EVEN_KN)
+    def test_even_exact(self, k, n):
+        assert_no_failures(verify.verify_betti_even(k, n))
 
     def test_even_parameter_checks(self):
         with pytest.raises(ValueError):
@@ -61,8 +67,8 @@ class TestBettiEvenOdd:
         with pytest.raises(ValueError):
             verify.verify_betti_even(2, 4)
 
-    @pytest.mark.parametrize("k,n", [(1, 4), (2, 3)])
-    def test_odd_within_baseline(self, k, n):
+    @pytest.mark.parametrize("k,n", ODD_KN)
+    def test_odd_exact(self, k, n):
         assert_no_failures(verify.verify_betti_odd(k, n))
 
     def test_odd_k1_matches_3d(self):
@@ -71,9 +77,26 @@ class TestBettiEvenOdd:
         assert len(agree) == 2
         assert_no_failures(agree)
 
-    def test_baseline_bound_is_positive(self):
-        assert verify.baseline_bound("even", 2) >= 1.0
-        assert verify.baseline_bound("odd", 1) >= 1.0
+    def test_count_off_by_one_fails(self, fresh_memos, monkeypatch):
+        # 10 is the leading term 2n: a bound around it would let the count
+        # off by one pass
+        real = verify._betti_at_class
+
+        def one_more_b0(pd, thresholds, cls, p):
+            return real(pd, thresholds, cls, p) + (p == 0)
+
+        monkeypatch.setattr(verify, "_betti_at_class", one_more_b0)
+        by_id = {c.claim_id: c for c in verify.verify_betti_even(2, 5)}
+        b0 = by_id["even/b0"]
+        assert (b0.status, b0.expected, b0.observed) == (FAIL, 9, 10)
+        assert by_id["even/b1"].status == PASS
+
+    @pytest.mark.slow
+    def test_exact_at_scale(self):
+        claims = verify.verify_betti_even(3, 20) + verify.verify_betti_even(4, 10)
+        claims += verify.verify_betti_odd(3, 8) + verify.verify_betti_odd(4, 4)
+        assert len(claims) == 5 + 7 + 7 + 9
+        assert_no_failures(claims)
 
 
 class TestSuspension:
@@ -253,6 +276,9 @@ class TestCaching:
         assert cli.main(["verify", "--all"]) == 0
         assert "53 claims, 0 failures" in capsys.readouterr().out
         assert builds and set(builds.values()) == {1}, builds
+        # 3d n=2, even k=2 n=5, odd k=1 n=2 and odd k=2 n=2: each Betti suite
+        # builds only the instance it reads
+        assert len(builds) == 4, builds
 
     def test_all_makes_three_cech_complexes(self, fresh_memos, monkeypatch, capsys):
         # the 3d n=2 cross-check, and the suspended set at its one apex
@@ -278,8 +304,10 @@ class TestCaching:
 
     def test_all_makes_one_sphere_pass_per_even_instance(self, fresh_memos, monkeypatch,
                                                           capsys):
-        # the radius claims read the validated even filtration that the even
-        # Betti claims built; a second pass over its mosaic would make 20
+        # one per validated build (4), per 3d interval build (4) and per
+        # hypothesis delta, build and errors (8): the radius claims read the
+        # validated even filtration that the even Betti claims built, and a
+        # second pass over its mosaic would make 17
         real = geometry.circumspheres
         calls = []
 
@@ -291,7 +319,7 @@ class TestCaching:
             monkeypatch.setattr(module, "circumspheres", counting)
         assert cli.main(["verify", "--all"]) == 0
         assert "53 claims, 0 failures" in capsys.readouterr().out
-        assert len(calls) == 19
+        assert len(calls) == 16
 
     def test_radii_alone_reduces_nothing(self, fresh_memos, monkeypatch, capsys):
         reductions = []
