@@ -30,7 +30,7 @@ import math
 import os
 import sys
 
-from . import complexgen, construct, homology, oracle, verify
+from . import complexgen, construct, homology, oracle
 from .geometry import DEFAULT_TOL, AffineDegeneracyError
 
 EXIT_OK = 0
@@ -178,6 +178,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import verify  # only this command reads it, so the others skip compiling it
+
     if args.all and (args.n, args.k) != (None, None):
         raise ValueError("--all runs a fixed claim set and takes no --n or --k")
     if args.theorem == "3.1" and args.k not in (None, 1):

@@ -8,6 +8,11 @@ Two oracles:
 * a Delaunay-membership test by empty-sphere feasibility: a vertex set spans
   a mosaic face iff some sphere through it keeps every other point outside
   with positive margin, which is a small linear program in the sphere center.
+  The LP starts feasible, at the equidistant center nearest the origin with
+  the margin shifted by the smallest clearance there, and the verdict is the
+  clearance measured at the center it returns, not its objective.  It
+  keeps its own LP and arithmetic and never calls the emptiness kernel of
+  `geometry` that the build uses.
 
 Both grow their candidates from accepted faces: a subset of size m is
 tested only when each of its m facets was accepted at size m-1.  A Cech
@@ -17,8 +22,8 @@ complex is exactly the one a scan of all subsets keeps.  The Delaunay
 complex is a simplicial complex (Edelsbrunner & Harer, *Computational
 Topology*, 2010, ch. III): the empty sphere of a face, nudged so that one
 vertex falls outside, is an empty sphere of the facet without that vertex,
-so no face of the mosaic has a facet outside it.  The LP decides emptiness up to a
-margin tolerance, so the tests keep the scan of every subset as the
+so no face of the mosaic has a facet outside it.  The test decides emptiness up to a
+clearance tolerance, so the tests keep the scan of every subset as the
 reference and require the same `MatchReport` from the grown run.
 
 The Cech oracle answers several radii on one point set with one complex:
@@ -190,19 +195,25 @@ def delaunay_face_test(ps: PointSet, vertices) -> bool:
     """True iff some sphere passes through the given vertices with every
     other point strictly farther out.
 
-    With g_i(z) = |a_i|^2 - 2 <z, a_i> (the power of z minus |z|^2), the
-    sphere center z must satisfy g_i(z) = g_j(z) on vertices and
-    g_b(z) >= g_i(z) + m elsewhere; the margin m is exactly the squared
-    clearance outside the sphere, and a face needs m > abs_eps, the
-    threshold of the geometry module's strict emptiness test.
+    The clearance of a non-vertex b at a center z, |p_b - z|^2 - |a0 - z|^2
+    with a0 a vertex, is the power of b for the sphere about z through a0:
+    positive iff b lies outside it, and linear in z.  The centers
+    equidistant from the vertices are z = z0 + V y, with z0 the one nearest
+    the origin, and the LP maximizes the smallest clearance m over y within
+    the box |z|_inf <= _LP_BOX.  It starts at y = 0 with m shifted by the
+    smallest clearance at z0, so every right-hand side is nonnegative and
+    the start is feasible.  A z0 outside the box, where every equidistant
+    center lies farther than _LP_BOX from the origin, returns False before
+    any LP.  The verdict is the clearance the returned center achieves,
+    measured anew: a face needs it above abs_eps, the threshold of the
+    geometry module's strict emptiness test, so an LP that stops at an
+    infeasible point cannot accept a non-face.
     """
     rel_eps, abs_eps = DEFAULT_TOL.rel_eps, DEFAULT_TOL.abs_eps
     verts = tuple(sorted(int(v) for v in vertices))
     pts = ps.points
     d = ps.dim
     a0 = pts[verts[0]]
-    on_sphere = set(verts)
-    others = [i for i in range(len(ps)) if i not in on_sphere]
 
     # equalities 2 <z, a0 - a_i> = |a0|^2 - |a_i|^2 solved as z = z0 + V y
     if len(verts) > 1:
@@ -218,34 +229,39 @@ def delaunay_face_test(ps: PointSet, vertices) -> bool:
         z0 = np.zeros(d)
         null = np.eye(d)
 
-    q = null.shape[1]
-    if not others:
+    off_sphere = np.ones(len(ps), dtype=bool)
+    off_sphere[list(verts)] = False
+    others = pts[off_sphere]
+    if not len(others):
         return True
+    if np.any(np.abs(z0) > _LP_BOX):
+        return False
 
-    # maximize m subject to, per non-vertex b:
-    #   2 <z, a0 - a_b> - m >= |a0|^2 - |a_b|^2, plus |z|_inf <= box
-    n_var = q + 1  # y then m
-    rows, rhs = [], []
-    for b in others:
-        w = 2.0 * (a0 - pts[b])
-        row = np.zeros(n_var)
-        row[:q] = -(w @ null)
-        row[q] = 1.0
-        rows.append(row)
-        rhs.append(float(w @ z0) - float(a0 @ a0 - pts[b] @ pts[b]))
-    for i in range(d):
-        for sign in (1.0, -1.0):
-            row = np.zeros(n_var)
-            row[:q] = sign * null[i]
-            rows.append(row)
-            rhs.append(_LP_BOX - sign * z0[i])
-
-    c = np.zeros(n_var)
+    # maximize m' = m - shift subject to, per non-vertex b,
+    #   m' - <w_b, V y> <= clearance_b(z0) - shift,  w_b = 2 (a0 - p_b),
+    # plus +-V y <= box -+ z0
+    q = null.shape[1]
+    clear0 = _clearances(others, a0, z0)
+    w_null = 2.0 * (a0 - others) @ null
+    A = np.zeros((len(others) + 2 * d, q + 1))
+    A[:len(others), :q] = -w_null
+    A[:len(others), q] = 1.0
+    A[len(others):len(others) + d, :q] = null
+    A[len(others) + d:, :q] = -null
+    b = np.concatenate([clear0 - clear0.min(), _LP_BOX - z0, _LP_BOX + z0])
+    c = np.zeros(q + 1)
     c[q] = 1.0
-    status, _, margin = solve_lp_max(c, np.array(rows), np.array(rhs))
+    status, x, _ = solve_lp_max(c, A, b)
     if status != OPTIMAL:
         return False
-    return margin > abs_eps
+    z = z0 + null @ x[:q]
+    return bool(_clearances(others, a0, z).min() > abs_eps)
+
+
+def _clearances(others: np.ndarray, a0: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """|p_b - z|^2 - |a0 - z|^2 per row p_b of `others`: how far, in squared
+    length, each point lies outside the sphere about z through a0."""
+    return ((others - z) ** 2).sum(axis=1) - float((a0 - z) @ (a0 - z))
 
 
 @dataclass

@@ -332,6 +332,16 @@ class TestOracleCommand:
         assert "6 enumerated, 6 oracle, 0 missing, 0 extra -> PASS" in out
         assert "FAIL" not in out
 
+    @pytest.mark.slow
+    @pytest.mark.parametrize("k,n,faces", [(3, 2, 1295), (2, 3, 511)])
+    def test_odd_all_pass(self, k, n, faces, capsys):
+        # sizes where the LP's optimal margins sit closest to 0
+        code, out, _ = run(["oracle", "--kind", "odd", "--k", str(k), "--n", str(n)], capsys)
+        assert code == 0
+        lines = out.splitlines()
+        assert f"{faces} enumerated, {faces} oracle, 0 missing, 0 extra -> PASS" in lines[0]
+        assert all(line.endswith("-> PASS") for line in lines)
+
     @pytest.mark.parametrize("maxdim", ["-1", "4"])
     def test_maxdim_outside_the_dimension_exits_2(self, maxdim, capsys):
         code, out, err = run(["oracle", "--kind", "3d", "--n", "2", "--maxdim", maxdim],
@@ -340,7 +350,7 @@ class TestOracleCommand:
         assert err == f"error: maxdim {maxdim} is outside 0..3\n"
 
     def test_relaxed_is_not_an_option(self, capsys):
-        # the face test has one rule, an LP margin above abs_eps
+        # the face test has one rule, a clearance above abs_eps at the LP's center
         with pytest.raises(SystemExit) as exc:
             cli.main(["oracle", "--kind", "3d", "--n", "2", "--relaxed"])
         assert exc.value.code == 2

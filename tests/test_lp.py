@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from extremal_cech import lp, oracle
-from extremal_cech.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp_max
+from extremal_cech import construct, lp, oracle
+from extremal_cech.geometry import DEFAULT_TOL
+from extremal_cech.lp import OPTIMAL, UNBOUNDED, solve_lp_max
 
 
 def scipy_max(c, A, b):
@@ -24,20 +25,10 @@ def test_simple_box():
     assert val == pytest.approx(2.0)
 
 
-def test_negative_rhs_feasible():
-    # x >= 2 encoded as -x <= -2, maximize -x
-    status, x, val = solve_lp_max([-1.0], np.array([[-1.0], [1.0]]),
-                                  np.array([-2.0, 10.0]))
-    assert status == OPTIMAL
-    assert val == pytest.approx(-2.0)
-    assert x[0] == pytest.approx(2.0)
-
-
-def test_infeasible():
-    # x <= 0 and x >= 1
-    status, _, _ = solve_lp_max([1.0], np.array([[1.0], [-1.0]]),
-                                np.array([0.0, -1.0]))
-    assert status == INFEASIBLE
+def test_negative_rhs_raises():
+    # x >= 2 encoded as -x <= -2: x = 0 is not a feasible start
+    with pytest.raises(ValueError, match="is negative"):
+        solve_lp_max([-1.0], np.array([[-1.0], [1.0]]), np.array([-2.0, 10.0]))
 
 
 def test_unbounded():
@@ -60,25 +51,24 @@ def test_random_against_scipy(seed):
     n = int(rng.integers(1, 6))
     m = int(rng.integers(1, 12))
     A = rng.normal(size=(m, n))
-    b = rng.normal(size=m)
+    b = np.abs(rng.normal(size=m))
     c = rng.normal(size=n)
-    # box the problem so it is always bounded, usually feasible
+    # box the problem so it is always bounded; b >= 0 keeps x = 0 feasible
     A = np.vstack([A, np.eye(n), -np.eye(n)])
     b = np.concatenate([b, np.full(2 * n, 10.0)])
 
     status, x, val = solve_lp_max(c, A, b)
     ref = scipy_max(c, A, b)
-    if ref.status == 2:
-        assert status == INFEASIBLE
-    else:
-        assert status == OPTIMAL
-        assert val == pytest.approx(-ref.fun, rel=1e-7, abs=1e-7)
-        assert np.all(A @ x <= b + 1e-7)
+    assert status == OPTIMAL and ref.status == 0
+    assert val == pytest.approx(-ref.fun, rel=1e-7, abs=1e-7)
+    assert np.all(A @ x <= b + 1e-7)
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_margin_shape_against_scipy(seed):
-    # the empty-sphere feasibility shape: maximize m s.t. m <= f_i(y), y boxed
+    # the empty-sphere feasibility shape: maximize m s.t. m <= f_i(y), y boxed;
+    # solved, as the oracle solves it, for m' = m - min_i f_i(0), whose
+    # right-hand sides are all >= 0
     rng = np.random.default_rng(100 + seed)
     q = int(rng.integers(1, 4))
     rows = []
@@ -88,6 +78,7 @@ def test_margin_shape_against_scipy(seed):
         row = np.concatenate([-w, [1.0]])
         rows.append(row)
         rhs.append(float(rng.normal()))
+    shift = min(rhs)  # the smallest f_i(0)
     for i in range(q):
         e = np.zeros(q + 1)
         e[i] = 1.0
@@ -97,10 +88,60 @@ def test_margin_shape_against_scipy(seed):
     b = np.array(rhs)
     c = np.zeros(q + 1)
     c[q] = 1.0
-    status, _, val = solve_lp_max(c, A, b)
+    status, _, val = solve_lp_max(c, A, b - shift * A[:, q])
     ref = scipy_max(c, A, b)
     assert status == OPTIMAL and ref.status == 0
-    assert val == pytest.approx(-ref.fun, rel=1e-8, abs=1e-8)
+    assert val + shift == pytest.approx(-ref.fun, rel=1e-8, abs=1e-8)
+
+
+def highs_face_margin(pts, verts):
+    """The empty-sphere LP written afresh for HiGHS: maximize the margin m
+    over the center z in the box |z|_inf <= 10, with the vertices equidistant
+    from z as equality rows and |p_b - z|^2 - |a0 - z|^2 >= m for every
+    other point b.  Returns the optimal m, or None if no center exists."""
+    d = pts.shape[1]
+    a0 = pts[verts[0]]
+    others = [i for i in range(len(pts)) if i not in verts]
+    cost = np.zeros(d + 1)
+    cost[d] = -1.0
+    # |p_b - z|^2 - |a0 - z|^2 = |p_b|^2 - |a0|^2 + 2 <z, a0 - p_b>
+    A_ub = np.array([[*(-2.0 * (a0 - pts[b])), 1.0] for b in others])
+    b_ub = np.array([pts[b] @ pts[b] - a0 @ a0 for b in others])
+    eq = {}
+    if len(verts) > 1:
+        eq["A_eq"] = np.array([[*(2.0 * (a0 - pts[i])), 0.0] for i in verts[1:]])
+        eq["b_eq"] = np.array([a0 @ a0 - pts[i] @ pts[i] for i in verts[1:]])
+    res = linprog(cost, A_ub=A_ub, b_ub=b_ub, **eq,
+                  bounds=[(-10.0, 10.0)] * d + [(None, None)], method="highs")
+    if res.status == 2:
+        return None
+    assert res.status == 0, res.message
+    return -res.fun
+
+
+def test_face_test_refuses_a_point_inside_every_sphere():
+    # every sphere through 3, 6, 9 and 11 holds a point 2.5e-5 deep, so an
+    # LP center that breaks its own rows by that much would accept it
+    ps = construct.build("odd", 3, 2)
+    assert highs_face_margin(ps.points, (3, 6, 9, 11)) == pytest.approx(-2.5e-5, rel=1e-3)
+    assert not oracle.delaunay_face_test(ps, (3, 6, 9, 11))
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_face_test_agrees_with_highs(k):
+    # every subset of size <= 4 of odd k n=2 whose optimal margin is clear
+    # of 0 by 1e-9, so the tolerance of neither solver decides it
+    ps = construct.build("odd", k, 2)
+    compared = 0
+    for size in range(1, 5):
+        for verts in itertools.combinations(range(len(ps)), size):
+            margin = highs_face_margin(ps.points, verts)
+            if margin is not None and abs(margin) < 1e-9:
+                continue
+            expected = margin is not None and margin > DEFAULT_TOL.abs_eps
+            assert oracle.delaunay_face_test(ps, verts) == expected, (verts, margin)
+            compared += 1
+    assert compared > 0
 
 
 def reference_pivot(tab, row, col):
