@@ -25,10 +25,25 @@ def test_simple_box():
     assert val == pytest.approx(2.0)
 
 
-def test_negative_rhs_raises():
-    # x >= 2 encoded as -x <= -2: x = 0 is not a feasible start
+def test_negative_rhs_feasible():
+    # x >= 2 encoded as -x <= -2, maximize -x: feasible, but x = 0 is not a
+    # feasible start, so the solver refuses it; shifting x = 2 + x', as the
+    # oracle shifts its margin, gives b >= 0 and the same optimum
+    A = np.array([[-1.0], [1.0]])
+    b = np.array([-2.0, 10.0])
     with pytest.raises(ValueError, match="is negative"):
-        solve_lp_max([-1.0], np.array([[-1.0], [1.0]]), np.array([-2.0, 10.0]))
+        solve_lp_max([-1.0], A, b)
+    status, x, val = solve_lp_max([-1.0], A, b - A[:, 0] * 2.0)
+    assert status == OPTIMAL
+    assert val - 2.0 == pytest.approx(-2.0)
+    assert x[0] + 2.0 == pytest.approx(2.0)
+
+
+def test_infeasible():
+    # x <= 0 and x >= 1: an infeasible LP has no feasible start, so some
+    # right-hand side is negative and the solver raises rather than returning
+    with pytest.raises(ValueError, match="is negative"):
+        solve_lp_max([1.0], np.array([[1.0], [-1.0]]), np.array([0.0, -1.0]))
 
 
 def test_unbounded():
