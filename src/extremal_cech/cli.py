@@ -4,11 +4,13 @@ Subcommands: generate, filtration, betti, persistence, radii, oracle,
 verify.  Exit codes: 0 success / all PASS, 1 claim or check FAIL, 2 usage
 error (argparse default, bad parameters such as a missing --k, a 3d --k
 other than 1, a --delta other than auto with kind even or with --points,
-a --h with a kind other than suspended, a mosaic of more than
-`construct.MAX_SIMPLICES` simplices, a non-finite --radius, an even
---radius not below the top-cell value, nothing selected to verify,
-verify --all with --n or --k, verify --theorem 3.1 with a --k other than
-1, bad or unreadable input files, unwritable output files), 3 numeric or
+a --h with a kind other than suspended or not positive and finite, a
+mosaic of more than `construct.MAX_SIMPLICES` simplices, built, loaded or
+swept by a verify suite, a non-finite --radius, an even --radius not
+below the top-cell value, nothing selected to verify, verify --all with
+--n or --k, verify --theorem 3.1 with a --k other than 1, bad or
+unreadable input files, a point-file header that `construct.build`
+refuses or does not reproduce, unwritable output files), 3 numeric or
 consistency failure (class overlap or a simplex the build finds not
 critical at the one delta built, affinely degenerate simplex, subset
 budget, face-order check, reduction/rank cross-check), 141 (128 +

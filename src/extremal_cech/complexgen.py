@@ -252,8 +252,11 @@ def _mosaic(ps: PointSet) -> _Mosaic:
     for C circles and a dense code -> row table has one entry per simplex
     plus one.  Facets come in closed form: dropping a lone point leaves
     nothing on its circle, and dropping one end of a pair leaves the other
-    end as a lone point.
+    end as a lone point.  Every build and enumeration passes here, so the
+    size rule is checked first: a mosaic over `construct.MAX_SIMPLICES`
+    simplices raises ValueError before any array is allocated.
     """
+    construct._check_mosaic_size(ps.kind, ps.k, ps.n)
     if ps.kind == KIND_EVEN:
         if ps.n < construct.min_n(ps.k):
             raise ValueError(f"n={ps.n} is below min_n({ps.k})={construct.min_n(ps.k)}")

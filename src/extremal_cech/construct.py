@@ -26,7 +26,7 @@ validated filtration and thresholds; `build_validated` is the two in turn.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -283,8 +283,8 @@ def build_suspended(k: int, n: int, delta: float, h: float) -> PointSet:
     of R^{2k}, plus two apex points at (0, ..., 0, +-h)."""
     if k < 2:
         raise ValueError("k must be >= 2")
-    if h is None or h <= 0.0:
-        raise ValueError("h must be positive")
+    if h is None or not 0.0 < h < math.inf:
+        raise ValueError(f"h must be positive and finite, not {h!r}")
     base = build_odd(k - 1, n, delta)
     d = 2 * k
     n_base = len(base)
@@ -347,15 +347,16 @@ def build(kind: str, k: int | None, n: int, delta="auto", h: float | None = None
 def validate(ps: PointSet):
     """The filtration and thresholds of a point set, constructed or loaded.
 
-    The build proves every simplex critical or raises NotCriticalError, and
+    The build refuses a mosaic over MAX_SIMPLICES simplices (ValueError),
+    proves every simplex critical or raises NotCriticalError, and
     `pick_thresholds` separates the radius classes or raises OverlapError.
-    Either error names the set, `kind=... k=... n=...` and for the
-    delta-bearing kinds ` at delta=...`, before the build's own message
-    (the simplex and the offender).  Returns (filtered_complex, thresholds).
+    Either of the last two names the set, `kind=... k=... n=...` and for
+    the delta-bearing kinds ` at delta=...`, before the build's own
+    message (the simplex and the offender).  Returns (filtered_complex,
+    thresholds).
     """
     from . import complexgen  # deferred: complexgen imports this module
 
-    _check_mosaic_size(ps.kind, ps.k, ps.n)
     try:
         fc = complexgen.build_filtration(ps)
         return fc, complexgen.pick_thresholds(fc)
@@ -371,8 +372,9 @@ def build_validated(kind: str, k: int | None = None, n: int | None = None,
                     delta="auto"):
     """`build`, then `validate`: a point set with its validated filtration
     and thresholds.  A mosaic of more than MAX_SIMPLICES simplices is
-    refused with ValueError before the point set is built.  There is one
-    build, at `default_delta(n)` for delta="auto" or at the explicit delta:
+    refused with ValueError, by the enumeration's rule, before the point
+    set is built.  There is one build, at `default_delta(n)` for
+    delta="auto" or at the explicit delta:
     no instance is known that a smaller delta rescues, and the
     strict-emptiness clearance 2(delta/n)^2 only shrinks with it.
     Returns (point_set, filtered_complex, thresholds).
@@ -401,11 +403,12 @@ def save_points(ps: PointSet, path) -> None:
 
 
 def load_points(path) -> PointSet:
-    """Read a `save_points` file.  A header that is not `# kind,d,k,n,delta,h`
+    """Read a `save_points` file: the set `build` makes from its header,
+    with the file's coordinates.  A header that is not `# kind,d,k,n,delta,h`
     with the kind's d, or a row that is not two labels and d coordinates,
-    raises ValueError naming the path and the line; so do a non-finite
-    coordinate, and a point count or labels other than those of the
-    construction the header names."""
+    raises ValueError naming the path and the line; naming the path, so do
+    a non-finite coordinate, a point count other than the header's, a
+    header `build` refuses or does not reproduce, and other labels."""
     with open(path) as fh:
         lines = [(lineno, ln.strip()) for lineno, ln in enumerate(fh, 1) if ln.strip()]
     if not lines or not lines[0][1].startswith("#"):
@@ -445,11 +448,17 @@ def load_points(path) -> PointSet:
     if len(labels) != n_expected:
         raise ValueError(f"{path} holds {len(labels)} points, but its header "
                          f"{header} has {n_expected}")
-    expected = construction_labels(kind, k, n)
-    bad = np.flatnonzero(np.any(labels != expected, axis=1))
+    try:
+        built = build(kind, k, n, delta, h)
+        # a 3d k other than 1, an even delta other than 0, or an h other
+        # than 0 on a kind that is not suspended is read by no builder
+        if (built.k, built.delta, built.h) != (k, delta, h):
+            raise ValueError(f"build makes k={built.k} delta={built.delta!r} h={built.h!r}")
+    except ValueError as exc:
+        raise ValueError(f"{path} has header {header} delta={delta!r} h={h!r}: {exc}") from None
+    bad = np.flatnonzero(np.any(labels != built.labels, axis=1))
     if bad.size:
         i = int(bad[0])
         raise ValueError(f"{path} labels point {i} {tuple(labels[i].tolist())}, but its "
-                         f"header {header} gives it {tuple(expected[i].tolist())}")
-    apex_ids = tuple(int(i) for i in np.flatnonzero(labels[:, 0] == -1))
-    return PointSet(kind, d, k, n, delta, pts, labels, h=h, apex_ids=apex_ids)
+                         f"header {header} gives it {tuple(built.labels[i].tolist())}")
+    return replace(built, points=pts)

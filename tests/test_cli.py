@@ -455,6 +455,41 @@ class TestBadInputExit2:
         assert err == ("error: kind=even k=6 n=8: the mosaic has 24137568 simplices, "
                        "more than the 4194304 one build may hold\n")
 
+    def test_verify_sweep_too_large(self, fresh_memos, monkeypatch, capsys):
+        # the even k=1 n=5 build of the radius claims has 10 simplices, the
+        # 3d n=5 sweep 143
+        monkeypatch.setattr(construct, "MAX_SIMPLICES", 100)
+        code, out, err = run(["verify", "--radii", "--k", "1", "--n", "5"], capsys)
+        assert (code, out) == (2, "")
+        assert err == ("error: kind=3d k=1 n=5: the mosaic has 143 simplices, "
+                       "more than the 100 one build may hold\n")
+
+    @pytest.mark.parametrize("field,value", [(4, "5.0"), (4, "nan"), (2, "5")],
+                             ids=["delta-5", "delta-nan", "k-5"])
+    def test_loaded_header_the_builder_refuses(self, field, value, tmp_path, capsys):
+        pts = tmp_path / "pts.csv"
+        run(["generate", "--kind", "3d", "--n", "3", "-o", str(pts)], capsys)
+        lines = pts.read_text().splitlines()
+        header = lines[0][2:].split(",")
+        header[field] = value
+        lines[0] = "# " + ",".join(header)
+        pts.write_text("\n".join(lines) + "\n")
+        code, out, err = run(["filtration", "--kind", "3d", "--n", "3", "--points", str(pts),
+                              "-o", str(tmp_path / "f.txt")], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {pts} has header kind=3d k={header[2]} n=3 ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "f.txt").exists()
+
+    @pytest.mark.parametrize("h", ["nan", "inf", "-1"])
+    def test_apex_height_positive_and_finite(self, h, tmp_path, capsys):
+        out = tmp_path / "pts.csv"
+        code, stdout, err = run(["generate", "--kind", "suspended", "--k", "2", "--n", "2",
+                                 f"--h={h}", "-o", str(out)], capsys)
+        assert (code, stdout) == (2, "")
+        assert err == f"error: h must be positive and finite, not {float(h)!r}\n"
+        assert not out.exists()
+
     def test_missing_points_file(self, tmp_path, capsys):
         missing = tmp_path / "missing.csv"
         code, out, err = run(["filtration", "--kind", "3d", "--n", "3", "--points", str(missing),

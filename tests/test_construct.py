@@ -340,6 +340,25 @@ class TestPointFile:
         with pytest.raises(ValueError, match="holds 8 points.*has 2000000002"):
             load_points(path)
 
+    @pytest.mark.parametrize("ps,field,value,message", [
+        (build_even(2, 5), 4, "0.5", "build makes k=2 delta=0.0 h=0.0"),
+        (build_3d(3, 0.01), 5, "0.3", "build makes k=1 delta=0.01 h=0.0"),
+        (build_suspended(2, 2, 0.005, 0.5), 5, "nan", "h must be positive and finite, not nan"),
+    ], ids=["even-delta", "3d-h", "suspended-h-nan"])
+    def test_header_build_refuses_or_does_not_reproduce(self, ps, field, value, message,
+                                                        tmp_path):
+        path = tmp_path / "pts.csv"
+        save_points(ps, path)
+        lines = path.read_text().splitlines()
+        header = lines[0][2:].split(",")
+        header[field] = value
+        lines[0] = "# " + ",".join(header)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as exc:
+            load_points(path)
+        assert str(exc.value).startswith(f"{path} has header kind={ps.kind} k={ps.k} ")
+        assert str(exc.value).endswith(message)
+
     def test_missing_header(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("0,0,1.0,2.0\n")

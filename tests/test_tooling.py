@@ -3,7 +3,9 @@
 (`perfbench/run.py`).  A rename or removal in the package breaks
 `perfbench/run.py --trace 1`, so every such name must resolve.  Only
 `complexgen` reads a FilteredComplex's private fields; every other module
-goes through its methods.  And the numerical slacks are one record,
+goes through its methods.  Only `construct` calls a builder or makes a
+PointSet, and the mosaic size rule is applied in two places only.  And
+the numerical slacks are one record,
 `geometry.DEFAULT_TOL`, that no public function takes as a parameter.
 Every module-level import is read, exported or wrapped by the trace."""
 
@@ -47,6 +49,37 @@ def test_only_complexgen_reads_private_complex_fields():
              for lineno, line in enumerate(path.read_text().splitlines(), 1)
              if PRIVATE_FIELDS.search(line)]
     assert reads == []
+
+
+def calls(path):
+    """(enclosing function or None, callee name) for each call in a module."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, ast.FunctionDef):
+            function = node.name
+        if isinstance(node, ast.Call):
+            found.append((function, getattr(node.func, "id", getattr(node.func, "attr", None))))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(path.read_text()), None)
+    return found
+
+
+def test_one_gate_from_parameters_to_a_mosaic():
+    # every point set comes from `construct.build`, and every mosaic passes
+    # the size rule: early in `build_validated`, and in the enumeration
+    builders = {"build_even", "build_3d", "build_odd", "build_suspended", "PointSet"}
+    modules = sorted((ROOT / "src").rglob("*.py"))
+    found = {path.name: calls(path) for path in modules}
+    assert any(name in builders for _, name in found["construct.py"])
+    outside = [f"{name}: {function}: {callee}" for name, pairs in found.items()
+               if name != "construct.py" for function, callee in pairs if callee in builders]
+    assert outside == []
+    sized = {(name, function) for name, pairs in found.items()
+             for function, callee in pairs if callee == "_check_mosaic_size"}
+    assert sized == {("construct.py", "build_validated"), ("complexgen.py", "_mosaic")}
 
 
 def public_routines():

@@ -1,16 +1,14 @@
 import collections
-import math
+from math import comb
 
 import numpy as np
 import pytest
 
-from extremal_cech import cli, complexgen, geometry, homology, oracle, verify
+from extremal_cech import cli, complexgen, construct, geometry, homology, oracle, verify
 from extremal_cech.complexgen import ClassifiedSimplex, FilteredComplex
 from extremal_cech.construct import build_odd
 from extremal_cech.geometry import DEFAULT_TOL
 from extremal_cech.verify import FAIL, PASS, SKIPPED
-
-INF = math.inf
 
 
 def assert_no_failures(claims):
@@ -51,6 +49,27 @@ class TestBetti3d:
         assert_no_failures(verify.verify_betti_3d(200))
 
 
+def assert_whole_vectors(kind, k, n):
+    """At every threshold a Betti claim reads, the whole reduced vector: 0
+    below p, the exact count at p, and above p the spheres of the even
+    kind's polyhedral join, C(k,j) C(k-j-1,t-j) of dimension t+j-1 for
+    j = 2..t with t = cls[0]; the odd kind has none."""
+    _, fc, thresholds, pd = verify._pipeline(kind, k, n)
+    top = k - 1 if kind == "even" else k
+    for p in range(2 * top + 1):
+        cls = (p, -1) if p <= top else (top, p - top - 1)
+        t = cls[0]
+        expected = [0] * (fc.max_dim() + 1)
+        expected[p] = verify._exact_betti(kind, k, n, cls, p)
+        if kind == "even":
+            for j in range(2, t + 1):
+                if t + j - 1 > p:
+                    expected[t + j - 1] += comb(k, j) * comb(k - j - 1, t - j)
+        observed = [verify._betti_at_class(pd, thresholds, cls, q)
+                    for q in range(len(expected))]
+        assert observed == expected, (kind, k, n, cls)
+
+
 EVEN_KN = [(2, n) for n in range(5, 10)] + [(3, n) for n in range(6, 9)]
 ODD_KN = ([(1, n) for n in range(2, 8)] + [(2, n) for n in range(2, 7)]
           + [(3, n) for n in range(2, 5)])
@@ -70,6 +89,11 @@ class TestBettiEvenOdd:
     @pytest.mark.parametrize("k,n", ODD_KN)
     def test_odd_exact(self, k, n):
         assert_no_failures(verify.verify_betti_odd(k, n))
+
+    @pytest.mark.parametrize("kind,k,n", [("even", 2, 5), ("odd", 1, 2), ("odd", 2, 2)])
+    def test_whole_vector_at_every_claimed_threshold(self, kind, k, n):
+        # the even and odd instances of verify --all
+        assert_whole_vectors(kind, k, n)
 
     def test_odd_k1_matches_3d(self):
         claims = verify.verify_betti_odd(1, 3)
@@ -97,19 +121,21 @@ class TestBettiEvenOdd:
         claims += verify.verify_betti_odd(3, 8) + verify.verify_betti_odd(4, 4)
         assert len(claims) == 5 + 7 + 7 + 9
         assert_no_failures(claims)
+        for kind, k, n in (("even", 3, 20), ("even", 4, 10), ("odd", 3, 8), ("odd", 4, 4)):
+            assert_whole_vectors(kind, k, n)
 
 
 class TestSuspension:
     @pytest.mark.parametrize("n,expected", [(n, n**2) for n in range(2, 8)])
     def test_void_counts(self, n, expected, monkeypatch):
         heights = []
-        real = verify.build_suspended
+        real = construct.build_suspended
 
         def recording(k, n, delta, h):
             heights.append(h)
             return real(k, n, delta, h)
 
-        monkeypatch.setattr(verify, "build_suspended", recording)
+        monkeypatch.setattr(construct, "build_suspended", recording)
         claims = verify.verify_suspension(2, n)
         assert_no_failures(claims)
         by_id = {c.claim_id: c for c in claims}
@@ -119,8 +145,8 @@ class TestSuspension:
         assert len(heights) == 1
 
     def test_apex_below_rho_loses_a_void_at_odd_n(self, monkeypatch):
-        real = verify.build_suspended
-        monkeypatch.setattr(verify, "build_suspended",
+        real = construct.build_suspended
+        monkeypatch.setattr(construct, "build_suspended",
                             lambda k, n, delta, h: real(k, n, delta, 0.5))
         by_id = {c.claim_id: c for c in verify.verify_suspension(2, 3)}
         voids = by_id["suspension/voids"]
@@ -168,6 +194,15 @@ class TestHypotheses:
         assert "hyp/radius/class(1, 0)" in ids
         assert "hyp/center_noshort/class(1, -1)" in ids
 
+    def test_oversized_sweep_is_refused_before_its_build(self, monkeypatch):
+        # odd k=1 n=5 has (1 + 6 + 5)^2 - 1 = 143 simplices
+        monkeypatch.setattr(construct, "MAX_SIMPLICES", 100)
+        monkeypatch.setattr(complexgen, "circumspheres",
+                            lambda *args: pytest.fail("the sweep built a filtration"))
+        with pytest.raises(ValueError, match=r"^kind=odd k=1 n=5: the mosaic has 143 "
+                                             r"simplices, more than the 100 one build"):
+            verify.verify_hypotheses(1, 5)
+
     @pytest.mark.parametrize("k,n", [(1, 2), (1, 4), (2, 2)])
     def test_bisector_count_matches_the_loop(self, k, n):
         # the claim's bound, and smaller ones that some vertices exceed
@@ -195,56 +230,6 @@ def bisector_loop(ps, fc, bound):
                       - float(np.dot(ps.points[a] - ps.points[c], ps.points[a] - ps.points[c])))
             violations += num / (2.0 * gap) > bound + 1e-15
     return violations
-
-
-def upper_bound_reference(fc, pd):
-    """Violations of beta_p <= #p-cells, recounted at every value."""
-    eps = DEFAULT_TOL.abs_eps
-    pmax = fc.max_dim()
-    violations = 0
-    for r in sorted({value for value, _ in fc.entries}):
-        counts = [0] * (pmax + 1)
-        for value, cs in fc.entries:
-            if value <= r + eps:
-                counts[cs.dim] += 1
-        for p in range(pmax + 1):
-            if homology.betti_at(pd, p, r, eps) > counts[p]:
-                violations += 1
-    return violations
-
-
-class TestUpperBound:
-    def test_3d_and_even(self, threed_n2, even_2_5):
-        for ps, fc, _, _ in (threed_n2, even_2_5):
-            claims = verify.verify_upper_bound_sanity(ps, fc)
-            assert_no_failures(claims)
-
-    def test_cell_at_exactly_value_plus_eps_is_present(self, threed_n2):
-        # the second vertex's value is the first's plus abs_eps, so at the
-        # first value both vertices, and both classes, are present
-        ps = threed_n2[0]
-        first = 0.5
-        fc = FilteredComplex([(first, ClassifiedSimplex((0,), 0, -1)),
-                              (first + DEFAULT_TOL.abs_eps, ClassifiedSimplex((1,), 0, -1))])
-        assert upper_bound_reference(fc, homology.reduce(fc, reduced=False)) == 0
-        [claim] = verify.verify_upper_bound_sanity(ps, fc)
-        assert (claim.observed, claim.status) == (0, PASS)
-
-    @pytest.mark.parametrize("name", ["threed_n2", "even_2_5", "odd_2_2"])
-    def test_counts_match_per_value_recount(self, name, request, monkeypatch):
-        # extra classes born at a vertex-level radius overflow the cells of
-        # some dimensions at some values, and only there
-        ps, fc, _, _ = request.getfixturevalue(name)
-        pd = homology.reduce(fc, reduced=False)
-        assert upper_bound_reference(fc, pd) == 0
-        edges = sum(1 for _, cs in fc.entries if cs.dim == 1)
-        births = sorted({value for value, _ in fc.entries})
-        pd.pairs += [(1, births[1], births[-1])] * (edges // 2) + [(2, 0.0, INF)] * 3
-        monkeypatch.setattr(homology, "reduce", lambda *args, **kwargs: pd)
-        expected = upper_bound_reference(fc, pd)
-        assert expected > 0
-        [claim] = verify.verify_upper_bound_sanity(ps, fc)
-        assert (claim.observed, claim.status) == (expected, FAIL)
 
 
 class TestReporting:
