@@ -2,19 +2,19 @@
 
 Subcommands: generate, filtration, betti, persistence, radii, oracle,
 verify.  Exit codes: 0 success / all PASS, 1 claim or check FAIL, 2 usage
-error (argparse default, bad parameters such as a missing --k, a 3d --k
-other than 1, a --delta other than auto with kind even or with --points,
-a --h with a kind other than suspended or not positive and finite, a
-mosaic of more than `construct.MAX_SIMPLICES` simplices, built, loaded or
-swept by a verify suite, a non-finite --radius, an even --radius not
-below the top-cell value, nothing selected to verify, verify --all with
---n or --k, verify --theorem 3.1 with a --k other than 1, bad or
-unreadable input files, a point-file header that `construct.build`
-refuses or does not reproduce, unwritable output files), 3 numeric or
-consistency failure (class overlap or a simplex the build finds not
-critical at the one delta built, affinely degenerate simplex, subset
-budget, face-order check, reduction/rank cross-check), 141 (128 +
-SIGPIPE) when the reader of stdout has gone, with nothing on stderr.
+error (argparse default, a parameter `construct.build` refuses: a missing
+k, a 3d k other than 1, an even delta other than auto, an h with a kind
+other than suspended or not positive and finite; a --delta other than
+auto with --points, a mosaic of more than `construct.MAX_SIMPLICES`
+simplices, built, loaded or swept by a verify suite, a non-finite
+--radius, an even --radius not below the top-cell value, nothing selected
+to verify, verify --all with --n or --k, verify --theorem 3.1 with a --k
+other than 1, bad or unreadable input files, a point-file header that
+`construct.build` refuses or does not reproduce, unwritable output
+files), 3 numeric or consistency failure (class overlap or a simplex the
+build finds not critical at the one delta built, affinely degenerate
+simplex, subset budget, reduction/rank cross-check), 141 (128 + SIGPIPE)
+when the reader of stdout has gone, with nothing on stderr.
 `generate` writes the point set alone and validates nothing, so it never
 exits 3; every other command that builds validates through
 `construct.validate`, a loaded set included, so one
@@ -56,44 +56,24 @@ def _parse_delta(value):
     return "auto" if value == "auto" else float(value)
 
 
-def _check_kind_flags(args):
-    """Refuse a --delta or --h the kind does not read: the even kind has no
-    delta, a --points file's header fixes its delta, and only the suspended
-    kind has an apex height."""
-    if args.kind == "even" and args.delta != "auto":
-        raise ValueError(f"--delta {args.delta} is given, but kind even has no delta")
-    if getattr(args, "points", None) and args.delta != "auto":
-        raise ValueError(f"--delta {args.delta} is given, but the header of "
-                         f"{args.points} fixes delta")
-    if getattr(args, "h", None) is not None and args.kind != "suspended":
-        raise ValueError(f"--h {args.h} is given, but only kind suspended has an apex height")
-
-
-def _default_k(args):
-    if args.kind == "3d":
-        if args.k not in (None, 1):
-            raise ValueError(f"--k {args.k} is not 1, the only k of kind 3d")
-        return 1
-    if args.k is None:
-        raise ValueError(f"--k is required for kind {args.kind}")
-    return args.k
-
-
 def _build_validated(args):
-    return construct.build_validated(args.kind, k=_default_k(args), n=args.n,
+    return construct.build_validated(args.kind, k=args.k, n=args.n,
                                      delta=_parse_delta(args.delta))
 
 
 def _cmd_generate(args) -> int:
-    ps = construct.build(args.kind, _default_k(args), args.n, _parse_delta(args.delta),
-                         h=0.5 if args.h is None else args.h)
+    ps = construct.build(args.kind, args.k, args.n, _parse_delta(args.delta), args.h)
     construct.save_points(ps, args.output)
     print(f"wrote {len(ps)} points to {args.output}")
     return EXIT_OK
 
 
 def _load_matching(args) -> construct.PointSet:
-    """The point-set file given with --points, checked against the flags."""
+    """The point-set file given with --points, checked against the flags.
+    Its header fixes delta, so a --delta other than auto is refused."""
+    if args.delta != "auto":
+        raise ValueError(f"--delta {args.delta} is given, but the header of "
+                         f"{args.points} fixes delta")
     ps = construct.load_points(args.points)
     k = args.k if args.k is not None else ps.k
     if (ps.kind, ps.k, ps.n) != (args.kind, k, args.n):
@@ -117,8 +97,7 @@ def _cmd_betti(args) -> int:
         raise ValueError("--radius must be a number, not nan")
     if math.isinf(args.radius):
         raise ValueError(f"--radius must be finite, not {args.radius}")
-    if args.kind == "even":
-        construct.check_below_even_top(args.radius)
+    construct.check_below_even_top(args.kind, args.radius)
     _, fc, _ = _build_validated(args)
     vec = homology.betti_of_subcomplex(fc, args.radius, reduced=not args.unreduced,
                                        eps=DEFAULT_TOL.abs_eps)
@@ -290,8 +269,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if hasattr(args, "kind"):
-            _check_kind_flags(args)
         code = args.func(args)
         sys.stdout.flush()  # so a closed stdout fails here, not at exit
         return code

@@ -16,10 +16,10 @@ theory of Cech and Delaunay complexes, 2017).  The build proves this with
 one batched circumsphere pass (`geometry.circumspheres`) and raises
 NotCriticalError on the first simplex that fails; `criticality_check` runs
 the same pass on any point set and filtration.  On the arrays, the
-monotone fix is a max over the facets per size, the sort one stable
-argsort of the values over rows in (dim, vertex list) order, and the
-face-order check a rank compare over the facets.  The sort passes it: after
-the fix no facet's value exceeds its coface's, and dim breaks ties.
+monotone fix is a max over the facets per size, and the sort one stable
+argsort of the values over rows in (dim, vertex list) order.  So every
+facet precedes its coface: after the fix no facet's value exceeds its
+coface's, and dim breaks ties.
 
 A FilteredComplex has one form, arrays in filtration order: a built one
 keeps the build's and makes no Python object per simplex, and one made
@@ -320,22 +320,6 @@ def radius_value(ps: PointSet, simplex) -> float:
     return float(batch.radius[0])
 
 
-def _check_face_order(facets: np.ndarray, rank: np.ndarray, verts) -> None:
-    """Raise RuntimeError unless every facet ranks below its coface.
-
-    `facets` rows hold facet rows as in `_Mosaic.facets`, `rank` is each
-    row's filtration position, and `verts[row]` names a row; only the two
-    rows the error names are read.  The error names the first coface in
-    filtration order and its first late facet."""
-    late = rank[facets] > rank[:, None]
-    if late.any():
-        bad = np.flatnonzero(late.any(axis=1))
-        i = bad[np.argmin(rank[bad])]
-        r = facets[i][late[i]].min()
-        raise RuntimeError(
-            f"face {verts[r]} does not precede coface {verts[i]} in the filtration")
-
-
 def build_filtration(ps: PointSet) -> FilteredComplex:
     """Enumerate the mosaic, prove every simplex critical, take circumradii
     as values and sort face-before-coface.
@@ -344,9 +328,8 @@ def build_filtration(ps: PointSet) -> FilteredComplex:
     critical raises NotCriticalError, with the reason `criticality_check`
     gives for it.
 
-    The closed-form facets raise each value to its facets' maximum and are
-    the face-order check: a facet sorted after its coface raises
-    RuntimeError.
+    The closed-form facets raise each value to its facets' maximum, so the
+    stable sort puts every facet before its coface.
     """
     m = _mosaic(ps)
     batch = circumspheres(ps, m.ids)
@@ -367,7 +350,6 @@ def build_filtration(ps: PointSet) -> FilteredComplex:
     order = np.argsort(values, kind="stable")
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
-    _check_face_order(m.facets, rank, m)
     own = m.facets == np.arange(len(order))[:, None]
     fc = FilteredComplex.__new__(FilteredComplex)
     fc._set_arrays(values[order], m.touch[order], m.short[order], m.ids, order,

@@ -16,10 +16,13 @@ Each family places points on circles so that same-circle neighbors are close
   hyperplane, plus two apex points straddling it.
 
 Construction metadata (circle id, index along circle) travels with the
-points; the complex enumeration is driven entirely by these labels.
+points: the labels are what a point file stores and what `load_points`
+checks against its header.  The complex enumeration reads the layout, the
+circle count and the points per circle, not the labels.
 
-`build` is the one dispatch from a kind, k, n and delta to its point set,
-and `validate` the one step from a point set, constructed or loaded, to its
+`build` is the one dispatch from a kind, k, n, delta and h to its point
+set, and the one place that knows which of k, delta and h a kind reads;
+`validate` is the one step from a point set, constructed or loaded, to its
 validated filtration and thresholds; `build_validated` is the two in turn.
 """
 
@@ -173,10 +176,10 @@ def mosaic_size(kind: str, k: int, n: int) -> int:
 
 def _check_mosaic_size(kind: str, k: int | None, n: int) -> None:
     """Raise ValueError, naming the count, if the mosaic of kind, k and n
-    has more than MAX_SIMPLICES simplices.  A k or n below 1, which the
-    builders refuse, and the suspended kind, which has no mosaic, pass."""
+    has more than MAX_SIMPLICES simplices.  A missing k, a k or n below 1
+    and a kind other than even, 3d or odd, which `build` names, pass."""
     k = 1 if kind == KIND_3D else k
-    if kind == KIND_SUSPENDED or min(k, n) < 1:
+    if kind not in (KIND_EVEN, KIND_3D, KIND_ODD) or k is None or min(k, n) < 1:
         return
     circles, per_circle, _ = _layout(kind, k, n)
     options = 1 + per_circle + n
@@ -317,12 +320,13 @@ def default_delta(n: int) -> float:
     return min(1e-2, 1e-1 / n)
 
 
-def check_below_even_top(radius: float) -> None:
-    """Raise ValueError unless `radius` lies below `EVEN_RADIUS` less
-    `abs_eps`.  From there on conv(A), which the even mosaic leaves out,
-    would fill the (2k-1)-sphere, so the mosaic's Betti numbers are not
-    those of the union of balls."""
-    if radius >= EVEN_RADIUS - DEFAULT_TOL.abs_eps:
+def check_below_even_top(kind: str, radius: float) -> None:
+    """For the even kind, raise ValueError unless `radius` lies below
+    `EVEN_RADIUS` less `abs_eps`; every other kind passes.  From there on
+    conv(A), which the even mosaic leaves out, would fill the
+    (2k-1)-sphere, so the mosaic's Betti numbers are not those of the union
+    of balls."""
+    if kind == KIND_EVEN and radius >= EVEN_RADIUS - DEFAULT_TOL.abs_eps:
         raise ValueError(f"radius {radius!r} is not below the even top-cell value "
                          f"sqrt(2)/2 less abs_eps")
 
@@ -330,18 +334,30 @@ def check_below_even_top(radius: float) -> None:
 def build(kind: str, k: int | None, n: int, delta="auto", h: float | None = None) -> PointSet:
     """The point set of `kind` for k and n, unvalidated.  The delta-bearing
     kinds are built at `default_delta(n)` for delta="auto", else at the
-    given delta; the even kind has no delta, and only the suspended kind
-    reads the apex height h."""
-    if kind == KIND_EVEN:
-        return build_even(k, n)
+    given delta, and the suspended kind at h=0.5 for h=None.
+
+    A parameter the kind does not read is refused, with ValueError naming
+    it: a k other than None or 1 for the 3d kind, a missing k for any
+    other, a delta other than "auto" for the even kind, and an h for any
+    kind but suspended."""
     if kind not in _KINDS:
         raise ValueError(f"unknown kind {kind!r}")
+    if kind == KIND_3D and k not in (None, 1):
+        raise ValueError(f"k={k} is not 1, the only k of kind 3d")
+    if kind != KIND_3D and k is None:
+        raise ValueError(f"k is required for kind {kind}")
+    if kind == KIND_EVEN and delta != "auto":
+        raise ValueError(f"delta={delta!r} is given, but kind even has no delta")
+    if kind != KIND_SUSPENDED and h is not None:
+        raise ValueError(f"h={h!r} is given, but only kind suspended has an apex height")
+    if kind == KIND_EVEN:
+        return build_even(k, n)
     delta = default_delta(n) if delta == "auto" else float(delta)
     if kind == KIND_3D:
         return build_3d(n, delta)
     if kind == KIND_ODD:
         return build_odd(k, n, delta)
-    return build_suspended(k, n, delta, h)
+    return build_suspended(k, n, delta, 0.5 if h is None else h)
 
 
 def validate(ps: PointSet):
@@ -408,7 +424,12 @@ def load_points(path) -> PointSet:
     with the kind's d, or a row that is not two labels and d coordinates,
     raises ValueError naming the path and the line; naming the path, so do
     a non-finite coordinate, a point count other than the header's, a
-    header `build` refuses or does not reproduce, and other labels."""
+    header `build` refuses or does not reproduce, and other labels.
+
+    The header's delta or h of 0, written for a kind that does not read it,
+    goes to `build` as absent, so `build` alone refuses a delta or h the
+    kind does not read; a 0 the kind does read builds at its default and
+    is caught as not reproduced."""
     with open(path) as fh:
         lines = [(lineno, ln.strip()) for lineno, ln in enumerate(fh, 1) if ln.strip()]
     if not lines or not lines[0][1].startswith("#"):
@@ -449,9 +470,7 @@ def load_points(path) -> PointSet:
         raise ValueError(f"{path} holds {len(labels)} points, but its header "
                          f"{header} has {n_expected}")
     try:
-        built = build(kind, k, n, delta, h)
-        # a 3d k other than 1, an even delta other than 0, or an h other
-        # than 0 on a kind that is not suspended is read by no builder
+        built = build(kind, k, n, delta or "auto", h or None)
         if (built.k, built.delta, built.h) != (k, delta, h):
             raise ValueError(f"build makes k={built.k} delta={built.delta!r} h={built.h!r}")
     except ValueError as exc:

@@ -32,7 +32,6 @@ __all__ = [
     "boundary_columns",
     "diagram_svg",
     "face_array",
-    "load_diagram",
     "reduce",
     "reduce_columns",
     "save_diagram",
@@ -339,21 +338,6 @@ def save_diagram(pd: PersistenceDiagram, path) -> None:
         lines.append(f"{dim},{format(birth, '.17g')},{death_s}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def load_diagram(path) -> PersistenceDiagram:
-    pairs = []
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "dim,birth,death":
-            raise ValueError("missing diagram header")
-        for line in fh:
-            if not line.strip():
-                continue
-            dim_s, birth_s, death_s = line.strip().split(",")
-            death = INF if death_s == "inf" else float(death_s)
-            pairs.append((int(dim_s), float(birth_s), death))
-    return PersistenceDiagram(pairs)
 
 
 _SVG_COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]

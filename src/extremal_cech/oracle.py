@@ -184,8 +184,7 @@ def cech_equals_alpha_betti(ps: PointSet, radii, pmax: int, fc: complexgen.Filte
     filtration of `ps`, at each radius (both share the homotopy type of the
     union of balls, so the vectors must agree).  Each side is reduced once
     for all radii."""
-    if ps.kind == KIND_EVEN:
-        check_below_even_top(max(radii))
+    check_below_even_top(ps.kind, max(radii, default=0.0))
     cvecs = cech_betti(ps, radii, pmax, budget)
     avecs = homology.betti_of_subcomplexes(fc, radii, pmax=pmax, eps=DEFAULT_TOL.abs_eps)
     return [EqualityReport(*row) for row in zip(radii, cvecs, avecs)]

@@ -390,12 +390,12 @@ class TestBadInputExit2:
     @pytest.mark.parametrize("kind", ["even", "odd"])
     def test_missing_k(self, command, kind, capsys):
         code, out, err = run([command[0], "--kind", kind, "--n", "3", *command[1:]], capsys)
-        assert (code, out, err) == (2, "", f"error: --k is required for kind {kind}\n")
+        assert (code, out, err) == (2, "", f"error: k is required for kind {kind}\n")
 
     @pytest.mark.parametrize("k", ["5", "0"])
     def test_3d_k_other_than_1(self, k, capsys):
         code, out, err = run(["radii", "--kind", "3d", "--n", "2", "--k", k], capsys)
-        assert (code, out, err) == (2, "", f"error: --k {k} is not 1, the only k of kind 3d\n")
+        assert (code, out, err) == (2, "", f"error: k={k} is not 1, the only k of kind 3d\n")
 
     @pytest.mark.parametrize("command", ["generate", "filtration"])
     @pytest.mark.parametrize("kind", [["--kind", "3d"], ["--kind", "odd", "--k", "2"]])
@@ -411,7 +411,7 @@ class TestBadInputExit2:
             command = [*command, str(tmp_path / "x")]
         code, out, err = run([command[0], "--kind", "even", "--k", "2", "--n", "5",
                               "--delta", "0.3", *command[1:]], capsys)
-        assert (code, out, err) == (2, "", "error: --delta 0.3 is given, but kind even "
+        assert (code, out, err) == (2, "", "error: delta=0.3 is given, but kind even "
                                            "has no delta\n")
         assert not (tmp_path / "x").exists()
 
@@ -426,7 +426,7 @@ class TestBadInputExit2:
         out = tmp_path / "pts.csv"
         code, stdout, err = run(["generate", *kind, "--n", "5", "--h", "0.3", "-o", str(out)],
                                 capsys)
-        assert (code, stdout, err) == (2, "", "error: --h 0.3 is given, but only kind "
+        assert (code, stdout, err) == (2, "", "error: h=0.3 is given, but only kind "
                                               "suspended has an apex height\n")
         assert not out.exists()
 
@@ -523,15 +523,6 @@ class TestNumericFailuresExit3:
         assert (code, out) == (3, "")
         assert err == ("error: kind=even k=2 n=5: "
                        "sphere of (0,) not strictly empty: point 1 inside\n")
-
-    def test_face_order_check(self, monkeypatch, tmp_path, capsys):
-        real = complexgen._check_face_order
-        monkeypatch.setattr(complexgen, "_check_face_order",
-                            lambda facets, rank, verts: real(facets, len(rank) - 1 - rank, verts))
-        code, out, err = run(["persistence", "--kind", "3d", "--n", "2",
-                              "-o", str(tmp_path / "d.csv")], capsys)
-        assert (code, out) == (3, "")
-        assert err.startswith("error: face (") and "does not precede coface" in err
 
     def test_reduction_rank_cross_check(self, monkeypatch, capsys):
         real = homology._betti_by_rank

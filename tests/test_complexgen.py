@@ -611,46 +611,6 @@ def test_3d_300_build_keeps_arrays_only():
     assert held <= 40.0
 
 
-def face_order_message(columns, rank, verts):
-    """The face-order check as a loop over boundary_columns: the message
-    for the first coface in rank order with a facet ranked after it."""
-    for i in sorted(range(len(verts)), key=lambda i: rank[i]):
-        for r in columns[i]:
-            if rank[r] > rank[i]:
-                return f"face {verts[r]} does not precede coface {verts[i]} in the filtration"
-    return None
-
-
-class TestFaceOrderCheck:
-    @pytest.mark.parametrize("ps", [build_3d(3, 0.01), build_even(2, 5), build_odd(2, 2, 0.005)],
-                             ids=["3d-3", "even-2-5", "odd-2-2"])
-    def test_permuted_orders_raise_the_loop_message(self, ps):
-        m = complexgen._mosaic(ps)
-        verts = m.vertex_tuples()
-        columns = homology.boundary_columns(verts)
-        rng = np.random.default_rng(20240811)
-        ranks = [np.arange(len(verts))[::-1]] + [rng.permutation(len(verts)) for _ in range(20)]
-        for rank in ranks:
-            message = face_order_message(columns, rank.tolist(), verts)
-            assert message is not None
-            with pytest.raises(RuntimeError) as err:
-                complexgen._check_face_order(m.facets, rank, verts)
-            assert str(err.value) == message
-
-    def test_one_facet_moved_after_its_coface(self):
-        m = complexgen._mosaic(build_3d(3, 0.01))
-        verts = m.vertex_tuples()
-        tet = next(i for i, v in enumerate(verts) if len(v) == 4)
-        facet = int(m.facets[tet].min())
-        rank = np.arange(len(verts))
-        complexgen._check_face_order(m.facets, rank, verts)
-        rank[[facet, tet]] = rank[[tet, facet]]
-        with pytest.raises(RuntimeError, match="does not precede") as err:
-            complexgen._check_face_order(m.facets, rank, verts)
-        assert str(err.value) == (f"face {verts[facet]} does not precede coface "
-                                  f"{verts[tet]} in the filtration")
-
-
 class TestThresholds:
     def test_3d_rho1_in_gap(self, threed_n2):
         _, fc, thresholds, _ = threed_n2

@@ -234,8 +234,45 @@ def test_build_dispatches_to_the_kinds_builder(kind, k, delta, h, expected):
 def test_build_refuses_an_unknown_kind_and_a_missing_apex_height():
     with pytest.raises(ValueError, match="unknown kind 'cube'"):
         construct.build("cube", 1, 5)
-    with pytest.raises(ValueError, match="h must be positive"):
-        construct.build("suspended", 2, 5)
+    # a missing apex height is the default 0.5, not a refusal
+    a = construct.build("suspended", 2, 2)
+    b = construct.build("suspended", 2, 2, "auto", 0.5)
+    assert (a.delta, a.h) == (b.delta, b.h) == (default_delta(2), 0.5)
+    assert a.points.tobytes() == b.points.tobytes()
+
+
+class TestParameterRule:
+    """`build` is the one place that knows which of k, delta and h a kind
+    reads, and it refuses the rest with a ValueError naming the parameter."""
+
+    @pytest.mark.parametrize("args,message", [
+        (("even", None, 5), "k is required for kind even"),
+        (("odd", None, 5), "k is required for kind odd"),
+        (("suspended", None, 2), "k is required for kind suspended"),
+        (("3d", 5, 3), "k=5 is not 1, the only k of kind 3d"),
+        (("3d", 0, 3), "k=0 is not 1, the only k of kind 3d"),
+        (("even", 2, 5, 0.3), "delta=0.3 is given, but kind even has no delta"),
+        (("3d", None, 2, "auto", 0.3),
+         "h=0.3 is given, but only kind suspended has an apex height"),
+        (("even", 2, 5, "auto", 0.3),
+         "h=0.3 is given, but only kind suspended has an apex height"),
+        (("odd", 2, 2, "auto", 0.3),
+         "h=0.3 is given, but only kind suspended has an apex height"),
+    ], ids=["even-no-k", "odd-no-k", "suspended-no-k", "3d-k-5", "3d-k-0", "even-delta",
+            "3d-h", "even-h", "odd-h"])
+    def test_build_refuses_an_unread_or_missing_parameter(self, args, message):
+        with pytest.raises(ValueError) as exc:
+            construct.build(*args)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("kind", ["even", "odd"])
+    def test_build_validated_names_a_missing_k(self, kind):
+        with pytest.raises(ValueError, match=f"^k is required for kind {kind}$"):
+            build_validated(kind, None, 3)
+
+    def test_build_validated_names_an_unknown_kind(self):
+        with pytest.raises(ValueError, match="^unknown kind 'cube'$"):
+            build_validated("cube", 1, 5)
 
 
 @pytest.mark.parametrize("kind,k,n", ACCEPTED)
@@ -341,10 +378,15 @@ class TestPointFile:
             load_points(path)
 
     @pytest.mark.parametrize("ps,field,value,message", [
-        (build_even(2, 5), 4, "0.5", "build makes k=2 delta=0.0 h=0.0"),
-        (build_3d(3, 0.01), 5, "0.3", "build makes k=1 delta=0.01 h=0.0"),
+        (build_even(2, 5), 4, "0.5", "delta=0.5 is given, but kind even has no delta"),
+        (build_3d(3, 0.01), 5, "0.3",
+         "h=0.3 is given, but only kind suspended has an apex height"),
         (build_suspended(2, 2, 0.005, 0.5), 5, "nan", "h must be positive and finite, not nan"),
-    ], ids=["even-delta", "3d-h", "suspended-h-nan"])
+        # a 0 stands for a parameter the kind does not read: built at its
+        # default, it does not reproduce the header
+        (build_suspended(2, 2, 0.005, 0.5), 5, "0", "build makes k=2 delta=0.005 h=0.5"),
+        (build_3d(3, 0.01), 4, "0", "build makes k=1 delta=0.01 h=0.0"),
+    ], ids=["even-delta", "3d-h", "suspended-h-nan", "suspended-h-0", "3d-delta-0"])
     def test_header_build_refuses_or_does_not_reproduce(self, ps, field, value, message,
                                                         tmp_path):
         path = tmp_path / "pts.csv"

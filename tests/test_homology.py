@@ -12,7 +12,6 @@ from extremal_cech.homology import (
     betti_of_subcomplex,
     boundary_columns,
     diagram_svg,
-    load_diagram,
     reduce,
     save_diagram,
 )
@@ -326,17 +325,14 @@ class TestDiagramIO:
         _, _, _, pd = threed_n2
         path = tmp_path / "diag.csv"
         save_diagram(pd, path)
-        back = load_diagram(path)
-        assert back.pairs == sorted(pd.pairs)
+        header, *rows = path.read_text().splitlines()
+        assert header == "dim,birth,death"
+        # 17 significant digits read back to the same floats
+        assert [(int(d), float(b), float(x)) for d, b, x in
+                (row.split(",") for row in rows)] == sorted(pd.pairs)
         path2 = tmp_path / "diag2.csv"
-        save_diagram(back, path2)
+        save_diagram(pd, path2)
         assert path.read_bytes() == path2.read_bytes()
-
-    def test_header_required(self, tmp_path):
-        bad = tmp_path / "bad.csv"
-        bad.write_text("0,0.0,inf\n")
-        with pytest.raises(ValueError):
-            load_diagram(bad)
 
     def test_svg_smoke(self, threed_n2, tmp_path):
         _, _, _, pd = threed_n2

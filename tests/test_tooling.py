@@ -4,7 +4,9 @@
 `perfbench/run.py --trace 1`, so every such name must resolve.  Only
 `complexgen` reads a FilteredComplex's private fields; every other module
 goes through its methods.  Only `construct` calls a builder or makes a
-PointSet, and the mosaic size rule is applied in two places only.  And
+PointSet, and the mosaic size rule is applied in two places only.  The
+CLI compares nothing with a kind name: which parameters a kind reads is
+`construct.build`'s rule.  And
 the numerical slacks are one record,
 `geometry.DEFAULT_TOL`, that no public function takes as a parameter.
 Every module-level import is read, exported or wrapped by the trace."""
@@ -80,6 +82,24 @@ def test_one_gate_from_parameters_to_a_mosaic():
     sized = {(name, function) for name, pairs in found.items()
              for function, callee in pairs if callee == "_check_mosaic_size"}
     assert sized == {("construct.py", "build_validated"), ("complexgen.py", "_mosaic")}
+
+
+def test_the_cli_compares_nothing_with_a_kind():
+    # which of k, delta and h a kind reads is `construct.build`'s rule
+    # alone; the CLI passes its flags through and defers to it
+    kinds = {"even", "3d", "odd", "suspended"}
+
+    def names_a_kind(node):
+        if isinstance(node, ast.Constant):
+            return node.value in kinds
+        return getattr(node, "id", getattr(node, "attr", "")).startswith("KIND_")
+
+    tree = ast.parse((ROOT / "src" / "extremal_cech" / "cli.py").read_text())
+    compares = [node for node in ast.walk(tree) if isinstance(node, ast.Compare)]
+    assert compares
+    assert [node.lineno for node in compares
+            if any(names_a_kind(sub) for operand in (node.left, *node.comparators)
+                   for sub in ast.walk(operand))] == []
 
 
 def public_routines():
