@@ -10,10 +10,11 @@ simplices, built, loaded or swept by a verify suite, a non-finite
 --radius, an even --radius not below the top-cell value, nothing selected
 to verify, verify --all with --n or --k, verify --theorem 3.1 with a --k
 other than 1, bad or unreadable input files, a point-file header that
-`construct.build` refuses or does not reproduce, unwritable output
-files), 3 numeric or consistency failure (class overlap or a simplex the
-build finds not critical at the one delta built, affinely degenerate
-simplex, subset budget, reduction/rank cross-check), 141 (128 + SIGPIPE)
+`construct.build` refuses or does not reproduce, a point-file delta or h
+that the file's coordinates do not have, unwritable output files), 3
+numeric or consistency failure (class overlap or a simplex the build
+finds not critical at the one delta built, affinely degenerate simplex,
+subset budget, reduction/rank cross-check), 141 (128 + SIGPIPE)
 when the reader of stdout has gone, with nothing on stderr.
 `generate` writes the point set alone and validates nothing, so it never
 exits 3; every other command that builds validates through
@@ -222,30 +223,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("filtration", help="write the radius-sorted filtration")
-    _add_construction_args(p, kinds=("even", "3d", "odd"))
+    _add_construction_args(p, kinds=construct.MOSAIC_KINDS)
     p.add_argument("--points", help="read a point-set CSV instead of constructing")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_filtration)
 
     p = sub.add_parser("betti", help="Betti numbers of the alpha sublevel complex")
-    _add_construction_args(p, kinds=("even", "3d", "odd"))
+    _add_construction_args(p, kinds=construct.MOSAIC_KINDS)
     p.add_argument("--radius", type=float, required=True)
     p.add_argument("--p", type=int, default=None, help="print one Betti number only")
     p.add_argument("--unreduced", action="store_true")
     p.set_defaults(func=_cmd_betti)
 
     p = sub.add_parser("persistence", help="write the persistence diagram CSV")
-    _add_construction_args(p, kinds=("even", "3d", "odd"))
+    _add_construction_args(p, kinds=construct.MOSAIC_KINDS)
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--svg", help="also write a births-vs-deaths SVG scatter")
     p.set_defaults(func=_cmd_persistence)
 
     p = sub.add_parser("radii", help="print per-class radius ranges and thresholds")
-    _add_construction_args(p, kinds=("even", "3d", "odd"))
+    _add_construction_args(p, kinds=construct.MOSAIC_KINDS)
     p.set_defaults(func=_cmd_radii)
 
     p = sub.add_parser("oracle", help="brute-force cross checks")
-    _add_construction_args(p, kinds=("even", "3d", "odd"))
+    _add_construction_args(p, kinds=construct.MOSAIC_KINDS)
     p.add_argument("--maxdim", type=int, default=None)
     p.add_argument("--budget", type=int, default=oracle.DEFAULT_BUDGET)
     p.add_argument("--diff-csv", help="dump the symmetric difference, if any")

@@ -37,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import construct, homology
-from .construct import PointSet, KIND_EVEN, KIND_3D, KIND_ODD
+from .construct import PointSet, KIND_EVEN
 from .geometry import _group_by_size, circumspheres, degeneracy_reason
 # only the benchmark's trace reads these
 from .geometry import barycentric_interior, circumsphere, is_empty_sphere, min_enclosing_ball
@@ -257,11 +257,10 @@ def _mosaic(ps: PointSet) -> _Mosaic:
     simplices raises ValueError before any array is allocated.
     """
     construct._check_mosaic_size(ps.kind, ps.k, ps.n)
-    if ps.kind == KIND_EVEN:
-        if ps.n < construct.min_n(ps.k):
-            raise ValueError(f"n={ps.n} is below min_n({ps.k})={construct.min_n(ps.k)}")
-    elif ps.kind not in (KIND_3D, KIND_ODD):
+    if ps.kind not in construct.MOSAIC_KINDS:
         raise ValueError(f"no mosaic enumeration for kind {ps.kind!r}")
+    if ps.kind == KIND_EVEN and ps.n < construct.min_n(ps.k):
+        raise ValueError(f"n={ps.n} is below min_n({ps.k})={construct.min_n(ps.k)}")
     circles, per = ps.n_circles, ps.points_per_circle
     pad = circles * per
     # option 0 is nothing, 1..per a point, per+1.. a pair (t, t+1 mod per);

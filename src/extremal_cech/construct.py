@@ -15,10 +15,11 @@ Each family places points on circles so that same-circle neighbors are close
 * suspended kind: the odd set for one dimension lower embedded in a
   hyperplane, plus two apex points straddling it.
 
-Construction metadata (circle id, index along circle) travels with the
-points: the labels are what a point file stores and what `load_points`
-checks against its header.  The complex enumeration reads the layout, the
-circle count and the points per circle, not the labels.
+A `PointSet` holds the parameters and the coordinates, nothing else: the
+layout (circle id and index along the circle of each point, the suspended
+kind's two apexes last) is a function of kind, k and n, and `PointSet`
+derives it.  The labels are what a point file stores and what `load_points`
+checks against its header.
 
 `build` is the one dispatch from a kind, k, n, delta and h to its point
 set, and the one place that knows which of k, delta and h a kind reads;
@@ -29,7 +30,7 @@ validated filtration and thresholds; `build_validated` is the two in turn.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -43,6 +44,7 @@ __all__ = [
     "PointSet",
     "EVEN_RADIUS",
     "MAX_SIMPLICES",
+    "MOSAIC_KINDS",
     "build",
     "build_3d",
     "build_even",
@@ -66,6 +68,8 @@ KIND_ODD = "odd"
 KIND_SUSPENDED = "suspended"
 
 _KINDS = (KIND_EVEN, KIND_3D, KIND_ODD, KIND_SUSPENDED)
+# the kinds whose mosaic the enumeration builds
+MOSAIC_KINDS = (KIND_EVEN, KIND_3D, KIND_ODD)
 
 # The radius of the even kind's circles.  All even points lie on the sphere
 # of this radius about the origin, so conv(A), the top cell the even mosaic
@@ -94,26 +98,29 @@ def regular_simplex_inradius_gap_sq(k: int) -> float:
     return 1.0 / (2.0 * k * (k + 1))
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class PointSet:
-    """A labeled point cloud plus the parameters that generated it.
-
-    labels[i] = (circle_id, index_on_circle); apexes of the suspended kind
-    carry circle_id -1.
-    """
+    """The parameters that generated a point set, and its coordinates; dim
+    and labels[i] = (circle_id, index_on_circle) are derived.  The suspended
+    kind's apexes are the last two points, with circle_id -1."""
 
     kind: str
-    dim: int
     k: int
     n: int
     delta: float
     points: np.ndarray
-    labels: np.ndarray
     h: float = 0.0
-    apex_ids: tuple[int, ...] = field(default_factory=tuple)
 
     def __len__(self) -> int:
         return len(self.points)
+
+    @property
+    def dim(self) -> int:
+        return self.points.shape[1]
+
+    @property
+    def labels(self) -> np.ndarray:
+        return construction_labels(self.kind, self.k, self.n)
 
     @property
     def n_circles(self) -> int:
@@ -122,23 +129,6 @@ class PointSet:
     @property
     def points_per_circle(self) -> int:
         return _layout(self.kind, self.k, self.n)[1]
-
-    def circle_of(self, i: int) -> int:
-        return int(self.labels[i, 0])
-
-    def index_of(self, i: int) -> int:
-        return int(self.labels[i, 1])
-
-    def consecutive(self, i: int, j: int) -> bool:
-        """True if points i and j are adjacent on the same circle.  Even-kind
-        circles are full n-gons, so adjacency wraps around."""
-        ci, cj = self.circle_of(i), self.circle_of(j)
-        if ci != cj or ci < 0:
-            return False
-        a, b = self.index_of(i), self.index_of(j)
-        if abs(a - b) == 1:
-            return True
-        return self.kind == KIND_EVEN and {a, b} == {0, self.n - 1}
 
 
 def min_n(k: int) -> int:
@@ -179,7 +169,7 @@ def _check_mosaic_size(kind: str, k: int | None, n: int) -> None:
     has more than MAX_SIMPLICES simplices.  A missing k, a k or n below 1
     and a kind other than even, 3d or odd, which `build` names, pass."""
     k = 1 if kind == KIND_3D else k
-    if kind not in (KIND_EVEN, KIND_3D, KIND_ODD) or k is None or min(k, n) < 1:
+    if kind not in MOSAIC_KINDS or k is None or min(k, n) < 1:
         return
     circles, per_circle, _ = _layout(kind, k, n)
     options = 1 + per_circle + n
@@ -208,15 +198,14 @@ def build_even(k: int, n: int) -> PointSet:
         raise ValueError("k must be >= 1")
     if n < 3:
         raise ValueError("n must be >= 3")
-    d = 2 * k
-    pts = np.zeros((k * n, d))
+    pts = np.zeros((k * n, 2 * k))
     for ell in range(k):
         for t in range(n):
             angle = 2.0 * math.pi * t / n
             i = ell * n + t
             pts[i, 2 * ell] = EVEN_RADIUS * math.cos(angle)
             pts[i, 2 * ell + 1] = EVEN_RADIUS * math.sin(angle)
-    return PointSet(KIND_EVEN, d, k, n, 0.0, pts, construction_labels(KIND_EVEN, k, n))
+    return PointSet(KIND_EVEN, k, n, 0.0, pts)
 
 
 def build_3d(n: int, delta: float) -> PointSet:
@@ -236,7 +225,7 @@ def build_3d(n: int, delta: float) -> PointSet:
         phi = -cut + t * (2.0 * cut / n)
         pts[t] = (-0.5 + math.cos(phi), math.sin(phi), 0.0)
         pts[(n + 1) + t] = (0.5 - math.cos(phi), 0.0, math.sin(phi))
-    return PointSet(KIND_3D, 3, 1, n, delta, pts, construction_labels(KIND_3D, 1, n))
+    return PointSet(KIND_3D, 1, n, delta, pts)
 
 
 def _sum_zero_basis(m: int) -> np.ndarray:
@@ -265,10 +254,9 @@ def build_odd(k: int, n: int, delta: float) -> PointSet:
     height = math.sqrt(regular_simplex_height_sq(k))
     if not (0.0 < delta < height):
         raise ValueError(f"delta must lie in (0, {height})")
-    d = 2 * k + 1
     verts = simplex_vertices(k)  # (k+1, k)
     cut = math.asin(delta / height)
-    pts = np.zeros(((k + 1) * (n + 1), d))
+    pts = np.zeros(((k + 1) * (n + 1), 2 * k + 1))
     for ell in range(k + 1):
         u = verts[ell]
         v = -u / k  # barycenter of the opposite facet
@@ -278,7 +266,7 @@ def build_odd(k: int, n: int, delta: float) -> PointSet:
             i = ell * (n + 1) + t
             pts[i, :k] = v + height * math.cos(theta) * w
             pts[i, k + ell] = height * math.sin(theta)
-    return PointSet(KIND_ODD, d, k, n, delta, pts, construction_labels(KIND_ODD, k, n))
+    return PointSet(KIND_ODD, k, n, delta, pts)
 
 
 def build_suspended(k: int, n: int, delta: float, h: float) -> PointSet:
@@ -288,28 +276,23 @@ def build_suspended(k: int, n: int, delta: float, h: float) -> PointSet:
         raise ValueError("k must be >= 2")
     if h is None or not 0.0 < h < math.inf:
         raise ValueError(f"h must be positive and finite, not {h!r}")
-    base = build_odd(k - 1, n, delta)
-    d = 2 * k
-    n_base = len(base)
-    pts = np.zeros((n_base + 2, d))
-    pts[:n_base, : d - 1] = base.points
-    pts[n_base, d - 1] = h
-    pts[n_base + 1, d - 1] = -h
-    return PointSet(KIND_SUSPENDED, d, k, n, delta, pts,
-                    construction_labels(KIND_SUSPENDED, k, n), h=h,
-                    apex_ids=(n_base, n_base + 1))
+    base = build_odd(k - 1, n, delta).points
+    pts = np.zeros((len(base) + 2, 2 * k))
+    pts[:-2, :-1] = base
+    pts[-2:, -1] = (h, -h)
+    return PointSet(KIND_SUSPENDED, k, n, delta, pts, h)
 
 
 def half_edge(ps: PointSet) -> float:
     """Half-length of the edge between consecutive same-circle points.
 
     For the even kind this is the closed form s = (sqrt(2)/2) sin(pi/n);
-    otherwise it is measured from the coordinates.
+    otherwise it is measured between points 0 and 1, the first two of
+    circle 0.
     """
     if ps.kind == KIND_EVEN:
         return EVEN_RADIUS * math.sin(math.pi / ps.n)
-    first = np.flatnonzero(ps.labels[:, 0] == 0)[:2]
-    return 0.5 * math.sqrt(squared_distance(ps.points[first[0]], ps.points[first[1]]))
+    return 0.5 * math.sqrt(squared_distance(ps.points[0], ps.points[1]))
 
 
 def default_delta(n: int) -> float:
@@ -411,9 +394,10 @@ def _fmt(x: float) -> str:
 
 def save_points(ps: PointSet, path) -> None:
     lines = [f"# {ps.kind},{ps.dim},{ps.k},{ps.n},{_fmt(ps.delta)},{_fmt(ps.h)}"]
+    labels = ps.labels
     for i in range(len(ps)):
         coords = ",".join(_fmt(c) for c in ps.points[i])
-        lines.append(f"{ps.labels[i, 0]},{ps.labels[i, 1]},{coords}")
+        lines.append(f"{labels[i, 0]},{labels[i, 1]},{coords}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -424,7 +408,9 @@ def load_points(path) -> PointSet:
     with the kind's d, or a row that is not two labels and d coordinates,
     raises ValueError naming the path and the line; naming the path, so do
     a non-finite coordinate, a point count other than the header's, a
-    header `build` refuses or does not reproduce, and other labels.
+    header `build` refuses or does not reproduce, other labels, and a delta
+    or h the coordinates do not have (beyond rel_eps, relative): points 0
+    and 1 a half edge apart other than `build`'s, or apexes not at +-h.
 
     The header's delta or h of 0, written for a kind that does not read it,
     goes to `build` as absent, so `build` alone refuses a delta or h the
@@ -469,15 +455,24 @@ def load_points(path) -> PointSet:
     if len(labels) != n_expected:
         raise ValueError(f"{path} holds {len(labels)} points, but its header "
                          f"{header} has {n_expected}")
+    where = f"{path} has header {header} delta={delta!r} h={h!r}"
     try:
         built = build(kind, k, n, delta or "auto", h or None)
         if (built.k, built.delta, built.h) != (k, delta, h):
             raise ValueError(f"build makes k={built.k} delta={built.delta!r} h={built.h!r}")
     except ValueError as exc:
-        raise ValueError(f"{path} has header {header} delta={delta!r} h={h!r}: {exc}") from None
-    bad = np.flatnonzero(np.any(labels != built.labels, axis=1))
+        raise ValueError(f"{where}: {exc}") from None
+    expected = built.labels
+    bad = np.flatnonzero(np.any(labels != expected, axis=1))
     if bad.size:
         i = int(bad[0])
         raise ValueError(f"{path} labels point {i} {tuple(labels[i].tolist())}, but its "
-                         f"header {header} gives it {tuple(built.labels[i].tolist())}")
-    return replace(built, points=pts)
+                         f"header {header} gives it {tuple(expected[i].tolist())}")
+    ps, rel_eps = replace(built, points=pts), DEFAULT_TOL.rel_eps
+    want, got = half_edge(built), half_edge(ps)
+    if abs(got - want) > rel_eps * want:
+        raise ValueError(f"{where}: its points 0 and 1 give half edge {got!r}, not {want!r}")
+    top, bottom = pts[-2:, -1].tolist()  # the suspended kind's apexes
+    if kind == KIND_SUSPENDED and max(abs(top - h), abs(bottom + h)) > rel_eps * h:
+        raise ValueError(f"{where}: its apexes have last coordinates {top!r} and {bottom!r}")
+    return ps

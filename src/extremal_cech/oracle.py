@@ -68,11 +68,11 @@ class BudgetExceededError(RuntimeError):
     """Subset enumeration would exceed the configured budget."""
 
 
-def _check_maxdim(ps: PointSet, maxdim: int) -> None:
-    """Refuse a maxdim outside 0..ps.dim, where no simplex exists or none
-    fits in the ambient space."""
-    if not 0 <= maxdim <= ps.dim:
-        raise ValueError(f"maxdim {maxdim} is outside 0..{ps.dim}")
+def _check_maxdim(dim: int, maxdim: int) -> None:
+    """Refuse a maxdim outside 0..dim, where no simplex exists or none fits
+    in the ambient space of dimension dim."""
+    if not 0 <= maxdim <= dim:
+        raise ValueError(f"maxdim {maxdim} is outside 0..{dim}")
 
 
 def _check_budget(n_points: int, maxdim: int, budget: int) -> None:
@@ -143,25 +143,25 @@ def _miniball_radii(points: np.ndarray, maxdim: int, r: float):
     return values
 
 
-def cech(ps: PointSet, r: float, maxdim: int,
+def cech(points: np.ndarray, r: float, maxdim: int,
          budget: int = DEFAULT_BUDGET) -> list[tuple[float, tuple[int, ...]]]:
-    """Cech complex of the point set at radius r, up to dimension maxdim:
-    miniballs over every subset whose facets all lie in the complex at r.
-    Returns the (value, vertices) filtration `homology.reduce` reads, sorted
-    by (value, size, vertices)."""
-    _check_maxdim(ps, maxdim)
-    _check_budget(len(ps), maxdim, budget)
-    kept = [(value, verts) for verts, value in _miniball_radii(ps.points, maxdim, r).items()]
+    """Cech complex of the points, one per row, at radius r, up to dimension
+    maxdim: miniballs over every subset whose facets all lie in the complex
+    at r.  Returns the (value, vertices) filtration `homology.reduce` reads,
+    sorted by (value, size, vertices)."""
+    _check_maxdim(points.shape[1], maxdim)
+    _check_budget(len(points), maxdim, budget)
+    kept = [(value, verts) for verts, value in _miniball_radii(points, maxdim, r).items()]
     kept.sort(key=lambda vs: (vs[0], len(vs[1]), vs[1]))
     return kept
 
 
-def cech_betti(ps: PointSet, radii, pmax: int,
+def cech_betti(points: np.ndarray, radii, pmax: int,
                budget: int = DEFAULT_BUDGET) -> list[list[int]]:
-    """Betti numbers beta_0..beta_pmax of the Cech complex at each radius,
-    all read from the diagram of the complex at the largest radius.  Needs
-    simplices one dimension above pmax to witness deaths."""
-    cx = cech(ps, max(radii), min(pmax + 1, ps.dim), budget)
+    """Betti numbers beta_0..beta_pmax of the Cech complex of the points at
+    each radius, all read from the diagram of the complex at the largest
+    radius.  Needs simplices one dimension above pmax to witness deaths."""
+    cx = cech(points, max(radii), min(pmax + 1, points.shape[1]), budget)
     pd = homology.reduce(cx)
     return [[homology.betti_at(pd, p, r, DEFAULT_TOL.abs_eps) for p in range(pmax + 1)]
             for r in radii]
@@ -185,7 +185,7 @@ def cech_equals_alpha_betti(ps: PointSet, radii, pmax: int, fc: complexgen.Filte
     union of balls, so the vectors must agree).  Each side is reduced once
     for all radii."""
     check_below_even_top(ps.kind, max(radii, default=0.0))
-    cvecs = cech_betti(ps, radii, pmax, budget)
+    cvecs = cech_betti(ps.points, radii, pmax, budget)
     avecs = homology.betti_of_subcomplexes(fc, radii, pmax=pmax, eps=DEFAULT_TOL.abs_eps)
     return [EqualityReport(*row) for row in zip(radii, cvecs, avecs)]
 
@@ -289,7 +289,7 @@ def enumeration_matches_oracle(ps: PointSet, maxdim: int,
     are refused here too.  On the even kind the oracle leaves out the top
     cell conv(A), the set of all points, as the mosaic does; it is a
     candidate only when it has at most maxdim+1 points, as at k=1 n=3."""
-    _check_maxdim(ps, maxdim)
+    _check_maxdim(ps.dim, maxdim)
     _check_budget(len(ps), maxdim, budget)
     enumerated = {cs.vertices for cs in complexgen.enumerate_mosaic(ps)
                   if cs.dim <= maxdim}

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import comb
 
 import numpy as np
@@ -154,7 +154,7 @@ def verify_betti_3d(n: int) -> list[ClaimResult]:
     if n <= 3:
         rho1 = threshold_after(thresholds, (1, -1))
         rho2 = threshold_after(thresholds, (1, 0))
-        at_rho1, at_rho2 = oracle.cech_betti(ps, (rho1, rho2), 2)
+        at_rho1, at_rho2 = oracle.cech_betti(ps.points, (rho1, rho2), 2)
         c1, c2 = at_rho1[1], at_rho2[2]
         claims.append(_claim("3d/oracle/b1", params, b1, c1, c1 == b1))
         claims.append(_claim("3d/oracle/b2", params, b2, c2, c2 == b2))
@@ -232,12 +232,6 @@ def verify_betti_odd(k: int, n: int) -> list[ClaimResult]:
 # suspension: voids in even dimension from the odd set one dimension down
 
 
-def _strip_apexes(sps: PointSet) -> PointSet:
-    """The suspended set without its apexes, its last two rows by
-    construction."""
-    return replace(sps, points=sps.points[:-2], labels=sps.labels[:-2], h=0.0, apex_ids=())
-
-
 # Apex height above the verifying radius rho, in units of the half edge eps
 # (verify_suspension gives the argument).
 APEX_OFFSET = 0.2
@@ -275,8 +269,9 @@ def verify_suspension(k: int, n: int) -> list[ClaimResult]:
     rho = threshold_after(thresholds, (k - 1, k - 2))
     expected = homology.betti_at(pd, p - 1, rho)
     sps = construct.build(KIND_SUSPENDED, k, n, ps.delta, rho + APEX_OFFSET * half_edge(ps))
-    observed = oracle.cech_betti(sps, [rho], p)[0][p]
-    no_apex = oracle.cech_betti(_strip_apexes(sps), [rho], p)[0][p]
+    observed = oracle.cech_betti(sps.points, [rho], p)[0][p]
+    # the apexes are the last two points by construction
+    no_apex = oracle.cech_betti(sps.points[:-2], [rho], p)[0][p]
     params = {"k": k, "n": n}
     return [
         _claim("suspension/no-apex", params, 0, no_apex, no_apex == 0),
@@ -454,6 +449,7 @@ def _hypothesis_errors(ps: PointSet, fc):
 
     blocks, rows = fc.blocks()  # every list below is in block row order
     touch, short = (a[np.argsort(rows)].tolist() for a in fc.classes())
+    circle = ps.labels[:, 0].tolist()
     batch = circumspheres(ps, blocks)
     if batch.degenerate.any():
         raise AffineDegeneracyError("points are affinely dependent beyond tolerance")
@@ -475,8 +471,9 @@ def _hypothesis_errors(ps: PointSet, fc):
         else:
             bump("center_short", cls, abs(d_s2 - eps2 / (ell + 1) ** 2))
 
+        # one consecutive pair at most per circle: paired iff sharing a circle
         for drop, h2, dist2 in zip(vertices, vertex_h2, facet_dist2):
-            if not any(w != drop and ps.consecutive(drop, w) for w in vertices):
+            if not any(w != drop and circle[w] == circle[drop] for w in vertices):
                 if ell < 1:
                     continue
                 h_ell2 = construct.regular_simplex_height_sq(ell)

@@ -481,6 +481,22 @@ class TestBadInputExit2:
         assert err.count("\n") == 1
         assert not (tmp_path / "f.txt").exists()
 
+    def test_loaded_delta_its_coordinates_do_not_have(self, tmp_path, capsys):
+        # the points are those of delta=0.01, the header says 0.011
+        pts = tmp_path / "pts.csv"
+        run(["generate", "--kind", "3d", "--n", "3", "-o", str(pts)], capsys)
+        lines = pts.read_text().splitlines()
+        lines[0] = lines[0].replace(",0.01,", ",0.011,")
+        assert lines[0] == "# 3d,3,1,3,0.011,0"
+        pts.write_text("\n".join(lines) + "\n")
+        code, out, err = run(["filtration", "--kind", "3d", "--n", "3", "--points", str(pts),
+                              "-o", str(tmp_path / "f.txt")], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {pts} has header kind=3d k=1 n=3 delta=0.011 h=0.0: "
+                              "its points 0 and 1 give half edge ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "f.txt").exists()
+
     @pytest.mark.parametrize("h", ["nan", "inf", "-1"])
     def test_apex_height_positive_and_finite(self, h, tmp_path, capsys):
         out = tmp_path / "pts.csv"

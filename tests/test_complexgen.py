@@ -119,10 +119,10 @@ class TestEnumerateEven:
         assert enumerate_mosaic(ps) == sorted(reference, key=lambda cs: (cs.dim, cs.vertices))
 
 
-def classify_by_labels(ps, verts):
-    """Reference classification from the labels: touch is the circles
-    touched less one, short the circles giving a pair less one."""
-    per_circle = Counter(ps.circle_of(v) for v in verts)
+def classify_by_labels(circle, verts):
+    """Reference classification from the labels' circle ids: touch is the
+    circles touched less one, short the circles giving a pair less one."""
+    per_circle = Counter(circle[v] for v in verts)
     pairs = sum(1 for count in per_circle.values() if count == 2)
     return ClassifiedSimplex(verts, touch=len(per_circle) - 1, short=pairs - 1)
 
@@ -136,7 +136,9 @@ def face_closure_odd(ps):
         top = tuple(sorted(v for pair in combo for v in pair))
         for size in range(1, len(top) + 1):
             seen.update(itertools.combinations(top, size))
-    return [classify_by_labels(ps, verts) for verts in sorted(seen, key=lambda v: (len(v), v))]
+    circle = ps.labels[:, 0].tolist()
+    return [classify_by_labels(circle, verts)
+            for verts in sorted(seen, key=lambda v: (len(v), v))]
 
 
 class TestEnumerateOdd:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -7,11 +8,13 @@ import pytest
 from extremal_cech import cli, complexgen, construct
 from extremal_cech.complexgen import NotCriticalError, OverlapError
 from extremal_cech.construct import (
+    build,
     build_3d,
     build_even,
     build_odd,
     build_suspended,
     build_validated,
+    construction_labels,
     default_delta,
     half_edge,
     load_points,
@@ -60,19 +63,22 @@ class TestBuildEven:
 
     def test_coordinate_planes(self):
         ps = build_even(3, 5)
+        circle = ps.labels[:, 0]
         for i in range(len(ps)):
-            ell = ps.circle_of(i)
+            ell = circle[i]
             off_plane = [c for j, c in enumerate(ps.points[i]) if j not in (2 * ell, 2 * ell + 1)]
             assert np.allclose(off_plane, 0.0)
 
     def test_two_distance_values(self):
         ps = build_even(2, 5)
         s = half_edge(ps)
+        labels = ps.labels
         for i, j in itertools.combinations(range(len(ps)), 2):
             d = float(np.linalg.norm(ps.points[i] - ps.points[j]))
-            if ps.circle_of(i) != ps.circle_of(j):
+            (ci, ti), (cj, tj) = labels[i], labels[j]
+            if ci != cj:
                 assert d == pytest.approx(1.0, rel=1e-12)
-            elif ps.consecutive(i, j):
+            elif (ti - tj) % ps.n in (1, ps.n - 1):  # neighbors on the n-gon
                 assert d == pytest.approx(2 * s, rel=1e-12)
             else:
                 assert d > 2 * s + 1e-9
@@ -156,8 +162,9 @@ class TestBuildOdd:
     def test_long_edges(self):
         delta = 0.008
         ps = build_odd(2, 3, delta)
+        circle = ps.labels[:, 0]
         for i, j in itertools.combinations(range(len(ps)), 2):
-            if ps.circle_of(i) != ps.circle_of(j):
+            if circle[i] != circle[j]:
                 d2 = float(np.dot(ps.points[i] - ps.points[j], ps.points[i] - ps.points[j]))
                 assert 1.0 - 1e-12 <= d2 <= 1.0 + 2.0 * delta**4 + 1e-12
 
@@ -193,7 +200,7 @@ class TestBuildSuspended:
         ps = build_suspended(2, 2, 0.005, 0.5)
         assert len(ps) == 8  # k(n+1) + 2
         assert ps.dim == 4
-        top, bot = ps.apex_ids
+        top, bot = len(ps) - 2, len(ps) - 1
         assert np.allclose(ps.points[top], [0, 0, 0, 0.5])
         assert np.allclose(ps.points[bot], -ps.points[top])
         # hyperplane points have trailing zero
@@ -212,6 +219,26 @@ def test_labels_are_bijective():
         assert len(seen) == len(ps)
         per_circle = ps.points_per_circle
         assert seen == {(c, t) for c in range(ps.n_circles) for t in range(per_circle)}
+
+
+@pytest.mark.parametrize("kind,k,n,dim", [("even", 2, 5, 4), ("3d", 1, 3, 3),
+                                          ("odd", 2, 2, 5), ("suspended", 2, 2, 4)])
+def test_layout_is_derived_from_the_parameters(kind, k, n, dim, tmp_path):
+    built = build(kind, k, n)
+    path = tmp_path / "pts.csv"
+    save_points(built, path)
+    for ps in (built, load_points(path)):
+        assert np.array_equal(ps.labels, construction_labels(kind, k, n))
+        assert ps.dim == dim
+
+
+def test_point_set_is_frozen_and_compares_identity():
+    a, b = build_3d(3, 0.01), build_3d(3, 0.01)
+    for field in dataclasses.fields(a):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(a, field.name, getattr(a, field.name))
+    assert (a == b) is False
+    assert a == a
 
 
 def test_even_half_edge_closed_form():
@@ -362,7 +389,6 @@ class TestPointFile:
         assert back.delta == ps.delta and back.h == ps.h
         assert np.array_equal(back.points, ps.points)
         assert np.array_equal(back.labels, ps.labels)
-        assert back.apex_ids == ps.apex_ids
         # writing again is byte-identical
         path2 = tmp_path / "pts2.csv"
         save_points(back, path2)
@@ -386,7 +412,17 @@ class TestPointFile:
         # default, it does not reproduce the header
         (build_suspended(2, 2, 0.005, 0.5), 5, "0", "build makes k=2 delta=0.005 h=0.5"),
         (build_3d(3, 0.01), 4, "0", "build makes k=1 delta=0.01 h=0.0"),
-    ], ids=["even-delta", "3d-h", "suspended-h-nan", "suspended-h-0", "3d-delta-0"])
+        # a delta or h its coordinates do not have
+        (build_3d(3, 0.01), 4, "0.011", "its points 0 and 1 give half edge "
+         f"{half_edge(build_3d(3, 0.01))!r}, not {half_edge(build_3d(3, 0.011))!r}"),
+        (build_odd(2, 2, 0.005), 4, "0.004", "its points 0 and 1 give half edge "
+         f"{half_edge(build_odd(2, 2, 0.005))!r}, not {half_edge(build_odd(2, 2, 0.004))!r}"),
+        (build_suspended(2, 2, 0.005, 0.5), 4, "0.006", "its points 0 and 1 give half edge "
+         f"{half_edge(build_odd(1, 2, 0.005))!r}, not {half_edge(build_odd(1, 2, 0.006))!r}"),
+        (build_suspended(2, 2, 0.005, 0.5), 5, "0.6",
+         "its apexes have last coordinates 0.5 and -0.5"),
+    ], ids=["even-delta", "3d-h", "suspended-h-nan", "suspended-h-0", "3d-delta-0",
+            "3d-delta-moved", "odd-delta-moved", "suspended-delta-moved", "suspended-h-moved"])
     def test_header_build_refuses_or_does_not_reproduce(self, ps, field, value, message,
                                                         tmp_path):
         path = tmp_path / "pts.csv"
@@ -400,6 +436,15 @@ class TestPointFile:
             load_points(path)
         assert str(exc.value).startswith(f"{path} has header kind={ps.kind} k={ps.k} ")
         assert str(exc.value).endswith(message)
+
+    def test_a_moved_apex_is_refused(self, tmp_path):
+        path = tmp_path / "pts.csv"
+        save_points(build_suspended(2, 2, 0.005, 0.5), path)
+        lines = path.read_text().splitlines()
+        lines[-1] = lines[-1].rsplit(",", 1)[0] + ",-0.50001"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="last coordinates 0.5 and -0.50001$"):
+            load_points(path)
 
     def test_missing_header(self, tmp_path):
         bad = tmp_path / "bad.csv"

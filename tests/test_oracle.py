@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,13 +21,13 @@ def rigid_copy(ps, seed):
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.normal(size=(ps.dim, ps.dim)))
     moved = ps.points @ q.T + rng.normal(size=ps.dim) * 0.5
-    return PointSet(ps.kind, ps.dim, ps.k, ps.n, ps.delta, moved, ps.labels.copy())
+    return replace(ps, points=moved)
 
 
 class TestCech:
     def test_radius_zero_vertices_only(self, threed_n2):
         ps, _, _, _ = threed_n2
-        cx = cech(ps, 0.0, 2)
+        cx = cech(ps.points, 0.0, 2)
         assert all(len(v) == 1 for _, v in cx)
         assert len(cx) == len(ps)
 
@@ -35,13 +36,13 @@ class TestCech:
         rhos = sorted(t.rho for t in thresholds)
         prev = set()
         for rho in rhos:
-            cur = {v for _, v in cech(ps, rho, 3)}
+            cur = {v for _, v in cech(ps.points, rho, 3)}
             assert prev <= cur
             prev = cur
 
     def test_face_closed_and_value_monotone(self, threed_n2):
         ps, _, thresholds, _ = threed_n2
-        cx = cech(ps, thresholds[-1].rho, 3)
+        cx = cech(ps.points, thresholds[-1].rho, 3)
         values = {verts: value for value, verts in cx}
         for value, verts in cx:
             for facet in itertools.combinations(verts, len(verts) - 1):
@@ -52,16 +53,16 @@ class TestCech:
     def test_budget_guard(self, threed_n2):
         ps, _, _, _ = threed_n2
         with pytest.raises(BudgetExceededError):
-            cech(ps, 1.0, 3, budget=10)
+            cech(ps.points, 1.0, 3, budget=10)
 
     def test_3d_betti_at_thresholds(self, threed_n2):
         ps, _, thresholds, _ = threed_n2
         rho1 = complexgen.threshold_after(thresholds, (1, -1))
-        assert cech_betti(ps, [rho1], 1)[0][1] == 8
+        assert cech_betti(ps.points, [rho1], 1)[0][1] == 8
 
     def test_even_betti_at_half(self, even_2_5):
         ps, _, _, _ = even_2_5
-        assert cech_betti(ps, [0.5], 1)[0][1] == 26
+        assert cech_betti(ps.points, [0.5], 1)[0][1] == 26
 
 
 def brute_force_values(ps, maxdim):
@@ -86,7 +87,7 @@ def brute_force_cech(values, r):
 
 def reference_cech_betti(ps, r, pmax):
     """Betti numbers at r from the Cech complex built and reduced at r."""
-    pd = homology.reduce(cech(ps, r, min(pmax + 1, ps.dim)))
+    pd = homology.reduce(cech(ps.points, r, min(pmax + 1, ps.dim)))
     return [homology.betti_at(pd, p, r, DEFAULT_TOL.abs_eps) for p in range(pmax + 1)]
 
 
@@ -105,8 +106,8 @@ class TestOneComplexForAllRadii:
         # descending, so the largest radius is not the last one
         radii = [*sorted((th.rho for th in thresholds), reverse=True), 0.0]
         pmax = ps.dim - 1
-        assert cech_betti(ps, radii, pmax) == [reference_cech_betti(ps, r, pmax)
-                                               for r in radii]
+        assert cech_betti(ps.points, radii, pmax) == [reference_cech_betti(ps, r, pmax)
+                                                      for r in radii]
 
 
 class TestPrunedCech:
@@ -125,8 +126,8 @@ class TestPrunedCech:
         values = brute_force_values(ps, ps.dim)
         above = max(values.values()) + 1.0
         for r in [0.0, *(th.rho for th in thresholds), above]:
-            assert cech(ps, r, ps.dim) == brute_force_cech(values, r), r
-        assert len(cech(ps, above, ps.dim)) == len(values)
+            assert cech(ps.points, r, ps.dim) == brute_force_cech(values, r), r
+        assert len(cech(ps.points, above, ps.dim)) == len(values)
 
     def test_skips_miniballs_above_the_cut(self, even_2_5, monkeypatch):
         ps, _, thresholds, _ = even_2_5
@@ -137,7 +138,7 @@ class TestPrunedCech:
             return min_enclosing_ball(points)
 
         monkeypatch.setattr(oracle, "min_enclosing_ball", counting)
-        cech(ps, min(th.rho for th in thresholds), 4)
+        cech(ps.points, min(th.rho for th in thresholds), 4)
         assert len(calls) <= 55  # vertices and pairs; a full scan makes 637
 
     def test_one_miniball_per_subset_across_radii(self, even_2_5, monkeypatch):
@@ -156,7 +157,7 @@ class TestPrunedCech:
         monkeypatch.setattr(oracle, "min_enclosing_ball", counting)
         monkeypatch.setattr(oracle, "cech", recording)
         rhos = [th.rho for th in thresholds]
-        cech_betti(ps, rhos, 3)
+        cech_betti(ps.points, rhos, 3)
         assert len(thresholds) == 4
         assert cechs == [max(rhos)]
         assert len(calls) == len(set(calls)) == 130  # one complex per radius: 345
@@ -213,9 +214,7 @@ class TestDelaunayFaceTest:
             assert delaunay_face_test(ps, verts) == delaunay_face_test(moved, verts)
 
     def test_full_set_trivially_true(self):
-        tiny = PointSet("3d", 3, 1, 0, 0.1,
-                        np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]),
-                        np.array([[0, 0], [1, 0]]))
+        tiny = PointSet("3d", 1, 0, 0.1, np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
         assert delaunay_face_test(tiny, (0, 1))
 
 
@@ -263,8 +262,7 @@ def full_scan_match(ps, maxdim):
 def jittered_3d(seed):
     ps = build_3d(3, 0.05)
     noise = np.random.default_rng(seed).normal(scale=0.05, size=ps.points.shape)
-    return PointSet(ps.kind, ps.dim, ps.k, ps.n, ps.delta, ps.points + noise,
-                    ps.labels.copy())
+    return replace(ps, points=ps.points + noise)
 
 
 class TestFaceGrownOracle:

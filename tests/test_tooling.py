@@ -4,7 +4,8 @@
 `perfbench/run.py --trace 1`, so every such name must resolve.  Only
 `complexgen` reads a FilteredComplex's private fields; every other module
 goes through its methods.  Only `construct` calls a builder or makes a
-PointSet, and the mosaic size rule is applied in two places only.  The
+PointSet, directly or by `replace`, and a PointSet holds its parameters
+and coordinates alone.  The mosaic size rule is applied in two places only.  The
 CLI compares nothing with a kind name: which parameters a kind reads is
 `construct.build`'s rule.  And
 the numerical slacks are one record,
@@ -12,6 +13,7 @@ the numerical slacks are one record,
 Every module-level import is read, exported or wrapped by the trace."""
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -21,6 +23,7 @@ from pathlib import Path
 
 import extremal_cech
 from extremal_cech import homology
+from extremal_cech.construct import PointSet
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
@@ -72,7 +75,7 @@ def calls(path):
 def test_one_gate_from_parameters_to_a_mosaic():
     # every point set comes from `construct.build`, and every mosaic passes
     # the size rule: early in `build_validated`, and in the enumeration
-    builders = {"build_even", "build_3d", "build_odd", "build_suspended", "PointSet"}
+    builders = {"build_even", "build_3d", "build_odd", "build_suspended", "PointSet", "replace"}
     modules = sorted((ROOT / "src").rglob("*.py"))
     found = {path.name: calls(path) for path in modules}
     assert any(name in builders for _, name in found["construct.py"])
@@ -82,6 +85,12 @@ def test_one_gate_from_parameters_to_a_mosaic():
     sized = {(name, function) for name, pairs in found.items()
              for function, callee in pairs if callee == "_check_mosaic_size"}
     assert sized == {("construct.py", "build_validated"), ("complexgen.py", "_mosaic")}
+
+
+def test_a_point_set_is_its_parameters_and_its_coordinates():
+    # the layout (dim, labels, apexes) is derived from these, not stored
+    names = [field.name for field in dataclasses.fields(PointSet)]
+    assert names == ["kind", "k", "n", "delta", "points", "h"]
 
 
 def test_the_cli_compares_nothing_with_a_kind():

@@ -158,9 +158,9 @@ class TestSuspension:
         # 5 at n=2 lies inside the band 9+-2.5*n fitted at n = 2, 3
         real = oracle.cech_betti
 
-        def one_more(ps, radii, pmax):
-            vecs = real(ps, radii, pmax)
-            if ps.apex_ids:
+        def one_more(points, radii, pmax):
+            vecs = real(points, radii, pmax)
+            if points[-1, -1] != 0.0:  # the last point is an apex, off the hyperplane
                 vecs[0][pmax] += 1
             return vecs
 
@@ -218,13 +218,14 @@ class TestHypotheses:
 def bisector_loop(ps, fc, bound):
     """`verify._bisector_violations` as a loop over edges and points."""
     violations = 0
+    circle = ps.labels[:, 0]
     for _, cs in fc.entries:
         if cs.dim != 1:
             continue
         b, c = cs.vertices
         gap = np.linalg.norm(ps.points[b] - ps.points[c])
         for a in range(len(ps)):
-            if ps.circle_of(a) in (ps.circle_of(b), ps.circle_of(c)):
+            if circle[a] in (circle[b], circle[c]):
                 continue
             num = abs(float(np.dot(ps.points[a] - ps.points[b], ps.points[a] - ps.points[b]))
                       - float(np.dot(ps.points[a] - ps.points[c], ps.points[a] - ps.points[c])))
@@ -272,9 +273,9 @@ class TestCaching:
         balls = []
         real_cech, real_ball = oracle.cech, oracle.min_enclosing_ball
 
-        def recording(ps, *args, **kwargs):
-            cechs.append(ps.kind)
-            return real_cech(ps, *args, **kwargs)
+        def recording(points, *args, **kwargs):
+            cechs.append(points.shape)
+            return real_cech(points, *args, **kwargs)
 
         def counting(points):
             balls.append(1)
@@ -284,7 +285,8 @@ class TestCaching:
         monkeypatch.setattr(oracle, "min_enclosing_ball", counting)
         assert cli.main(["verify", "--all"]) == 0
         assert "53 claims, 0 failures" in capsys.readouterr().out
-        assert sorted(cechs) == ["3d", "suspended", "suspended"]
+        # 3d n=2 has 6 points in R^3; suspended k=2 n=2 has 8 in R^4, 6 without apexes
+        assert sorted(cechs) == [(6, 3), (6, 4), (8, 4)]
         assert len(balls) == 208
 
     def test_all_makes_one_sphere_pass_per_even_instance(self, fresh_memos, monkeypatch,
