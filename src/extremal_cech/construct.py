@@ -52,6 +52,7 @@ __all__ = [
     "build_suspended",
     "build_validated",
     "check_below_even_top",
+    "class_table",
     "construction_labels",
     "default_delta",
     "half_edge",
@@ -156,12 +157,29 @@ def _layout(kind: str, k: int, n: int) -> tuple[int, int, int]:
     return circles, n + 1, 2 if kind == KIND_SUSPENDED else 0
 
 
+def class_table(kind: str, k: int, n: int) -> list[tuple]:
+    """The (touch, short, dim, count, radius) rows of the classes of the
+    mosaic of an even, 3d or odd point set for k and n, in class order.
+
+    C circles carry P points and n consecutive pairs each, so class (t, s)
+    holds C(C, t+1) C(t+1, s+1) P^(t-s) n^(s+1) simplices of dimension
+    t+s+1.  On the even kind, with half edge eps and sin^2 = sin(pi/n)^2 =
+    2 eps^2, their circumradius r has r^2 = 1/2 - 1/(2(t - s + (s+1)/(1 -
+    2 eps^2))) = (t - (t-s-1) sin^2) / (2(t+1 - (t-s) sin^2)), the last
+    form free of cancellation at large n.  Radius is None on the other
+    kinds and below the n = 3 that `build_even` needs."""
+    circles, points, _ = _layout(kind, k, n)
+    sin2 = math.sin(math.pi / n) ** 2 if kind == KIND_EVEN and n >= 3 else None
+    return [(t, s, t + s + 1,
+             math.comb(circles, t + 1) * math.comb(t + 1, s + 1) * points ** (t - s) * n ** (s + 1),
+             None if sin2 is None
+             else math.sqrt((t - (t - s - 1) * sin2) / (2 * (t + 1 - (t - s) * sin2))))
+            for t in range(circles) for s in range(-1, t + 1)]
+
+
 def mosaic_size(kind: str, k: int, n: int) -> int:
-    """The number of simplices of the mosaic of an even, 3d or odd point set
-    for k and n: each circle contributes nothing, one of its points or one
-    of its n consecutive pairs, and not all contribute nothing."""
-    circles, per_circle, _ = _layout(kind, k, n)
-    return (1 + per_circle + n) ** circles - 1
+    """The number of simplices of a mosaic: the sum of its `class_table` counts."""
+    return sum(count for _, _, _, count, _ in class_table(kind, k, n))
 
 
 def _check_mosaic_size(kind: str, k: int | None, n: int) -> None:
@@ -173,7 +191,7 @@ def _check_mosaic_size(kind: str, k: int | None, n: int) -> None:
         return
     circles, per_circle, _ = _layout(kind, k, n)
     options = 1 + per_circle + n
-    # the power is formed only where it is small, so a huge k fails fast
+    # the table is formed only where options^circles - 1 is small, so a huge k fails fast
     if circles * math.log2(options) > 64:
         count = f"{options}^{circles} - 1"
     elif (count := mosaic_size(kind, k, n)) <= MAX_SIMPLICES:

@@ -3,19 +3,16 @@ realize: exact Betti numbers, closed-form radii, interval bounds,
 radius-class orderings, criticality, convergence orders of the
 second-order radius expansions, and the suspended-void count.
 
-Every Betti claim compares with one exact integer.  For the even and odd
-sets that integer is an Euler count (`_exact_betti`): the reduced Euler
-characteristic of the classes up to the one read, corrected on the even
-kind by the spheres of the polyhedral join above p.  The class census and
-the join's homology are derived; the tests check that no homology lies
-below p, with the whole reduced vector, at every claimed threshold of the
-even and odd instances of `verify --all` and of the slow tier.
+Every per-class count and even radius comes from `construct.class_table`.
+An even or odd Betti claim passes only if the whole reduced Betti vector
+at its threshold is the exact one (`_exact_betti`): beta_p from the Euler
+characteristic of the classes up to the one read, the spheres of the even
+kind's polyhedral join above p, and nothing below p.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from math import comb
 
@@ -141,15 +138,11 @@ def verify_betti_3d(n: int) -> list[ClaimResult]:
     b2 = _betti_at_class(pd, thresholds, (1, 0), 2)
     claims.append(_claim("3d/b2", params, n**2, b2, b2 == n**2))
 
-    counts = np.bincount(fc.dims(), minlength=4).tolist()
-    census = {
-        "vertices": (counts[0], 2 * n + 2),
-        "edges": (counts[1], 2 * n + (n + 1) ** 2),
-        "triangles": (counts[2], 2 * n * (n + 1)),
-        "tetrahedra": (counts[3], n**2),
-    }
-    for name, (got, want) in census.items():
-        claims.append(_claim(f"3d/census/{name}", params, want, got, got == want))
+    got = np.bincount(fc.dims(), minlength=4).tolist()
+    rows = construct.class_table(KIND_3D, 1, n)
+    for d, name in enumerate(("vertices", "edges", "triangles", "tetrahedra")):
+        want = sum(count for _, _, dim, count, _ in rows if dim == d)
+        claims.append(_claim(f"3d/census/{name}", params, want, got[d], got[d] == want))
 
     if n <= 3:
         rho1 = threshold_after(thresholds, (1, -1))
@@ -165,28 +158,24 @@ def verify_betti_3d(n: int) -> list[ClaimResult]:
 # exact even and odd counts
 
 
-def _exact_betti(kind: str, k: int, n: int, cls: tuple[int, int], p: int) -> int:
-    """Reduced beta_p of the even or odd mosaic closed by class `cls`.
+def _exact_betti(kind: str, k: int, n: int, cls: tuple[int, int], p: int) -> list[int]:
+    """Reduced Betti vector of the even or odd mosaic closed by class `cls`,
+    where beta_p is claimed: zero below p, beta_p, and the homology above p.
 
-    C circles carry P points and n consecutive pairs each (even: C=k, P=n;
-    odd: C=k+1, P=n+1).  A simplex on j circles, i of them with a pair, has
-    class (j-1, i-1) and dimension j+i-1; there are C(C,j) C(j,i) P^(j-i)
-    n^i of them, so the classes up to `cls` give the reduced Euler
+    The rows of `construct.class_table` up to `cls` give the reduced Euler
     characteristic chi.  On the even kind the simplices on at most t
     circles, t = cls[0], form a polyhedral join of the n-gons, a wedge of
     C(k,j) C(k-j-1,t-j) spheres S^(t+j-1) by the wedge lemma (Ziegler and
     Zivaljevic 1993); the cells added at the class have dimension <= p and
     leave that homology above p in place.  The odd kind has none above p."""
-    circles, points = (k, n) if kind == KIND_EVEN else (k + 1, n + 1)
-    t = cls[0]
-    chi = -1 + sum((-1) ** (j + i - 1) * comb(circles, j) * comb(j, i)
-                   * points ** (j - i) * n**i
-                   for j in range(1, t + 2) for i in range(j + 1) if (j - 1, i - 1) <= cls)
-    above = 0
-    if kind == KIND_EVEN:
-        above = sum((-1) ** (t + j - 1 - p) * comb(k, j) * comb(k - j - 1, t - j)
-                    for j in range(2, t + 1) if t + j - 1 > p)
-    return (-1) ** p * chi - above
+    rows, t = construct.class_table(kind, k, n), cls[0]
+    vector = [0] * (rows[-1][2] + 1)  # up to the top class's dimension
+    for j in range(max(2, p - t + 2), t + 1 if kind == KIND_EVEN else 0):  # t+j-1 > p
+        vector[t + j - 1] = comb(k, j) * comb(k - j - 1, t - j)
+    chi = -1 + sum((-1) ** dim * count
+                   for touch, short, dim, count, _ in rows if (touch, short) <= cls)
+    vector[p] = (-1) ** p * chi - sum((-1) ** i * b for i, b in enumerate(vector[p + 1:], 1))
+    return vector
 
 
 def _betti_claims(kind: str, k: int, n: int) -> list[ClaimResult]:
@@ -198,10 +187,11 @@ def _betti_claims(kind: str, k: int, n: int) -> list[ClaimResult]:
     claims = []
     for p in range(2 * top + 1):
         cls = (p, -1) if p <= top else (top, p - top - 1)
-        observed = _betti_at_class(pd, thresholds, cls, p)
         expected = _exact_betti(kind, k, n, cls, p)
-        claims.append(_claim(f"{kind}/b{p}", {"k": k, "n": n}, expected, observed,
-                             observed == expected, f"after class {cls}"))
+        observed = [_betti_at_class(pd, thresholds, cls, q) for q in range(len(expected))]
+        ok = observed == expected
+        claims.append(_claim(f"{kind}/b{p}", {"k": k, "n": n}, expected[p], observed[p], ok,
+                             f"after class {cls}" + ("" if ok else f", vector {observed}")))
     return claims
 
 
@@ -288,23 +278,15 @@ def verify_suspension(k: int, n: int) -> list[ClaimResult]:
 
 def _even_class_radii(ps: PointSet, fc):
     """Max relative error of the values of `fc`, the validated filtration of
-    the even set `ps`, against the closed-form circumradii, per checked
-    class.  Every simplex of a validated build is critical, so its value
-    is its circumradius."""
-    s2 = half_edge(ps) ** 2
-    expected = {}
-    for ell in range(ps.k):
-        expected[(ell, -1)] = math.sqrt(ell / (2.0 * ell + 2.0))
-        expected[(ell, ell)] = math.sqrt((ell + 2.0 * s2) / (2.0 * ell + 2.0))
-    if ps.k >= 2:
-        expected[(1, 0)] = math.sqrt(1.0 / (1.0 - s2)) / 2.0
-        expected[(1, 1)] = math.sqrt(1.0 + 2.0 * s2) / 2.0
+    the even set `ps`, against the closed-form circumradii of
+    `construct.class_table`, per class.  Every simplex of a validated build
+    is critical, so its value is its circumradius."""
     values, (touch, short) = fc.values(), fc.classes()
     errs = {}
-    for (ell, j), want in expected.items():
-        radii = values[(touch == ell) & (short == j)]
-        err = np.abs(radii - want) / abs(want) if want else np.abs(radii)
-        errs[(ell, j)] = float(err.max(initial=0.0))
+    for t, s, _, _, radius in construct.class_table(KIND_EVEN, ps.k, ps.n):
+        radii = values[(touch == t) & (short == s)]
+        err = np.abs(radii - radius) / radius if radius else np.abs(radii)
+        errs[(t, s)] = float(err.max(initial=0.0))
     return errs
 
 
@@ -322,8 +304,8 @@ def verify_radius_formulas(k: int, n: int) -> list[ClaimResult]:
             err <= 1e-9))
 
     s = half_edge(ps)
-    two_r = math.sqrt(1.0 / (1.0 - s * s))
-    two_R = math.sqrt(1.0 + 2.0 * s * s)
+    radius = {row[:2]: row[4] for row in construct.class_table(KIND_EVEN, 2, n)}
+    two_r, two_R = 2.0 * radius[(1, 0)], 2.0 * radius[(1, 1)]  # triangle, tetrahedron
     ok_r = 1.0 + 0.5 * s * s < two_r <= 1.0 + s * s / (2.0 - 2.0 * s * s)
     if 2.0 - 2.0 * s * s > 1.9:
         ok_r = ok_r and two_r < 1.0 + (10.0 / 19.0) * s * s
@@ -335,8 +317,7 @@ def verify_radius_formulas(k: int, n: int) -> list[ClaimResult]:
     claims.append(_claim("radii/tetra-diameter-bounds", params,
                          "1+(10/11)s^2 <= 2R <= 1+s^2", f"{two_R:.12g}", ok_R))
 
-    s_tiny = construct.EVEN_RADIUS * math.sin(math.pi / 1000.0)
-    r_tiny = math.sqrt(1.0 / (1.0 - s_tiny**2)) / 2.0
+    r_tiny = {row[:2]: row[4] for row in construct.class_table(KIND_EVEN, 2, 1000)}[(1, 0)]
     claims.append(_claim("radii/triangle-limit", {"n": 1000}, 0.5, f"{r_tiny:.12g}",
                          abs(r_tiny - 0.5) < 1e-5))
 

@@ -283,6 +283,16 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert err == "error: --all runs a fixed claim set and takes no --n or --k\n"
 
+    @pytest.mark.parametrize("k,n", [(3, 6), (4, 7)])
+    def test_radii_claim_every_even_class(self, k, n, capsys):
+        code, out, _ = run(["verify", "--radii", "--k", str(k), "--n", str(n)], capsys)
+        assert code == 0 and out.endswith(" 0 failures\n")
+        claimed = {line.split(" [")[0].split(None, 1)[1] for line in out.splitlines()
+                   if line.startswith("PASS    radii/even/class")}
+        classes = verify._validated("even", k, n)[1].class_ranges()
+        assert len(classes) == k * (k + 3) // 2
+        assert claimed == {f"radii/even/class{cls}" for cls in classes}
+
     def test_theorem_3_1_takes_only_k_1(self, capsys):
         code, out, err = run(["verify", "--theorem", "3.1", "--n", "2", "--k", "5"], capsys)
         assert (code, out) == (2, "")

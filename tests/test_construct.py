@@ -14,6 +14,7 @@ from extremal_cech.construct import (
     build_odd,
     build_suspended,
     build_validated,
+    class_table,
     construction_labels,
     default_delta,
     half_edge,
@@ -302,9 +303,28 @@ class TestParameterRule:
             build_validated("cube", 1, 5)
 
 
-@pytest.mark.parametrize("kind,k,n", ACCEPTED)
+@pytest.mark.parametrize("kind,k,n", ACCEPTED + (("3d", 1, 30),))
 def test_mosaic_size_is_the_built_count(kind, k, n):
-    assert mosaic_size(kind, k, n) == len(cached_pipeline(kind, k, n)[1])
+    # and the class table is the built classes: each class once, in order,
+    # with its simplices' dimension and count
+    fc = cached_pipeline(kind, k, n)[1]
+    touch, short = fc.classes()
+    table = class_table(kind, k, n)
+    built = sorted((cls, count) for cls, (_, _, count) in fc.class_ranges().items())
+    assert [(row[:2], row[3]) for row in table] == built
+    assert {row[:3] for row in table} == set(zip(touch.tolist(), short.tolist(),
+                                                 fc.dims().tolist()))
+    assert mosaic_size(kind, k, n) == sum(row[3] for row in table) == len(fc)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_even_n_below_3_is_refused_by_its_builder(n):
+    # the size rule sums the class table first, which has no even radius
+    # below n = 3 (at n = 2 its closed form divides by zero)
+    assert class_table("even", 2, n)[1][4] is None
+    assert mosaic_size("even", 2, n) == (1 + 2 * n) ** 2 - 1
+    with pytest.raises(ValueError, match="^n must be >= 3$"):
+        build_validated("even", 2, n)
 
 
 def test_mosaic_too_large_is_refused_before_the_build(monkeypatch):

@@ -5,9 +5,11 @@
 `complexgen` reads a FilteredComplex's private fields; every other module
 goes through its methods.  Only `construct` calls a builder or makes a
 PointSet, directly or by `replace`, and a PointSet holds its parameters
-and coordinates alone.  The mosaic size rule is applied in two places only.  The
-CLI compares nothing with a kind name: which parameters a kind reads is
-`construct.build`'s rule.  And
+and coordinates alone.  The mosaic size rule is applied in two places only.
+Every per-class count and even radius is read from `construct.class_table`:
+the mosaic size, the exact Betti vectors, the 3d census and the radius
+claims call it.  The CLI compares nothing with a kind name: which
+parameters a kind reads is `construct.build`'s rule.  And
 the numerical slacks are one record,
 `geometry.DEFAULT_TOL`, that no public function takes as a parameter.
 Every module-level import is read, exported or wrapped by the trace."""
@@ -85,6 +87,15 @@ def test_one_gate_from_parameters_to_a_mosaic():
     sized = {(name, function) for name, pairs in found.items()
              for function, callee in pairs if callee == "_check_mosaic_size"}
     assert sized == {("construct.py", "build_validated"), ("complexgen.py", "_mosaic")}
+
+
+def test_one_class_table():
+    # the per-class counts and even radii are written once, in
+    # `construct.class_table`; each of their readers calls it
+    readers = {(path.name, function) for path in sorted((ROOT / "src").rglob("*.py"))
+               for function, callee in calls(path) if callee == "class_table"}
+    assert readers >= {("construct.py", "mosaic_size"), ("verify.py", "_exact_betti"),
+                       ("verify.py", "verify_betti_3d"), ("verify.py", "_even_class_radii")}
 
 
 def test_a_point_set_is_its_parameters_and_its_coordinates():

@@ -60,7 +60,7 @@ def assert_whole_vectors(kind, k, n):
         cls = (p, -1) if p <= top else (top, p - top - 1)
         t = cls[0]
         expected = [0] * (fc.max_dim() + 1)
-        expected[p] = verify._exact_betti(kind, k, n, cls, p)
+        expected[p] = verify._exact_betti(kind, k, n, cls, p)[p]
         if kind == "even":
             for j in range(2, t + 1):
                 if t + j - 1 > p:
@@ -107,13 +107,48 @@ class TestBettiEvenOdd:
         real = verify._betti_at_class
 
         def one_more_b0(pd, thresholds, cls, p):
-            return real(pd, thresholds, cls, p) + (p == 0)
+            return real(pd, thresholds, cls, p) + (cls == (0, -1) and p == 0)
 
         monkeypatch.setattr(verify, "_betti_at_class", one_more_b0)
         by_id = {c.claim_id: c for c in verify.verify_betti_even(2, 5)}
         b0 = by_id["even/b0"]
         assert (b0.status, b0.expected, b0.observed) == (FAIL, 9, 10)
+        assert b0.detail == "after class (0, -1), vector [10, 0, 0, 0]"
         assert by_id["even/b1"].status == PASS
+
+    @pytest.mark.parametrize("kind,k,n", [("even", 2, 5), ("odd", 2, 2)])
+    def test_a_homology_class_above_p_fails_the_claim(self, monkeypatch, kind, k, n):
+        # beta_1 is right, but one more class in dimension 3 at its threshold
+        real = verify._betti_at_class
+
+        def one_more_above(pd, thresholds, cls, p):
+            return real(pd, thresholds, cls, p) + (cls == (1, -1) and p == 3)
+
+        monkeypatch.setattr(verify, "_betti_at_class", one_more_above)
+        by_id = {c.claim_id: c for c in verify._betti_claims(kind, k, n)}
+        b1 = by_id.pop(f"{kind}/b1")
+        assert (b1.status, b1.expected) == (FAIL, b1.observed)
+        assert b1.detail.startswith("after class (1, -1), vector [0, ")
+        assert_no_failures(list(by_id.values()))
+
+    def test_a_shifted_class_count_fails_its_claims(self, monkeypatch):
+        # one more short edge, class (0, 0), in the table
+        real = construct.class_table
+
+        def shifted(kind, k, n):
+            rows = real(kind, k, n)
+            t, s, dim, count, radius = rows[1]
+            rows[1] = (t, s, dim, count + 1, radius)
+            return rows
+
+        monkeypatch.setattr(construct, "class_table", shifted)
+        by_id = {c.claim_id: c for c in verify.verify_betti_3d(2) + verify.verify_betti_even(2, 5)}
+        edges, b1 = by_id["3d/census/edges"], by_id["even/b1"]
+        assert (edges.status, edges.expected, edges.observed) == (FAIL, 14, 13)
+        assert (b1.status, b1.expected, b1.observed) == (FAIL, 27, 26)
+        assert b1.detail == "after class (1, -1), vector [0, 26, 0, 0]"
+        assert [c.claim_id for c in by_id.values() if c.status == FAIL] == [
+            "3d/census/edges", "even/b1", "even/b2"]
 
     @pytest.mark.slow
     def test_exact_at_scale(self):
@@ -179,6 +214,19 @@ class TestRadiusFormulas:
     @pytest.mark.parametrize("k,n", [(2, 5), (3, 6)])
     def test_all_pass(self, k, n):
         assert_no_failures(verify.verify_radius_formulas(k, n))
+
+    def test_a_perturbed_class_radius_fails_its_claim(self, monkeypatch):
+        # (2, 1) is one of the k=3 classes the radius claims first covered
+        # with the class table
+        real = construct.class_table
+
+        def perturbed(kind, k, n):
+            return [(t, s, dim, count, radius * (1 + 1e-6) if (t, s) == (2, 1) else radius)
+                    for t, s, dim, count, radius in real(kind, k, n)]
+
+        monkeypatch.setattr(construct, "class_table", perturbed)
+        claims = verify.verify_radius_formulas(3, 6)
+        assert [c.claim_id for c in claims if c.status == FAIL] == ["radii/even/class(2, 1)"]
 
 
 class TestHypotheses:
