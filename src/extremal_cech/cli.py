@@ -42,10 +42,8 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process SIGPIPE ended
 
-_KIND_CHOICES = ("even", "3d", "odd", "suspended")
 
-
-def _add_construction_args(p, kinds=_KIND_CHOICES):
+def _add_construction_args(p, kinds=construct.KINDS):
     p.add_argument("--kind", choices=kinds, required=True)
     p.add_argument("--k", type=int, default=None, help="circle-count parameter")
     p.add_argument("--n", type=int, required=True, help="points-per-circle parameter")

@@ -9,17 +9,17 @@ point or two consecutive points from each circle, and is classified by
 
 so dim = touch + short + 1.  One product-form enumeration serves all three
 kinds and emits int arrays (vertex ids, touch, short) with each simplex's
-facets in closed form.  Every simplex of a validated construction is
-critical, its circumcenter interior and its circumsphere strictly empty,
-so its radius value is its circumradius (Bauer & Edelsbrunner, The Morse
-theory of Cech and Delaunay complexes, 2017).  The build proves this with
-one batched circumsphere pass (`geometry.circumspheres`) and raises
-NotCriticalError on the first simplex that fails; `criticality_check` runs
-the same pass on any point set and filtration.  On the arrays, the
-monotone fix is a max over the facets per size, and the sort one stable
-argsort of the values over rows in (dim, vertex list) order.  So every
-facet precedes its coface: after the fix no facet's value exceeds its
-coface's, and dim breaks ties.
+facets in closed form, its rows in (touch, short, vertex list) order.
+Every simplex of a validated construction is critical, its circumcenter
+interior and its circumsphere strictly empty, so its radius value is its
+circumradius (Bauer & Edelsbrunner, The Morse theory of Cech and Delaunay
+complexes, 2017).  The build proves this with one circumsphere pass
+(`geometry.circumspheres`) per class, in class order, and raises
+NotCriticalError on the first simplex that fails, computing no later
+class; `criticality_check` runs the same kernel on any point set and
+filtration.  The sort is one stable argsort of the values.  A facet lies
+in an earlier class than its coface, so in an earlier row: a facet tied
+with its coface stays before it, and a facet valued above it raises.
 
 A FilteredComplex has one form, arrays in filtration order: a built one
 keeps the build's and makes no Python object per simplex, and one made
@@ -106,12 +106,14 @@ class FilteredComplex:
     face preceding its cofaces; equal when their entries are.
 
     A complex is its arrays in filtration order, however it was made:
-    values, touch, short, and per-size vertex-id blocks, position i being
-    row `rows[i]` of the blocks read one after another (dims are the block
-    sizes less one).  A built one comes with its face relation and every
-    simplex critical; one made from entries, loaded or hand-made, gets its
-    face relation from `homology.face_array` on first use.  `entries` is a
-    view, built on first read unless the list given seeds it, and kept.
+    values, touch, short, and vertex-id blocks of one size each, position
+    i being row `rows[i]` of the blocks read one after another (dims are
+    the block sizes less one).  A built one's blocks are its classes in
+    order, and it comes with its face relation and every simplex critical;
+    one made from entries, loaded or hand-made, has a block per size and
+    gets its face relation from `homology.face_array` on first use.
+    `entries` is a view, built on first read unless the list given seeds
+    it, and kept.
     """
 
     def __init__(self, entries: list[tuple[float, ClassifiedSimplex]]):
@@ -162,7 +164,8 @@ class FilteredComplex:
         return self._touch, self._short
 
     def blocks(self) -> tuple[list[np.ndarray], np.ndarray]:
-        """The per-size vertex-id blocks, and each position's row in them."""
+        """The vertex-id blocks, one size each, and each position's row in
+        them."""
         return self._ids, self._rows
 
     def faces(self) -> np.ndarray:
@@ -197,17 +200,16 @@ class FilteredComplex:
 @dataclass(frozen=True, eq=False)
 class _Mosaic:
     """A point set's mosaic as arrays, one row per simplex, rows in
-    (size, vertex list) order.
+    (touch, short, vertex list) order.
 
     A row has two slots per circle, in circle order: a lone point fills
     the first, a pair fills both with its ascending ids, and the others
     stay empty; so the ids of a row, read in slot order, are its ascending
-    vertex list, and `m[row]` is that list as a tuple.  `facets[i, j]` is
-    the row of the facet that drops the vertex in slot j; where there is
-    none (an empty slot, or i is a vertex) it is i itself, which leaves a
-    max of values or a rank compare with row i unchanged.  Rows
-    `blocks[s - 1]` are the simplices of size s, and `ids[s - 1]` holds
-    their vertex lists as one (rows, s) int array, the block form
+    vertex list.  `facets[i, j]` is the row of the facet that drops the
+    vertex in slot j, or -1 where there is none (an empty slot, or i is a
+    vertex).  `blocks[c]` is the (lo, hi) row range of the c-th class in
+    class order, whose simplices all have one size s, and `ids[c]` holds
+    their vertex lists as one (hi - lo, s) int array, the block form
     `geometry.circumspheres` takes.
     """
 
@@ -217,24 +219,12 @@ class _Mosaic:
     facets: np.ndarray
     blocks: list[tuple[int, int]]
 
-    def __getitem__(self, row) -> tuple[int, ...]:
-        return _row_vertices(self.ids, row)
-
     def vertex_tuples(self) -> list[tuple[int, ...]]:
         return _vertex_tuples(self.ids)
 
 
-def _row_vertices(ids: list[np.ndarray], row: int) -> tuple[int, ...]:
-    """The vertex tuple of one row of per-size id blocks."""
-    for block in ids:
-        if row < len(block):
-            return tuple(block[row].tolist())
-        row -= len(block)
-    raise IndexError(row)
-
-
 def _vertex_tuples(ids: list[np.ndarray]) -> list[tuple[int, ...]]:
-    """The vertex tuples of per-size id blocks, row after row."""
+    """The vertex tuples of id blocks, row after row."""
     out = []
     for block in ids:
         out += map(tuple, block.tolist())
@@ -283,26 +273,27 @@ def _mosaic(ps: PointSet) -> _Mosaic:
                    + drop[digits] * weight[:, None]).reshape(len(codes), -1)
     real = slots < pad
     size = real.sum(axis=1)
-    # slot order with pad is vertex-list order within a size: at the first
-    # slot where two rows differ, a pad stands for a later, larger id
-    order = np.lexsort((*slots.T[::-1], size))
-    slots, real, size = slots[order], real[order], size[order]
-    codes, facet_codes = codes[order], facet_codes[order]
-    rows = np.arange(len(codes))
-    row_of = np.zeros(len(codes) + 1, dtype=np.intp)
-    row_of[codes] = rows
-    facets = np.where(real & (size > 1)[:, None], row_of[facet_codes], rows[:, None])
     touch = real[:, 0::2].sum(axis=1) - 1
-    starts = np.searchsorted(size, np.arange(1, slots.shape[1] + 2)).tolist()
+    # class (touch, short) in lexicographic order, short = size - touch - 2;
+    # a class has one size, and within it slot order with pad is vertex-list
+    # order: at the first slot where two rows differ, a pad stands for a
+    # later, larger id
+    cls = touch * (circles + 1) + size - touch - 1
+    order = np.lexsort((*slots.T[::-1], cls))
+    slots, real, size, touch, cls = slots[order], real[order], size[order], touch[order], cls[order]
+    codes, facet_codes = codes[order], facet_codes[order]
+    row_of = np.zeros(len(codes) + 1, dtype=np.intp)
+    row_of[codes] = np.arange(len(codes))
+    facets = np.where(real & (size > 1)[:, None], row_of[facet_codes], -1)
+    starts = [0, *(np.flatnonzero(cls[1:] != cls[:-1]) + 1).tolist(), len(cls)]
     blocks = list(zip(starts[:-1], starts[1:]))
-    ids = [slots[lo:hi][real[lo:hi]].reshape(hi - lo, s)
-           for s, (lo, hi) in enumerate(blocks, 1)]
+    ids = [slots[lo:hi][real[lo:hi]].reshape(hi - lo, size[lo]) for lo, hi in blocks]
     return _Mosaic(ids, touch, size - touch - 2, facets, blocks)
 
 
 def enumerate_mosaic(ps: PointSet) -> list[ClassifiedSimplex]:
     """All simplices of the mosaic of an even, 3d or odd point set, sorted by
-    (size, vertex list), so every face precedes its cofaces."""
+    (touch, short, vertex list), so every face precedes its cofaces."""
     m = _mosaic(ps)
     return [ClassifiedSimplex(v, t, s)
             for v, t, s in zip(m.vertex_tuples(), m.touch.tolist(), m.short.tolist())]
@@ -320,39 +311,42 @@ def radius_value(ps: PointSet, simplex) -> float:
 
 
 def build_filtration(ps: PointSet) -> FilteredComplex:
-    """Enumerate the mosaic, prove every simplex critical, take circumradii
-    as values and sort face-before-coface.
+    """Enumerate the mosaic, prove every simplex critical class by class,
+    take circumradii as values and sort them.
 
-    The first simplex in enumeration order that the batched pass finds not
-    critical raises NotCriticalError, with the reason `criticality_check`
-    gives for it.
+    One sphere pass per class, in class order: the first simplex of the
+    first class that the pass finds not critical raises NotCriticalError,
+    with the reason `criticality_check` gives for it, and no later class
+    is computed.
 
-    The closed-form facets raise each value to its facets' maximum, so the
-    stable sort puts every facet before its coface.
+    Every facet lies in an earlier class, so in an earlier row, and the
+    stable sort by value keeps a facet tied with its coface first.  A facet
+    valued above its coface raises NotCriticalError naming the coface.
     """
     m = _mosaic(ps)
-    batch = circumspheres(ps, m.ids)
-    bad = np.flatnonzero(~batch.critical)
-    if len(bad):
-        raise _not_critical(ps, m[bad[0]], batch, bad[0])
-    values = batch.radius
+    values = np.empty(len(m.touch))
+    for block, (lo, hi) in zip(m.ids, m.blocks):
+        batch = circumspheres(ps, [block])
+        bad = np.flatnonzero(~batch.critical)
+        if len(bad):
+            raise _not_critical(ps, tuple(block[bad[0]].tolist()), batch, bad[0])
+        values[lo:hi] = batch.radius
 
-    # enforce exact monotonicity under face inclusion: a face and a coface
-    # can determine the same ball, and floating point may then disagree by
-    # one ulp about which radius is larger; one size at a time, so facets
-    # are final when their cofaces read them
-    for lo, hi in m.blocks[1:]:
-        values[lo:hi] = np.maximum(values[lo:hi], values[m.facets[lo:hi]].max(axis=1))
-
-    # rows are in (dim, vertex list) order, so a stable sort by value gives
-    # the (value, dim, vertex list) order
+    # rows are in (class, vertex list) order, so a stable sort by value gives
+    # the (value, class, vertex list) order
     order = np.argsort(values, kind="stable")
-    rank = np.empty_like(order)
+    rank = np.full(len(order) + 1, -1, dtype=np.intp)  # rank[-1] keeps a facet -1 at -1
     rank[order] = np.arange(len(order))
-    own = m.facets == np.arange(len(order))[:, None]
+    faces = rank[m.facets][order]
+    late = faces > np.arange(len(order))[:, None]
+    if late.any():
+        position, slot = np.argwhere(late)[0]
+        row, facet = order[position], order[faces[position, slot]]
+        verts = m.vertex_tuples()
+        raise NotCriticalError(verts[row], reason=f"radius {values[row]!r} is below "
+                               f"its facet {verts[facet]}'s {values[facet]!r}")
     fc = FilteredComplex.__new__(FilteredComplex)
-    fc._set_arrays(values[order], m.touch[order], m.short[order], m.ids, order,
-             np.where(own, -1, rank[m.facets])[order])
+    fc._set_arrays(values[order], m.touch[order], m.short[order], m.ids, order, faces)
     return fc
 
 
@@ -406,8 +400,9 @@ def criticality_check(ps: PointSet, fc: FilteredComplex) -> CriticalityReport:
     always computed afresh; a filtration from `build_filtration` passes."""
     ids, rows = fc.blocks()
     batch = circumspheres(ps, ids)
-    errors = [_not_critical(ps, _row_vertices(ids, row), batch, row)
-              for row in rows[~batch.critical[rows]].tolist()]
+    bad = rows[~batch.critical[rows]].tolist()
+    verts = _vertex_tuples(ids) if bad else []
+    errors = [_not_critical(ps, verts[row], batch, row) for row in bad]
     return CriticalityReport([(err.simplex, err.reason) for err in errors])
 
 

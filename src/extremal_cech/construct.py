@@ -43,6 +43,7 @@ __all__ = [
     "KIND_SUSPENDED",
     "PointSet",
     "EVEN_RADIUS",
+    "KINDS",
     "MAX_SIMPLICES",
     "MOSAIC_KINDS",
     "build",
@@ -68,7 +69,7 @@ KIND_3D = "3d"
 KIND_ODD = "odd"
 KIND_SUSPENDED = "suspended"
 
-_KINDS = (KIND_EVEN, KIND_3D, KIND_ODD, KIND_SUSPENDED)
+KINDS = (KIND_EVEN, KIND_3D, KIND_ODD, KIND_SUSPENDED)
 # the kinds whose mosaic the enumeration builds
 MOSAIC_KINDS = (KIND_EVEN, KIND_3D, KIND_ODD)
 
@@ -341,7 +342,7 @@ def build(kind: str, k: int | None, n: int, delta="auto", h: float | None = None
     it: a k other than None or 1 for the 3d kind, a missing k for any
     other, a delta other than "auto" for the even kind, and an h for any
     kind but suspended."""
-    if kind not in _KINDS:
+    if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")
     if kind == KIND_3D and k not in (None, 1):
         raise ValueError(f"k={k} is not 1, the only k of kind 3d")
@@ -444,7 +445,7 @@ def load_points(path) -> PointSet:
         if len(fields) != 6:
             raise ValueError(f"header has {len(fields)} fields, not kind,d,k,n,delta,h")
         kind, d, k, n, delta, h = fields
-        if kind not in _KINDS:
+        if kind not in KINDS:
             raise ValueError(f"unknown kind {kind!r}")
         d, k, n, delta, h = int(d), int(k), int(n), float(delta), float(h)
         dim = {KIND_3D: 3, KIND_ODD: 2 * k + 1}.get(kind, 2 * k)
@@ -487,7 +488,7 @@ def load_points(path) -> PointSet:
         raise ValueError(f"{path} labels point {i} {tuple(labels[i].tolist())}, but its "
                          f"header {header} gives it {tuple(expected[i].tolist())}")
     ps, rel_eps = replace(built, points=pts), DEFAULT_TOL.rel_eps
-    want, got = half_edge(built), half_edge(ps)
+    want, got = (0.5 * math.sqrt(squared_distance(p[0], p[1])) for p in (built.points, pts))
     if abs(got - want) > rel_eps * want:
         raise ValueError(f"{where}: its points 0 and 1 give half edge {got!r}, not {want!r}")
     top, bottom = pts[-2:, -1].tolist()  # the suspended kind's apexes

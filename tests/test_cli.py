@@ -507,6 +507,23 @@ class TestBadInputExit2:
         assert err.count("\n") == 1
         assert not (tmp_path / "f.txt").exists()
 
+    def test_loaded_even_points_scaled_off_their_circles(self, tmp_path, capsys):
+        # the even half edge has a closed form in n, and the load measures
+        # the file's points 0 and 1 against it, as on every other kind
+        pts = tmp_path / "pts.csv"
+        run(["generate", "--kind", "even", "--k", "2", "--n", "5", "-o", str(pts)], capsys)
+        header, *rows = pts.read_text().splitlines()
+        rows = [",".join(fields[:2] + [repr(1.05 * float(c)) for c in fields[2:]])
+                for fields in (row.split(",") for row in rows)]
+        pts.write_text("\n".join([header, *rows]) + "\n")
+        code, out, err = run(["filtration", "--kind", "even", "--k", "2", "--n", "5",
+                              "--points", str(pts), "-o", str(tmp_path / "f.txt")], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {pts} has header kind=even k=2 n=5 delta=0.0 h=0.0: "
+                              "its points 0 and 1 give half edge ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "f.txt").exists()
+
     @pytest.mark.parametrize("h", ["nan", "inf", "-1"])
     def test_apex_height_positive_and_finite(self, h, tmp_path, capsys):
         out = tmp_path / "pts.csv"

@@ -114,9 +114,11 @@ class TestEnumerateEven:
 
     @pytest.mark.parametrize("k,n", [(2, 5), (2, 8), (3, 6)])
     def test_matches_reference_in_size_then_vertex_order(self, k, n):
+        # a class has one size, and the enumeration lists the classes in
+        # (touch, short) order, each in vertex-list order
         ps = build_even(k, n)
         reference = even_reference(ps)
-        assert enumerate_mosaic(ps) == sorted(reference, key=lambda cs: (cs.dim, cs.vertices))
+        assert enumerate_mosaic(ps) == sorted(reference, key=lambda cs: (cs.cls, cs.vertices))
 
 
 def classify_by_labels(circle, verts):
@@ -129,7 +131,8 @@ def classify_by_labels(circle, verts):
 
 def face_closure_odd(ps):
     """Reference enumeration: every subset of every top simplex (one
-    consecutive pair from each circle), classified from its labels."""
+    consecutive pair from each circle), classified from its labels, in
+    (touch, short, vertex list) order."""
     pair_options = [circle_items(ps, c, True) for c in range(ps.n_circles)]
     seen = set()
     for combo in itertools.product(*pair_options):
@@ -137,8 +140,8 @@ def face_closure_odd(ps):
         for size in range(1, len(top) + 1):
             seen.update(itertools.combinations(top, size))
     circle = ps.labels[:, 0].tolist()
-    return [classify_by_labels(circle, verts)
-            for verts in sorted(seen, key=lambda v: (len(v), v))]
+    return sorted((classify_by_labels(circle, verts) for verts in seen),
+                  key=lambda cs: (cs.cls, cs.vertices))
 
 
 class TestEnumerateOdd:
@@ -234,24 +237,42 @@ class TestFiltration:
         fc = build_filtration(build_3d(2, 0.01))
         assert fc == FilteredComplex(list(fc.entries))
 
-    def test_coface_value_raised_to_its_facets(self, monkeypatch):
-        # one tetrahedron's radius is set one ulp below its largest facet's
+    def test_coface_below_its_facet_raises(self, monkeypatch):
+        # one tetrahedron's radius is set one ulp below its largest facet's:
+        # the build names the tetrahedron, and rewrites no value
         ps = build_3d(2, 0.01)
-        verts = [cs.vertices for cs in complexgen.enumerate_mosaic(ps)]
-        tet = next(i for i, v in enumerate(verts) if len(v) == 4)
-        facets = [verts.index(f) for f in itertools.combinations(verts[tet], 3)]
-        facet_max = []
+        tet = next(cs.vertices for cs in complexgen.enumerate_mosaic(ps) if cs.dim == 3)
+        facets = list(itertools.combinations(tet, 3))
+        low = np.nextafter(circumspheres(ps, facets).radius.max(), 0.0)
         batched = complexgen.circumspheres
 
-        def one_ulp_low(*args):
-            batch = batched(*args)
-            facet_max.append(batch.radius[facets].max())
-            batch.radius[tet] = np.nextafter(facet_max[0], 0.0)
+        def one_ulp_low(ps, blocks):
+            batch = batched(ps, blocks)
+            (block,) = blocks
+            if block.shape[1] == len(tet):
+                batch.radius[(block == tet).all(axis=1)] = low
             return batch
 
         monkeypatch.setattr(complexgen, "circumspheres", one_ulp_low)
-        values = {cs.vertices: value for value, cs in build_filtration(ps).entries}
-        assert values[verts[tet]] == facet_max[0]
+        with pytest.raises(NotCriticalError) as err:
+            build_filtration(ps)
+        assert (err.value.simplex, err.value.offender) == (tet, None)
+        assert err.value.reason.startswith(f"radius {low!r} is below its facet (")
+        assert str(err.value).startswith(f"simplex {tet} is not critical: ")
+
+    def test_overlapping_classes_still_sort_faces_first(self):
+        # 3d n=3 at delta 0.5 builds, but classes (1, -1) and (1, 0)
+        # overlap: the one stable sort by value still puts every facet first
+        fc = build_filtration(build_3d(3, 0.5))
+        assert len(fc) == 63
+        values, faces = fc.values(), fc.faces()
+        classes = list(zip(*(c.tolist() for c in fc.classes())))
+        assert classes != sorted(classes)  # not the build's row order
+        assert np.all(values[:-1] <= values[1:])
+        assert np.all(faces.max(axis=1) < np.arange(len(fc)))
+        with pytest.raises(OverlapError) as err:
+            pick_thresholds(fc)
+        assert err.value.classes == ((1, -1), (1, 0))
 
     def test_vertices_have_value_zero(self, even_2_5):
         _, fc, _, _ = even_2_5
@@ -430,42 +451,63 @@ class TestBatchedSpheres:
         assert failures[2:] == reference_failures(ps, good)
 
 
+def sphere_calls(monkeypatch):
+    """Record, per call of `circumspheres` from `complexgen`, the vertex
+    tuples of the rows passed, in order."""
+    batched = complexgen.circumspheres
+    calls = []
+
+    def counting(ps, blocks):
+        calls.append([tuple(row) for block in blocks for row in np.asarray(block).tolist()])
+        return batched(ps, blocks)
+
+    monkeypatch.setattr(complexgen, "circumspheres", counting)
+    return calls
+
+
 class TestSinglePass:
     def test_one_sphere_pass_per_build(self, monkeypatch):
-        calls = []
-        batched = complexgen.circumspheres
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return batched(*args, **kwargs)
-
-        monkeypatch.setattr(complexgen, "circumspheres", counting)
-        build_validated("3d", k=1, n=4)  # validates at its first delta
-        assert len(calls) == 1
+        # every mosaic row gets one sphere, in class order, a class a call
+        calls = sphere_calls(monkeypatch)
+        ps, fc, _ = build_validated("3d", k=1, n=4)  # validates at its first delta
+        m = complexgen._mosaic(ps)
+        assert [len(rows) for rows in calls] == [hi - lo for lo, hi in m.blocks]
+        assert sum(calls, []) == m.vertex_tuples()
 
     def test_failures_come_from_the_one_pass(self, monkeypatch):
-        # a failing build and a check each make one batched call, and the
-        # scalar sphere functions are never reached
-        calls = []
-        batched = complexgen.circumspheres
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return batched(*args, **kwargs)
-
+        # a failing build sees each row of the classes up to its failing one
+        # once, and a check each row of the mosaic once; the scalar sphere
+        # functions are never reached
         def scalar(*args, **kwargs):
             raise AssertionError("scalar sphere function called")
 
-        monkeypatch.setattr(complexgen, "circumspheres", counting)
+        calls = sphere_calls(monkeypatch)
         for module in (complexgen, geometry):
             for name in ("circumsphere", "barycentric_interior", "is_empty_sphere"):
                 monkeypatch.setattr(module, name, scalar)
         ps = build_3d(10, 0.5)
+        verts = complexgen._mosaic(ps).vertex_tuples()
         with pytest.raises(NotCriticalError):
             build_filtration(ps)
-        assert len(calls) == 1
+        built = sum(calls, [])
+        assert built == verts[:len(built)]
+        calls.clear()
         assert not criticality_check(ps, mosaic_complex(ps)).ok
-        assert len(calls) == 2
+        assert len(calls) == 1 and sorted(calls[0]) == sorted(verts)
+
+    def test_failing_build_computes_no_later_class(self, monkeypatch):
+        # 3d n=10 at delta 0.5 fails at (0, 11) in class (1, -1): the pass
+        # saw classes (0, -1), (0, 0) and (1, -1), and no sphere after them
+        calls = sphere_calls(monkeypatch)
+        ps = build_3d(10, 0.5)
+        with pytest.raises(NotCriticalError) as err:
+            build_filtration(ps)
+        assert err.value.simplex == (0, 11)
+        assert [len(rows) for rows in calls] == [22, 20, 121]
+        m = complexgen._mosaic(ps)
+        assert [(m.touch[lo], m.short[lo]) for lo, _ in m.blocks[:4]] == [
+            (0, -1), (0, 0), (1, -1), (1, 0)]
+        assert sum(calls, []) == m.vertex_tuples()[:m.blocks[3][0]]
 
     @pytest.mark.parametrize("kind,k,n", ACCEPTED)
     def test_enumeration_lists_faces_first(self, kind, k, n):
@@ -540,7 +582,7 @@ class TestArrayBuild:
     @pytest.mark.parametrize("kind,k,n", DIFFERENTIAL)
     def test_closed_form_facets_match_boundary_columns(self, kind, k, n):
         m = complexgen._mosaic(cached_pipeline(kind, k, n)[0])
-        closed = [sorted(row[row != i].tolist()) for i, row in enumerate(m.facets)]
+        closed = [sorted(row[row >= 0].tolist()) for row in m.facets]
         assert closed == homology.boundary_columns(m.vertex_tuples())
 
     @pytest.mark.parametrize("kind,k,n", DIFFERENTIAL)
@@ -550,6 +592,13 @@ class TestArrayBuild:
         entries = reference_build(ps)
         assert exact(fc.entries) == exact(entries)
         assert fc.class_ranges() == FilteredComplex(entries).class_ranges()
+
+    @pytest.mark.parametrize("kind,k,n", ACCEPTED)
+    def test_values_are_the_circumradii(self, kind, k, n):
+        # no value is rewritten: each is its simplex's radius from the pass
+        ps, fc = cached_pipeline(kind, k, n)[:2]
+        ids, rows = fc.blocks()
+        assert bits(fc.values()) == bits(circumspheres(ps, ids).radius[rows])
 
     @pytest.mark.parametrize("kind,k,n", ACCEPTED)
     def test_lazy_entries_match_eager_ones(self, kind, k, n):

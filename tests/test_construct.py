@@ -315,6 +315,14 @@ def test_mosaic_size_is_the_built_count(kind, k, n):
     assert {row[:3] for row in table} == set(zip(touch.tolist(), short.tolist(),
                                                  fc.dims().tolist()))
     assert mosaic_size(kind, k, n) == sum(row[3] for row in table) == len(fc)
+    # and the build's blocks are the table's rows: one class each, in order,
+    # with its count and size
+    m = complexgen._mosaic(cached_pipeline(kind, k, n)[0])
+    assert [(m.touch[lo], m.short[lo], hi - lo, ids.shape[1])
+            for (lo, hi), ids in zip(m.blocks, m.ids)] == [
+        (t, s, count, dim + 1) for t, s, dim, count, _ in table]
+    assert all(len(set(zip(m.touch[lo:hi].tolist(), m.short[lo:hi].tolist()))) == 1
+               for lo, hi in m.blocks)
 
 
 @pytest.mark.parametrize("n", [1, 2])

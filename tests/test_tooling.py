@@ -8,8 +8,9 @@ PointSet, directly or by `replace`, and a PointSet holds its parameters
 and coordinates alone.  The mosaic size rule is applied in two places only.
 Every per-class count and even radius is read from `construct.class_table`:
 the mosaic size, the exact Betti vectors, the 3d census and the radius
-claims call it.  The CLI compares nothing with a kind name: which
-parameters a kind reads is `construct.build`'s rule.  And
+claims call it.  The CLI compares nothing with a kind name and spells
+none: which parameters a kind reads is `construct.build`'s rule, and its
+kind choices are `construct.KINDS` and `MOSAIC_KINDS`.  And
 the numerical slacks are one record,
 `geometry.DEFAULT_TOL`, that no public function takes as a parameter.
 Every module-level import is read, exported or wrapped by the trace."""
@@ -106,7 +107,8 @@ def test_a_point_set_is_its_parameters_and_its_coordinates():
 
 def test_the_cli_compares_nothing_with_a_kind():
     # which of k, delta and h a kind reads is `construct.build`'s rule
-    # alone; the CLI passes its flags through and defers to it
+    # alone; the CLI passes its flags through and defers to it, and it
+    # reads its kind choices from `construct`, so it spells no kind name
     kinds = {"even", "3d", "odd", "suspended"}
 
     def names_a_kind(node):
@@ -115,6 +117,8 @@ def test_the_cli_compares_nothing_with_a_kind():
         return getattr(node, "id", getattr(node, "attr", "")).startswith("KIND_")
 
     tree = ast.parse((ROOT / "src" / "extremal_cech" / "cli.py").read_text())
+    assert [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and node.value in kinds] == []
     compares = [node for node in ast.walk(tree) if isinstance(node, ast.Compare)]
     assert compares
     assert [node.lineno for node in compares

@@ -339,22 +339,24 @@ class TestCaching:
 
     def test_all_makes_one_sphere_pass_per_even_instance(self, fresh_memos, monkeypatch,
                                                           capsys):
-        # one per validated build (4), per 3d interval build (4) and per
-        # hypothesis delta, build and errors (8): the radius claims read the
-        # validated even filtration that the even Betti claims built, and a
-        # second pass over its mosaic would make 17
+        # one sphere a mosaic row per validated build (35 + 120 + 35 + 215),
+        # per 3d interval build (4 x 143) and per hypothesis delta, build and
+        # errors (4 x 2 x 35): the radius claims read the validated even
+        # filtration that the even Betti claims built, and a second pass
+        # over its mosaic would add 120 rows
         real = geometry.circumspheres
-        calls = []
+        rows = []
 
         def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
+            batch = real(*args, **kwargs)
+            rows.append(len(batch.radius))
+            return batch
 
         for module in (geometry, complexgen, verify):
             monkeypatch.setattr(module, "circumspheres", counting)
         assert cli.main(["verify", "--all"]) == 0
         assert "53 claims, 0 failures" in capsys.readouterr().out
-        assert len(calls) == 16
+        assert sum(rows) == 35 + 120 + 35 + 215 + 4 * 143 + 4 * 2 * 35
 
     def test_radii_alone_reduces_nothing(self, fresh_memos, monkeypatch, capsys):
         reductions = []
