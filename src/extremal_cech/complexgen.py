@@ -29,7 +29,7 @@ from a list of entries, loaded or hand-made, converts the list once.  Its
 
 from __future__ import annotations
 
-import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -134,10 +134,10 @@ class FilteredComplex:
     def entries(self) -> list[tuple[float, ClassifiedSimplex]]:
         if self._entries is None:
             # what the NamedTuple's constructor does, without a Python call
-            # per simplex
-            make = functools.partial(tuple.__new__, ClassifiedSimplex)
-            self._entries = list(zip(self._values.tolist(), map(make, zip(
-                self._vertex_lists(), self._touch.tolist(), self._short.tolist()))))
+            # per simplex: tuple.__new__(ClassifiedSimplex, fields)
+            self._entries = list(zip(self._values.tolist(), map(
+                tuple.__new__, itertools.repeat(ClassifiedSimplex), zip(
+                    self._vertex_lists(), self._touch.tolist(), self._short.tolist()))))
         return self._entries
 
     def _vertex_lists(self):
@@ -224,10 +224,11 @@ class _Mosaic:
 
 
 def _vertex_tuples(ids: list[np.ndarray]) -> list[tuple[int, ...]]:
-    """The vertex tuples of id blocks, row after row."""
+    """The vertex tuples of id blocks, row after row, of Python ints: each
+    block's columns zipped, with no list per row."""
     out = []
     for block in ids:
-        out += map(tuple, block.tolist())
+        out += zip(*block.T.tolist())
     return out
 
 
@@ -272,16 +273,20 @@ def _mosaic(ps: PointSet) -> _Mosaic:
     facet_codes = (codes[:, None, None]
                    + drop[digits] * weight[:, None]).reshape(len(codes), -1)
     real = slots < pad
-    size = real.sum(axis=1)
-    touch = real[:, 0::2].sum(axis=1) - 1
+    # counts by a product with ones, not a pass per row of a few slots
+    ones = np.ones(2 * circles, dtype=np.intp)
+    size = real @ ones
+    touch = real[:, 0::2] @ ones[:circles] - 1
     # class (touch, short) in lexicographic order, short = size - touch - 2;
     # a class has one size, and within it slot order with pad is vertex-list
     # order: at the first slot where two rows differ, a pad stands for a
     # later, larger id
     cls = touch * (circles + 1) + size - touch - 1
     order = np.lexsort((*slots.T[::-1], cls))
-    slots, real, size, touch, cls = slots[order], real[order], size[order], touch[order], cls[order]
-    codes, facet_codes = codes[order], facet_codes[order]
+    # rows of 2-d arrays by np.take, faster than indexing with `order`
+    slots, facet_codes = np.take(slots, order, axis=0), np.take(facet_codes, order, axis=0)
+    real = slots < pad
+    size, touch, cls, codes = size[order], touch[order], cls[order], codes[order]
     row_of = np.zeros(len(codes) + 1, dtype=np.intp)
     row_of[codes] = np.arange(len(codes))
     facets = np.where(real & (size > 1)[:, None], row_of[facet_codes], -1)
@@ -337,7 +342,7 @@ def build_filtration(ps: PointSet) -> FilteredComplex:
     order = np.argsort(values, kind="stable")
     rank = np.full(len(order) + 1, -1, dtype=np.intp)  # rank[-1] keeps a facet -1 at -1
     rank[order] = np.arange(len(order))
-    faces = rank[m.facets][order]
+    faces = rank[np.take(m.facets, order, axis=0)]
     late = faces > np.arange(len(order))[:, None]
     if late.any():
         position, slot = np.argwhere(late)[0]

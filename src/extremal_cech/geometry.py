@@ -31,6 +31,7 @@ a hit returns what the same boundary bytes gave on the miss.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import threading
@@ -281,7 +282,9 @@ def circumspheres(points, simplices) -> SphereBatch:
     sequence of vertex-index tuples of any sizes, or a sequence of (b, m)
     int arrays, each a block of b simplices of size m, whose rows are taken
     in order.  Tuples are first grouped by size; each group or block then
-    goes through one kernel, `_sphere_block`.  The interior test is
+    goes through one kernel, `_sphere_block`.  A single group, one block
+    or tuples of one size, is returned as the kernel computed it; several
+    are scattered into arrays in input order.  The interior test is
     `barycentric_interior`'s, with the same tolerance, and the emptiness
     test `_first_inside`, which `is_empty_sphere` runs on one sphere; the
     filters of `_degenerate` and `_first_inside` change no verdict.  An
@@ -296,12 +299,14 @@ def circumspheres(points, simplices) -> SphereBatch:
     else:
         groups = _group_by_size(simplices)
         count = len(simplices)
+    sq = np.einsum("ij,ij->i", pts, pts)
+    if len(groups) == 1 and 1 <= groups[0][1].shape[1] <= pts.shape[1] + 1:
+        return SphereBatch(*_sphere_block(pts, sq, groups[0][1]))
     center = np.full((count, pts.shape[1]), np.nan)
     radius = np.full(count, np.nan)
     degenerate = np.ones(count, dtype=bool)
     interior = np.zeros(count, dtype=bool)
     offender = np.full(count, -1, dtype=np.intp)
-    sq = np.einsum("ij,ij->i", pts, pts)
     for rows, idx in groups:
         if 1 <= idx.shape[1] <= pts.shape[1] + 1:
             (center[rows], radius[rows], degenerate[rows], interior[rows],
@@ -329,7 +334,7 @@ def _sphere_block(pts: np.ndarray, sq: np.ndarray, idx: np.ndarray):
     stacked call; the solution coefficients are the barycentric coordinates
     of the circumcenter."""
     b, m = idx.shape
-    verts = pts[idx]
+    verts = np.take(pts, idx, axis=0)  # pts[idx], without the slower row indexing
     if m == 1:
         deg = np.zeros(b, dtype=bool)
         center = verts[:, 0]
@@ -342,13 +347,21 @@ def _sphere_block(pts: np.ndarray, sq: np.ndarray, idx: np.ndarray):
         alpha, deg = _gram_solve(gram, rhs, _degenerate(rel, gram, DEFAULT_TOL.rel_eps))
         center = verts[:, 0] + np.einsum("bi,bij->bj", alpha, rel)
         diffs = verts - center[:, None]
-        r2 = np.max(np.einsum("bij,bij->bi", diffs, diffs), axis=1)
+        r2 = functools.reduce(np.maximum, np.einsum("bij,bij->bi", diffs, diffs).T)
+        total, lowest = _row_sums(alpha), functools.reduce(np.minimum, alpha.T)
         interior_eps = DEFAULT_TOL.interior_eps
-        inside = ((1.0 - alpha.sum(axis=1) > interior_eps)
-                  & np.all(alpha > interior_eps, axis=1) & ~deg)
+        inside = (1.0 - total > interior_eps) & (lowest > interior_eps) & ~deg
     offender = _first_inside(pts, sq, idx, center, r2 + DEFAULT_TOL.abs_eps)
     center[deg], r2[deg], offender[deg] = np.nan, np.nan, -1
     return center, np.sqrt(r2), deg, inside, offender
+
+
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """`a.sum(axis=1)` of a (b, k) array bit for bit, by one pass per
+    column where that is numpy's order: it adds fewer than 8 terms in
+    order, and more in pairs.  A pass per row of a few terms is the slow
+    way through numpy."""
+    return functools.reduce(np.add, a.T) if a.shape[1] < 8 else a.sum(axis=1)
 
 
 def _gram_solve(gram: np.ndarray, rhs: np.ndarray, deg: np.ndarray):
@@ -400,11 +413,9 @@ def _degenerate(rel: np.ndarray, gram: np.ndarray, rel_eps: float) -> np.ndarray
     overflowing row reaches the SVD, as does every uncertified row.
     """
     k, d = rel.shape[1:]
-    trace = np.trace(gram, axis1=1, axis2=2)
-    shifted = gram.copy()
-    diagonal = np.arange(k)
-    shifted[:, diagonal, diagonal] -= ((rel_eps**2 + 8 * k * (d + 4) * EPS) * trace)[:, None]
-    certified = (trace > np.finfo(float).tiny / EPS) & _positive_pivots(shifted)
+    trace = _row_sums(np.diagonal(gram, axis1=1, axis2=2))
+    shift = (rel_eps**2 + 8 * k * (d + 4) * EPS) * trace
+    certified = (trace > np.finfo(float).tiny / EPS) & _positive_pivots(gram, shift)
     deg = np.zeros(len(rel), dtype=bool)
     if not certified.all():
         sv = np.linalg.svd(rel[~certified], compute_uv=False)
@@ -412,18 +423,19 @@ def _degenerate(rel: np.ndarray, gram: np.ndarray, rel_eps: float) -> np.ndarray
     return deg
 
 
-def _positive_pivots(a: np.ndarray) -> np.ndarray:
-    """Per stacked symmetric matrix: whether the Cholesky factorization
-    a = L L^T, one column at a time over the whole stack, finds every pivot
-    > 0.  A row that fails goes on with nan or inf entries and stays
-    failed."""
+def _positive_pivots(a: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """Per stacked symmetric matrix a and number s of `shift`: whether the
+    Cholesky factorization a - s I = L L^T, one column at a time over the
+    whole stack, finds every pivot > 0.  Each diagonal entry is shifted
+    where its pivot is formed, so a is not copied.  A row that fails goes
+    on with nan or inf entries and stays failed."""
     k = a.shape[1]
     low = np.zeros_like(a)
     ok = np.ones(len(a), dtype=bool)
     with np.errstate(all="ignore"):
         for j in range(k):
             row = low[:, j, :j]
-            pivot = a[:, j, j] - np.einsum("bp,bp->b", row, row)
+            pivot = a[:, j, j] - shift - np.einsum("bp,bp->b", row, row)
             ok &= pivot > 0.0
             low[:, j, j] = root = np.sqrt(pivot)
             low[:, j + 1:, j] = (a[:, j + 1:, j]
@@ -464,14 +476,15 @@ def _first_inside(pts: np.ndarray, sq: np.ndarray, idx: np.ndarray,
         d2 = lhs[lo:lo + step] @ rhs
         ok = d2 > above[lo:lo + step, None]
         ok[np.arange(len(ok))[:, None], idx[lo:lo + step]] = True
+        if ok.all():  # the usual block: one pass, not one per row
+            continue
         unsure = np.flatnonzero(~ok.all(axis=1))
-        if len(unsure):
-            rows, cols = np.nonzero(~(ok[unsure] | (d2[unsure] < below[lo + unsure, None])))
-            rows = unsure[rows]
-            diffs = pts[cols] - center[lo + rows]
-            ok[rows, cols] = np.einsum("ij,ij->i", diffs, diffs) >= bound[lo + rows]
-            bad = unsure[~ok[unsure].all(axis=1)]
-            first[lo + bad] = np.argmin(ok[bad], axis=1)
+        rows, cols = np.nonzero(~(ok[unsure] | (d2[unsure] < below[lo + unsure, None])))
+        rows = unsure[rows]
+        diffs = pts[cols] - center[lo + rows]
+        ok[rows, cols] = np.einsum("ij,ij->i", diffs, diffs) >= bound[lo + rows]
+        bad = unsure[~ok[unsure].all(axis=1)]
+        first[lo + bad] = np.argmin(ok[bad], axis=1)
     return first
 
 

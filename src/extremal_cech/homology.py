@@ -206,8 +206,8 @@ def betti_at(pd: PersistenceDiagram, p: int, r: float, eps: float = 0.0) -> int:
     birth <= r < death.  The optional eps admits values equal to r up to
     floating-point noise.  Under the reduced convention the essential
     component is dropped for p = 0."""
-    count = sum(1 for dim, birth, death in pd.pairs
-                if dim == p and birth <= r + eps < death)
+    limit = r + eps
+    count = sum(1 for dim, birth, death in pd.pairs if dim == p and birth <= limit < death)
     if pd.reduced and p == 0 and count > 0:
         count -= 1
     return count

@@ -435,7 +435,7 @@ def _hypothesis_errors(ps: PointSet, fc):
     if batch.degenerate.any():
         raise AffineDegeneracyError("points are affinely dependent beyond tolerance")
     facets = _facet_distances(ps.points, blocks, batch.center)
-    verts = [tuple(row) for block in blocks for row in block.tolist()]
+    verts = complexgen._vertex_tuples(blocks)
     for vertices, ell, j, radius, distances in zip(verts, touch, short,
                                                     batch.radius.tolist(), facets):
         cls = (ell, j)

@@ -616,6 +616,11 @@ class TestArrayBuild:
         assert len(fc) == len(eager) and fc._entries is None
         assert exact(fc.entries) == exact(eager)
         assert all(type(cs) is ClassifiedSimplex for _, cs in fc.entries)
+        # Python ints, not numpy ones: error texts and the file print them
+        for vertex_lists in ([cs.vertices for _, cs in fc.entries],
+                             [verts for _, verts in fc.as_filtration()]):
+            assert {type(v) for verts in vertex_lists for v in verts} == {int}
+            assert {type(verts) for verts in vertex_lists} == {tuple}
         assert fc.entries is fc.entries
         hand_made = FilteredComplex(eager)
         assert fc == hand_made

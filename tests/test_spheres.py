@@ -111,6 +111,12 @@ class TestAsReference:
         blocks = circumspheres(ps, m.ids)
         for name in FIELDS:
             assert bits(getattr(blocks, name)) == bits(getattr(batch, name)), name
+        # a single block comes back as the kernel computed it, unscattered,
+        # and must equal its rows of the scattered batch
+        for block, (lo, hi) in zip(m.ids, m.blocks):
+            alone = circumspheres(ps, [block])
+            for name in FIELDS:
+                assert bits(getattr(alone, name)) == bits(getattr(blocks, name)[lo:hi]), name
 
     @pytest.mark.parametrize("kind,k,n", ACCEPTED)
     def test_mosaics_as_scalar_predicates(self, kind, k, n):
@@ -337,6 +343,19 @@ def test_certificate_matches_svd_on_near_flat_rows(d):
         flat = computed[:, -1] <= rel_eps * computed[:, 0]
         gram = rel @ rel.transpose(0, 2, 1)
         assert np.array_equal(geometry._degenerate(rel, gram, rel_eps), flat), (d, k)
+
+
+def test_row_sums_are_numpys_sums():
+    """`_row_sums` is `sum(axis=1)` bit for bit, on either side of the 8
+    terms from which numpy adds in pairs, and on the strided diagonal view
+    the Gram trace reads."""
+    rng = np.random.default_rng(8)
+    for k in range(1, 12):
+        a = rng.normal(size=(4000, k)) * 10.0 ** rng.uniform(-8, 8, size=(4000, k))
+        assert bits(geometry._row_sums(a)) == bits(a.sum(axis=1)), k
+        square = rng.normal(size=(1000, k, k))
+        diagonal = np.diagonal(square, axis1=1, axis2=2)
+        assert bits(geometry._row_sums(diagonal)) == bits(np.trace(square, axis1=1, axis2=2)), k
 
 
 def test_peak_memory_is_blocked():
