@@ -23,14 +23,18 @@ with its coface stays before it, and a facet valued above it raises.
 
 A FilteredComplex has one form, arrays in filtration order: a built one
 keeps the build's and makes no Python object per simplex, and one made
-from a list of entries, loaded or hand-made, converts the list once.  Its
-(value, ClassifiedSimplex) entries are a view, built only when read.
+from a list of entries, loaded or hand-made, converts the list once and
+keeps none of it.  Its (value, ClassifiedSimplex) entries are a re-iterable
+view of the arrays that makes its pairs on each pass and keeps none; it
+supports iteration, len and ==, not indexing.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -110,34 +114,32 @@ class FilteredComplex:
     i being row `rows[i]` of the blocks read one after another (dims are
     the block sizes less one).  A built one's blocks are its classes in
     order, and it comes with its face relation and every simplex critical;
-    one made from entries, loaded or hand-made, has a block per size and
-    gets its face relation from `homology.face_array` on first use.
-    `entries` is a view, built on first read unless the list given seeds
-    it, and kept.
+    one made from entries, loaded or hand-made, has a block per size, keeps
+    no reference to the entries given, and gets its face relation from
+    `homology.face_array` on first use.  `entries` is a re-iterable view of
+    the arrays, made on first read and kept; each pass makes its pairs
+    afresh and keeps none.
     """
 
-    def __init__(self, entries: list[tuple[float, ClassifiedSimplex]]):
+    def __init__(self, entries: Iterable[tuple[float, ClassifiedSimplex]]):
+        # read three times: a list of entries or an `entries` view
         groups = _group_by_size([cs.vertices for _, cs in entries])
         # each position's row: the inverse of the positions taken block by block
         rows = np.argsort(np.concatenate([np.empty(0, np.intp), *(g for g, _ in groups)]))
         touch, short = np.array([cs.cls for _, cs in entries], dtype=np.intp).reshape(-1, 2).T
         self._set_arrays(np.array([value for value, _ in entries], dtype=float), touch, short,
-                   [block for _, block in groups], rows, None, entries)
+                         [block for _, block in groups], rows, None)
 
-    def _set_arrays(self, values, touch, short, ids, rows, faces, entries=None):
+    def _set_arrays(self, values, touch, short, ids, rows, faces):
         sizes = np.repeat(np.array([b.shape[1] for b in ids], dtype=np.intp), [len(b) for b in ids])
         self._values, self._touch, self._short = values, touch, short
         self._ids, self._rows, self._dims = ids, rows, sizes[rows] - 1
-        self._faces, self._entries = faces, entries
+        self._faces, self._entries = faces, None
 
     @property
-    def entries(self) -> list[tuple[float, ClassifiedSimplex]]:
+    def entries(self) -> _Entries:
         if self._entries is None:
-            # what the NamedTuple's constructor does, without a Python call
-            # per simplex: tuple.__new__(ClassifiedSimplex, fields)
-            self._entries = list(zip(self._values.tolist(), map(
-                tuple.__new__, itertools.repeat(ClassifiedSimplex), zip(
-                    self._vertex_lists(), self._touch.tolist(), self._short.tolist()))))
+            self._entries = _Entries(self._values, self._touch, self._short, self._ids, self._rows)
         return self._entries
 
     def _vertex_lists(self):
@@ -146,7 +148,10 @@ class FilteredComplex:
     def __eq__(self, other):
         if not isinstance(other, FilteredComplex):
             return NotImplemented
-        return self.entries == other.entries
+        return (all(np.array_equal(a, b) for a, b in zip(
+                    (self._values, self._dims, self._touch, self._short),
+                    (other._values, other._dims, other._touch, other._short)))
+                and list(self._vertex_lists()) == list(other._vertex_lists()))
 
     def __len__(self) -> int:
         return len(self._values)
@@ -221,6 +226,35 @@ class _Mosaic:
 
     def vertex_tuples(self) -> list[tuple[int, ...]]:
         return _vertex_tuples(self.ids)
+
+
+class _Entries:
+    """The (value, ClassifiedSimplex) pairs of a complex's arrays, in
+    filtration order: a view that makes them afresh on each pass, so its
+    reader alone holds what a pass makes.  It holds the arrays, not the
+    complex, and supports iteration, len and ==, not indexing."""
+
+    __slots__ = ("_values", "_touch", "_short", "_ids", "_rows")
+
+    def __init__(self, values, touch, short, ids, rows):
+        self._values, self._touch, self._short = values, touch, short
+        self._ids, self._rows = ids, rows
+
+    def __iter__(self) -> Iterator[tuple[float, ClassifiedSimplex]]:
+        # what the NamedTuple's constructor does, without a Python call
+        # per simplex: tuple.__new__(ClassifiedSimplex, fields)
+        return zip(self._values.tolist(), map(
+            tuple.__new__, itertools.repeat(ClassifiedSimplex), zip(
+                map(_vertex_tuples(self._ids).__getitem__, self._rows.tolist()),
+                self._touch.tolist(), self._short.tolist())))
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def __eq__(self, other):
+        if not isinstance(other, (_Entries, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
 
 
 def _vertex_tuples(ids: list[np.ndarray]) -> list[tuple[int, ...]]:

@@ -1,7 +1,9 @@
 import dataclasses
+import gc
 import itertools
 import math
 import tracemalloc
+import weakref
 from collections import Counter
 from math import comb
 
@@ -234,8 +236,67 @@ class TestFiltration:
         assert keys == sorted(keys)
 
     def test_equal_entries_compare_equal(self):
+        """A built complex equals its hand-made copy (per-class against
+        per-size blocks); a copy that differs in one value, one vertex id or
+        one class does not."""
         fc = build_filtration(build_3d(2, 0.01))
-        assert fc == FilteredComplex(list(fc.entries))
+        entries = list(fc.entries)
+        assert fc == FilteredComplex(entries)
+        value, cs = entries[-1]
+        assert cs.dim == 3 and cs.vertices[0] > 0
+        # a hand-made complex does not check dim = touch + short + 1, so the
+        # class also changes in touch alone and in short alone
+        changed = [(float(np.nextafter(value, np.inf)), cs),
+                   (value, cs._replace(vertices=(0, *cs.vertices[1:]))),
+                   (value, cs._replace(touch=cs.touch + 1, short=cs.short - 1)),
+                   (value, cs._replace(touch=cs.touch + 1)),
+                   (value, cs._replace(short=cs.short - 1))]
+        for last in changed:
+            other = FilteredComplex(entries[:-1] + [last])
+            assert fc != other and other != fc, last
+
+    def test_entries_view(self):
+        """`entries` is a view: re-iterable, sized, equal to a list of its
+        pairs on either side, accepted where a list of entries is, and not
+        indexable."""
+        fc = build_filtration(build_3d(2, 0.01))
+        view = fc.entries
+        first, second = list(view), list(view)
+        assert exact(first) == exact(second) and first == second
+        assert len(view) == len(fc) == len(first)
+        assert view == first and first == view and view == view
+        assert view != first[:-1] and first[:-1] != view
+        assert view != first[::-1] and first[::-1] != view
+        assert FilteredComplex(view) == fc
+        with pytest.raises(TypeError):
+            view[0]
+
+    def test_hand_made_complex_keeps_no_list(self):
+        entries = list(build_filtration(build_3d(2, 0.01)).entries)
+        fc = FilteredComplex(entries)
+        assert fc.entries == entries
+        mine = (fc, vars(fc), fc.entries)
+        assert not any(r is obj for r in gc.get_referrers(entries) for obj in mine)
+        assert not any(r is obj for r in gc.get_referrers(*entries) for obj in mine)
+
+    def test_complex_and_its_view_make_no_cycle(self):
+        """A complex, its view and what its reading makes are freed by
+        reference counting alone: with the collector off, the complex dies
+        on `del`, and a collection afterwards finds no garbage."""
+        gc.collect()
+        gc.disable()
+        try:
+            ps, fc, thresholds = build_validated("3d", k=1, n=6)
+            pd = homology.reduce(fc)
+            assert homology.betti_at(pd, 1, threshold_after(thresholds, (1, -1))) == 7**2 - 1
+            assert sum(1 for _ in fc.entries) == len(fc)
+            assert fc == fc
+            alive = weakref.ref(fc)
+            del ps, fc, thresholds, pd
+            assert alive() is None
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_coface_below_its_facet_raises(self, monkeypatch):
         # one tetrahedron's radius is set one ulp below its largest facet's:
@@ -656,15 +717,41 @@ class TestArrayBuild:
 def test_3d_300_build_keeps_arrays_only():
     """A built 3d n=300 complex (362,403 simplices) holds its arrays, not
     per-simplex objects: at most 40 MB stays allocated after the build
-    (127 MB when it held a list of entries)."""
+    (127 MB when it held a list of entries), and a pass over its entries
+    keeps at most 5 MB more (101 MB when the view kept the list it made)."""
     tracemalloc.start()
     try:
         built = build_validated("3d", k=1, n=300)
         held = tracemalloc.get_traced_memory()[0] / 1e6
+        census = [0] * 4
+        for _, cs in built[1].entries:
+            census[cs.dim] += 1
+        kept = tracemalloc.get_traced_memory()[0] / 1e6 - held
     finally:
         tracemalloc.stop()
     assert len(built[1]) == 362_403
+    assert census == [602, 91_201, 180_600, 90_000]
     assert held <= 40.0
+    assert kept <= 5.0
+
+
+@pytest.mark.slow
+def test_3d_200_load_keeps_arrays_only(tmp_path):
+    """A loaded 3d n=200 filtration (161,603 simplices) keeps its arrays and
+    face relation, not the entries it was read into: at most 25 MB stays
+    allocated after the load (57 MB when it kept that list)."""
+    path = tmp_path / "filt.txt"
+    fc = build_validated("3d", k=1, n=200)[1]
+    save_filtration(fc, path)
+    del fc
+    tracemalloc.start()
+    try:
+        loaded = load_filtration(path)
+        held = tracemalloc.get_traced_memory()[0] / 1e6
+    finally:
+        tracemalloc.stop()
+    assert len(loaded) == 161_603
+    assert held <= 25.0
 
 
 class TestThresholds:
