@@ -16,17 +16,18 @@ circumradius (Bauer & Edelsbrunner, The Morse theory of Cech and Delaunay
 complexes, 2017).  The build proves this with one circumsphere pass
 (`geometry.circumspheres`) per class, in class order, and raises
 NotCriticalError on the first simplex that fails, computing no later
-class; `criticality_check` runs the same kernel on any point set and
-filtration.  The sort is one stable argsort of the values.  A facet lies
-in an earlier class than its coface, so in an earlier row: a facet tied
-with its coface stays before it, and a facet valued above it raises.
+class; `criticality_check` runs the same kernel, one pass per block, on
+any point set and filtration.  The sort is one stable argsort of the
+values.  A facet lies in an earlier class than its coface, so in an
+earlier row: a facet tied with its coface stays before it, and a facet
+valued above it raises.
 
-A FilteredComplex has one form, arrays in filtration order: a built one
-keeps the build's and makes no Python object per simplex, and one made
-from a list of entries, loaded or hand-made, converts the list once and
-keeps none of it.  Its (value, ClassifiedSimplex) entries are a re-iterable
-view of the arrays that makes its pairs on each pass and keeps none; it
-supports iteration, len and ==, not indexing.
+A FilteredComplex is made from arrays in filtration order and is nothing
+else: a built one keeps the build's and makes no Python object per
+simplex, and a loaded one is read line by line into flat arrays, with no
+list of simplices.  Its (value, ClassifiedSimplex) entries are a
+re-iterable view of the arrays that makes its pairs on each pass and keeps
+none; it supports iteration, len and ==, not indexing.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from collections.abc import Iterable, Iterator
+from array import array
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -42,7 +44,7 @@ import numpy as np
 
 from . import construct, homology
 from .construct import PointSet, KIND_EVEN
-from .geometry import _group_by_size, circumspheres, degeneracy_reason
+from .geometry import circumspheres, degeneracy_reason
 # only the benchmark's trace reads these
 from .geometry import barycentric_interior, circumsphere, is_empty_sphere, min_enclosing_ball
 
@@ -106,31 +108,23 @@ class ClassifiedSimplex(NamedTuple):
 
 
 class FilteredComplex:
-    """Radius-sorted (value, simplex) entries, closed under faces, with every
-    face preceding its cofaces; equal when their entries are.
+    """Radius-sorted simplices, closed under faces, with every face
+    preceding its cofaces; equal when their values, classes and vertex
+    lists are, in order.
 
-    A complex is its arrays in filtration order, however it was made:
-    values, touch, short, and vertex-id blocks of one size each, position
-    i being row `rows[i]` of the blocks read one after another (dims are
-    the block sizes less one).  A built one's blocks are its classes in
+    A complex is made from its arrays in filtration order and keeps them:
+    `values`, `touch`, `short`, and `ids`, vertex-id blocks of one size
+    each, position i being row `rows[i]` of the blocks read one after
+    another (dims are the block sizes less one).  `faces` is the face
+    relation (see `faces()`); when it is not given, `homology.face_array`
+    computes it on first use.  A built complex's blocks are its classes in
     order, and it comes with its face relation and every simplex critical;
-    one made from entries, loaded or hand-made, has a block per size, keeps
-    no reference to the entries given, and gets its face relation from
-    `homology.face_array` on first use.  `entries` is a re-iterable view of
+    a loaded one has a block per size.  `entries` is a re-iterable view of
     the arrays, made on first read and kept; each pass makes its pairs
     afresh and keeps none.
     """
 
-    def __init__(self, entries: Iterable[tuple[float, ClassifiedSimplex]]):
-        # read three times: a list of entries or an `entries` view
-        groups = _group_by_size([cs.vertices for _, cs in entries])
-        # each position's row: the inverse of the positions taken block by block
-        rows = np.argsort(np.concatenate([np.empty(0, np.intp), *(g for g, _ in groups)]))
-        touch, short = np.array([cs.cls for _, cs in entries], dtype=np.intp).reshape(-1, 2).T
-        self._set_arrays(np.array([value for value, _ in entries], dtype=float), touch, short,
-                         [block for _, block in groups], rows, None)
-
-    def _set_arrays(self, values, touch, short, ids, rows, faces):
+    def __init__(self, values, touch, short, ids, rows, faces=None):
         sizes = np.repeat(np.array([b.shape[1] for b in ids], dtype=np.intp), [len(b) for b in ids])
         self._values, self._touch, self._short = values, touch, short
         self._ids, self._rows, self._dims = ids, rows, sizes[rows] - 1
@@ -365,7 +359,7 @@ def build_filtration(ps: PointSet) -> FilteredComplex:
     m = _mosaic(ps)
     values = np.empty(len(m.touch))
     for block, (lo, hi) in zip(m.ids, m.blocks):
-        batch = circumspheres(ps, [block])
+        batch = circumspheres(ps, block)
         bad = np.flatnonzero(~batch.critical)
         if len(bad):
             raise _not_critical(ps, tuple(block[bad[0]].tolist()), batch, bad[0])
@@ -384,9 +378,7 @@ def build_filtration(ps: PointSet) -> FilteredComplex:
         verts = m.vertex_tuples()
         raise NotCriticalError(verts[row], reason=f"radius {values[row]!r} is below "
                                f"its facet {verts[facet]}'s {values[facet]!r}")
-    fc = FilteredComplex.__new__(FilteredComplex)
-    fc._set_arrays(values[order], m.touch[order], m.short[order], m.ids, order, faces)
-    return fc
+    return FilteredComplex(values[order], m.touch[order], m.short[order], m.ids, order, faces)
 
 
 @dataclass(frozen=True)
@@ -435,14 +427,18 @@ def criticality_check(ps: PointSet, fc: FilteredComplex) -> CriticalityReport:
     """Check every simplex for the two criticality conditions: circumcenter
     in the simplex interior, and strict emptiness of the circumsphere.
     Failures are data, not errors, in filtration order, each with its
-    reason from one batched pass (see `_not_critical`).  The spheres are
+    reason from its block's pass (see `_not_critical`).  The spheres are
     always computed afresh; a filtration from `build_filtration` passes."""
     ids, rows = fc.blocks()
-    batch = circumspheres(ps, ids)
-    bad = rows[~batch.critical[rows]].tolist()
-    verts = _vertex_tuples(ids) if bad else []
-    errors = [_not_critical(ps, verts[row], batch, row) for row in bad]
-    return CriticalityReport([(err.simplex, err.reason) for err in errors])
+    failures, start = {}, 0
+    for block in ids:
+        batch = circumspheres(ps, block)
+        for i in np.flatnonzero(~batch.critical).tolist():
+            err = _not_critical(ps, tuple(block[i].tolist()), batch, i)
+            failures[start + i] = (err.simplex, err.reason)
+        start += len(block)
+    bad = rows[np.isin(rows, list(failures))].tolist()  # in filtration order
+    return CriticalityReport([failures[row] for row in bad])
 
 
 def _not_critical(ps: PointSet, verts: tuple[int, ...], batch, i: int) -> NotCriticalError:
@@ -471,21 +467,31 @@ def save_filtration(fc: FilteredComplex, path) -> None:
 
 
 def load_filtration(path) -> FilteredComplex:
-    """Read a `save_filtration` file, checked for what a build guarantees.
-    A line whose field count is not dim + 5, whose dim is negative or not
-    touch + short + 1, whose value is not finite or below the line before,
-    or whose vertex ids do not ascend strictly raises ValueError naming the
-    path and the line; a file not face-closed raises naming the path."""
-    entries = []
+    """Read a `save_filtration` file, checked for what a build guarantees,
+    into flat arrays with a vertex-id block per size; no list of simplices
+    is made.  A line whose field count is not dim + 5, whose dim is
+    negative or not touch + short + 1, whose class is not
+    -1 <= short <= touch, whose value is not finite or below the line
+    before, or whose vertex ids do not ascend strictly raises ValueError
+    naming the path and the line; a file not face-closed, or one that
+    repeats a simplex, raises naming the path."""
+    values, heads, ids = array("d"), array("q"), {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             parts = line.split()
             if parts:
                 try:
-                    entries.append(_entry(parts, entries[-1][0] if entries else -math.inf))
+                    value, verts, touch, short = _entry(parts, values[-1] if values else -math.inf)
                 except ValueError as exc:
                     raise ValueError(f"{path}, line {lineno}: {exc}") from None
-    fc = FilteredComplex(entries)
+                values.append(value)
+                heads.extend((len(verts), touch, short))
+                ids.setdefault(len(verts), array("q")).extend(verts)
+    sizes, touch, short = (np.array(heads[i::3], dtype=np.intp) for i in range(3))
+    rows = np.empty_like(sizes)  # each position's row: the inverse of a stable sort by size
+    rows[np.argsort(sizes, kind="stable")] = np.arange(len(sizes))
+    blocks = [np.array(ids[m], dtype=np.intp).reshape(-1, m) for m in sorted(ids)]
+    fc = FilteredComplex(np.array(values, dtype=float), touch, short, blocks, rows)
     try:
         fc.faces()
     except ValueError as exc:
@@ -493,9 +499,9 @@ def load_filtration(path) -> FilteredComplex:
     return fc
 
 
-def _entry(parts: list[str], previous: float) -> tuple[float, ClassifiedSimplex]:
-    """One line of the filtration file format, checked against itself and
-    the value of the line before."""
+def _entry(parts: list[str], previous: float) -> tuple[float, list[int], int, int]:
+    """(value, vertex ids, touch, short) of one line of the filtration file
+    format, checked against itself and the value of the line before."""
     dim = int(parts[1]) if len(parts) > 1 else 0
     if dim < 0:
         raise ValueError(f"dimension {dim} is negative")
@@ -509,6 +515,8 @@ def _entry(parts: list[str], previous: float) -> tuple[float, ClassifiedSimplex]
     *verts, touch, short = map(int, parts[2:])
     if touch + short + 1 != dim:
         raise ValueError(f"class ({touch}, {short}) gives dim {touch + short + 1}, not {dim}")
+    if not -1 <= short <= touch:
+        raise ValueError(f"class ({touch}, {short}) is not -1 <= short <= touch")
     if any(a >= b for a, b in zip(verts, verts[1:])):
         raise ValueError(f"vertex ids {' '.join(map(str, verts))} are not strictly ascending")
-    return value, ClassifiedSimplex(tuple(verts), touch, short)
+    return value, verts, touch, short

@@ -3,8 +3,9 @@
 Distances, smallest enclosing balls, circumspheres, barycentric
 interiority and the strict empty-sphere test, all in 64-bit arithmetic with
 fixed tolerances.  Every circumsphere, `circumsphere`'s one included, comes
-from one batched kernel, which gives each simplex's center, radius,
-degeneracy, interiority and first point inside; its emptiness test,
+from one batched kernel, `circumspheres`, which takes one block of vertex
+ids of one size and gives each row's center, radius, degeneracy,
+interiority and first point inside, in row order.  Its emptiness test,
 `_first_inside`, is the only one, and `is_empty_sphere` is its one-row
 case.  The kernel puts filters in front of two of its tests, as in
 Shewchuk's filtered predicates (Adaptive precision floating-point
@@ -32,7 +33,6 @@ a hit returns what the same boundary bytes gave on the miss.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import threading
 from dataclasses import dataclass
@@ -218,7 +218,7 @@ def circumsphere(points) -> Sphere:
     the one-row case of `circumspheres`, bit for bit.  Degenerate input is
     rejected with AffineDegeneracyError (see `degeneracy_reason`)."""
     pts = _as_matrix(points)
-    batch = circumspheres(pts, [np.arange(len(pts))[None]])
+    batch = circumspheres(pts, np.arange(len(pts))[None])
     if batch.degenerate[0]:
         raise AffineDegeneracyError(degeneracy_reason(pts))
     return Sphere(batch.center[0], float(batch.radius[0]))
@@ -246,7 +246,7 @@ EPS = float(np.finfo(float).eps)
 
 @dataclass(frozen=True, eq=False)
 class SphereBatch:
-    """Per-simplex circumsphere data from `circumspheres`, in input order.
+    """Per-simplex circumsphere data of one block, in its row order.
 
     center (b, d) is the circumcenter and radius its largest vertex
     distance; interior says every barycentric coordinate of the center
@@ -254,8 +254,9 @@ class SphereBatch:
     the simplex's own vertices that is not strictly outside the sphere, its
     squared distance to the center, summed over the differences, below
     radius^2 + abs_eps, or -1.  degenerate is the SVD test of
-    `_degenerate` or a Gram system the solve finds singular; there center
-    and radius are nan, interior is False and offender is -1.
+    `_degenerate`, a Gram system the solve finds singular, or a block of
+    no ids or of more than d+1 ids; there center and radius are nan,
+    interior is False and offender is -1.
     """
 
     center: np.ndarray
@@ -275,65 +276,25 @@ class SphereBatch:
         return self.interior & self.empty
 
 
-def circumspheres(points, simplices) -> SphereBatch:
-    """Circumspheres of many simplices of one point set at once.
+def circumspheres(points, idx) -> SphereBatch:
+    """Circumspheres of the b simplices of one size m whose vertex ids are
+    the rows of the (b, m) int block `idx`, in row order.
 
-    `points` may be a PointSet or a coordinate array.  `simplices` is a
-    sequence of vertex-index tuples of any sizes, or a sequence of (b, m)
-    int arrays, each a block of b simplices of size m, whose rows are taken
-    in order.  Tuples are first grouped by size; each group or block then
-    goes through one kernel, `_sphere_block`.  A single group, one block
-    or tuples of one size, is returned as the kernel computed it; several
-    are scattered into arrays in input order.  The interior test is
+    `points` may be a PointSet or a coordinate array.  The Gram systems are
+    solved in one stacked call, and their solution coefficients are the
+    barycentric coordinates of the circumcenter.  The interior test is
     `barycentric_interior`'s, with the same tolerance, and the emptiness
     test `_first_inside`, which `is_empty_sphere` runs on one sphere; the
-    filters of `_degenerate` and `_first_inside` change no verdict.  An
-    empty simplex or one of more than d+1 points is reported degenerate.
+    filters of `_degenerate` and `_first_inside` change no verdict.  A
+    block of empty simplices or of more than d+1 points comes back all
+    degenerate; simplices of several sizes take a block, and a call, each.
     """
     pts = np.asarray(getattr(points, "points", points), dtype=float)
-    if len(simplices) and all(np.ndim(block) == 2 for block in simplices):
-        ends = np.cumsum([len(block) for block in simplices]).tolist()
-        groups = [(slice(end - len(block), end), np.asarray(block, dtype=np.intp))
-                  for end, block in zip(ends, simplices)]
-        count = ends[-1]
-    else:
-        groups = _group_by_size(simplices)
-        count = len(simplices)
-    sq = np.einsum("ij,ij->i", pts, pts)
-    if len(groups) == 1 and 1 <= groups[0][1].shape[1] <= pts.shape[1] + 1:
-        return SphereBatch(*_sphere_block(pts, sq, groups[0][1]))
-    center = np.full((count, pts.shape[1]), np.nan)
-    radius = np.full(count, np.nan)
-    degenerate = np.ones(count, dtype=bool)
-    interior = np.zeros(count, dtype=bool)
-    offender = np.full(count, -1, dtype=np.intp)
-    for rows, idx in groups:
-        if 1 <= idx.shape[1] <= pts.shape[1] + 1:
-            (center[rows], radius[rows], degenerate[rows], interior[rows],
-             offender[rows]) = _sphere_block(pts, sq, idx)
-    return SphereBatch(center, radius, degenerate, interior, offender)
-
-
-def _group_by_size(simplices) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(rows, (b, m) vertex ids) per simplex size m, for vertex tuples."""
-    sizes = np.fromiter(map(len, simplices), dtype=np.intp, count=len(simplices))
-    flat = np.fromiter(itertools.chain.from_iterable(simplices), dtype=np.intp,
-                       count=int(sizes.sum()))
-    starts = np.cumsum(sizes) - sizes
-    groups = []
-    for m in np.flatnonzero(np.bincount(sizes)).tolist():
-        rows = np.flatnonzero(sizes == m)
-        groups.append((rows, flat[starts[rows, None] + np.arange(m)]))
-    return groups
-
-
-def _sphere_block(pts: np.ndarray, sq: np.ndarray, idx: np.ndarray):
-    """center, radius, degenerate, interior and offender of the b simplices
-    of size m (1 <= m <= d+1) whose vertex ids are the rows of `idx`; `sq`
-    holds the squared norms of `pts`.  The Gram systems are solved in one
-    stacked call; the solution coefficients are the barycentric coordinates
-    of the circumcenter."""
-    b, m = idx.shape
+    idx = np.asarray(idx, dtype=np.intp)
+    (b, m), d = idx.shape, pts.shape[1]
+    if not 1 <= m <= d + 1:
+        return SphereBatch(np.full((b, d), np.nan), np.full(b, np.nan), np.ones(b, dtype=bool),
+                           np.zeros(b, dtype=bool), np.full(b, -1, dtype=np.intp))
     verts = np.take(pts, idx, axis=0)  # pts[idx], without the slower row indexing
     if m == 1:
         deg = np.zeros(b, dtype=bool)
@@ -351,9 +312,10 @@ def _sphere_block(pts: np.ndarray, sq: np.ndarray, idx: np.ndarray):
         total, lowest = _row_sums(alpha), functools.reduce(np.minimum, alpha.T)
         interior_eps = DEFAULT_TOL.interior_eps
         inside = (1.0 - total > interior_eps) & (lowest > interior_eps) & ~deg
+    sq = np.einsum("ij,ij->i", pts, pts)
     offender = _first_inside(pts, sq, idx, center, r2 + DEFAULT_TOL.abs_eps)
     center[deg], r2[deg], offender[deg] = np.nan, np.nan, -1
-    return center, np.sqrt(r2), deg, inside, offender
+    return SphereBatch(center, np.sqrt(r2), deg, inside, offender)
 
 
 def _row_sums(a: np.ndarray) -> np.ndarray:

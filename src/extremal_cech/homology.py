@@ -47,7 +47,8 @@ def boundary_columns(simplices) -> list[list[int]]:
     """The face relation of a face-closed list of vertex tuples in which
     every facet precedes its cofaces: per simplex, the ascending positions
     of its facets in the list (empty for a vertex).  Raises ValueError when
-    a facet is missing or comes later than its coface."""
+    a facet is missing or comes later than its coface, or when a simplex
+    is listed twice."""
     index: dict[tuple[int, ...], int] = {}
     columns = []
     for pos, verts in enumerate(simplices):
@@ -61,7 +62,8 @@ def boundary_columns(simplices) -> list[list[int]]:
                 rows.append(fpos)
             rows.sort()
         columns.append(rows)
-        index[verts] = pos
+        if index.setdefault(verts, pos) != pos:
+            raise ValueError(f"filtration repeats simplex {verts}")
     return columns
 
 

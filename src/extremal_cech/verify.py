@@ -386,33 +386,28 @@ def _slope_claim(claim_id, params, xs, errs, threshold) -> ClaimResult:
 # convergence of the second-order radius expansions
 
 
-def _facet_distances(points: np.ndarray, blocks, centers: np.ndarray) -> list:
-    """Per simplex of two or more vertices, (h2, dist2): the squared
-    distance of each vertex, and of the simplex's center, to the affine hull
-    of the facet opposite that vertex; None for a vertex.  One batch per
-    (rows, size) vertex-id block, rows in block order as in `centers`, and
-    dropped vertex: a stacked QR of the facet's edge vectors gives each
-    distance as the residual of a projection, as `affine_distance` does by
-    least squares.  The closed forms from the Gram inverse of the simplex's
-    own edges cancel catastrophically where those edges are nearly
-    parallel."""
-    out = []
-    for block in blocks:
-        m = block.shape[1]
-        if m < 2:
-            out += [None] * len(block)
-            continue
-        verts, center = points[block], centers[len(out):len(out) + len(block)]
-        h2, dist2 = np.empty((len(block), m)), np.empty((len(block), m))
-        for drop in range(m):
-            rest = np.delete(verts, drop, axis=1)
-            q, _ = np.linalg.qr((rest[:, 1:] - rest[:, :1]).transpose(0, 2, 1))
-            for out_col, x in ((h2, verts[:, drop]), (dist2, center)):
-                y = x - rest[:, 0]
-                resid = y - np.einsum("bij,bkj,bk->bi", q, q, y)
-                out_col[:, drop] = np.einsum("bi,bi->b", resid, resid)
-        out += zip(h2.tolist(), dist2.tolist())
-    return out
+def _facet_distances(points: np.ndarray, block: np.ndarray, centers: np.ndarray) -> list:
+    """Per simplex of a (b, m) vertex-id block with circumcenters
+    `centers`: for m >= 2, (h2, dist2), the squared distance of each
+    vertex, and of the simplex's center, to the affine hull of the facet
+    opposite that vertex; None for a vertex.  One batch per dropped vertex:
+    a stacked QR of the facet's edge vectors gives each distance as the
+    residual of a projection, as `affine_distance` does by least squares.
+    The closed forms from the Gram inverse of the simplex's own edges
+    cancel catastrophically where those edges are nearly parallel."""
+    m = block.shape[1]
+    if m < 2:
+        return [None] * len(block)
+    verts = points[block]
+    h2, dist2 = np.empty((len(block), m)), np.empty((len(block), m))
+    for drop in range(m):
+        rest = np.delete(verts, drop, axis=1)
+        q, _ = np.linalg.qr((rest[:, 1:] - rest[:, :1]).transpose(0, 2, 1))
+        for out_col, x in ((h2, verts[:, drop]), (dist2, centers)):
+            y = x - rest[:, 0]
+            resid = y - np.einsum("bij,bkj,bk->bi", q, q, y)
+            out_col[:, drop] = np.einsum("bi,bi->b", resid, resid)
+    return list(zip(h2.tolist(), dist2.tolist()))
 
 
 def _hypothesis_errors(ps: PointSet, fc):
@@ -431,13 +426,15 @@ def _hypothesis_errors(ps: PointSet, fc):
     blocks, rows = fc.blocks()  # every list below is in block row order
     touch, short = (a[np.argsort(rows)].tolist() for a in fc.classes())
     circle = ps.labels[:, 0].tolist()
-    batch = circumspheres(ps, blocks)
-    if batch.degenerate.any():
-        raise AffineDegeneracyError("points are affinely dependent beyond tolerance")
-    facets = _facet_distances(ps.points, blocks, batch.center)
+    radii, facets = [], []
+    for block in blocks:
+        batch = circumspheres(ps, block)
+        if batch.degenerate.any():
+            raise AffineDegeneracyError("points are affinely dependent beyond tolerance")
+        radii += batch.radius.tolist()
+        facets += _facet_distances(ps.points, block, batch.center)
     verts = complexgen._vertex_tuples(blocks)
-    for vertices, ell, j, radius, distances in zip(verts, touch, short,
-                                                    batch.radius.tolist(), facets):
+    for vertices, ell, j, radius, distances in zip(verts, touch, short, radii, facets):
         cls = (ell, j)
         r_ell2 = construct.regular_simplex_circumradius_sq(ell)
         bump("radius", cls, abs(radius**2 - r_ell2 - (j + 1) * eps2 / (ell + 1) ** 2))

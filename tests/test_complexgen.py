@@ -13,7 +13,6 @@ import pytest
 from extremal_cech import complexgen, geometry, homology
 from extremal_cech.complexgen import (
     ClassifiedSimplex,
-    FilteredComplex,
     NotCriticalError,
     OverlapError,
     build_filtration,
@@ -34,7 +33,7 @@ from extremal_cech.geometry import (
     min_enclosing_ball,
 )
 
-from conftest import cached_pipeline, mosaic_complex
+from conftest import cached_pipeline, circumspheres_in_order, hand_made, mosaic_complex
 from test_acceptance import ACCEPTED
 from test_spheres import bits, reference_circumspheres
 
@@ -192,7 +191,7 @@ class TestRadiusValue:
         ps = cached_pipeline("odd", 2, 2)[0]
         m = complexgen._mosaic(ps)
         values = [radius_value(ps, v) for v in m.vertex_tuples()]
-        assert bits(values) == bits(circumspheres(ps, m.ids).radius)
+        assert bits(values) == bits(circumspheres_in_order(ps, m.ids).radius)
 
     def test_not_critical_raises_the_builds_error(self):
         ps = build_3d(10, 0.5)
@@ -241,7 +240,7 @@ class TestFiltration:
         one class does not."""
         fc = build_filtration(build_3d(2, 0.01))
         entries = list(fc.entries)
-        assert fc == FilteredComplex(entries)
+        assert fc == hand_made(entries)
         value, cs = entries[-1]
         assert cs.dim == 3 and cs.vertices[0] > 0
         # a hand-made complex does not check dim = touch + short + 1, so the
@@ -252,13 +251,13 @@ class TestFiltration:
                    (value, cs._replace(touch=cs.touch + 1)),
                    (value, cs._replace(short=cs.short - 1))]
         for last in changed:
-            other = FilteredComplex(entries[:-1] + [last])
+            other = hand_made(entries[:-1] + [last])
             assert fc != other and other != fc, last
 
     def test_entries_view(self):
         """`entries` is a view: re-iterable, sized, equal to a list of its
-        pairs on either side, accepted where a list of entries is, and not
-        indexable."""
+        pairs on either side, accepted by `hand_made` as a list of entries
+        is, and not indexable."""
         fc = build_filtration(build_3d(2, 0.01))
         view = fc.entries
         first, second = list(view), list(view)
@@ -267,13 +266,13 @@ class TestFiltration:
         assert view == first and first == view and view == view
         assert view != first[:-1] and first[:-1] != view
         assert view != first[::-1] and first[::-1] != view
-        assert FilteredComplex(view) == fc
+        assert hand_made(view) == fc
         with pytest.raises(TypeError):
             view[0]
 
     def test_hand_made_complex_keeps_no_list(self):
         entries = list(build_filtration(build_3d(2, 0.01)).entries)
-        fc = FilteredComplex(entries)
+        fc = hand_made(entries)
         assert fc.entries == entries
         mine = (fc, vars(fc), fc.entries)
         assert not any(r is obj for r in gc.get_referrers(entries) for obj in mine)
@@ -307,9 +306,8 @@ class TestFiltration:
         low = np.nextafter(circumspheres(ps, facets).radius.max(), 0.0)
         batched = complexgen.circumspheres
 
-        def one_ulp_low(ps, blocks):
-            batch = batched(ps, blocks)
-            (block,) = blocks
+        def one_ulp_low(ps, block):
+            batch = batched(ps, block)
             if block.shape[1] == len(tet):
                 batch.radius[(block == tet).all(axis=1)] = low
             return batch
@@ -373,6 +371,10 @@ class TestFiltration:
         ("nan 0 3 0 -1", "value nan is not finite"),
         ("inf 1 3 4 1 -1", "value inf is not finite"),
         ("0.5 1 3 4 5 7", "class (5, 7) gives dim 13, not 1"),
+        # touch + short + 1 is the dim, but class_ranges would fold a short
+        # below -1 into another class
+        ("0.5 0 3 2 -3", "class (2, -3) is not -1 <= short <= touch"),
+        ("0.5 1 3 4 -1 1", "class (-1, 1) is not -1 <= short <= touch"),
         ("0.5 1 4 3 0 0", "vertex ids 4 3 are not strictly ascending"),
         ("0.5 1 3 3 0 0", "vertex ids 3 3 are not strictly ascending"),
         ("-0.5 0 4 0 -1", "value -0.5 is below the previous line's 0.0"),
@@ -385,22 +387,28 @@ class TestFiltration:
         assert str(err.value) == f"{path}, line 3: {reason}"
 
     @pytest.mark.parametrize("lines,reason", [
-        (["0 0 3 0 -1", "0.5 1 3 4 1 -1"], "facet (4,) missing before (3, 4)"),
-        (["0 0 3 0 -1", "0.5 1 3 4 1 -1", "0.5 0 4 0 -1"], "facet (4,) missing before (3, 4)"),
-    ], ids=["missing", "late"])
+        (["0 0 3 0 -1", "0.5 1 3 4 1 -1"],
+         "filtration not closed/sorted: facet (4,) missing before (3, 4)"),
+        (["0 0 3 0 -1", "0.5 1 3 4 1 -1", "0.5 0 4 0 -1"],
+         "filtration not closed/sorted: facet (4,) missing before (3, 4)"),
+        # a repeated simplex would be indexed at its second copy and paired
+        (["0 0 3 0 -1", "0 0 3 0 -1"], "filtration repeats simplex (3,)"),
+        (["0 0 3 0 -1", "0 0 4 0 -1", "0.5 1 3 4 1 -1", "0.5 1 3 4 1 -1"],
+         "filtration repeats simplex (3, 4)"),
+    ], ids=["missing", "late", "repeated-vertex", "repeated-edge"])
     def test_load_rejects_files_not_face_closed(self, tmp_path, lines, reason):
         path = tmp_path / "filt.txt"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError) as err:
             load_filtration(path)
-        assert str(err.value) == f"{path}: filtration not closed/sorted: {reason}"
+        assert str(err.value) == f"{path}: {reason}"
 
     def test_empty_complex(self, tmp_path):
         """An empty complex, hand-made or loaded from an empty file, has no
         simplices, classes, thresholds or pairs, and beta_0 = 0."""
         path = tmp_path / "empty.txt"
         path.write_text("")
-        for fc in (FilteredComplex([]), load_filtration(path)):
+        for fc in (hand_made([]), load_filtration(path)):
             assert len(fc) == 0
             assert fc.class_ranges() == {}
             assert pick_thresholds(fc) == []
@@ -437,8 +445,8 @@ def welzl_filtration(simplices, radii):
             value = max(value, max(by_verts[f]
                                    for f in itertools.combinations(cs.vertices, cs.dim)))
         by_verts[cs.vertices] = value
-    return FilteredComplex(sorted(((by_verts[cs.vertices], cs) for cs in simplices),
-                                  key=lambda e: (e[0], e[1].dim, e[1].vertices)))
+    return hand_made(sorted(((by_verts[cs.vertices], cs) for cs in simplices),
+                            key=lambda e: (e[0], e[1].dim, e[1].vertices)))
 
 
 def diagram_multiset(pd):
@@ -473,7 +481,7 @@ class TestBatchedSpheres:
     def test_radii_match_welzl(self, kind, k, n):
         ps, _, _, pd = cached_pipeline(kind, k, n)
         simplices = complexgen.enumerate_mosaic(ps)
-        batched = circumspheres(ps, [cs.vertices for cs in simplices]).radius
+        batched = circumspheres_in_order(ps, [cs.vertices for cs in simplices]).radius
         welzl = np.array([min_enclosing_ball(ps.points[list(cs.vertices)]).radius
                           for cs in simplices])
         assert np.all(np.abs(batched - welzl) <= 8 * np.spacing(welzl))
@@ -486,7 +494,7 @@ class TestBatchedSpheres:
         verts = [cs.vertices for _, cs in fc.entries]
         for shift in range(4):  # each predicate, under every vertex order
             rotated = [v[shift % len(v):] + v[:shift % len(v)] for v in verts]
-            batch = circumspheres(ps, rotated)
+            batch = circumspheres_in_order(ps, rotated)
             assert list(zip(batch.interior, batch.empty)) == [
                 scalar_predicates(ps, v) for v in rotated]
         failures = criticality_check(ps, fc).failures
@@ -500,10 +508,10 @@ class TestBatchedSpheres:
         odd_ones = [(0, 1, 2), (0, 1, 4, 5, 6)]
         good = [cs.vertices for cs in complexgen.enumerate_mosaic(base)
                 if cs.dim == 3 and 2 not in cs.vertices]
-        batch = circumspheres(ps, odd_ones + good)
+        batch = circumspheres_in_order(ps, odd_ones + good)
         assert list(batch.degenerate) == [True, True] + [False] * len(good)
         assert np.all(np.isnan(batch.radius[:2]))
-        fc = FilteredComplex([(0.0, ClassifiedSimplex(v, 1, 1)) for v in odd_ones + good])
+        fc = hand_made([(0.0, ClassifiedSimplex(v, 1, 1)) for v in odd_ones + good])
         failures = criticality_check(ps, fc).failures
         assert failures[:2] == [
             ((0, 1, 2), "degenerate circumsphere: points are affinely dependent beyond tolerance"),
@@ -514,13 +522,13 @@ class TestBatchedSpheres:
 
 def sphere_calls(monkeypatch):
     """Record, per call of `circumspheres` from `complexgen`, the vertex
-    tuples of the rows passed, in order."""
+    tuples of the block's rows, in order."""
     batched = complexgen.circumspheres
     calls = []
 
-    def counting(ps, blocks):
-        calls.append([tuple(row) for block in blocks for row in np.asarray(block).tolist()])
-        return batched(ps, blocks)
+    def counting(ps, block):
+        calls.append([tuple(row) for row in np.asarray(block).tolist()])
+        return batched(ps, block)
 
     monkeypatch.setattr(complexgen, "circumspheres", counting)
     return calls
@@ -537,8 +545,8 @@ class TestSinglePass:
 
     def test_failures_come_from_the_one_pass(self, monkeypatch):
         # a failing build sees each row of the classes up to its failing one
-        # once, and a check each row of the mosaic once; the scalar sphere
-        # functions are never reached
+        # once, and a check each row of the mosaic once, a block a call; the
+        # scalar sphere functions are never reached
         def scalar(*args, **kwargs):
             raise AssertionError("scalar sphere function called")
 
@@ -553,8 +561,10 @@ class TestSinglePass:
         built = sum(calls, [])
         assert built == verts[:len(built)]
         calls.clear()
-        assert not criticality_check(ps, mosaic_complex(ps)).ok
-        assert len(calls) == 1 and sorted(calls[0]) == sorted(verts)
+        fc = mosaic_complex(ps)
+        assert not criticality_check(ps, fc).ok
+        assert [len(rows) for rows in calls] == [len(block) for block in fc.blocks()[0]]
+        assert sorted(sum(calls, [])) == sorted(verts)
 
     def test_failing_build_computes_no_later_class(self, monkeypatch):
         # 3d n=10 at delta 0.5 fails at (0, 11) in class (1, -1): the pass
@@ -582,7 +592,7 @@ class TestSinglePass:
     @staticmethod
     def fresh_check(ps, fc):
         """The check on a hand-made filtration with the same entries."""
-        return criticality_check(ps, FilteredComplex(fc.entries))
+        return criticality_check(ps, hand_made(fc.entries))
 
     def test_failing_build_reports_as_fresh_check(self):
         # the build raises the check's first failure in enumeration order
@@ -610,7 +620,7 @@ def reference_build(ps):
     simplices = even_reference(ps) if ps.kind == "even" else face_closure_odd(ps)
     verts = [cs.vertices for cs in simplices]
     columns = homology.boundary_columns(verts)
-    batch = circumspheres(ps, verts)
+    batch = circumspheres_in_order(ps, verts)
     assert batch.critical.all()
     values = batch.radius.tolist()
     for j, rows in enumerate(columns):
@@ -652,14 +662,14 @@ class TestArrayBuild:
         fc = build_filtration(ps)
         entries = reference_build(ps)
         assert exact(fc.entries) == exact(entries)
-        assert fc.class_ranges() == FilteredComplex(entries).class_ranges()
+        assert fc.class_ranges() == hand_made(entries).class_ranges()
 
     @pytest.mark.parametrize("kind,k,n", ACCEPTED)
     def test_values_are_the_circumradii(self, kind, k, n):
         # no value is rewritten: each is its simplex's radius from the pass
         ps, fc = cached_pipeline(kind, k, n)[:2]
         ids, rows = fc.blocks()
-        assert bits(fc.values()) == bits(circumspheres(ps, ids).radius[rows])
+        assert bits(fc.values()) == bits(circumspheres_in_order(ps, ids).radius[rows])
 
     @pytest.mark.parametrize("kind,k,n", ACCEPTED)
     def test_lazy_entries_match_eager_ones(self, kind, k, n):
@@ -668,7 +678,7 @@ class TestArrayBuild:
         over boundary_columns and a stable sort by value."""
         ps = cached_pipeline(kind, k, n)[0]
         simplices = enumerate_mosaic(ps)
-        values = circumspheres(ps, [cs.vertices for cs in simplices]).radius.tolist()
+        values = circumspheres_in_order(ps, [cs.vertices for cs in simplices]).radius.tolist()
         for j, rows in enumerate(homology.boundary_columns([cs.vertices for cs in simplices])):
             values[j] = max([values[j]] + [values[r] for r in rows])
         order = sorted(range(len(simplices)), key=values.__getitem__)
@@ -683,16 +693,16 @@ class TestArrayBuild:
             assert {type(v) for verts in vertex_lists for v in verts} == {int}
             assert {type(verts) for verts in vertex_lists} == {tuple}
         assert fc.entries is fc.entries
-        hand_made = FilteredComplex(eager)
-        assert fc == hand_made
+        made = hand_made(eager)
+        assert fc == made
         # the same arrays, class ranges and diagram, bit for bit, and the
         # same face relation, whose rows list the facets in another order
         for read in ("values", "dims", "classes", "max_dim", "class_ranges", "as_filtration"):
-            assert hexed(getattr(hand_made, read)()) == hexed(getattr(fc, read)()), read
-        assert bits(np.sort(hand_made.faces(), axis=1)) == bits(np.sort(fc.faces(), axis=1))
+            assert hexed(getattr(made, read)()) == hexed(getattr(fc, read)()), read
+        assert bits(np.sort(made.faces(), axis=1)) == bits(np.sort(fc.faces(), axis=1))
         for reduced in (True, False):
-            built, made = homology.reduce(fc, reduced), homology.reduce(hand_made, reduced)
-            assert hexed(made.pairs) == hexed(built.pairs) and made == built
+            built, pd = homology.reduce(fc, reduced), homology.reduce(made, reduced)
+            assert hexed(pd.pairs) == hexed(built.pairs) and pd == built
 
     def test_built_complex_is_read_without_entries(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -737,9 +747,11 @@ def test_3d_300_build_keeps_arrays_only():
 
 @pytest.mark.slow
 def test_3d_200_load_keeps_arrays_only(tmp_path):
-    """A loaded 3d n=200 filtration (161,603 simplices) keeps its arrays and
-    face relation, not the entries it was read into: at most 25 MB stays
-    allocated after the load (57 MB when it kept that list)."""
+    """A loaded 3d n=200 filtration (161,603 simplices) is read into flat
+    arrays and keeps them and its face relation: at most 25 MB stays
+    allocated after the load (57 MB when it kept a list of entries), and
+    the load peaks at most at 90 MB (102 MB when it read the file into a
+    list of entries first)."""
     path = tmp_path / "filt.txt"
     fc = build_validated("3d", k=1, n=200)[1]
     save_filtration(fc, path)
@@ -747,11 +759,12 @@ def test_3d_200_load_keeps_arrays_only(tmp_path):
     tracemalloc.start()
     try:
         loaded = load_filtration(path)
-        held = tracemalloc.get_traced_memory()[0] / 1e6
+        held, peak = (size / 1e6 for size in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
     assert len(loaded) == 161_603
     assert held <= 25.0
+    assert peak <= 90.0
 
 
 class TestThresholds:
@@ -768,8 +781,7 @@ class TestThresholds:
         assert 0.5 < rho < math.sqrt(1.0 / (1.0 - s2)) / 2.0
 
     def test_single_class_gives_empty_list(self):
-        fc = complexgen.FilteredComplex(
-            [(0.0, complexgen.ClassifiedSimplex((i,), 0, -1)) for i in range(3)])
+        fc = hand_made([(0.0, complexgen.ClassifiedSimplex((i,), 0, -1)) for i in range(3)])
         assert pick_thresholds(fc) == []
 
     def test_overlap_detected(self):

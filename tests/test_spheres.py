@@ -1,6 +1,8 @@
 """The batched sphere kernel (`geometry.circumspheres`) against the kernel
 it replaced, which decided degeneracy by a stacked SVD and emptiness by
-differences alone, and against the per-simplex scalar predicates."""
+differences alone, and against the per-simplex scalar predicates.  The
+kernel takes one block of one size; simplices of several sizes go through
+`circumspheres_in_order`, a block per size."""
 
 import math
 import tracemalloc
@@ -21,7 +23,7 @@ from extremal_cech.geometry import (
     squared_distance,
 )
 
-from conftest import cached_pipeline
+from conftest import cached_pipeline, circumspheres_in_order
 from test_acceptance import ACCEPTED
 
 
@@ -94,7 +96,7 @@ def bits(values):
 
 
 def assert_as_reference(pts, simplices):
-    batch = circumspheres(pts, simplices)
+    batch = circumspheres_in_order(pts, simplices)
     reference = reference_circumspheres(pts, simplices)
     for name in FIELDS:
         assert bits(getattr(batch, name)) == bits(reference[name]), name
@@ -108,13 +110,13 @@ class TestAsReference:
         m = complexgen._mosaic(ps)
         verts = m.vertex_tuples()
         batch = assert_as_reference(ps, verts)
-        blocks = circumspheres(ps, m.ids)
+        blocks = circumspheres_in_order(ps, m.ids)
         for name in FIELDS:
             assert bits(getattr(blocks, name)) == bits(getattr(batch, name)), name
-        # a single block comes back as the kernel computed it, unscattered,
-        # and must equal its rows of the scattered batch
+        # each class block through the kernel alone, as the build passes it,
+        # equals its rows of the batch of all blocks
         for block, (lo, hi) in zip(m.ids, m.blocks):
-            alone = circumspheres(ps, [block])
+            alone = circumspheres(ps, block)
             for name in FIELDS:
                 assert bits(getattr(alone, name)) == bits(getattr(blocks, name)[lo:hi]), name
 
@@ -122,7 +124,7 @@ class TestAsReference:
     def test_mosaics_as_scalar_predicates(self, kind, k, n):
         ps = cached_pipeline(kind, k, n)[0]
         verts = complexgen._mosaic(ps).vertex_tuples()
-        batch = circumspheres(ps, verts)
+        batch = circumspheres_in_order(ps, verts)
         scalar = []
         for v in verts:
             pts = ps.points[list(v)]
@@ -156,6 +158,17 @@ class TestAsReference:
         assert batch.degenerate[-2:].tolist() == [True, True]
         assert batch.degenerate[[len(s) > d + 1 for s in simplices]].all()
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_empty_and_oversized_blocks_are_degenerate(self, d):
+        pts = np.random.default_rng(d).random((10, d))
+        for idx in (np.empty((4, 0), dtype=np.intp), np.arange(3 * (d + 2)).reshape(3, d + 2)):
+            batch = circumspheres(pts, idx)
+            b = len(idx)
+            assert batch.center.shape == (b, d) and np.isnan(batch.center).all()
+            assert np.isnan(batch.radius).all() and batch.degenerate.tolist() == [True] * b
+            assert batch.offender.tolist() == [-1] * b
+            assert not batch.interior.any() and not batch.empty.any()
+
     def test_cospherical_grid(self):
         # points of a coarse grid: many lie exactly on each other's spheres
         rng = np.random.default_rng(5)
@@ -168,7 +181,7 @@ class TestAsReference:
 def assert_circumsphere_is_its_row(pts, simplices):
     """`circumsphere` of each simplex's points is its batch row bit for bit,
     and raises exactly where the row is degenerate."""
-    batch = circumspheres(pts, simplices)
+    batch = circumspheres_in_order(pts, simplices)
     for i, v in enumerate(simplices):
         if batch.degenerate[i]:
             with pytest.raises(AffineDegeneracyError):
@@ -359,18 +372,21 @@ def test_row_sums_are_numpys_sums():
 
 
 def test_peak_memory_is_blocked():
-    """One call on 3d n=60 stays within 3(d+1)^2 doubles per simplex for the
-    per-size arrays plus 8 distance blocks; a (simplices x points) distance
-    matrix for the triangles alone would take 7 MB of the 6 MB allowed."""
+    """One pass over the class blocks of 3d n=60 stays within 3(d+1)^2
+    doubles per simplex plus 8 distance blocks; a (simplices x points)
+    distance matrix for the triangles alone would take 7 MB of the 6 MB
+    allowed."""
     ps = build_3d(60, 0.1 / 60)
     m = complexgen._mosaic(ps)
     count = sum(len(block) for block in m.ids)
     d = ps.points.shape[1]
     bound = 8 * (3 * (d + 1) ** 2 * count + 8 * geometry.DISTANCE_BLOCK)
-    circumspheres(ps, m.ids)
+    for block in m.ids:
+        circumspheres(ps, block)
     tracemalloc.start()
     try:
-        circumspheres(ps, m.ids)
+        for block in m.ids:
+            circumspheres(ps, block)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

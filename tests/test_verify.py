@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from extremal_cech import cli, complexgen, construct, geometry, homology, oracle, verify
-from extremal_cech.complexgen import ClassifiedSimplex, FilteredComplex
+from extremal_cech.complexgen import ClassifiedSimplex
 from extremal_cech.construct import build_odd
 from extremal_cech.geometry import DEFAULT_TOL
 from extremal_cech.verify import FAIL, PASS, SKIPPED
+
+from conftest import hand_made
 
 
 def assert_no_failures(claims):
@@ -37,7 +39,7 @@ class TestBetti3d:
         entries = [(0.0, ClassifiedSimplex((v,), 0, -1)) for v in range(3)]
         entries += [(0.5, ClassifiedSimplex(e, 1, -1)) for e in ((0, 1), (0, 2), (1, 2))]
         entries.append((0.5 + gap, ClassifiedSimplex((0, 1, 2), 1, 0)))
-        fc = FilteredComplex(entries)
+        fc = hand_made(entries)
         thresholds = complexgen.pick_thresholds(fc)
         pd = homology.reduce(fc)
         assert verify._betti_at_class(pd, thresholds, (1, -1), 1) == 1
