@@ -23,26 +23,23 @@ earlier row: a facet tied with its coface stays before it, and a facet
 valued above it raises.
 
 A FilteredComplex is made from arrays in filtration order and is nothing
-else: a built one keeps the build's and makes no Python object per
-simplex, and a loaded one is read line by line into flat arrays, with no
-list of simplices.  Its (value, ClassifiedSimplex) entries are a
-re-iterable view of the arrays that makes its pairs on each pass and keeps
-none; it supports iteration, len and ==, not indexing.
+else: a built one keeps the build's, its face relation included, and makes
+no Python object per simplex.  Its (value, ClassifiedSimplex) entries are
+a re-iterable view of the arrays that makes its pairs on each pass and
+keeps none; it supports iteration, len and ==, not indexing.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import operator
-from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from . import construct, homology
+from . import construct
 from .construct import PointSet, KIND_EVEN
 from .geometry import circumspheres, degeneracy_reason
 # only the benchmark's trace reads these
@@ -58,7 +55,6 @@ __all__ = [
     "build_filtration",
     "criticality_check",
     "enumerate_mosaic",
-    "load_filtration",
     "pick_thresholds",
     "radius_value",
     "save_filtration",
@@ -115,16 +111,14 @@ class FilteredComplex:
     A complex is made from its arrays in filtration order and keeps them:
     `values`, `touch`, `short`, and `ids`, vertex-id blocks of one size
     each, position i being row `rows[i]` of the blocks read one after
-    another (dims are the block sizes less one).  `faces` is the face
-    relation (see `faces()`); when it is not given, `homology.face_array`
-    computes it on first use.  A built complex's blocks are its classes in
-    order, and it comes with its face relation and every simplex critical;
-    a loaded one has a block per size.  `entries` is a re-iterable view of
-    the arrays, made on first read and kept; each pass makes its pairs
-    afresh and keeps none.
+    another (dims are the block sizes less one), and `faces` is the face
+    relation (see `faces()`).  A built complex's blocks are its classes in
+    order, and every simplex of it is critical.  `entries` is a
+    re-iterable view of the arrays, made on first read and kept; each pass
+    makes its pairs afresh and keeps none.
     """
 
-    def __init__(self, values, touch, short, ids, rows, faces=None):
+    def __init__(self, values, touch, short, ids, rows, faces):
         sizes = np.repeat(np.array([b.shape[1] for b in ids], dtype=np.intp), [len(b) for b in ids])
         self._values, self._touch, self._short = values, touch, short
         self._ids, self._rows, self._dims = ids, rows, sizes[rows] - 1
@@ -169,8 +163,6 @@ class FilteredComplex:
 
     def faces(self) -> np.ndarray:
         """Row i: the positions of simplex i's facets, padded with -1."""
-        if self._faces is None:
-            self._faces = homology.face_array(list(self._vertex_lists()))
         return self._faces
 
     def max_dim(self) -> int:
@@ -453,8 +445,9 @@ def _not_critical(ps: PointSet, verts: tuple[int, ...], batch, i: int) -> NotCri
 
 
 # ---------------------------------------------------------------------------
-# filtration file format: one line per simplex,
-# `value dim v_0 ... v_dim touch short`, 17 significant digits, sorted.
+# filtration file format, the output of `filtration -o`: one line per
+# simplex, `value dim v_0 ... v_dim touch short`, 17 significant digits,
+# sorted.
 
 
 def save_filtration(fc: FilteredComplex, path) -> None:
@@ -464,59 +457,3 @@ def save_filtration(fc: FilteredComplex, path) -> None:
                                                   touch.tolist(), short.tolist())]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def load_filtration(path) -> FilteredComplex:
-    """Read a `save_filtration` file, checked for what a build guarantees,
-    into flat arrays with a vertex-id block per size; no list of simplices
-    is made.  A line whose field count is not dim + 5, whose dim is
-    negative or not touch + short + 1, whose class is not
-    -1 <= short <= touch, whose value is not finite or below the line
-    before, or whose vertex ids do not ascend strictly raises ValueError
-    naming the path and the line; a file not face-closed, or one that
-    repeats a simplex, raises naming the path."""
-    values, heads, ids = array("d"), array("q"), {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            parts = line.split()
-            if parts:
-                try:
-                    value, verts, touch, short = _entry(parts, values[-1] if values else -math.inf)
-                except ValueError as exc:
-                    raise ValueError(f"{path}, line {lineno}: {exc}") from None
-                values.append(value)
-                heads.extend((len(verts), touch, short))
-                ids.setdefault(len(verts), array("q")).extend(verts)
-    sizes, touch, short = (np.array(heads[i::3], dtype=np.intp) for i in range(3))
-    rows = np.empty_like(sizes)  # each position's row: the inverse of a stable sort by size
-    rows[np.argsort(sizes, kind="stable")] = np.arange(len(sizes))
-    blocks = [np.array(ids[m], dtype=np.intp).reshape(-1, m) for m in sorted(ids)]
-    fc = FilteredComplex(np.array(values, dtype=float), touch, short, blocks, rows)
-    try:
-        fc.faces()
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    return fc
-
-
-def _entry(parts: list[str], previous: float) -> tuple[float, list[int], int, int]:
-    """(value, vertex ids, touch, short) of one line of the filtration file
-    format, checked against itself and the value of the line before."""
-    dim = int(parts[1]) if len(parts) > 1 else 0
-    if dim < 0:
-        raise ValueError(f"dimension {dim} is negative")
-    if len(parts) != dim + 5:
-        raise ValueError(f"{len(parts)} fields, expected dim + 5 = {dim + 5}")
-    value = float(parts[0])
-    if not math.isfinite(value):
-        raise ValueError(f"value {parts[0]} is not finite")
-    if value < previous:
-        raise ValueError(f"value {parts[0]} is below the previous line's {previous!r}")
-    *verts, touch, short = map(int, parts[2:])
-    if touch + short + 1 != dim:
-        raise ValueError(f"class ({touch}, {short}) gives dim {touch + short + 1}, not {dim}")
-    if not -1 <= short <= touch:
-        raise ValueError(f"class ({touch}, {short}) is not -1 <= short <= touch")
-    if any(a >= b for a, b in zip(verts, verts[1:])):
-        raise ValueError(f"vertex ids {' '.join(map(str, verts))} are not strictly ascending")
-    return value, verts, touch, short

@@ -9,9 +9,8 @@ array operations and reduces the residue with clearing; the lowest ones
 define birth/death pairs and unkilled births are essential classes.  Every
 Betti query reads the one diagram of the whole filtration: a sublevel
 complex is a prefix, and the reduction of a prefix is the prefix of the
-reduction.  Queries over all filtration values (`betti_profile`,
-`euler_characteristic_ok`) sort the births, deaths and values once and
-count by binary search.
+reduction.  A query over all filtration values (`betti_profile`) sorts
+the births and deaths once and counts by binary search.
 """
 
 from __future__ import annotations
@@ -215,30 +214,23 @@ def betti_at(pd: PersistenceDiagram, p: int, r: float, eps: float = 0.0) -> int:
     return count
 
 
-def _alive_counter(pd: PersistenceDiagram, dims):
-    """r -> the number of pairs of the given dimensions alive at r, that is
-    with birth <= r < death, from two binary searches over the sorted births
-    and deaths.  A pair with birth >= death is never alive and is left out,
-    so every counted death is preceded by its birth."""
-    live = [(birth, death) for dim, birth, death in pd.pairs if dim in dims and birth < death]
-    births = sorted(birth for birth, _ in live)
-    deaths = sorted(death for _, death in live)
-    return lambda r: bisect.bisect_right(births, r) - bisect.bisect_right(deaths, r)
-
-
 def betti_profile(pd: PersistenceDiagram, p: int) -> list[tuple[float, int]]:
     """The dimension-p Betti number as a right-continuous step function,
     returned as (radius, value) breakpoints; the value changes only at
     filtration values.  Each breakpoint's value is `betti_at`'s, counted by
-    binary search in the sorted births and deaths."""
+    binary search in the sorted births and deaths.  A pair with
+    birth >= death is never alive and is left out of the count, so every
+    counted death is preceded by its birth."""
     breaks = sorted({b for dim, b, _ in pd.pairs if dim == p}
                     | {d for dim, _, d in pd.pairs if dim == p and d != INF})
-    alive = _alive_counter(pd, (p,))
+    live = [(birth, death) for dim, birth, death in pd.pairs if dim == p and birth < death]
+    births = sorted(birth for birth, _ in live)
+    deaths = sorted(death for _, death in live)
     drop = 1 if pd.reduced and p == 0 else 0
     profile = []
     last = None
     for r in breaks:
-        value = max(alive(r) - drop, 0)
+        value = max(bisect.bisect_right(births, r) - bisect.bisect_right(deaths, r) - drop, 0)
         if value != last:
             profile.append((r, value))
             last = value
@@ -309,23 +301,6 @@ def betti_of_subcomplexes(fc, radii, pmax: int | None = None, reduced: bool = Tr
             raise RuntimeError(f"reduction/rank cross-check failed: {vec} vs {check}")
         out.append(vec)
     return out
-
-
-def euler_characteristic_ok(fc, eps: float = 0.0) -> bool:
-    """Sanity identity at every filtration value: the alternating simplex
-    count equals the alternating sum of unreduced Betti numbers.  Both sides
-    are counted by binary search in values sorted once, per dimension
-    parity."""
-    values, dims, _ = _arrays(fc)
-    pd = reduce(fc, reduced=False)
-    cells = [np.sort(values[dims % 2 == parity]).tolist() for parity in (0, 1)]
-    alive = [_alive_counter(pd, range(parity, int(dims.max()) + 1, 2)) for parity in (0, 1)]
-    for r in sorted(set(values.tolist())):
-        x = r + eps
-        chi_cells = bisect.bisect_right(cells[0], x) - bisect.bisect_right(cells[1], x)
-        if chi_cells != alive[0](x) - alive[1](x):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -253,7 +253,7 @@ def verify_suspension(k: int, n: int) -> list[ClaimResult]:
     circle is a point, not an edge, so no void is centered on the axis.
     """
     if k != 2:
-        raise ValueError("suspension verification runs at k = 2 desk scale")
+        raise ValueError(f"k={k} is not 2, the only k of the suspension claims (desk scale)")
     ps, _, thresholds, pd = _pipeline(KIND_ODD, k - 1, n)
     p = 2 * k - 1  # the suspended voids' dimension
     rho = threshold_after(thresholds, (k - 1, k - 2))

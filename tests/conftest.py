@@ -1,3 +1,4 @@
+import bisect
 import functools
 import itertools
 
@@ -90,16 +91,21 @@ def circumspheres_in_order(points, simplices):
     return out
 
 
-def hand_made(entries):
+def hand_made(entries, faces=None):
     """A FilteredComplex of (value, ClassifiedSimplex) entries taken in
-    their order, with a block per simplex size, as a loaded one has."""
+    their order, with a block per simplex size.  Its face relation is
+    `faces`, or else `homology.face_array` of the vertex lists, which must
+    then be face-closed."""
     entries = list(entries)
-    groups = blocks_by_size([cs.vertices for _, cs in entries])
+    vertex_lists = [cs.vertices for _, cs in entries]
+    groups = blocks_by_size(vertex_lists)
     # each position's row: the inverse of the positions taken block by block
     rows = np.argsort(np.concatenate([np.empty(0, np.intp), *(g for g, _ in groups)]))
     touch, short = np.array([cs.cls for _, cs in entries], dtype=np.intp).reshape(-1, 2).T
+    if faces is None:
+        faces = homology.face_array(vertex_lists)
     return complexgen.FilteredComplex(np.array([value for value, _ in entries], dtype=float),
-                                      touch, short, [block for _, block in groups], rows)
+                                      touch, short, [block for _, block in groups], rows, faces)
 
 
 def mosaic_complex(ps):
@@ -109,6 +115,30 @@ def mosaic_complex(ps):
     simplices = complexgen.enumerate_mosaic(ps)
     radii = circumspheres_in_order(ps, [cs.vertices for cs in simplices]).radius
     return hand_made(zip(radii.tolist(), simplices))
+
+
+def euler_characteristic_ok(filtration, eps=0.0):
+    """Sanity identity at every filtration value of a FilteredComplex or
+    a (value, vertices) list: the alternating simplex count equals the
+    alternating sum of unreduced Betti numbers.  Both sides are counted by
+    binary search in values sorted once, per dimension parity."""
+    values, dims, _ = homology._arrays(filtration)
+    pd = homology.reduce(filtration, reduced=False)
+    cells = [np.sort(values[dims % 2 == parity]).tolist() for parity in (0, 1)]
+    # per parity, the sorted births and deaths of the pairs ever alive
+    live = [[(birth, death) for dim, birth, death in pd.pairs
+             if dim % 2 == parity and birth < death] for parity in (0, 1)]
+    births = [sorted(birth for birth, _ in pairs) for pairs in live]
+    deaths = [sorted(death for _, death in pairs) for pairs in live]
+
+    def chi(counts, x):
+        return bisect.bisect_right(counts[0], x) - bisect.bisect_right(counts[1], x)
+
+    for r in sorted(set(values.tolist())):
+        x = r + eps
+        if chi(cells, x) != chi(births, x) - chi(deaths, x):
+            return False
+    return True
 
 
 def threshold(thresholds, cls):

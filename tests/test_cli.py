@@ -300,6 +300,11 @@ class TestVerify:
         code, out, _ = run(["verify", "--theorem", "3.1", "--n", "2", "--k", "1"], capsys)
         assert code == 0 and out.endswith("8 claims, 0 failures\n")
 
+    def test_suspension_takes_only_k_2(self, capsys):
+        code, out, err = run(["verify", "--suspension", "--k", "3"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: k=3 is not 2, the only k of the suspension claims (desk scale)\n"
+
 
 class TestOracleCommand:
     def test_reduces_each_side_once(self, monkeypatch, capsys):

@@ -18,7 +18,6 @@ from extremal_cech.complexgen import (
     build_filtration,
     criticality_check,
     enumerate_mosaic,
-    load_filtration,
     pick_thresholds,
     radius_value,
     save_filtration,
@@ -33,7 +32,13 @@ from extremal_cech.geometry import (
     min_enclosing_ball,
 )
 
-from conftest import cached_pipeline, circumspheres_in_order, hand_made, mosaic_complex
+from conftest import (
+    cached_pipeline,
+    circumspheres_in_order,
+    euler_characteristic_ok,
+    hand_made,
+    mosaic_complex,
+)
 from test_acceptance import ACCEPTED
 from test_spheres import bits, reference_circumspheres
 
@@ -244,14 +249,16 @@ class TestFiltration:
         value, cs = entries[-1]
         assert cs.dim == 3 and cs.vertices[0] > 0
         # a hand-made complex does not check dim = touch + short + 1, so the
-        # class also changes in touch alone and in short alone
+        # class also changes in touch alone and in short alone; each copy
+        # takes the built face relation, as the changed vertex list has
+        # facets the complex lacks
         changed = [(float(np.nextafter(value, np.inf)), cs),
                    (value, cs._replace(vertices=(0, *cs.vertices[1:]))),
                    (value, cs._replace(touch=cs.touch + 1, short=cs.short - 1)),
                    (value, cs._replace(touch=cs.touch + 1)),
                    (value, cs._replace(short=cs.short - 1))]
         for last in changed:
-            other = hand_made(entries[:-1] + [last])
+            other = hand_made(entries[:-1] + [last], fc.faces())
             assert fc != other and other != fc, last
 
     def test_entries_view(self):
@@ -353,68 +360,35 @@ class TestFiltration:
         for cur, nxt in zip(classes, classes[1:]):
             assert ranges[cur][1] < ranges[nxt][0]
 
-    def test_file_roundtrip_bit_exact(self, threed_n2, tmp_path):
-        _, fc, _, _ = threed_n2
-        path = tmp_path / "filt.txt"
-        save_filtration(fc, path)
-        back = load_filtration(path)
-        assert [(v, cs) for v, cs in back.entries] == [(v, cs) for v, cs in fc.entries]
-        path2 = tmp_path / "filt2.txt"
-        save_filtration(back, path2)
-        assert path.read_bytes() == path2.read_bytes()
+    @pytest.mark.parametrize("name", ["threed_n2", "even_2_5", "odd_2_2"])
+    def test_file_is_the_complex_line_by_line(self, name, request, tmp_path):
+        """Saved twice, a complex gives the same bytes, and each line is its
+        simplex: the value bit for bit through 17 digits, the dim, the
+        vertex ids, touch and short."""
+        _, fc, _, _ = request.getfixturevalue(name)
+        save_filtration(fc, tmp_path / "a.txt")
+        save_filtration(fc, tmp_path / "b.txt")
+        text = (tmp_path / "a.txt").read_bytes()
+        assert text == (tmp_path / "b.txt").read_bytes()
+        lines = text.decode().split("\n")
+        assert lines.pop() == "" and len(lines) == len(fc)
+        for line, (value, cs) in zip(lines, fc.entries):
+            parts = line.split(" ")
+            assert len(parts) == cs.dim + 5, line
+            assert float(parts[0]).hex() == value.hex() and parts[0] == format(value, ".17g")
+            dim, *verts, touch, short = map(int, parts[1:])
+            assert (dim, tuple(verts), touch, short) == (cs.dim, cs.vertices, cs.touch, cs.short)
 
-    @pytest.mark.parametrize("line,reason", [
-        ("0.5 1 3 4 0", "5 fields, expected dim + 5 = 6"),
-        ("0.5 1 3 4 0 1 2", "7 fields, expected dim + 5 = 6"),
-        ("0.5", "1 fields, expected dim + 5 = 5"),
-        ("0.5 -1 0 -1", "dimension -1 is negative"),
-        ("nan 0 3 0 -1", "value nan is not finite"),
-        ("inf 1 3 4 1 -1", "value inf is not finite"),
-        ("0.5 1 3 4 5 7", "class (5, 7) gives dim 13, not 1"),
-        # touch + short + 1 is the dim, but class_ranges would fold a short
-        # below -1 into another class
-        ("0.5 0 3 2 -3", "class (2, -3) is not -1 <= short <= touch"),
-        ("0.5 1 3 4 -1 1", "class (-1, 1) is not -1 <= short <= touch"),
-        ("0.5 1 4 3 0 0", "vertex ids 4 3 are not strictly ascending"),
-        ("0.5 1 3 3 0 0", "vertex ids 3 3 are not strictly ascending"),
-        ("-0.5 0 4 0 -1", "value -0.5 is below the previous line's 0.0"),
-    ])
-    def test_load_rejects_malformed_lines(self, tmp_path, line, reason):
-        path = tmp_path / "filt.txt"
-        path.write_text("0 0 3 0 -1\n\n" + line + "\n")
-        with pytest.raises(ValueError) as err:
-            load_filtration(path)
-        assert str(err.value) == f"{path}, line 3: {reason}"
-
-    @pytest.mark.parametrize("lines,reason", [
-        (["0 0 3 0 -1", "0.5 1 3 4 1 -1"],
-         "filtration not closed/sorted: facet (4,) missing before (3, 4)"),
-        (["0 0 3 0 -1", "0.5 1 3 4 1 -1", "0.5 0 4 0 -1"],
-         "filtration not closed/sorted: facet (4,) missing before (3, 4)"),
-        # a repeated simplex would be indexed at its second copy and paired
-        (["0 0 3 0 -1", "0 0 3 0 -1"], "filtration repeats simplex (3,)"),
-        (["0 0 3 0 -1", "0 0 4 0 -1", "0.5 1 3 4 1 -1", "0.5 1 3 4 1 -1"],
-         "filtration repeats simplex (3, 4)"),
-    ], ids=["missing", "late", "repeated-vertex", "repeated-edge"])
-    def test_load_rejects_files_not_face_closed(self, tmp_path, lines, reason):
-        path = tmp_path / "filt.txt"
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError) as err:
-            load_filtration(path)
-        assert str(err.value) == f"{path}: {reason}"
-
-    def test_empty_complex(self, tmp_path):
-        """An empty complex, hand-made or loaded from an empty file, has no
-        simplices, classes, thresholds or pairs, and beta_0 = 0."""
-        path = tmp_path / "empty.txt"
-        path.write_text("")
-        for fc in (hand_made([]), load_filtration(path)):
-            assert len(fc) == 0
-            assert fc.class_ranges() == {}
-            assert pick_thresholds(fc) == []
-            assert homology.reduce(fc).pairs == []
-            assert homology.betti_of_subcomplex(fc, 0.5) == [0]
-            assert criticality_check(build_3d(2, 0.01), fc).ok
+    def test_empty_complex(self):
+        """An empty complex has no simplices, classes, thresholds or pairs,
+        and beta_0 = 0."""
+        fc = hand_made([])
+        assert len(fc) == 0
+        assert fc.class_ranges() == {}
+        assert pick_thresholds(fc) == []
+        assert homology.reduce(fc).pairs == []
+        assert homology.betti_of_subcomplex(fc, 0.5) == [0]
+        assert criticality_check(build_3d(2, 0.01), fc).ok
 
     def test_deterministic_output(self, tmp_path):
         ps = build_3d(3, 0.01)
@@ -511,7 +485,9 @@ class TestBatchedSpheres:
         batch = circumspheres_in_order(ps, odd_ones + good)
         assert list(batch.degenerate) == [True, True] + [False] * len(good)
         assert np.all(np.isnan(batch.radius[:2]))
-        fc = hand_made([(0.0, ClassifiedSimplex(v, 1, 1)) for v in odd_ones + good])
+        # not face-closed and never reduced: a relation with no facets
+        fc = hand_made([(0.0, ClassifiedSimplex(v, 1, 1)) for v in odd_ones + good],
+                       np.full((len(odd_ones + good), 1), -1))
         failures = criticality_check(ps, fc).failures
         assert failures[:2] == [
             ((0, 1, 2), "degenerate circumsphere: points are affinely dependent beyond tolerance"),
@@ -719,7 +695,7 @@ class TestArrayBuild:
         assert criticality_check(ps, fc).ok
         assert homology.betti_of_subcomplex(fc, threshold_after(thresholds, (1, 0))) == \
             [0, 0, 4**2, 0]
-        assert homology.euler_characteristic_ok(fc)
+        assert euler_characteristic_ok(fc)
         assert fc._entries is None
 
 
@@ -743,28 +719,6 @@ def test_3d_300_build_keeps_arrays_only():
     assert census == [602, 91_201, 180_600, 90_000]
     assert held <= 40.0
     assert kept <= 5.0
-
-
-@pytest.mark.slow
-def test_3d_200_load_keeps_arrays_only(tmp_path):
-    """A loaded 3d n=200 filtration (161,603 simplices) is read into flat
-    arrays and keeps them and its face relation: at most 25 MB stays
-    allocated after the load (57 MB when it kept a list of entries), and
-    the load peaks at most at 90 MB (102 MB when it read the file into a
-    list of entries first)."""
-    path = tmp_path / "filt.txt"
-    fc = build_validated("3d", k=1, n=200)[1]
-    save_filtration(fc, path)
-    del fc
-    tracemalloc.start()
-    try:
-        loaded = load_filtration(path)
-        held, peak = (size / 1e6 for size in tracemalloc.get_traced_memory())
-    finally:
-        tracemalloc.stop()
-    assert len(loaded) == 161_603
-    assert held <= 25.0
-    assert peak <= 90.0
 
 
 class TestThresholds:

@@ -16,6 +16,8 @@ from extremal_cech.homology import (
     save_diagram,
 )
 
+from conftest import euler_characteristic_ok
+
 INF = math.inf
 
 
@@ -200,6 +202,16 @@ class TestBoundaryColumns:
         with pytest.raises(ValueError, match=r"facet \(1, 2\) missing"):
             boundary_columns([(0,), (1,), (2,), (0, 1), (0, 2), (0, 1, 2), (1, 2)])
 
+    # a repeated simplex would be indexed at its second copy and paired
+    @pytest.mark.parametrize("simplices,repeated", [
+        ([(3,), (3,)], "(3,)"),
+        ([(3,), (4,), (3, 4), (3, 4)], "(3, 4)"),
+    ], ids=["repeated-vertex", "repeated-edge"])
+    def test_repeated_simplex_rejected(self, simplices, repeated):
+        with pytest.raises(ValueError) as err:
+            boundary_columns(simplices)
+        assert str(err.value) == f"filtration repeats simplex {repeated}"
+
     def test_matches_bruteforce(self, threed_n2, even_2_5, odd_2_2):
         for _, fc, _, _ in (threed_n2, even_2_5, odd_2_2):
             simplices = [verts for _, verts in fc.as_filtration()]
@@ -297,7 +309,7 @@ def sublevel_betti(fc, r, reduced, eps):
 class TestInvariants:
     def test_euler_characteristic(self, threed_n2, even_2_5, odd_2_2):
         for _, fc, _, _ in (threed_n2, even_2_5, odd_2_2):
-            assert homology.euler_characteristic_ok(fc)
+            assert euler_characteristic_ok(fc)
 
     def test_unreduced_beta0_monotone_after_vertices(self, odd_2_2):
         _, fc, _, _ = odd_2_2
@@ -410,12 +422,12 @@ class TestSweepQueries:
         _, fc, _, _ = request.getfixturevalue(name)
         entries = fc.as_filtration()
         full = reduce(entries, reduced=False)
-        assert homology.euler_characteristic_ok(fc, eps)
+        assert euler_characteristic_ok(fc, eps)
         assert euler_reference(entries, full, eps)
         for drop in range(0, len(full.pairs), max(1, len(full.pairs) // 7)):
             pd = PersistenceDiagram(full.pairs[:drop] + full.pairs[drop + 1:], reduced=False)
             monkeypatch.setattr(homology, "reduce", lambda *args, pd=pd, **kwargs: pd)
-            verdict = homology.euler_characteristic_ok(fc, eps)
+            verdict = euler_characteristic_ok(fc, eps)
             assert verdict == euler_reference(entries, pd, eps)
             assert not verdict
 
@@ -430,5 +442,5 @@ class TestSweepQueries:
         pd = PersistenceDiagram([p for p in full.pairs if p[0] != 1], reduced=False)
         monkeypatch.setattr(homology, "reduce", lambda *args, **kwargs: pd)
         for eps, verdict in ((1e-12, True), (0.0, False)):
-            assert homology.euler_characteristic_ok(entries, eps) is verdict
+            assert euler_characteristic_ok(entries, eps) is verdict
             assert euler_reference(entries, pd, eps) is verdict

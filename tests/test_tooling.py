@@ -13,7 +13,8 @@ none: which parameters a kind reads is `construct.build`'s rule, and its
 kind choices are `construct.KINDS` and `MOSAIC_KINDS`.  And
 the numerical slacks are one record,
 `geometry.DEFAULT_TOL`, that no public function takes as a parameter.
-Every module-level import is read, exported or wrapped by the trace."""
+Every module-level import is read, exported or wrapped by the trace, and
+every exported name is read in the package or wrapped by the trace."""
 
 import ast
 import dataclasses
@@ -189,3 +190,22 @@ def test_every_module_import_is_used():
     assert trace_only == {("complexgen", "barycentric_interior"), ("complexgen", "circumsphere"),
                           ("complexgen", "is_empty_sphere"), ("complexgen", "min_enclosing_ball"),
                           ("verify", "affine_distance"), ("verify", "circumsphere")}
+
+
+def test_every_export_is_read():
+    # a name in a module's `__all__` is loaded somewhere under src/, as a
+    # name or an attribute, or is an attribute a tracer site wraps; an
+    # export that nothing reads is dead public API
+    traced = {attr for _, attr, _, _ in load_tracer().SITES}
+    read = set()
+    modules = sorted((ROOT / "src" / "extremal_cech").glob("*.py"))
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(getattr(node, "ctx", None), ast.Load):
+                read.add(getattr(node, "id", getattr(node, "attr", None)))
+    exported = [(path.stem, name) for path in modules
+                for name in getattr(importlib.import_module(f"extremal_cech.{path.stem}"),
+                                    "__all__", ())]
+    assert ("complexgen", "FilteredComplex") in exported
+    assert [f"{module}.{name}" for module, name in exported
+            if name not in read and name not in traced] == []
