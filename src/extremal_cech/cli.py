@@ -8,8 +8,9 @@ other than suspended or not positive and finite; a --delta other than
 auto with --points, a mosaic of more than `construct.MAX_SIMPLICES`
 simplices, built, loaded or swept by a verify suite, a non-finite
 --radius, an even --radius not below the top-cell value, nothing selected
-to verify, verify --all with --n or --k, verify --theorem 3.1 with a --k
-other than 1, verify --suspension with a --k other than 2, bad or
+to verify, verify --all with --n or --k, verify --theorem 2.1 or --radii
+with a --k below 2, verify --theorem 3.1 with a --k other than 1, verify
+--suspension with a --k other than 2, bad or
 unreadable input files, a point-file header that
 `construct.build` refuses or does not reproduce, a point-file delta or h
 that the file's coordinates do not have, unwritable output files), 3

@@ -24,15 +24,14 @@ valued above it raises.
 
 A FilteredComplex is made from arrays in filtration order and is nothing
 else: a built one keeps the build's, its face relation included, and makes
-no Python object per simplex.  Its (value, ClassifiedSimplex) entries are
-a re-iterable view of the arrays that makes its pairs on each pass and
-keeps none; it supports iteration, len and ==, not indexing.
+no Python object per simplex.  Each read of its `entries` is a fresh
+iterator over its (value, ClassifiedSimplex) pairs, made from the arrays
+as it goes; `len(fc)` counts them and `list(fc.entries)` keeps them.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -113,22 +112,24 @@ class FilteredComplex:
     each, position i being row `rows[i]` of the blocks read one after
     another (dims are the block sizes less one), and `faces` is the face
     relation (see `faces()`).  A built complex's blocks are its classes in
-    order, and every simplex of it is critical.  `entries` is a
-    re-iterable view of the arrays, made on first read and kept; each pass
-    makes its pairs afresh and keeps none.
+    order, and every simplex of it is critical.  `entries` is a fresh
+    iterator over the (value, ClassifiedSimplex) pairs on each read; the
+    complex keeps none of them.
     """
 
     def __init__(self, values, touch, short, ids, rows, faces):
         sizes = np.repeat(np.array([b.shape[1] for b in ids], dtype=np.intp), [len(b) for b in ids])
         self._values, self._touch, self._short = values, touch, short
         self._ids, self._rows, self._dims = ids, rows, sizes[rows] - 1
-        self._faces, self._entries = faces, None
+        self._faces = faces
 
     @property
-    def entries(self) -> _Entries:
-        if self._entries is None:
-            self._entries = _Entries(self._values, self._touch, self._short, self._ids, self._rows)
-        return self._entries
+    def entries(self) -> Iterator[tuple[float, ClassifiedSimplex]]:
+        # what the NamedTuple's constructor does, without a Python call per
+        # simplex: tuple.__new__(ClassifiedSimplex, fields)
+        return zip(self._values.tolist(), map(
+            tuple.__new__, itertools.repeat(ClassifiedSimplex), zip(
+                self._vertex_lists(), self._touch.tolist(), self._short.tolist())))
 
     def _vertex_lists(self):
         return map(_vertex_tuples(self._ids).__getitem__, self._rows.tolist())
@@ -212,35 +213,6 @@ class _Mosaic:
 
     def vertex_tuples(self) -> list[tuple[int, ...]]:
         return _vertex_tuples(self.ids)
-
-
-class _Entries:
-    """The (value, ClassifiedSimplex) pairs of a complex's arrays, in
-    filtration order: a view that makes them afresh on each pass, so its
-    reader alone holds what a pass makes.  It holds the arrays, not the
-    complex, and supports iteration, len and ==, not indexing."""
-
-    __slots__ = ("_values", "_touch", "_short", "_ids", "_rows")
-
-    def __init__(self, values, touch, short, ids, rows):
-        self._values, self._touch, self._short = values, touch, short
-        self._ids, self._rows = ids, rows
-
-    def __iter__(self) -> Iterator[tuple[float, ClassifiedSimplex]]:
-        # what the NamedTuple's constructor does, without a Python call
-        # per simplex: tuple.__new__(ClassifiedSimplex, fields)
-        return zip(self._values.tolist(), map(
-            tuple.__new__, itertools.repeat(ClassifiedSimplex), zip(
-                map(_vertex_tuples(self._ids).__getitem__, self._rows.tolist()),
-                self._touch.tolist(), self._short.tolist())))
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def __eq__(self, other):
-        if not isinstance(other, (_Entries, list)):
-            return NotImplemented
-        return len(self) == len(other) and all(map(operator.eq, self, other))
 
 
 def _vertex_tuples(ids: list[np.ndarray]) -> list[tuple[int, ...]]:
@@ -452,8 +424,8 @@ def _not_critical(ps: PointSet, verts: tuple[int, ...], batch, i: int) -> NotCri
 
 def save_filtration(fc: FilteredComplex, path) -> None:
     touch, short = fc.classes()
-    lines = [f"{format(value, '.17g')} {dim} {' '.join(map(str, verts))} {t} {s}"
-             for (value, verts), dim, t, s in zip(fc.as_filtration(), fc.dims().tolist(),
-                                                  touch.tolist(), short.tolist())]
+    lines = (f"{format(value, '.17g')} {dim} {' '.join(map(str, verts))} {t} {s}\n"
+             for value, verts, dim, t, s in zip(fc.values().tolist(), fc._vertex_lists(),
+                                                fc.dims().tolist(), touch.tolist(), short.tolist()))
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.writelines(lines)

@@ -26,15 +26,15 @@ clearance is 2(delta/n)^2, which at the default delta = 0.1/n falls below
 abs_eps = 1e-12 from n ~ 376.
 
 Every function is pure and thread-safe.  The one piece of state, the
-bounded memo of `min_enclosing_ball`'s boundary solves, changes no result:
-a hit returns what the same boundary bytes gave on the miss.
+`functools.lru_cache` of `min_enclosing_ball`'s boundary solves (4096
+boundaries, least recently used out first), changes no result: a hit
+returns what the same boundary bytes gave on the miss.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,26 +143,12 @@ def _ball_through(pts: np.ndarray) -> Sphere:
     return Sphere(center, radius)
 
 
-# Boundary solves of `min_enclosing_ball`, keyed on the boundary's shape and
-# bytes; the oldest entry goes once the memo is full.  Inserts hold the lock,
-# so no eviction iterates the dict while another thread changes it.
-_BALL_MEMO_SIZE = 1 << 12
-_ball_memo: dict[tuple, Sphere] = {}
-_ball_memo_lock = threading.Lock()
-
-
-def _memo_ball_through(pts: np.ndarray) -> Sphere:
-    """`_ball_through(pts)` from the memo, computed from `pts` on a miss;
-    a memoized center is read-only."""
-    key = (pts.shape, pts.tobytes())
-    ball = _ball_memo.get(key)
-    if ball is None:
-        ball = _ball_through(pts)
-        ball.center.flags.writeable = False
-        with _ball_memo_lock:
-            if len(_ball_memo) >= _BALL_MEMO_SIZE:
-                del _ball_memo[next(iter(_ball_memo))]
-            _ball_memo[key] = ball
+@functools.lru_cache(maxsize=1 << 12)
+def _memo_ball_through(shape: tuple[int, ...], data: bytes) -> Sphere:
+    """`_ball_through` of the float boundary of this shape and these bytes,
+    memoized (see `min_enclosing_ball`); a memoized center is read-only."""
+    ball = _ball_through(np.frombuffer(data).reshape(shape))
+    ball.center.flags.writeable = False
     return ball
 
 
@@ -176,8 +162,8 @@ def min_enclosing_ball(points) -> Sphere:
     up to sqrt(abs_eps) apart inside a ball of radius 0.
 
     Processing in input order, the call on a set replays every boundary
-    solve of the call on its prefix, so the solves go through one bounded
-    memo of _BALL_MEMO_SIZE = 4096 boundaries, oldest out first.  A hit
+    solve of the call on its prefix, so the solves go through one
+    `lru_cache` of 4096 boundaries, least recently used out first.  A hit
     returns the sphere the same boundary bytes gave before, so the memo
     changes no result, and the returned center is the caller's own copy.
     """
@@ -193,7 +179,8 @@ def min_enclosing_ball(points) -> Sphere:
         return r2 + DEFAULT_TOL.abs_eps * min(1.0, r2)
 
     def recurse(end: int, boundary: list) -> Sphere | None:
-        ball = _memo_ball_through(np.asarray(boundary)) if boundary else None
+        block = np.asarray(boundary)
+        ball = _memo_ball_through(block.shape, block.tobytes()) if boundary else None
         if len(boundary) == d + 1:
             return ball
         limit = inside_limit(ball)

@@ -309,12 +309,11 @@ def betti_of_subcomplexes(fc, radii, pmax: int | None = None, reduced: bool = Tr
 
 
 def save_diagram(pd: PersistenceDiagram, path) -> None:
-    lines = ["dim,birth,death"]
-    for dim, birth, death in sorted(pd.pairs):
-        death_s = "inf" if death == INF else format(death, ".17g")
-        lines.append(f"{dim},{format(birth, '.17g')},{death_s}")
+    lines = (f"{dim},{format(birth, '.17g')},{'inf' if death == INF else format(death, '.17g')}\n"
+             for dim, birth, death in sorted(pd.pairs))
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("dim,birth,death\n")
+        fh.writelines(lines)
 
 
 _SVG_COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]

@@ -93,11 +93,18 @@ def claims_lines(claims: list[ClaimResult]) -> list[str]:
 
 
 def claims_csv(claims: list[ClaimResult]) -> str:
-    rows = ["claim_id,params,expected,observed,status"]
+    """The claims as CSV rows sorted by id; a field with a comma, such as
+    the id `hyp/radius/class(1, 0)`, is quoted."""
+    import csv
+    import io
+
+    buf = io.StringIO()
+    out = csv.writer(buf, lineterminator="\n")
+    out.writerow(["claim_id", "params", "expected", "observed", "status"])
     for c in sorted(claims, key=lambda c: c.claim_id):
         params = ";".join(f"{k}={v}" for k, v in sorted(c.params.items()))
-        rows.append(f"{c.claim_id},{params},{c.expected},{c.observed},{c.status}")
-    return "\n".join(rows) + "\n"
+        out.writerow([c.claim_id, params, c.expected, c.observed, c.status])
+    return buf.getvalue()
 
 
 @functools.lru_cache(maxsize=None)
@@ -294,6 +301,8 @@ def verify_radius_formulas(k: int, n: int) -> list[ClaimResult]:
     """Closed-form circumradii for the even families, the numeric bounds on
     the ideal triangle/tetrahedron size, and the interval bounds for the
     three-dimensional construction."""
+    if k < 2:
+        raise ValueError("k must be >= 2")
     claims = []
     params = {"k": k, "n": n}
 
@@ -304,7 +313,7 @@ def verify_radius_formulas(k: int, n: int) -> list[ClaimResult]:
             err <= 1e-9))
 
     s = half_edge(ps)
-    radius = {row[:2]: row[4] for row in construct.class_table(KIND_EVEN, 2, n)}
+    radius = {row[:2]: row[4] for row in construct.class_table(KIND_EVEN, k, n)}
     two_r, two_R = 2.0 * radius[(1, 0)], 2.0 * radius[(1, 1)]  # triangle, tetrahedron
     ok_r = 1.0 + 0.5 * s * s < two_r <= 1.0 + s * s / (2.0 - 2.0 * s * s)
     if 2.0 - 2.0 * s * s > 1.9:

@@ -18,20 +18,19 @@ def cached_pipeline(kind, k, n, delta="auto"):
     return ps, fc, thresholds, homology.reduce(fc)
 
 
-def reset_memos(mp):
-    """Give `geometry` a fresh, empty memo through the MonkeyPatch `mp`,
-    which puts the old one back when it is undone, and clear `verify`'s
-    caches, so a run in the process starts cold."""
-    mp.setattr(geometry, "_ball_memo", {})
+def reset_memos():
+    """Clear `geometry`'s memo of boundary solves and `verify`'s caches, so
+    a run in the process starts cold."""
+    geometry._memo_ball_through.cache_clear()
     for cached in vars(verify).values():
         if hasattr(cached, "cache_clear"):
             cached.cache_clear()
 
 
 @pytest.fixture
-def fresh_memos(monkeypatch):
+def fresh_memos():
     """Empty memos and cleared caches for one test (see `reset_memos`)."""
-    reset_memos(monkeypatch)
+    reset_memos()
 
 
 @pytest.fixture(scope="session")

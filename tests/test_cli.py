@@ -1,4 +1,6 @@
+import csv
 import os
+import re
 import subprocess
 import sys
 import time
@@ -263,6 +265,20 @@ class TestVerify:
         assert "0 failures" in out
         assert csv.read_text().startswith("claim_id,")
 
+    def test_all_csv_rows_have_five_fields(self, tmp_path, capsys):
+        """Each row of `verify --all --csv` parses into five fields, an id
+        with a comma in it quoted, and the rows' ids are stdout's."""
+        path = tmp_path / "claims.csv"
+        code, out, _ = run(["verify", "--all", "--csv", str(path)], capsys)
+        assert code == 0
+        with open(path, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["claim_id", "params", "expected", "observed", "status"]
+        assert {len(row) for row in rows} == {5}
+        ids = [re.match(r"\S+ +(.*?) \[", line)[1] for line in out.splitlines()[:-1]]
+        assert [row[0] for row in rows] == ids and len(ids) == 53
+        assert sum("," in claim_id for claim_id in ids) == 21
+
     def test_nothing_selected_is_usage_error(self, capsys):
         code, out, err = run(["verify", "--n", "2"], capsys)
         assert (code, out) == (2, "")
@@ -471,13 +487,18 @@ class TestBadInputExit2:
                        "more than the 4194304 one build may hold\n")
 
     def test_verify_sweep_too_large(self, fresh_memos, monkeypatch, capsys):
-        # the even k=1 n=5 build of the radius claims has 10 simplices, the
+        # the even k=2 n=5 build of the radius claims has 120 simplices, the
         # 3d n=5 sweep 143
-        monkeypatch.setattr(construct, "MAX_SIMPLICES", 100)
-        code, out, err = run(["verify", "--radii", "--k", "1", "--n", "5"], capsys)
+        monkeypatch.setattr(construct, "MAX_SIMPLICES", 130)
+        code, out, err = run(["verify", "--radii", "--k", "2", "--n", "5"], capsys)
         assert (code, out) == (2, "")
         assert err == ("error: kind=3d k=1 n=5: the mosaic has 143 simplices, "
-                       "more than the 100 one build may hold\n")
+                       "more than the 130 one build may hold\n")
+
+    def test_verify_radii_takes_k_from_2(self, capsys):
+        # the one-circle even set has no classes (1, 0) and (1, 1)
+        code, out, err = run(["verify", "--radii", "--k", "1", "--n", "5"], capsys)
+        assert (code, out, err) == (2, "", "error: k must be >= 2\n")
 
     @pytest.mark.parametrize("field,value", [(4, "5.0"), (4, "nan"), (2, "5")],
                              ids=["delta-5", "delta-nan", "k-5"])

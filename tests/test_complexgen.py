@@ -261,32 +261,28 @@ class TestFiltration:
             other = hand_made(entries[:-1] + [last], fc.faces())
             assert fc != other and other != fc, last
 
-    def test_entries_view(self):
-        """`entries` is a view: re-iterable, sized, equal to a list of its
-        pairs on either side, accepted by `hand_made` as a list of entries
-        is, and not indexable."""
+    def test_entries_is_a_fresh_iterator(self):
+        """Each read of `entries` is a new iterator over the same pairs,
+        spent after one pass, and `hand_made` takes one as it takes a
+        list."""
         fc = build_filtration(build_3d(2, 0.01))
-        view = fc.entries
-        first, second = list(view), list(view)
-        assert exact(first) == exact(second) and first == second
-        assert len(view) == len(fc) == len(first)
-        assert view == first and first == view and view == view
-        assert view != first[:-1] and first[:-1] != view
-        assert view != first[::-1] and first[::-1] != view
-        assert hand_made(view) == fc
-        with pytest.raises(TypeError):
-            view[0]
+        first, second = fc.entries, fc.entries
+        assert first is not second and iter(first) is first
+        pairs = list(first)
+        assert len(pairs) == len(fc) and exact(pairs) == exact(second)
+        assert list(first) == []
+        assert hand_made(fc.entries) == fc
 
     def test_hand_made_complex_keeps_no_list(self):
         entries = list(build_filtration(build_3d(2, 0.01)).entries)
         fc = hand_made(entries)
-        assert fc.entries == entries
+        assert list(fc.entries) == entries
         mine = (fc, vars(fc), fc.entries)
         assert not any(r is obj for r in gc.get_referrers(entries) for obj in mine)
         assert not any(r is obj for r in gc.get_referrers(*entries) for obj in mine)
 
     def test_complex_and_its_view_make_no_cycle(self):
-        """A complex, its view and what its reading makes are freed by
+        """A complex, its entries and what their reading makes are freed by
         reference counting alone: with the collector off, the complex dies
         on `del`, and a collection afterwards finds no garbage."""
         gc.collect()
@@ -394,20 +390,49 @@ class TestFiltration:
         ps = build_3d(3, 0.01)
         a = build_filtration(ps)
         b = build_filtration(ps)
-        assert a.entries == b.entries
+        assert list(a.entries) == list(b.entries)
         save_filtration(a, tmp_path / "a.txt")
         save_filtration(b, tmp_path / "b.txt")
         assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
 
-    def test_save_leaves_entries_unbuilt(self, tmp_path):
+    def test_save_leaves_entries_unbuilt(self, tmp_path, monkeypatch):
         """A built complex is written from its arrays, with no
         ClassifiedSimplex per simplex, in the format its entries give."""
         fc = build_filtration(build_3d(3, 0.01))
-        save_filtration(fc, tmp_path / "f.txt")
-        assert fc._entries is None
+        with monkeypatch.context() as mp:
+            # a pass over the entries would fail on tuple.__new__(None, ...)
+            mp.setattr(complexgen, "ClassifiedSimplex", None)
+            save_filtration(fc, tmp_path / "f.txt")
         lines = [f"{format(value, '.17g')} {cs.dim} {' '.join(map(str, cs.vertices))} "
                  f"{cs.touch} {cs.short}" for value, cs in fc.entries]
         assert (tmp_path / "f.txt").read_text() == "\n".join(lines) + "\n"
+
+    def test_save_streams_its_lines(self, tmp_path):
+        """`save_filtration` writes line by line: on the same complex its
+        traced peak is below that of making every line and their joined
+        string first, and the two files are the same bytes."""
+        fc = cached_pipeline("3d", 1, 30)[1]
+
+        def joined(fc, path):
+            touch, short = fc.classes()
+            lines = [f"{format(value, '.17g')} {dim} {' '.join(map(str, verts))} {t} {s}"
+                     for (value, verts), dim, t, s in zip(fc.as_filtration(), fc.dims().tolist(),
+                                                          touch.tolist(), short.tolist())]
+            with open(path, "w") as fh:
+                fh.write("\n".join(lines) + "\n")
+
+        peaks = []
+        for save in (save_filtration, joined):
+            save(fc, tmp_path / "warm.txt")  # leaves out one-time allocations
+            tracemalloc.start()
+            try:
+                save(fc, tmp_path / f"{save.__name__}.txt")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        text = (tmp_path / "save_filtration.txt").read_bytes()
+        assert text == (tmp_path / "joined.txt").read_bytes()
+        assert peaks[0] < peaks[1], peaks
 
 
 def welzl_filtration(simplices, radii):
@@ -660,7 +685,7 @@ class TestArrayBuild:
         order = sorted(range(len(simplices)), key=values.__getitem__)
         eager = [(values[i], simplices[i]) for i in order]
         fc = build_filtration(ps)
-        assert len(fc) == len(eager) and fc._entries is None
+        assert len(fc) == len(eager)
         assert exact(fc.entries) == exact(eager)
         assert all(type(cs) is ClassifiedSimplex for _, cs in fc.entries)
         # Python ints, not numpy ones: error texts and the file print them
@@ -668,7 +693,6 @@ class TestArrayBuild:
                              [verts for _, verts in fc.as_filtration()]):
             assert {type(v) for verts in vertex_lists for v in verts} == {int}
             assert {type(verts) for verts in vertex_lists} == {tuple}
-        assert fc.entries is fc.entries
         made = hand_made(eager)
         assert fc == made
         # the same arrays, class ranges and diagram, bit for bit, and the
@@ -696,7 +720,6 @@ class TestArrayBuild:
         assert homology.betti_of_subcomplex(fc, threshold_after(thresholds, (1, 0))) == \
             [0, 0, 4**2, 0]
         assert euler_characteristic_ok(fc)
-        assert fc._entries is None
 
 
 @pytest.mark.slow

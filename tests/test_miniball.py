@@ -78,7 +78,7 @@ def crosscheck_subsets():
 
     for argv in CROSSCHECK:
         with pytest.MonkeyPatch.context() as mp:
-            reset_memos(mp)
+            reset_memos()
             for module in (oracle, complexgen):
                 mp.setattr(module, "min_enclosing_ball", recording(min_enclosing_ball))
             assert cli.main(argv) == 0
@@ -104,7 +104,7 @@ def test_crosscheck_subsets():
 
 def test_cold_memo_matches_reference(fresh_memos):
     for points in [*crosscheck_subsets(), odd_2_3_found_simplex()]:
-        geometry._ball_memo.clear()
+        geometry._memo_ball_through.cache_clear()
         assert_as_reference(points)
 
 
@@ -113,7 +113,8 @@ def test_warm_memo_matches_reference(fresh_memos):
     for _ in range(2):
         for points in subsets:
             assert_as_reference(points)
-    assert 0 < len(geometry._ball_memo) < geometry._BALL_MEMO_SIZE
+    info = geometry._memo_ball_through.cache_info()
+    assert 0 < info.currsize < info.maxsize
 
 
 def test_found_simplex_is_eight_ulp_over_the_batch(fresh_memos):
@@ -129,21 +130,33 @@ def test_returned_center_is_the_callers_own(fresh_memos):
     before = min_enclosing_ball(points)
     expected = before.center.tobytes()
     before.center[:] = np.nan
-    assert all(ball.center.flags.writeable is False for ball in geometry._ball_memo.values())
+    # the first boundary solved is the first point alone: a hit, read-only
+    hits = geometry._memo_ball_through.cache_info().hits
+    memoized = geometry._memo_ball_through(points[:1].shape, points[:1].tobytes())
+    assert geometry._memo_ball_through.cache_info().hits == hits + 1
+    assert memoized.center.flags.writeable is False
     assert min_enclosing_ball(points).center.tobytes() == expected
     assert_as_reference(points)
 
 
 def test_memo_stays_within_its_bound(fresh_memos):
-    size = geometry._BALL_MEMO_SIZE
+    """The memo holds at most its 4096 boundaries and drops the least
+    recently used: a point read again after each new one stays, and the
+    first of the others is gone."""
+    memo = geometry._memo_ball_through
+    size = memo.cache_info().maxsize
+    assert size == 4096
     points = np.random.default_rng(0).random((size + 100, 2))
-    min_enclosing_ball(points[:1])
-    first = next(iter(geometry._ball_memo))
     for p in points[1:]:
         min_enclosing_ball(p[None])
-        assert len(geometry._ball_memo) <= size
-    assert len(geometry._ball_memo) == size
-    assert first not in geometry._ball_memo
+        min_enclosing_ball(points[:1])
+        assert memo.cache_info().currsize <= size
+    assert memo.cache_info().currsize == size
+    misses = memo.cache_info().misses
+    min_enclosing_ball(points[:1])
+    assert memo.cache_info().misses == misses
+    min_enclosing_ball(points[1:2])
+    assert memo.cache_info().misses == misses + 1
 
 
 def test_verify_all_solves_each_boundary_once(fresh_memos, monkeypatch, capsys):

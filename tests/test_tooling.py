@@ -1,7 +1,9 @@
 """The benchmark's layer trace wraps package attributes by name
 (`perfbench/tracer.py`'s SITES) and reads `homology.HAVE_COMPILED`
 (`perfbench/run.py`).  A rename or removal in the package breaks
-`perfbench/run.py --trace 1`, so every such name must resolve.  Only
+`perfbench/run.py --trace 1`, so every such name must resolve, and the
+workloads' checks (`perfbench/workloads.py`) must hold on the package's
+outputs, the census that reads `FilteredComplex.entries` included.  Only
 `complexgen` reads a FilteredComplex's private fields; every other module
 goes through its methods.  Only `construct` calls a builder or makes a
 PointSet, directly or by `replace`, and a PointSet holds its parameters
@@ -27,27 +29,42 @@ from pathlib import Path
 
 import extremal_cech
 from extremal_cech import homology
-from extremal_cech.construct import PointSet
+from extremal_cech.construct import PointSet, build_validated
 
 ROOT = Path(__file__).resolve().parents[1]
-TRACER = ROOT / "perfbench" / "tracer.py"
 PRIVATE_FIELDS = re.compile(r"(\.|[\"'])_(faces|values|dims|ids|rows|entries|touch|short)\b")
 
 
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    return tracer
+def load_bench(name):
+    """`perfbench/<name>.py`, loaded as a module of its own."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_traced_names_resolve():
-    tracer = load_tracer()
+    tracer = load_bench("tracer")
     missing = [f"{module}.{attr}" for module, attr, _, _ in tracer.SITES
                if not hasattr(importlib.import_module(f"extremal_cech.{module}"), attr)]
     assert tracer.SITES
     assert missing == []
     assert isinstance(homology.HAVE_COMPILED, bool)
+
+
+def test_workload_checks_hold(tmp_path):
+    """The smoke-size ops of the two in-process workloads report correct
+    outputs; their census and radii read a complex's entries, one pass per
+    read."""
+    workloads = load_bench("workloads")
+    assert workloads.Pipeline3d(0, True, tmp_path).op() is True
+    queries = workloads.DiagramQueries(0, True, tmp_path)
+    queries.setup()
+    assert queries.op() is True
+    fc = build_validated("3d", k=1, n=4)[1]
+    assert [cs.dim for _, cs in fc.entries] == fc.dims().tolist()
+    assert workloads.dim_counts(fc) == workloads.census(4)
 
 
 def test_only_complexgen_reads_private_complex_fields():
@@ -166,7 +183,7 @@ def test_every_module_import_is_used():
     # a module-level import is read in its module, exported by its
     # `__all__`, or wrapped by a tracer site for that module; the package's
     # `__init__` imports only to export
-    traced = {(module, attr) for module, attr, _, _ in load_tracer().SITES}
+    traced = {(module, attr) for module, attr, _, _ in load_bench("tracer").SITES}
     unused, trace_only = [], set()
     for path in sorted((ROOT / "src" / "extremal_cech").glob("*.py")):
         if path.name == "__init__.py":
@@ -196,7 +213,7 @@ def test_every_export_is_read():
     # a name in a module's `__all__` is loaded somewhere under src/, as a
     # name or an attribute, or is an attribute a tracer site wraps; an
     # export that nothing reads is dead public API
-    traced = {attr for _, attr, _, _ in load_tracer().SITES}
+    traced = {attr for _, attr, _, _ in load_bench("tracer").SITES}
     read = set()
     modules = sorted((ROOT / "src" / "extremal_cech").glob("*.py"))
     for path in modules:
