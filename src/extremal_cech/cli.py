@@ -8,7 +8,8 @@ other than suspended or not positive and finite; a --delta other than
 auto with --points, a mosaic of more than `construct.MAX_SIMPLICES`
 simplices, built, loaded or swept by a verify suite, a non-finite
 --radius, an even --radius not below the top-cell value, nothing selected
-to verify, verify --all with --n or --k, verify --theorem 2.1 or --radii
+to verify, verify --all with --n or --k or with another suite (--theorem,
+--suspension, --radii, --hypotheses), verify --theorem 2.1 or --radii
 with a --k below 2, verify --theorem 3.1 with a --k other than 1, verify
 --suspension with a --k other than 2, bad or
 unreadable input files, a point-file header that
@@ -164,6 +165,9 @@ def _cmd_verify(args) -> int:
 
     if args.all and (args.n, args.k) != (None, None):
         raise ValueError("--all runs a fixed claim set and takes no --n or --k")
+    if args.all and (args.theorem or args.suspension or args.radii or args.hypotheses):
+        raise ValueError("--all runs every suite and takes no --theorem, --suspension, "
+                         "--radii or --hypotheses")
     if args.theorem == "3.1" and args.k not in (None, 1):
         raise ValueError(f"--k {args.k} is not 1, the only k of theorem 3.1")
 

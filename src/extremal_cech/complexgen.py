@@ -8,25 +8,27 @@ point or two consecutive points from each circle, and is classified by
 * short = number of circles contributing a consecutive pair minus one,
 
 so dim = touch + short + 1.  One product-form enumeration serves all three
-kinds and emits int arrays (vertex ids, touch, short) with each simplex's
-facets in closed form, its rows in (touch, short, vertex list) order.
-Every simplex of a validated construction is critical, its circumcenter
-interior and its circumsphere strictly empty, so its radius value is its
-circumradius (Bauer & Edelsbrunner, The Morse theory of Cech and Delaunay
-complexes, 2017).  The build proves this with one circumsphere pass
-(`geometry.circumspheres`) per class, in class order, and raises
-NotCriticalError on the first simplex that fails, computing no later
-class; `criticality_check` runs the same kernel, one pass per block, on
-any point set and filtration.  The sort is one stable argsort of the
-values.  A facet lies in an earlier class than its coface, so in an
-earlier row: a facet tied with its coface stays before it, and a facet
-valued above it raises.
+kinds and emits int arrays with each simplex's facets in closed form, its
+rows in (touch, short, vertex list) order: one vertex-id block per class,
+which carries the class.  Every simplex of a validated construction is
+critical, its circumcenter interior and its circumsphere strictly empty,
+so its radius value is its circumradius (Bauer & Edelsbrunner, The Morse
+theory of Cech and Delaunay complexes, 2017).  The build proves this with
+one circumsphere pass (`geometry.circumspheres`) per class, in class
+order, and raises NotCriticalError on the first simplex that fails,
+computing no later class; `criticality_check` runs the same kernel, one
+pass per block, on any point set and filtration.  The sort is one stable
+argsort of the values.  A facet lies in an earlier class than its coface,
+so in an earlier row: a facet tied with its coface stays before it, and a
+facet valued above it raises.
 
 A FilteredComplex is made from arrays in filtration order and is nothing
 else: a built one keeps the build's, its face relation included, and makes
-no Python object per simplex.  Each read of its `entries` is a fresh
-iterator over its (value, ClassifiedSimplex) pairs, made from the arrays
-as it goes; `len(fc)` counts them and `list(fc.entries)` keeps them.
+no Python object per simplex.  A simplex's class is stored once, on its
+block, and every per-class read walks the blocks.  Each read of its
+`entries` is a fresh iterator over its (value, ClassifiedSimplex) pairs,
+made from the arrays as it goes; `len(fc)` counts them and
+`list(fc.entries)` keeps them.
 """
 
 from __future__ import annotations
@@ -108,18 +110,19 @@ class FilteredComplex:
     lists are, in order.
 
     A complex is made from its arrays in filtration order and keeps them:
-    `values`, `touch`, `short`, and `ids`, vertex-id blocks of one size
-    each, position i being row `rows[i]` of the blocks read one after
-    another (dims are the block sizes less one), and `faces` is the face
-    relation (see `faces()`).  A built complex's blocks are its classes in
-    order, and every simplex of it is critical.  `entries` is a fresh
-    iterator over the (value, ClassifiedSimplex) pairs on each read; the
-    complex keeps none of them.
+    `values`; `ids`, vertex-id blocks of one size and one class each,
+    block b's class being `classes[b]`, its (touch, short); position i is
+    row `rows[i]` of the blocks read one after another, so its dim and
+    class are its block's, and `faces` is the face relation (see
+    `faces()`).  A built complex's blocks are its classes in order, and
+    every simplex of it is critical.  `entries` is a fresh iterator over
+    the (value, ClassifiedSimplex) pairs on each read; the complex keeps
+    none of them.
     """
 
-    def __init__(self, values, touch, short, ids, rows, faces):
+    def __init__(self, values, classes, ids, rows, faces):
         sizes = np.repeat(np.array([b.shape[1] for b in ids], dtype=np.intp), [len(b) for b in ids])
-        self._values, self._touch, self._short = values, touch, short
+        self._values, self._classes = values, classes
         self._ids, self._rows, self._dims = ids, rows, sizes[rows] - 1
         self._faces = faces
 
@@ -127,9 +130,10 @@ class FilteredComplex:
     def entries(self) -> Iterator[tuple[float, ClassifiedSimplex]]:
         # what the NamedTuple's constructor does, without a Python call per
         # simplex: tuple.__new__(ClassifiedSimplex, fields)
+        touch, short = self.classes()
         return zip(self._values.tolist(), map(
             tuple.__new__, itertools.repeat(ClassifiedSimplex), zip(
-                self._vertex_lists(), self._touch.tolist(), self._short.tolist())))
+                self._vertex_lists(), touch.tolist(), short.tolist())))
 
     def _vertex_lists(self):
         return map(_vertex_tuples(self._ids).__getitem__, self._rows.tolist())
@@ -138,8 +142,8 @@ class FilteredComplex:
         if not isinstance(other, FilteredComplex):
             return NotImplemented
         return (all(np.array_equal(a, b) for a, b in zip(
-                    (self._values, self._dims, self._touch, self._short),
-                    (other._values, other._dims, other._touch, other._short)))
+                    (self._values, self._dims, *self.classes()),
+                    (other._values, other._dims, *other.classes())))
                 and list(self._vertex_lists()) == list(other._vertex_lists()))
 
     def __len__(self) -> int:
@@ -154,13 +158,15 @@ class FilteredComplex:
         return self._dims
 
     def classes(self) -> tuple[np.ndarray, np.ndarray]:
-        """touch and short in filtration order."""
-        return self._touch, self._short
+        """touch and short in filtration order, read from the blocks."""
+        per_row = np.repeat(np.array(self._classes, dtype=np.intp).reshape(-1, 2),
+                            [len(b) for b in self._ids], axis=0)
+        return tuple(per_row[self._rows].T)
 
-    def blocks(self) -> tuple[list[np.ndarray], np.ndarray]:
-        """The vertex-id blocks, one size each, and each position's row in
-        them."""
-        return self._ids, self._rows
+    def blocks(self) -> tuple[list[tuple[int, int]], list[np.ndarray], np.ndarray]:
+        """Each block's class, the vertex-id blocks, one size and one class
+        each, and each position's row in them."""
+        return self._classes, self._ids, self._rows
 
     def faces(self) -> np.ndarray:
         """Row i: the positions of simplex i's facets, padded with -1."""
@@ -170,19 +176,16 @@ class FilteredComplex:
         return int(self.dims().max())
 
     def class_ranges(self) -> dict[tuple[int, int], tuple[float, float, int]]:
-        """Per (touch, short) class: (min value, max value, count)."""
-        touch, short, values = self._touch, self._short, self._values
-        if not len(values):
-            return {}
-        key = touch * (short.max() + 2) + short + 1
-        order = np.lexsort((values, key))
-        key = key[order]
-        first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-        last = np.append(first[1:], len(key)) - 1
-        head = order[first]
-        return {(t, s): (lo, hi, count) for t, s, lo, hi, count in zip(
-            touch[head].tolist(), short[head].tolist(), values[head].tolist(),
-            values[order[last]].tolist(), (last - first + 1).tolist())}
+        """Per (touch, short) class: (min value, max value, count), read
+        block by block; blocks of one class are merged."""
+        by_row = np.empty_like(self._values)
+        by_row[self._rows] = self._values
+        ends = np.cumsum([len(b) for b in self._ids], dtype=np.intp)
+        out = {}
+        for cls, part in zip(self._classes, np.split(by_row, ends[:-1])):
+            lo, hi, count = out.get(cls, (np.inf, -np.inf, 0))
+            out[cls] = (min(lo, float(part.min())), max(hi, float(part.max())), count + len(part))
+        return out
 
     def as_filtration(self) -> list[tuple[float, tuple[int, ...]]]:
         """(value, vertex tuple) per simplex, in filtration order."""
@@ -200,14 +203,13 @@ class _Mosaic:
     vertex list.  `facets[i, j]` is the row of the facet that drops the
     vertex in slot j, or -1 where there is none (an empty slot, or i is a
     vertex).  `blocks[c]` is the (lo, hi) row range of the c-th class in
-    class order, whose simplices all have one size s, and `ids[c]` holds
-    their vertex lists as one (hi - lo, s) int array, the block form
-    `geometry.circumspheres` takes.
+    class order, `classes[c]` its (touch, short), whose simplices all have
+    one size s, and `ids[c]` holds their vertex lists as one (hi - lo, s)
+    int array, the block form `geometry.circumspheres` takes.
     """
 
     ids: list[np.ndarray]
-    touch: np.ndarray
-    short: np.ndarray
+    classes: list[tuple[int, int]]
     facets: np.ndarray
     blocks: list[tuple[int, int]]
 
@@ -278,14 +280,16 @@ def _mosaic(ps: PointSet) -> _Mosaic:
     # rows of 2-d arrays by np.take, faster than indexing with `order`
     slots, facet_codes = np.take(slots, order, axis=0), np.take(facet_codes, order, axis=0)
     real = slots < pad
-    size, touch, cls, codes = size[order], touch[order], cls[order], codes[order]
+    size, cls, codes = size[order], cls[order], codes[order]
     row_of = np.zeros(len(codes) + 1, dtype=np.intp)
     row_of[codes] = np.arange(len(codes))
     facets = np.where(real & (size > 1)[:, None], row_of[facet_codes], -1)
     starts = [0, *(np.flatnonzero(cls[1:] != cls[:-1]) + 1).tolist(), len(cls)]
     blocks = list(zip(starts[:-1], starts[1:]))
     ids = [slots[lo:hi][real[lo:hi]].reshape(hi - lo, size[lo]) for lo, hi in blocks]
-    return _Mosaic(ids, touch, size - touch - 2, facets, blocks)
+    # each block's class from its key: touch, then short + 1
+    classes = [(c // (circles + 1), c % (circles + 1) - 1) for c in cls[starts[:-1]].tolist()]
+    return _Mosaic(ids, classes, facets, blocks)
 
 
 def enumerate_mosaic(ps: PointSet) -> list[ClassifiedSimplex]:
@@ -293,7 +297,7 @@ def enumerate_mosaic(ps: PointSet) -> list[ClassifiedSimplex]:
     (touch, short, vertex list), so every face precedes its cofaces."""
     m = _mosaic(ps)
     return [ClassifiedSimplex(v, t, s)
-            for v, t, s in zip(m.vertex_tuples(), m.touch.tolist(), m.short.tolist())]
+            for (t, s), block in zip(m.classes, m.ids) for v in _vertex_tuples([block])]
 
 
 def radius_value(ps: PointSet, simplex) -> float:
@@ -321,7 +325,7 @@ def build_filtration(ps: PointSet) -> FilteredComplex:
     valued above its coface raises NotCriticalError naming the coface.
     """
     m = _mosaic(ps)
-    values = np.empty(len(m.touch))
+    values = np.empty(len(m.facets))
     for block, (lo, hi) in zip(m.ids, m.blocks):
         batch = circumspheres(ps, block)
         bad = np.flatnonzero(~batch.critical)
@@ -342,7 +346,7 @@ def build_filtration(ps: PointSet) -> FilteredComplex:
         verts = m.vertex_tuples()
         raise NotCriticalError(verts[row], reason=f"radius {values[row]!r} is below "
                                f"its facet {verts[facet]}'s {values[facet]!r}")
-    return FilteredComplex(values[order], m.touch[order], m.short[order], m.ids, order, faces)
+    return FilteredComplex(values[order], m.classes, m.ids, order, faces)
 
 
 @dataclass(frozen=True)
@@ -393,7 +397,7 @@ def criticality_check(ps: PointSet, fc: FilteredComplex) -> CriticalityReport:
     Failures are data, not errors, in filtration order, each with its
     reason from its block's pass (see `_not_critical`).  The spheres are
     always computed afresh; a filtration from `build_filtration` passes."""
-    ids, rows = fc.blocks()
+    _, ids, rows = fc.blocks()
     failures, start = {}, 0
     for block in ids:
         batch = circumspheres(ps, block)

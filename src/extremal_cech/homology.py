@@ -286,15 +286,15 @@ def betti_of_subcomplexes(fc, radii, pmax: int | None = None, reduced: bool = Tr
                           eps: float = 0.0) -> list[list[int]]:
     """`betti_of_subcomplex` at each radius, every vector read from one
     diagram of the whole complex and each cross checked on its own
-    sublevel."""
+    sublevel, a prefix of the sorted values."""
     entries = fc.as_filtration()
     pmax = int(fc.dims().max(initial=0)) if pmax is None else pmax
     pd = reduce(fc, reduced=reduced)
     out = []
     for r in radii:
         vec = [betti_at(pd, p, r, eps) for p in range(pmax + 1)]
-        check = _betti_by_rank([(value, verts) for value, verts in entries
-                                if value <= r + eps], pmax)
+        check = _betti_by_rank(entries[:np.searchsorted(fc.values(), r + eps, side="right")],
+                               pmax)
         if reduced:
             check[0] = max(0, check[0] - 1)
         if vec != check:

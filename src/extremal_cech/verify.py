@@ -287,13 +287,13 @@ def _even_class_radii(ps: PointSet, fc):
     """Max relative error of the values of `fc`, the validated filtration of
     the even set `ps`, against the closed-form circumradii of
     `construct.class_table`, per class.  Every simplex of a validated build
-    is critical, so its value is its circumradius."""
-    values, (touch, short) = fc.values(), fc.classes()
-    errs = {}
+    is critical, so its value is its circumradius.  A class's error is at
+    its least or greatest value: rounding x - R keeps the order of the x."""
+    ranges, errs = fc.class_ranges(), {}
     for t, s, _, _, radius in construct.class_table(KIND_EVEN, ps.k, ps.n):
-        radii = values[(touch == t) & (short == s)]
-        err = np.abs(radii - radius) / radius if radius else np.abs(radii)
-        errs[(t, s)] = float(err.max(initial=0.0))
+        lo, hi, _ = ranges[(t, s)]
+        err = max(abs(lo - radius), abs(hi - radius))
+        errs[(t, s)] = err / radius if radius else err
     return errs
 
 
@@ -351,14 +351,12 @@ def _threed_interval_claims(n: int) -> list[ClaimResult]:
     for delta in DELTA_GRID:
         ps, fc = _swept(KIND_3D, 1, n, delta)
         eps = half_edge(ps)
-        values, dims = fc.values(), fc.dims()
-        edges = values[(dims == 1) & (fc.classes()[1] == -1)]
-        edge_ok &= bool(np.all((0.5 - 1e-15 <= edges)
-                               & (edges <= 0.5 * (1.0 + delta**4) + 1e-15)))
-        tris = values[dims == 2]
-        tri_lo_ok &= bool(np.all(tris >= 0.5 + 0.25 * eps * eps - 1e-15))
-        tet_lo_ok &= bool(np.all(values[dims == 3] >= 0.5 + (5.0 / 11.0) * eps * eps - 1e-15))
-        excesses.append(max(0.0, float(tris.max(initial=0.0)) - (0.5 + 0.25 * eps * eps)))
+        # long edges, triangles and tetrahedra: (lo, hi, count) each
+        edges, tris, tets = map(fc.class_ranges().__getitem__, ((1, -1), (1, 0), (1, 1)))
+        edge_ok &= 0.5 - 1e-15 <= edges[0] and edges[1] <= 0.5 * (1.0 + delta**4) + 1e-15
+        tri_lo_ok &= tris[0] >= 0.5 + 0.25 * eps * eps - 1e-15
+        tet_lo_ok &= tets[0] >= 0.5 + (5.0 / 11.0) * eps * eps - 1e-15
+        excesses.append(max(0.0, tris[1] - (0.5 + 0.25 * eps * eps)))
         epss.append(delta)
     claims = [
         _claim("radii/3d/edge-interval", params, "1/2 <= R_E <= (1+delta^4)/2",
@@ -395,18 +393,16 @@ def _slope_claim(claim_id, params, xs, errs, threshold) -> ClaimResult:
 # convergence of the second-order radius expansions
 
 
-def _facet_distances(points: np.ndarray, block: np.ndarray, centers: np.ndarray) -> list:
-    """Per simplex of a (b, m) vertex-id block with circumcenters
-    `centers`: for m >= 2, (h2, dist2), the squared distance of each
-    vertex, and of the simplex's center, to the affine hull of the facet
-    opposite that vertex; None for a vertex.  One batch per dropped vertex:
-    a stacked QR of the facet's edge vectors gives each distance as the
-    residual of a projection, as `affine_distance` does by least squares.
-    The closed forms from the Gram inverse of the simplex's own edges
-    cancel catastrophically where those edges are nearly parallel."""
+def _facet_distances(points: np.ndarray, block: np.ndarray, centers: np.ndarray):
+    """(h2, dist2), two (b, m) arrays for a (b, m) vertex-id block, m >= 2,
+    with circumcenters `centers`: the squared distance of each vertex, and
+    of the simplex's center, to the affine hull of the facet opposite that
+    vertex.  One batch per dropped vertex: a stacked QR of the facet's edge
+    vectors gives each distance as the residual of a projection, as
+    `affine_distance` does by least squares.  The closed forms from the
+    Gram inverse of the simplex's own edges cancel catastrophically where
+    those edges are nearly parallel."""
     m = block.shape[1]
-    if m < 2:
-        return [None] * len(block)
     verts = points[block]
     h2, dist2 = np.empty((len(block), m)), np.empty((len(block), m))
     for drop in range(m):
@@ -416,61 +412,55 @@ def _facet_distances(points: np.ndarray, block: np.ndarray, centers: np.ndarray)
             y = x - rest[:, 0]
             resid = y - np.einsum("bij,bkj,bk->bi", q, q, y)
             out_col[:, drop] = np.einsum("bi,bi->b", resid, resid)
-    return list(zip(h2.tolist(), dist2.tolist()))
+    return h2, dist2
 
 
 def _hypothesis_errors(ps: PointSet, fc):
     """Max absolute discrepancies, per simplex class, between the measured
     squared radii/heights/offsets of an odd construction and the
-    second-order expansions around the regular-simplex values."""
+    second-order expansions around the regular-simplex values.  Each block
+    is one class (ell, j), so each discrepancy is one numpy maximum over
+    the block's simplices, or over their vertices that are paired, or not,
+    on their circle; a class with no such vertex records none."""
     eps2 = half_edge(ps) ** 2
     errs: dict[str, dict[tuple[int, int], float]] = {
         "radius": {}, "center_noshort": {}, "center_short": {},
         "pyramid_height": {}, "pyramid_offset": {}, "bipyramid_offset": {},
     }
 
-    def bump(kind, cls, err):
-        errs[kind][cls] = max(errs[kind].get(cls, 0.0), err)
+    def record(kind, cls, err):
+        if err.size:
+            errs[kind][cls] = max(errs[kind].get(cls, 0.0), float(np.abs(err).max()))
 
-    blocks, rows = fc.blocks()  # every list below is in block row order
-    touch, short = (a[np.argsort(rows)].tolist() for a in fc.classes())
-    circle = ps.labels[:, 0].tolist()
-    radii, facets = [], []
-    for block in blocks:
+    circle = ps.labels[:, 0]
+    classes, blocks, _ = fc.blocks()
+    for cls, block in zip(classes, blocks):
+        ell, j = cls
         batch = circumspheres(ps, block)
         if batch.degenerate.any():
             raise AffineDegeneracyError("points are affinely dependent beyond tolerance")
-        radii += batch.radius.tolist()
-        facets += _facet_distances(ps.points, block, batch.center)
-    verts = complexgen._vertex_tuples(blocks)
-    for vertices, ell, j, radius, distances in zip(verts, touch, short, radii, facets):
-        cls = (ell, j)
         r_ell2 = construct.regular_simplex_circumradius_sq(ell)
-        bump("radius", cls, abs(radius**2 - r_ell2 - (j + 1) * eps2 / (ell + 1) ** 2))
-        if distances is None:
+        record("radius", cls, batch.radius**2 - r_ell2 - (j + 1) * eps2 / (ell + 1) ** 2)
+        if block.shape[1] < 2:
             continue
 
-        vertex_h2, facet_dist2 = distances
-        d_s2 = min(facet_dist2)
+        vertex_h2, facet_dist2 = _facet_distances(ps.points, block, batch.center)
+        d_s2 = facet_dist2.min(axis=1)
         if j == -1:
-            bump("center_noshort", cls,
-                 abs(d_s2 - construct.regular_simplex_inradius_gap_sq(ell)))
+            record("center_noshort", cls, d_s2 - construct.regular_simplex_inradius_gap_sq(ell))
         else:
-            bump("center_short", cls, abs(d_s2 - eps2 / (ell + 1) ** 2))
+            record("center_short", cls, d_s2 - eps2 / (ell + 1) ** 2)
 
         # one consecutive pair at most per circle: paired iff sharing a circle
-        for drop, h2, dist2 in zip(vertices, vertex_h2, facet_dist2):
-            if not any(w != drop and circle[w] == circle[drop] for w in vertices):
-                if ell < 1:
-                    continue
-                h_ell2 = construct.regular_simplex_height_sq(ell)
-                bump("pyramid_height", cls,
-                     abs(h2 - h_ell2 + (j + 1) * eps2 / ell**2))
-                d_ell2 = construct.regular_simplex_inradius_gap_sq(ell)
-                shift = (2 * ell + 1) * (j + 1) * eps2 / (ell**2 * (ell + 1) ** 2)
-                bump("pyramid_offset", cls, abs(dist2 - d_ell2 + shift))
-            else:
-                bump("bipyramid_offset", cls, abs(dist2 - eps2 / (ell + 1) ** 2))
+        on = circle[block]
+        paired = (on[:, :, None] == on[:, None, :]).sum(axis=2) > 1
+        if ell >= 1:
+            h_ell2 = construct.regular_simplex_height_sq(ell)
+            record("pyramid_height", cls, vertex_h2[~paired] - h_ell2 + (j + 1) * eps2 / ell**2)
+            d_ell2 = construct.regular_simplex_inradius_gap_sq(ell)
+            shift = (2 * ell + 1) * (j + 1) * eps2 / (ell**2 * (ell + 1) ** 2)
+            record("pyramid_offset", cls, facet_dist2[~paired] - d_ell2 + shift)
+        record("bipyramid_offset", cls, facet_dist2[paired] - eps2 / (ell + 1) ** 2)
     return errs
 
 
@@ -478,7 +468,7 @@ def _bisector_violations(ps: PointSet, fc, bound: float) -> int:
     """Count vertices whose distance to the bisector hyperplane of a mosaic
     edge they are long-connected to exceeds the cubic bound."""
     b, c = np.vstack([np.empty((0, 2), np.intp),
-                      *(block for block in fc.blocks()[0] if block.shape[1] == 2)]).T
+                      *(block for block in fc.blocks()[1] if block.shape[1] == 2)]).T
     pts, circle = ps.points, ps.labels[:, 0]
     diffs = pts[:, None, :] - pts[None, :, :]
     dist2 = np.einsum("abi,abi->ab", diffs, diffs)

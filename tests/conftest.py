@@ -92,19 +92,26 @@ def circumspheres_in_order(points, simplices):
 
 def hand_made(entries, faces=None):
     """A FilteredComplex of (value, ClassifiedSimplex) entries taken in
-    their order, with a block per simplex size.  Its face relation is
-    `faces`, or else `homology.face_array` of the vertex lists, which must
-    then be face-closed."""
+    their order, with a block per (class, simplex size), classes ascending
+    and sizes ascending in a class.  Its face relation is `faces`, or else
+    `homology.face_array` of the vertex lists, which must then be
+    face-closed."""
     entries = list(entries)
     vertex_lists = [cs.vertices for _, cs in entries]
-    groups = blocks_by_size(vertex_lists)
+    classes = np.array([cs.cls for _, cs in entries], dtype=np.intp).reshape(-1, 2)
+    block_classes, blocks, taken = [], [], []
+    for cls in np.unique(classes, axis=0).tolist():
+        at = np.flatnonzero((classes == cls).all(axis=1))
+        for positions, block in blocks_by_size([vertex_lists[i] for i in at.tolist()]):
+            block_classes.append(tuple(cls))
+            blocks.append(block)
+            taken.append(at[positions])
     # each position's row: the inverse of the positions taken block by block
-    rows = np.argsort(np.concatenate([np.empty(0, np.intp), *(g for g, _ in groups)]))
-    touch, short = np.array([cs.cls for _, cs in entries], dtype=np.intp).reshape(-1, 2).T
+    rows = np.argsort(np.concatenate([np.empty(0, np.intp), *taken]))
     if faces is None:
         faces = homology.face_array(vertex_lists)
     return complexgen.FilteredComplex(np.array([value for value, _ in entries], dtype=float),
-                                      touch, short, [block for _, block in groups], rows, faces)
+                                      block_classes, blocks, rows, faces)
 
 
 def mosaic_complex(ps):

@@ -428,6 +428,18 @@ class TestBadInputExit2:
         code, out, err = run(["radii", "--kind", "3d", "--n", "2", "--k", k], capsys)
         assert (code, out, err) == (2, "", f"error: k={k} is not 1, the only k of kind 3d\n")
 
+    @pytest.mark.parametrize("suite", [["--theorem", "3.1"], ["--theorem", "2.1"],
+                                       ["--suspension"], ["--radii"], ["--hypotheses"]])
+    def test_all_takes_no_other_suite(self, suite, tmp_path, capsys):
+        # --all already runs every suite: another one would print, and
+        # write, each of its claims twice
+        csv = tmp_path / "claims.csv"
+        code, out, err = run(["verify", "--all", *suite, "--csv", str(csv)], capsys)
+        assert (code, out) == (2, "")
+        assert err == ("error: --all runs every suite and takes no --theorem, --suspension, "
+                       "--radii or --hypotheses\n")
+        assert not csv.exists()
+
     @pytest.mark.parametrize("command", ["generate", "filtration"])
     @pytest.mark.parametrize("kind", [["--kind", "3d"], ["--kind", "odd", "--k", "2"]])
     def test_n_0_with_the_default_delta(self, command, kind, tmp_path, capsys):

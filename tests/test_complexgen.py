@@ -564,7 +564,7 @@ class TestSinglePass:
         calls.clear()
         fc = mosaic_complex(ps)
         assert not criticality_check(ps, fc).ok
-        assert [len(rows) for rows in calls] == [len(block) for block in fc.blocks()[0]]
+        assert [len(rows) for rows in calls] == [len(block) for block in fc.blocks()[1]]
         assert sorted(sum(calls, [])) == sorted(verts)
 
     def test_failing_build_computes_no_later_class(self, monkeypatch):
@@ -577,8 +577,7 @@ class TestSinglePass:
         assert err.value.simplex == (0, 11)
         assert [len(rows) for rows in calls] == [22, 20, 121]
         m = complexgen._mosaic(ps)
-        assert [(m.touch[lo], m.short[lo]) for lo, _ in m.blocks[:4]] == [
-            (0, -1), (0, 0), (1, -1), (1, 0)]
+        assert m.classes[:4] == [(0, -1), (0, 0), (1, -1), (1, 0)]
         assert sum(calls, []) == m.vertex_tuples()[:m.blocks[3][0]]
 
     @pytest.mark.parametrize("kind,k,n", ACCEPTED)
@@ -669,7 +668,7 @@ class TestArrayBuild:
     def test_values_are_the_circumradii(self, kind, k, n):
         # no value is rewritten: each is its simplex's radius from the pass
         ps, fc = cached_pipeline(kind, k, n)[:2]
-        ids, rows = fc.blocks()
+        _, ids, rows = fc.blocks()
         assert bits(fc.values()) == bits(circumspheres_in_order(ps, ids).radius[rows])
 
     @pytest.mark.parametrize("kind,k,n", ACCEPTED)
@@ -725,8 +724,9 @@ class TestArrayBuild:
 @pytest.mark.slow
 def test_3d_300_build_keeps_arrays_only():
     """A built 3d n=300 complex (362,403 simplices) holds its arrays, not
-    per-simplex objects: at most 40 MB stays allocated after the build
-    (127 MB when it held a list of entries), and a pass over its entries
+    per-simplex objects: at most 32 MB stays allocated after the build
+    (127 MB when it held a list of entries, 35 MB when it held a touch and
+    a short array beside its blocks' classes), and a pass over its entries
     keeps at most 5 MB more (101 MB when the view kept the list it made)."""
     tracemalloc.start()
     try:
@@ -740,7 +740,7 @@ def test_3d_300_build_keeps_arrays_only():
         tracemalloc.stop()
     assert len(built[1]) == 362_403
     assert census == [602, 91_201, 180_600, 90_000]
-    assert held <= 40.0
+    assert held <= 32.0
     assert kept <= 5.0
 
 
@@ -764,6 +764,35 @@ class TestThresholds:
     def test_overlap_detected(self):
         with pytest.raises(OverlapError):
             pick_thresholds(mosaic_complex(build_3d(3, 0.5)))
+
+    def test_a_class_over_two_blocks(self, threed_n2):
+        # a block holds one size and one class, so a class at two sizes is
+        # two blocks: its range is theirs merged, and each position's class
+        # is its block's
+        cs = complexgen.ClassifiedSimplex
+        entries = [(0.0, cs((0,), 0, -1)), (0.0, cs((1,), 0, -1)), (0.0, cs((2,), 0, -1)),
+                   (0.5, cs((0, 1), 1, -1)), (0.6, cs((1, 2), 1, -1)),
+                   (0.7, cs((0, 1, 2), 1, -1))]
+        faces = np.array([[-1, -1, -1]] * 3 + [[0, 1, -1], [1, 2, -1], [3, 4, -1]])
+        fc = hand_made(entries, faces)
+        classes, ids, _ = fc.blocks()
+        assert classes == [(0, -1), (1, -1), (1, -1)]
+        assert [block.shape for block in ids] == [(3, 1), (2, 2), (1, 3)]
+        assert fc.class_ranges() == {(0, -1): (0.0, 0.0, 3), (1, -1): (0.5, 0.7, 3)}
+        assert list(zip(*(c.tolist() for c in fc.classes()))) == [e.cls for _, e in entries]
+        assert [e for _, e in fc.entries] == [e for _, e in entries]
+        assert pick_thresholds(fc) == [complexgen.Threshold((0, -1), (1, -1), 0.25)]
+        # the built 3d n=2 complex with every block cut in two keeps its
+        # rows, its class ranges and its thresholds
+        _, built, thresholds, _ = threed_n2
+        classes, ids, rows = built.blocks()
+        halves = [part for block in ids for part in np.array_split(block, 2)]
+        cut = complexgen.FilteredComplex(built.values(), [c for c in classes for _ in range(2)],
+                                         halves, rows, built.faces())
+        assert len(cut.blocks()[1]) == 2 * len(ids)
+        assert cut == built
+        assert cut.class_ranges() == built.class_ranges()
+        assert pick_thresholds(cut) == pick_thresholds(built) == thresholds
 
 
 class TestCriticality:

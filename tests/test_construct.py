@@ -318,11 +318,10 @@ def test_mosaic_size_is_the_built_count(kind, k, n):
     # and the build's blocks are the table's rows: one class each, in order,
     # with its count and size
     m = complexgen._mosaic(cached_pipeline(kind, k, n)[0])
-    assert [(m.touch[lo], m.short[lo], hi - lo, ids.shape[1])
-            for (lo, hi), ids in zip(m.blocks, m.ids)] == [
+    assert [(*cls, hi - lo, ids.shape[1])
+            for cls, (lo, hi), ids in zip(m.classes, m.blocks, m.ids)] == [
         (t, s, count, dim + 1) for t, s, dim, count, _ in table]
-    assert all(len(set(zip(m.touch[lo:hi].tolist(), m.short[lo:hi].tolist()))) == 1
-               for lo, hi in m.blocks)
+    assert fc.blocks()[0] == m.classes
 
 
 @pytest.mark.parametrize("n", [1, 2])

@@ -32,7 +32,7 @@ from extremal_cech import homology
 from extremal_cech.construct import PointSet, build_validated
 
 ROOT = Path(__file__).resolve().parents[1]
-PRIVATE_FIELDS = re.compile(r"(\.|[\"'])_(faces|values|dims|ids|rows|entries|touch|short)\b")
+PRIVATE_FIELDS = re.compile(r"(\.|[\"'])_(faces|values|dims|ids|rows|entries|touch|short|classes)\b")
 
 
 def load_bench(name):
