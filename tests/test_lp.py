@@ -195,19 +195,12 @@ def reference_simplex(tab, basis, n_cols):
 
 
 def test_bit_identical_to_row_loop_on_face_test_lps(even_2_5, monkeypatch):
-    # every LP the empty-sphere test builds over all subsets of even k=2 n=5
+    # the LP the empty-sphere test sets up for every subset of even k=2
+    # n=5, also where the smallest sphere accepts before any LP is solved
     ps, _, _, _ = even_2_5
-    lps = []
-
-    def recording(c, A, b):
-        lps.append((c, A, b))
-        return solve_lp_max(c, A, b)
-
-    monkeypatch.setattr(oracle, "solve_lp_max", recording)
-    for size in range(1, ps.dim + 2):
-        for verts in itertools.combinations(range(len(ps)), size):
-            oracle.delaunay_face_test(ps, verts)
-    monkeypatch.undo()
+    lps = [oracle._face_lp(*oracle._equidistant_centers(ps, verts))
+           for size in range(1, ps.dim + 2)
+           for verts in itertools.combinations(range(len(ps)), size)]
     assert len(lps) == 637
 
     fast = [solve_lp_max(*args) for args in lps]

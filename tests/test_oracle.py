@@ -7,6 +7,7 @@ import pytest
 from extremal_cech import complexgen, homology, oracle
 from extremal_cech.construct import PointSet, build_3d, build_suspended
 from extremal_cech.geometry import DEFAULT_TOL, min_enclosing_ball
+from extremal_cech.lp import OPTIMAL, solve_lp_max
 from extremal_cech.oracle import (
     BudgetExceededError,
     cech,
@@ -216,6 +217,82 @@ class TestDelaunayFaceTest:
     def test_full_set_trivially_true(self):
         tiny = PointSet("3d", 1, 0, 0.1, np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
         assert delaunay_face_test(tiny, (0, 1))
+
+
+def lp_only_verdict(ps, verts):
+    """(verdict, smallest sphere) for one subset.  The verdict is the LP's
+    alone: the refusals before any LP, then `solve_lp_max` on the LP that
+    `oracle._face_lp` sets up and the clearance at the center it returns.
+    The smallest sphere is whether the equidistant center nearest a0
+    accepts, or None where a refusal or an empty complement decides before
+    it is tried."""
+    centers = oracle._equidistant_centers(ps, verts)
+    if centers is None:
+        return False, None
+    a0, others, z0, null = centers
+    if not len(others):
+        return True, None
+    if np.any(np.abs(z0) > oracle._LP_BOX):
+        return False, None
+    abs_eps = DEFAULT_TOL.abs_eps
+    status, x, _ = solve_lp_max(*oracle._face_lp(*centers))
+    verdict = (status == OPTIMAL
+               and oracle._clearances(others, a0, z0 + null @ x[:-1]).min() > abs_eps)
+    smallest = z0 + null @ (null.T @ (a0 - z0))
+    accepts = bool(np.all(np.abs(smallest) <= oracle._LP_BOX)
+                   and oracle._clearances(others, a0, smallest).min() > abs_eps)
+    return bool(verdict), accepts
+
+
+@pytest.fixture
+def lp_calls(monkeypatch):
+    """The arguments of every `solve_lp_max` call the oracle makes."""
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return solve_lp_max(*args)
+
+    monkeypatch.setattr(oracle, "solve_lp_max", recording)
+    return calls
+
+
+class TestSmallestSphereFirst:
+    """The smallest sphere through the vertices is tried before the LP;
+    the verdict must be the LP's alone, on every subset."""
+
+    @pytest.mark.parametrize("kind,k,n", [("even", 2, 5), ("odd", 2, 2), ("3d", 1, 3)])
+    def test_verdict_equals_the_lp_alone(self, pipeline, lp_calls, kind, k, n):
+        ps, _, _, _ = pipeline(kind, k, n)
+        reached, refused_by_smallest, faces = set(), set(), set()
+        for size in range(1, ps.dim + 2):
+            for verts in itertools.combinations(range(len(ps)), size):
+                before = len(lp_calls)
+                verdict = delaunay_face_test(ps, verts)
+                assert len(lp_calls) - before in (0, 1)
+                if len(lp_calls) > before:
+                    reached.add(verts)
+                expected, smallest = lp_only_verdict(ps, verts)
+                assert verdict == expected, verts
+                if smallest is False:
+                    refused_by_smallest.add(verts)
+                if verdict:
+                    faces.add(verts)
+        assert reached == refused_by_smallest
+        # every face of these mosaics is critical: its smallest sphere is empty
+        assert reached and faces and not reached & faces
+
+    def test_non_critical_face_accepted_by_the_lp(self, threed_n2, lp_calls):
+        # the long edge (0, 1) of an obtuse triangle: its smallest sphere,
+        # about the edge's midpoint, holds point 2, yet a sphere centered
+        # far out on the side of the edge away from 2 leaves it outside
+        ps = replace(threed_n2[0], points=np.array([[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0],
+                                                     [0.0, 0.2, 0.0]]))
+        ball = min_enclosing_ball(ps.points[:2])
+        assert np.sum((ps.points[2] - ball.center) ** 2) < ball.radius ** 2
+        assert delaunay_face_test(ps, (0, 1))
+        assert len(lp_calls) == 1
+        assert lp_only_verdict(ps, (0, 1)) == (True, False)
 
 
 class TestEnumerationMatch:

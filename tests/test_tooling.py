@@ -16,7 +16,9 @@ kind choices are `construct.KINDS` and `MOSAIC_KINDS`.  And
 the numerical slacks are one record,
 `geometry.DEFAULT_TOL`, that no public function takes as a parameter.
 Every module-level import is read, exported or wrapped by the trace, and
-every exported name is read in the package or wrapped by the trace."""
+every exported name is read in the package or wrapped by the trace.  The
+oracle reads nothing of `geometry` but `DEFAULT_TOL` and
+`min_enclosing_ball`, so its face test keeps arithmetic of its own."""
 
 import ast
 import dataclasses
@@ -226,3 +228,30 @@ def test_every_export_is_read():
     assert ("complexgen", "FilteredComplex") in exported
     assert [f"{module}.{name}" for module, name in exported
             if name not in read and name not in traced] == []
+
+
+def test_the_oracle_reads_only_the_tolerance_and_the_miniball_of_geometry():
+    # every top-level name of `geometry`, and the module itself, that
+    # `oracle` imports or reads, as a name or as an attribute of any
+    # object: the face test must not drift onto the build's sphere kernel
+    src = ROOT / "src" / "extremal_cech"
+    defined = {"geometry"}
+    for node in ast.parse((src / "geometry.py").read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Assign):
+            defined.update(target.id for target in node.targets
+                           if isinstance(target, ast.Name) and not target.id.startswith("__"))
+    assert {"circumspheres", "_first_inside", "is_empty_sphere"} <= defined
+    from_geometry, used = set(), set()
+    for node in ast.walk(ast.parse((src / "oracle.py").read_text())):
+        if isinstance(node, ast.ImportFrom) and node.module == "geometry":
+            from_geometry.update(alias.name for alias in node.names)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            used.update(alias.name.split(".")[-1] for alias in node.names)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+    assert from_geometry == {"DEFAULT_TOL", "min_enclosing_ball"}
+    assert used & defined == from_geometry
