@@ -116,7 +116,7 @@ def _cmd_persistence(args) -> int:
     _, fc, _ = _build_validated(args)
     pd = homology.reduce(fc)
     homology.save_diagram(pd, args.output)
-    print(f"wrote {len(pd.pairs)} pairs to {args.output}")
+    print(f"wrote {len(pd)} pairs to {args.output}")
     if args.svg:
         homology.diagram_svg(pd, args.svg)
         print(f"wrote scatter to {args.svg}")

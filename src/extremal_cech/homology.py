@@ -6,16 +6,18 @@ holds the filtration positions of simplex j's facets, padded with -1.  A
 list, such as the Cech complex of `oracle.cech`, gets it from
 `face_array`.  One kernel, `reduce_columns`, pairs the apparent pairs with
 array operations and reduces the residue with clearing; the lowest ones
-define birth/death pairs and unkilled births are essential classes.  Every
-Betti query reads the one diagram of the whole filtration: a sublevel
-complex is a prefix, and the reduction of a prefix is the prefix of the
-reduction.  A query over all filtration values (`betti_profile`) sorts
-the births and deaths once and counts by binary search.
+define birth/death pairs and unkilled births are essential classes.  The
+diagram is three arrays in (dim, birth, death) order, `dims`, `births`
+and `deaths`, with no Python object per pair; its tuple list `pairs` is
+derived on demand and read by no query.  Every Betti query reads the one
+diagram of the whole filtration: a sublevel complex is a prefix, and the
+reduction of a prefix is the prefix of the reduction.  `betti_at` is one
+array count, and a query over all filtration values (`betti_profile`)
+sorts the births and deaths once and counts by binary search.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -159,14 +161,36 @@ def reduce_columns(faces: np.ndarray) -> np.ndarray:
     return lows
 
 
-@dataclass
+@dataclass(eq=False)
 class PersistenceDiagram:
-    """Birth-death pairs (dim, birth, death), death = inf for essential
-    classes.  `reduced` records whether Betti queries drop the essential
-    connected component in dimension 0."""
+    """Birth-death pairs as three arrays in (dim, birth, death) order:
+    `dims` (intp), `births` and `deaths` (float64), death = inf for
+    essential classes.  `reduced` records whether Betti queries drop the
+    essential connected component in dimension 0.  `len(pd)` counts the
+    pairs; `pairs`, the (dim, birth, death) tuple list, is derived from the
+    arrays on demand.  Two diagrams are equal when their arrays and
+    `reduced` are."""
 
-    pairs: list[tuple[int, float, float]]
+    dims: np.ndarray
+    births: np.ndarray
+    deaths: np.ndarray
     reduced: bool = True
+
+    def __len__(self) -> int:
+        return len(self.dims)
+
+    def __eq__(self, other):
+        if not isinstance(other, PersistenceDiagram):
+            return NotImplemented
+        return (self.reduced == other.reduced and np.array_equal(self.dims, other.dims)
+                and np.array_equal(self.births, other.births)
+                and np.array_equal(self.deaths, other.deaths))
+
+    @property
+    def pairs(self) -> list[tuple[int, float, float]]:
+        """The (dim, birth, death) tuples, in the arrays' order: a new list
+        per read."""
+        return list(zip(self.dims.tolist(), self.births.tolist(), self.deaths.tolist()))
 
 
 def _arrays(filtration):
@@ -183,11 +207,18 @@ def reduce(filtration, reduced: bool = True) -> PersistenceDiagram:
     """Reduce a face-closed, face-before-coface sorted filtration.
 
     A FilteredComplex gives its values, dims and face relation through its
-    methods; a (value, vertices) list gets them through `face_array`.  The
-    pairing is unique for any valid order, so permuting entries within
-    equal (value, dim) groups leaves the diagram unchanged.
+    methods; a (value, vertices) list gets them through `face_array`.
+    Values that decrease are refused with the first position whose value
+    is below its predecessor's.  The pairing is unique for any valid
+    order, so permuting entries within equal (value, dim) groups leaves
+    the diagram unchanged.
     """
     values, dims, faces = _arrays(filtration)
+    down = np.flatnonzero(np.diff(values) < 0)
+    if len(down):
+        at = int(down[0]) + 1
+        raise ValueError(f"filtration values decrease at position {at}: "
+                         f"{float(values[at])!r} after {float(values[at - 1])!r}")
     lows = reduce_columns(faces())
     deaths = np.flatnonzero(lows >= 0)
     births = lows[deaths]
@@ -198,17 +229,16 @@ def reduce(filtration, reduced: bool = True) -> PersistenceDiagram:
     birth = np.concatenate((values[births], values[essential]))
     death = np.concatenate((values[deaths], np.full(len(essential), INF)))
     order = np.lexsort((death, birth, dim))
-    pairs = list(zip(dim[order].tolist(), birth[order].tolist(), death[order].tolist()))
-    return PersistenceDiagram(pairs, reduced=reduced)
+    return PersistenceDiagram(dim[order], birth[order], death[order], reduced=reduced)
 
 
 def betti_at(pd: PersistenceDiagram, p: int, r: float, eps: float = 0.0) -> int:
     """Number of dimension-p classes alive at radius r: pairs with
-    birth <= r < death.  The optional eps admits values equal to r up to
-    floating-point noise.  Under the reduced convention the essential
-    component is dropped for p = 0."""
+    birth <= r < death, one count over the diagram's arrays.  The optional
+    eps admits values equal to r up to floating-point noise.  Under the
+    reduced convention the essential component is dropped for p = 0."""
     limit = r + eps
-    count = sum(1 for dim, birth, death in pd.pairs if dim == p and birth <= limit < death)
+    count = int(np.count_nonzero((pd.dims == p) & (pd.births <= limit) & (limit < pd.deaths)))
     if pd.reduced and p == 0 and count > 0:
         count -= 1
     return count
@@ -218,23 +248,19 @@ def betti_profile(pd: PersistenceDiagram, p: int) -> list[tuple[float, int]]:
     """The dimension-p Betti number as a right-continuous step function,
     returned as (radius, value) breakpoints; the value changes only at
     filtration values.  Each breakpoint's value is `betti_at`'s, counted by
-    binary search in the sorted births and deaths.  A pair with
-    birth >= death is never alive and is left out of the count, so every
-    counted death is preceded by its birth."""
-    breaks = sorted({b for dim, b, _ in pd.pairs if dim == p}
-                    | {d for dim, _, d in pd.pairs if dim == p and d != INF})
-    live = [(birth, death) for dim, birth, death in pd.pairs if dim == p and birth < death]
-    births = sorted(birth for birth, _ in live)
-    deaths = sorted(death for _, death in live)
-    drop = 1 if pd.reduced and p == 0 else 0
-    profile = []
-    last = None
-    for r in breaks:
-        value = max(bisect.bisect_right(births, r) - bisect.bisect_right(deaths, r) - drop, 0)
-        if value != last:
-            profile.append((r, value))
-            last = value
-    return profile
+    `np.searchsorted` in the sorted births and deaths of the diagram's
+    arrays.  A pair with birth >= death is never alive and is left out of
+    the count, so every counted death is preceded by its birth."""
+    at_p = pd.dims == p
+    births, deaths = pd.births[at_p], pd.deaths[at_p]
+    breaks = np.unique(np.concatenate((births, deaths[deaths != INF])))
+    live = births < deaths
+    value = (np.searchsorted(np.sort(births[live]), breaks, side="right")
+             - np.searchsorted(np.sort(deaths[live]), breaks, side="right"))
+    value = np.maximum(value - (1 if pd.reduced and p == 0 else 0), 0)
+    steps = np.ones(len(value), dtype=bool)
+    steps[1:] = value[1:] != value[:-1]
+    return list(zip(breaks[steps].tolist(), value[steps].tolist()))
 
 
 def _rank_z2(columns) -> int:
@@ -308,9 +334,16 @@ def betti_of_subcomplexes(fc, radii, pmax: int | None = None, reduced: bool = Tr
 # classes, sorted by (dim, birth, death).
 
 
+def _sorted_rows(pd: PersistenceDiagram):
+    """(dim, birth, death) per pair of the arrays, in (dim, birth, death)
+    order whatever the order the diagram was made in."""
+    order = np.lexsort((pd.deaths, pd.births, pd.dims))
+    return zip(pd.dims[order].tolist(), pd.births[order].tolist(), pd.deaths[order].tolist())
+
+
 def save_diagram(pd: PersistenceDiagram, path) -> None:
     lines = (f"{dim},{format(birth, '.17g')},{'inf' if death == INF else format(death, '.17g')}\n"
-             for dim, birth, death in sorted(pd.pairs))
+             for dim, birth, death in _sorted_rows(pd))
     with open(path, "w") as fh:
         fh.write("dim,birth,death\n")
         fh.writelines(lines)
@@ -323,8 +356,9 @@ _SVG_SIZE = 420
 def diagram_svg(pd: PersistenceDiagram, path) -> None:
     """Births-vs-deaths scatter as a standalone SVG, one color per dimension;
     essential classes are drawn on the top border."""
-    finite_vals = [v for p in pd.pairs for v in (p[1], p[2]) if v != INF]
-    hi = max(finite_vals, default=1.0) * 1.05 or 1.0
+    finite = np.concatenate((pd.births, pd.deaths))
+    finite = finite[finite != INF]
+    hi = (float(finite.max()) if len(finite) else 1.0) * 1.05 or 1.0
     margin, plot = 40.0, float(_SVG_SIZE - 60)
 
     def sx(v):
@@ -340,13 +374,13 @@ def diagram_svg(pd: PersistenceDiagram, path) -> None:
         f'<line x1="{sx(0)}" y1="{sy(0)}" x2="{sx(hi)}" y2="{sy(hi)}" '
         'stroke="#999" stroke-dasharray="4"/>',
     ]
-    for dim, birth, death in sorted(pd.pairs):
+    for dim, birth, death in _sorted_rows(pd):
         color = _SVG_COLORS[dim % len(_SVG_COLORS)]
         y = sy(hi) if death == INF else sy(death)
         shape = (f'<circle cx="{sx(birth):.2f}" cy="{y:.2f}" r="3" fill="{color}" '
                  f'fill-opacity="0.7"><title>dim {dim}</title></circle>')
         parts.append(shape)
-    for dim in sorted({p[0] for p in pd.pairs}):
+    for dim in np.unique(pd.dims).tolist():
         color = _SVG_COLORS[dim % len(_SVG_COLORS)]
         parts.append(f'<text x="{margin + 8 + 52 * dim}" y="{margin - 10}" '
                      f'fill="{color}" font-size="12">dim {dim}</text>')

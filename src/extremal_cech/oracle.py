@@ -197,7 +197,9 @@ def cech_equals_alpha_betti(ps: PointSet, radii, pmax: int, fc: complexgen.Filte
 
 def delaunay_face_test(ps: PointSet, vertices) -> bool:
     """True iff some sphere passes through the given vertices with every
-    other point strictly farther out.
+    other point strictly farther out.  An id list that is not a simplex
+    of `ps`, one that is empty, repeats an id or has an id outside
+    0..len(ps)-1, raises ValueError.
 
     The clearance of a non-vertex b at a center z, |p_b - z|^2 - |a0 - z|^2
     with a0 a vertex, is the power of b for the sphere about z through a0:
@@ -239,12 +241,21 @@ def delaunay_face_test(ps: PointSet, vertices) -> bool:
 
 def _equidistant_centers(ps: PointSet, vertices):
     """(a0, others, z0, V) for the vertices of `ps`, or None when no center
-    is equidistant from them: a0 the lowest vertex, `others` the coordinates
-    of every other point, and the equidistant centers z0 + V y, with z0 the
-    one nearest the origin and V an orthonormal basis of the directions the
-    rank cut at rel_eps leaves free."""
+    is equidistant from them; an id list that is empty, repeats an id or
+    has an id outside 0..len(ps)-1 raises ValueError.  a0 is the lowest
+    vertex, `others` the coordinates of every other point, and the
+    equidistant centers z0 + V y, with z0 the one nearest the origin and V
+    an orthonormal basis of the directions the rank cut at rel_eps leaves
+    free."""
     rel_eps = DEFAULT_TOL.rel_eps
     verts = tuple(sorted(int(v) for v in vertices))
+    if not verts:
+        raise ValueError("not a simplex: the vertex id list () is empty")
+    if verts[0] < 0 or verts[-1] >= len(ps):
+        raise ValueError(f"not a simplex: the vertex ids {tuple(vertices)} are not all "
+                         f"in 0..{len(ps) - 1}")
+    if len(set(verts)) < len(verts):
+        raise ValueError(f"not a simplex: the vertex ids {tuple(vertices)} repeat an id")
     pts = ps.points
     a0 = pts[verts[0]]
 

@@ -114,6 +114,15 @@ def hand_made(entries, faces=None):
                                       block_classes, blocks, rows, faces)
 
 
+def diagram(pairs, reduced=True):
+    """A PersistenceDiagram of hand-made (dim, birth, death) tuples, made
+    from its three arrays in the (dim, birth, death) order `reduce` gives."""
+    dims, births, deaths = zip(*sorted(pairs)) if pairs else ((), (), ())
+    return homology.PersistenceDiagram(np.array(dims, dtype=np.intp),
+                                       np.array(births, dtype=float),
+                                       np.array(deaths, dtype=float), reduced)
+
+
 def mosaic_complex(ps):
     """A hand-made filtration over the mosaic of `ps`, in enumeration order
     and valued by circumradius: the simplices and values of a build, without

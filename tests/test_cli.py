@@ -232,10 +232,12 @@ class TestPersistence:
     def test_diagram_and_svg(self, tmp_path, capsys):
         diag = tmp_path / "d.csv"
         svg = tmp_path / "d.svg"
-        code, _, _ = run(["persistence", "--kind", "3d", "--n", "2",
-                          "-o", str(diag), "--svg", str(svg)], capsys)
+        code, out, _ = run(["persistence", "--kind", "3d", "--n", "2",
+                            "-o", str(diag), "--svg", str(svg)], capsys)
         assert code == 0
-        assert diag.read_text().splitlines()[0] == "dim,birth,death"
+        header, *rows = diag.read_text().splitlines()
+        assert header == "dim,birth,death"
+        assert out.splitlines()[0] == f"wrote {len(rows)} pairs to {diag}"
         assert svg.read_text().startswith("<svg")
 
     def test_deterministic(self, tmp_path, capsys):

@@ -2,12 +2,13 @@ import itertools
 import math
 import random
 import tracemalloc
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from extremal_cech import complexgen, homology
+from extremal_cech import complexgen, homology, oracle
 from extremal_cech.homology import (
-    PersistenceDiagram,
     betti_at,
     betti_of_subcomplex,
     boundary_columns,
@@ -16,7 +17,7 @@ from extremal_cech.homology import (
     save_diagram,
 )
 
-from conftest import euler_characteristic_ok
+from conftest import cached_pipeline, diagram, euler_characteristic_ok
 
 INF = math.inf
 
@@ -97,6 +98,15 @@ class TestReduce:
         with pytest.raises(ValueError):
             reduce([(1.0, (0, 1)), (0.0, (0,)), (0.0, (1,))])
 
+    def test_decreasing_values_rejected(self):
+        # reduced, the first would pair as (0, 0.5, 0.2): a class that dies
+        # before it is born
+        with pytest.raises(ValueError, match=r"^filtration values decrease at position 1: "
+                                             r"0\.5 after 1\.0$"):
+            reduce([(1.0, (0,)), (0.5, (1,)), (0.2, (0, 1))])
+        with pytest.raises(ValueError, match="at position 3: 0.5 after 1.0"):
+            reduce([(0.0, (0,)), (0.0, (1,)), (1.0, (0, 1)), (0.5, (2,))])
+
     def test_missing_face_rejected(self):
         with pytest.raises(ValueError):
             reduce([(0.0, (0,)), (1.0, (0, 1))])
@@ -172,6 +182,108 @@ class TestBuiltFaceRelation:
         assert reduce_peak_mb(fc) <= 10.0
 
 
+def tuple_assembly(filtration):
+    """Reference: the diagram as a (dim, birth, death) tuple list, made
+    from the lows by one lexsort, `tolist` and `zip`."""
+    values, dims, faces = homology._arrays(filtration)
+    lows = homology.reduce_columns(faces())
+    deaths = np.flatnonzero(lows >= 0)
+    births = lows[deaths]
+    unpaired = lows < 0
+    unpaired[births] = False
+    essential = np.flatnonzero(unpaired)
+    dim = np.concatenate((dims[births], dims[essential]))
+    birth = np.concatenate((values[births], values[essential]))
+    death = np.concatenate((values[deaths], np.full(len(essential), INF)))
+    order = np.lexsort((death, birth, dim))
+    return list(zip(dim[order].tolist(), birth[order].tolist(), death[order].tolist()))
+
+
+def generator_count(pairs, reduced, p, r, eps):
+    """Reference: `betti_at` as a walk over the tuple list."""
+    limit = r + eps
+    count = sum(1 for dim, birth, death in pairs if dim == p and birth <= limit < death)
+    if reduced and p == 0 and count > 0:
+        count -= 1
+    return count
+
+
+def hexed_pairs(pairs):
+    return [(dim, birth.hex(), death.hex()) for dim, birth, death in pairs]
+
+
+def array_filtrations():
+    """The built 3d n=30, even k=3 n=6 and odd k=2 n=3 complexes, and the
+    Cech complex of odd k=2 n=2 at its last threshold."""
+    out = [cached_pipeline(*args)[1] for args in (("3d", 1, 30), ("even", 3, 6), ("odd", 2, 3))]
+    ps, _, thresholds, _ = cached_pipeline("odd", 2, 2)
+    out.append(oracle.cech(ps.points, thresholds[-1].rho, 3))
+    return out
+
+
+class TestDiagramArrays:
+    """A diagram is three arrays; the tuples it was are derived from them."""
+
+    @pytest.fixture(scope="class")
+    def filtrations(self):
+        return array_filtrations()
+
+    def test_arrays_match_the_tuple_assembly(self, filtrations):
+        for filtration in filtrations:
+            pd = reduce(filtration)
+            assert (pd.dims.dtype, pd.births.dtype, pd.deaths.dtype) == \
+                (np.dtype(np.intp), np.dtype(np.float64), np.dtype(np.float64))
+            ref = tuple_assembly(filtration)
+            assert len(pd) == len(ref) > 0
+            assert hexed_pairs(pd.pairs) == hexed_pairs(ref)
+
+    def test_betti_at_matches_the_generator_count(self, filtrations):
+        # at every birth and death and one ulp either side, in every
+        # dimension, with and without eps, reduced or not
+        for filtration in filtrations:
+            pd = reduce(filtration)
+            pairs = pd.pairs
+            values = np.unique(np.concatenate((pd.births, pd.deaths[pd.deaths != INF])))
+            radii = np.concatenate((np.nextafter(values, -INF), values, np.nextafter(values, INF)))
+            # one dimension above the top has no pairs
+            by_dim = {p: [pair for pair in pairs if pair[0] == p]
+                      for p in range(int(pd.dims.max()) + 2)}
+            assert sum(map(len, by_dim.values())) == len(pd)
+            for reduced in (True, False):
+                convention = replace(pd, reduced=reduced)
+                for p, at_p in by_dim.items():
+                    for eps in (0.0, 1e-12):
+                        got = [betti_at(convention, p, r, eps) for r in radii.tolist()]
+                        assert got == [generator_count(at_p, reduced, p, r, eps)
+                                       for r in radii.tolist()], (p, eps, reduced)
+
+    def test_equality_reads_the_arrays_and_the_convention(self, threed_n2):
+        _, fc, _, pd = threed_n2
+        assert reduce(fc) == pd and len(pd) == len(pd.pairs)
+        assert reduce(fc, reduced=False) != pd
+        moved = diagram(pd.pairs)
+        moved.deaths[0] = np.nextafter(moved.deaths[0], INF)
+        assert moved != pd and pd != pd.pairs
+
+    def test_pairs_is_read_only(self, threed_n2):
+        _, _, _, pd = threed_n2
+        with pytest.raises(AttributeError):
+            pd.pairs = []
+
+    def test_memory_per_pair(self, pipeline):
+        """A reduced 3d n=100 diagram (40,803 simplices) is held in its three
+        arrays, within 32 B per pair; the tuple list took about 120 B."""
+        _, fc, _, _ = pipeline("3d", 1, 100)
+        tracemalloc.start()
+        try:
+            pd = reduce(fc)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(pd) > 20_000
+        assert held <= 32 * len(pd)
+
+
 def reduce_peak_mb(fc):
     """tracemalloc peak of one `reduce(fc)`, in MB."""
     tracemalloc.start()
@@ -224,7 +336,7 @@ class TestBoundaryColumns:
 
 class TestBettiAt:
     def test_empty_diagram(self):
-        assert betti_at(PersistenceDiagram([]), 0, 1.0) == 0
+        assert betti_at(diagram([]), 0, 1.0) == 0
 
     def test_3d_tunnel_count(self, pipeline):
         for n in (2, 3):
@@ -237,10 +349,10 @@ class TestBettiAt:
         assert betti_at(pd, 0, 0.2) == 9  # kn - 1 isolated points
 
     def test_inclusion_eps(self):
-        pd = PersistenceDiagram([(0, 0.5 + 1e-15, INF)])
+        pd = diagram([(0, 0.5 + 1e-15, INF)])
         assert betti_at(pd, 0, 0.5) == 0  # reduced drops the last component
         assert not pd.reduced or betti_at(pd, 0, 0.5, eps=1e-12) == 0
-        assert betti_at(PersistenceDiagram([(1, 0.5 + 1e-15, INF)]), 1, 0.5, eps=1e-12) == 1
+        assert betti_at(diagram([(1, 0.5 + 1e-15, INF)]), 1, 0.5, eps=1e-12) == 1
 
 
 class TestBettiOfSubcomplex:
@@ -346,6 +458,14 @@ class TestDiagramIO:
         save_diagram(pd, path2)
         assert path.read_bytes() == path2.read_bytes()
 
+    def test_files_are_sorted_whatever_the_array_order(self, threed_n2, tmp_path):
+        _, _, _, pd = threed_n2
+        flipped = homology.PersistenceDiagram(pd.dims[::-1], pd.births[::-1], pd.deaths[::-1])
+        for write, name in ((save_diagram, "diag.csv"), (diagram_svg, "diag.svg")):
+            write(pd, tmp_path / name)
+            write(flipped, tmp_path / f"flipped-{name}")
+            assert (tmp_path / name).read_bytes() == (tmp_path / f"flipped-{name}").read_bytes()
+
     def test_svg_smoke(self, threed_n2, tmp_path):
         _, _, _, pd = threed_n2
         out = tmp_path / "diag.svg"
@@ -412,7 +532,7 @@ class TestSweepQueries:
             assert homology.betti_profile(pd, p) == profile_reference(pd, p)
 
     def test_profile_ignores_pairs_that_are_never_alive(self):
-        pd = PersistenceDiagram([(1, 0.5, 0.5), (1, 0.7, 0.6), (1, 0.2, 0.8)], reduced=False)
+        pd = diagram([(1, 0.5, 0.5), (1, 0.7, 0.6), (1, 0.2, 0.8)], reduced=False)
         assert homology.betti_profile(pd, 1) == profile_reference(pd, 1)
 
     @pytest.mark.parametrize("name", FIXTURES)
@@ -425,7 +545,7 @@ class TestSweepQueries:
         assert euler_characteristic_ok(fc, eps)
         assert euler_reference(entries, full, eps)
         for drop in range(0, len(full.pairs), max(1, len(full.pairs) // 7)):
-            pd = PersistenceDiagram(full.pairs[:drop] + full.pairs[drop + 1:], reduced=False)
+            pd = diagram(full.pairs[:drop] + full.pairs[drop + 1:], reduced=False)
             monkeypatch.setattr(homology, "reduce", lambda *args, pd=pd, **kwargs: pd)
             verdict = euler_characteristic_ok(fc, eps)
             assert verdict == euler_reference(entries, pd, eps)
@@ -439,7 +559,7 @@ class TestSweepQueries:
                    (1.0 + 5e-13, (0, 2)), (1.0 + 8e-13, (0, 1, 2))]
         full = reduce(entries, reduced=False)
         assert (1, 1.0 + 5e-13, 1.0 + 8e-13) in full.pairs
-        pd = PersistenceDiagram([p for p in full.pairs if p[0] != 1], reduced=False)
+        pd = diagram([p for p in full.pairs if p[0] != 1], reduced=False)
         monkeypatch.setattr(homology, "reduce", lambda *args, **kwargs: pd)
         for eps, verdict in ((1e-12, True), (0.0, False)):
             assert euler_characteristic_ok(entries, eps) is verdict

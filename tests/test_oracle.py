@@ -218,6 +218,19 @@ class TestDelaunayFaceTest:
         tiny = PointSet("3d", 1, 0, 0.1, np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
         assert delaunay_face_test(tiny, (0, 1))
 
+    # id lists that name no simplex of the 10 points
+    @pytest.mark.parametrize("verts,reason", [
+        ((0, 0), "repeat an id"), ((3, 3, 4), "repeat an id"),
+        ((-1, 2), r"are not all in 0\.\.9"), ((0, 25), r"are not all in 0\.\.9"),
+        ((), "is empty"),
+    ], ids=["repeated-edge", "repeated-triangle", "negative", "out-of-range", "empty"])
+    def test_not_a_simplex_refused(self, even_2_5, verts, reason):
+        ps, _, _, _ = even_2_5
+        assert len(ps) == 10
+        with pytest.raises(ValueError, match=rf"^not a simplex: .*{reason}") as err:
+            delaunay_face_test(ps, verts)
+        assert str(verts) in str(err.value)
+
 
 def lp_only_verdict(ps, verts):
     """(verdict, smallest sphere) for one subset.  The verdict is the LP's

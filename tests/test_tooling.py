@@ -18,7 +18,8 @@ the numerical slacks are one record,
 Every module-level import is read, exported or wrapped by the trace, and
 every exported name is read in the package or wrapped by the trace.  The
 oracle reads nothing of `geometry` but `DEFAULT_TOL` and
-`min_enclosing_ball`, so its face test keeps arithmetic of its own."""
+`min_enclosing_ball`, so its face test keeps arithmetic of its own.  No
+module reads a diagram's derived tuple list `pairs`."""
 
 import ast
 import dataclasses
@@ -255,3 +256,15 @@ def test_the_oracle_reads_only_the_tolerance_and_the_miniball_of_geometry():
             used.add(node.attr)
     assert from_geometry == {"DEFAULT_TOL", "min_enclosing_ball"}
     assert used & defined == from_geometry
+
+
+def test_no_query_reads_the_tuple_list():
+    # a diagram's queries, its files and the CLI read its three arrays;
+    # `PersistenceDiagram.pairs` is derived for the tests and the trace,
+    # and no module under src/ loads an attribute of that name
+    loads = [f"{path.relative_to(ROOT)}:{node.lineno}"
+             for path in sorted((ROOT / "src").rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute) and node.attr == "pairs"
+             and isinstance(node.ctx, ast.Load)]
+    assert loads == []
