@@ -163,13 +163,13 @@ def reduce_columns(faces: np.ndarray) -> np.ndarray:
 
 @dataclass(eq=False)
 class PersistenceDiagram:
-    """Birth-death pairs as three arrays in (dim, birth, death) order:
-    `dims` (intp), `births` and `deaths` (float64), death = inf for
-    essential classes.  `reduced` records whether Betti queries drop the
-    essential connected component in dimension 0.  `len(pd)` counts the
-    pairs; `pairs`, the (dim, birth, death) tuple list, is derived from the
-    arrays on demand.  Two diagrams are equal when their arrays and
-    `reduced` are."""
+    """Birth-death pairs as three arrays in (dim, birth, death) order, the
+    order `save_diagram` and `diagram_svg` write them in: `dims` (intp),
+    `births` and `deaths` (float64), death = inf for essential classes.
+    `reduced` records whether Betti queries drop the essential connected
+    component in dimension 0.  `len(pd)` counts the pairs; `pairs`, the
+    (dim, birth, death) tuple list, is derived from the arrays on demand.
+    Two diagrams are equal when their arrays and `reduced` are."""
 
     dims: np.ndarray
     births: np.ndarray
@@ -331,19 +331,14 @@ def betti_of_subcomplexes(fc, radii, pmax: int | None = None, reduced: bool = Tr
 
 # ---------------------------------------------------------------------------
 # diagram file format: CSV `dim,birth,death` with `inf` for essential
-# classes, sorted by (dim, birth, death).
+# classes, in the diagram's (dim, birth, death) order.
 
-
-def _sorted_rows(pd: PersistenceDiagram):
-    """(dim, birth, death) per pair of the arrays, in (dim, birth, death)
-    order whatever the order the diagram was made in."""
-    order = np.lexsort((pd.deaths, pd.births, pd.dims))
-    return zip(pd.dims[order].tolist(), pd.births[order].tolist(), pd.deaths[order].tolist())
 
 
 def save_diagram(pd: PersistenceDiagram, path) -> None:
     lines = (f"{dim},{format(birth, '.17g')},{'inf' if death == INF else format(death, '.17g')}\n"
-             for dim, birth, death in _sorted_rows(pd))
+             for dim, birth, death in zip(pd.dims.tolist(), pd.births.tolist(),
+                                         pd.deaths.tolist()))
     with open(path, "w") as fh:
         fh.write("dim,birth,death\n")
         fh.writelines(lines)
@@ -374,7 +369,7 @@ def diagram_svg(pd: PersistenceDiagram, path) -> None:
         f'<line x1="{sx(0)}" y1="{sy(0)}" x2="{sx(hi)}" y2="{sy(hi)}" '
         'stroke="#999" stroke-dasharray="4"/>',
     ]
-    for dim, birth, death in _sorted_rows(pd):
+    for dim, birth, death in zip(pd.dims.tolist(), pd.births.tolist(), pd.deaths.tolist()):
         color = _SVG_COLORS[dim % len(_SVG_COLORS)]
         y = sy(hi) if death == INF else sy(death)
         shape = (f'<circle cx="{sx(birth):.2f}" cy="{y:.2f}" r="3" fill="{color}" '

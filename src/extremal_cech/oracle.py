@@ -249,13 +249,8 @@ def _equidistant_centers(ps: PointSet, vertices):
     free."""
     rel_eps = DEFAULT_TOL.rel_eps
     verts = tuple(sorted(int(v) for v in vertices))
-    if not verts:
-        raise ValueError("not a simplex: the vertex id list () is empty")
-    if verts[0] < 0 or verts[-1] >= len(ps):
-        raise ValueError(f"not a simplex: the vertex ids {tuple(vertices)} are not all "
-                         f"in 0..{len(ps) - 1}")
-    if len(set(verts)) < len(verts):
-        raise ValueError(f"not a simplex: the vertex ids {tuple(vertices)} repeat an id")
+    if not verts or verts[0] < 0 or verts[-1] >= len(ps) or len(set(verts)) < len(verts):
+        raise ValueError(f"not a simplex of points 0..{len(ps) - 1}: {verts}")
     pts = ps.points
     a0 = pts[verts[0]]
 

@@ -458,14 +458,6 @@ class TestDiagramIO:
         save_diagram(pd, path2)
         assert path.read_bytes() == path2.read_bytes()
 
-    def test_files_are_sorted_whatever_the_array_order(self, threed_n2, tmp_path):
-        _, _, _, pd = threed_n2
-        flipped = homology.PersistenceDiagram(pd.dims[::-1], pd.births[::-1], pd.deaths[::-1])
-        for write, name in ((save_diagram, "diag.csv"), (diagram_svg, "diag.svg")):
-            write(pd, tmp_path / name)
-            write(flipped, tmp_path / f"flipped-{name}")
-            assert (tmp_path / name).read_bytes() == (tmp_path / f"flipped-{name}").read_bytes()
-
     def test_svg_smoke(self, threed_n2, tmp_path):
         _, _, _, pd = threed_n2
         out = tmp_path / "diag.svg"

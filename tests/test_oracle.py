@@ -1,4 +1,5 @@
 import itertools
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -219,17 +220,15 @@ class TestDelaunayFaceTest:
         assert delaunay_face_test(tiny, (0, 1))
 
     # id lists that name no simplex of the 10 points
-    @pytest.mark.parametrize("verts,reason", [
-        ((0, 0), "repeat an id"), ((3, 3, 4), "repeat an id"),
-        ((-1, 2), r"are not all in 0\.\.9"), ((0, 25), r"are not all in 0\.\.9"),
-        ((), "is empty"),
-    ], ids=["repeated-edge", "repeated-triangle", "negative", "out-of-range", "empty"])
-    def test_not_a_simplex_refused(self, even_2_5, verts, reason):
+    @pytest.mark.parametrize("verts", [(0, 0), (3, 3, 4), (-1, 2), (0, 25), ()],
+                             ids=["repeated-edge", "repeated-triangle", "negative",
+                                  "out-of-range", "empty"])
+    def test_not_a_simplex_refused(self, even_2_5, verts):
         ps, _, _, _ = even_2_5
         assert len(ps) == 10
-        with pytest.raises(ValueError, match=rf"^not a simplex: .*{reason}") as err:
+        with pytest.raises(ValueError,
+                           match=rf"^not a simplex of points 0\.\.9: {re.escape(str(verts))}$"):
             delaunay_face_test(ps, verts)
-        assert str(verts) in str(err.value)
 
 
 def lp_only_verdict(ps, verts):
