@@ -334,7 +334,6 @@ def betti_of_subcomplexes(fc, radii, pmax: int | None = None, reduced: bool = Tr
 # classes, in the diagram's (dim, birth, death) order.
 
 
-
 def save_diagram(pd: PersistenceDiagram, path) -> None:
     lines = (f"{dim},{format(birth, '.17g')},{'inf' if death == INF else format(death, '.17g')}\n"
              for dim, birth, death in zip(pd.dims.tolist(), pd.births.tolist(),
