@@ -7,7 +7,8 @@ k, a 3d k other than 1, an even delta other than auto, an h with a kind
 other than suspended or not positive and finite; a --delta other than
 auto with --points, a mosaic of more than `construct.MAX_SIMPLICES`
 simplices, built, loaded or swept by a verify suite, a non-finite
---radius, an even --radius not below the top-cell value, nothing selected
+--radius, an even --radius not below the top-cell value, a --radius less
+than abs_eps below the least value of a class, nothing selected
 to verify, verify --all with --n or --k or with another suite (--theorem,
 --suspension, --radii, --hypotheses), verify --theorem 2.1 or --radii
 with a --k below 2, verify --theorem 3.1 with a --k other than 1, verify
@@ -17,7 +18,7 @@ unreadable input files, a point-file header that
 that the file's coordinates do not have, unwritable output files), 3
 numeric or consistency failure (class overlap or a simplex the build
 finds not critical at the one delta built, affinely degenerate simplex,
-subset budget, reduction/rank cross-check), 141 (128 + SIGPIPE)
+subset budget), 141 (128 + SIGPIPE)
 when the reader of stdout has gone, with nothing on stderr.
 `generate` writes the point set alone and validates nothing, so it never
 exits 3; every other command that builds validates through
@@ -100,7 +101,14 @@ def _cmd_betti(args) -> int:
     if math.isinf(args.radius):
         raise ValueError(f"--radius must be finite, not {args.radius}")
     construct.check_below_even_top(args.kind, args.radius)
-    _, fc, _ = _build_validated(args)
+    _, fc, thresholds = _build_validated(args)
+    # the slack completes a class the radius reaches, but must start none
+    before = {th.above: format(th.rho, ".17g") for th in thresholds}
+    for cls, (lo, _, _) in sorted(fc.class_ranges().items()):
+        if args.radius < lo <= args.radius + DEFAULT_TOL.abs_eps:
+            raise ValueError(f"radius {args.radius!r} is less than abs_eps below class {cls}, "
+                             f"which the slack would start; radii prints "
+                             f"{before.get(cls, 'no threshold')} before that class")
     vec = homology.betti_of_subcomplex(fc, args.radius, reduced=not args.unreduced,
                                        eps=DEFAULT_TOL.abs_eps)
     if args.p is not None:

@@ -187,10 +187,6 @@ class FilteredComplex:
             out[cls] = (min(lo, float(part.min())), max(hi, float(part.max())), count + len(part))
         return out
 
-    def as_filtration(self) -> list[tuple[float, tuple[int, ...]]]:
-        """(value, vertex tuple) per simplex, in filtration order."""
-        return list(zip(self._values.tolist(), self._vertex_lists()))
-
 
 @dataclass(frozen=True, eq=False)
 class _Mosaic:

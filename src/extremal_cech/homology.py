@@ -13,7 +13,8 @@ derived on demand and read by no query.  Every Betti query reads the one
 diagram of the whole filtration: a sublevel complex is a prefix, and the
 reduction of a prefix is the prefix of the reduction.  `betti_at` is one
 array count, and a query over all filtration values (`betti_profile`)
-sorts the births and deaths once and counts by binary search.
+sorts the births and deaths once and counts by binary search.  No Betti
+number is recomputed another way here; the tests recheck them by ranks.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ __all__ = [
     "PersistenceDiagram",
     "betti_at",
     "betti_of_subcomplex",
-    "betti_of_subcomplexes",
     "betti_profile",
     "boundary_columns",
     "diagram_svg",
@@ -263,70 +263,14 @@ def betti_profile(pd: PersistenceDiagram, p: int) -> list[tuple[float, int]]:
     return list(zip(breaks[steps].tolist(), value[steps].tolist()))
 
 
-def _rank_z2(columns) -> int:
-    """Rank of a Z/2 matrix given as columns of row indices (plain Gaussian
-    elimination, independent of the persistence pairing)."""
-    pivots: dict[int, int] = {}
-    rank = 0
-    for rows in columns:
-        col = 0
-        for r in rows:
-            col |= 1 << r
-        while col:
-            top = col.bit_length() - 1
-            if top in pivots:
-                col ^= pivots[top]
-            else:
-                pivots[top] = col
-                rank += 1
-                break
-    return rank
-
-
-def _betti_by_rank(entries, pmax: int) -> list[int]:
-    """Unreduced Betti numbers of a complex via boundary ranks:
-    beta_p = n_p - rank d_p - rank d_{p+1}."""
-    by_dim: dict[int, dict[tuple[int, ...], int]] = {}
-    for _, verts in entries:
-        dim_map = by_dim.setdefault(len(verts) - 1, {})
-        dim_map[verts] = len(dim_map)
-    ranks = {0: 0}
-    for p in range(1, pmax + 2):
-        cols = []
-        lower = by_dim.get(p - 1, {})
-        for verts in by_dim.get(p, {}):
-            cols.append([lower[f] for f in itertools.combinations(verts, p)])
-        ranks[p] = _rank_z2(cols)
-    return [len(by_dim.get(p, {})) - ranks[p] - ranks[p + 1] for p in range(pmax + 1)]
-
-
 def betti_of_subcomplex(fc, r: float, pmax: int | None = None, reduced: bool = True,
                         eps: float = 0.0) -> list[int]:
-    """All Betti numbers of the sublevel complex at r (values <= r + eps)
-    of a FilteredComplex, read from the diagram of the whole complex and
-    cross checked against direct rank computations on the sublevel."""
-    return betti_of_subcomplexes(fc, [r], pmax, reduced, eps)[0]
-
-
-def betti_of_subcomplexes(fc, radii, pmax: int | None = None, reduced: bool = True,
-                          eps: float = 0.0) -> list[list[int]]:
-    """`betti_of_subcomplex` at each radius, every vector read from one
-    diagram of the whole complex and each cross checked on its own
-    sublevel, a prefix of the sorted values."""
-    entries = fc.as_filtration()
+    """Betti numbers beta_0..beta_pmax (pmax defaults to the top dimension)
+    of the sublevel complex at r, values <= r + eps, of a FilteredComplex:
+    one `reduce` of the whole complex, then one `betti_at` per dimension."""
     pmax = int(fc.dims().max(initial=0)) if pmax is None else pmax
     pd = reduce(fc, reduced=reduced)
-    out = []
-    for r in radii:
-        vec = [betti_at(pd, p, r, eps) for p in range(pmax + 1)]
-        check = _betti_by_rank(entries[:np.searchsorted(fc.values(), r + eps, side="right")],
-                               pmax)
-        if reduced:
-            check[0] = max(0, check[0] - 1)
-        if vec != check:
-            raise RuntimeError(f"reduction/rank cross-check failed: {vec} vs {check}")
-        out.append(vec)
-    return out
+    return [betti_at(pd, p, r, eps) for p in range(pmax + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -167,7 +167,11 @@ def cech_betti(points: np.ndarray, radii, pmax: int,
     each radius, all read from the diagram of the complex at the largest
     radius.  Needs simplices one dimension above pmax to witness deaths."""
     cx = cech(points, max(radii), min(pmax + 1, points.shape[1]), budget)
-    pd = homology.reduce(cx)
+    return _betti_vectors(homology.reduce(cx), radii, pmax)
+
+
+def _betti_vectors(pd: homology.PersistenceDiagram, radii, pmax: int) -> list[list[int]]:
+    """beta_0..beta_pmax at each radius, read from `pd` with abs_eps slack."""
     return [[homology.betti_at(pd, p, r, DEFAULT_TOL.abs_eps) for p in range(pmax + 1)]
             for r in radii]
 
@@ -188,10 +192,11 @@ def cech_equals_alpha_betti(ps: PointSet, radii, pmax: int, fc: complexgen.Filte
     """Compare Betti vectors of the Cech complex and of `fc`, the alpha
     filtration of `ps`, at each radius (both share the homotopy type of the
     union of balls, so the vectors must agree).  Each side is reduced once
-    for all radii."""
+    for all radii, and both are read alike: `betti_at` per radius and
+    dimension, with abs_eps slack."""
     check_below_even_top(ps.kind, max(radii, default=0.0))
     cvecs = cech_betti(ps.points, radii, pmax, budget)
-    avecs = homology.betti_of_subcomplexes(fc, radii, pmax=pmax, eps=DEFAULT_TOL.abs_eps)
+    avecs = _betti_vectors(homology.reduce(fc), radii, pmax)
     return [EqualityReport(*row) for row in zip(radii, cvecs, avecs)]
 
 

@@ -156,5 +156,61 @@ def euler_characteristic_ok(filtration, eps=0.0):
     return True
 
 
+def as_filtration(fc):
+    """The (value, vertex tuple) list of a FilteredComplex, in filtration
+    order, read from its entries."""
+    return [(value, cs.vertices) for value, cs in fc.entries]
+
+
+def _rank_z2(columns) -> int:
+    """Rank of a Z/2 matrix given as columns of row indices (plain Gaussian
+    elimination, independent of the persistence pairing)."""
+    pivots: dict[int, int] = {}
+    rank = 0
+    for rows in columns:
+        col = 0
+        for r in rows:
+            col |= 1 << r
+        while col:
+            top = col.bit_length() - 1
+            if top in pivots:
+                col ^= pivots[top]
+            else:
+                pivots[top] = col
+                rank += 1
+                break
+    return rank
+
+
+def _betti_by_rank(entries, pmax: int) -> list[int]:
+    """Unreduced Betti numbers of a complex via boundary ranks:
+    beta_p = n_p - rank d_p - rank d_{p+1}."""
+    by_dim: dict[int, dict[tuple[int, ...], int]] = {}
+    for _, verts in entries:
+        dim_map = by_dim.setdefault(len(verts) - 1, {})
+        dim_map[verts] = len(dim_map)
+    ranks = {0: 0}
+    for p in range(1, pmax + 2):
+        cols = []
+        lower = by_dim.get(p - 1, {})
+        for verts in by_dim.get(p, {}):
+            cols.append([lower[f] for f in itertools.combinations(verts, p)])
+        ranks[p] = _rank_z2(cols)
+    return [len(by_dim.get(p, {})) - ranks[p] - ranks[p + 1] for p in range(pmax + 1)]
+
+
+def rank_betti(fc, r, pmax=None, reduced=True, eps=0.0):
+    """Test oracle for `homology.betti_of_subcomplex`: the Betti numbers of
+    the sublevel complex at r (values <= r + eps) of a FilteredComplex, by
+    boundary ranks of that sublevel alone.  It shares no code with
+    `homology.reduce_columns`: no apparent pairs, no clearing, no diagram."""
+    pmax = int(fc.dims().max(initial=0)) if pmax is None else pmax
+    sublevel = as_filtration(fc)[:np.searchsorted(fc.values(), r + eps, side="right")]
+    vec = _betti_by_rank(sublevel, pmax)
+    if reduced:
+        vec[0] = max(0, vec[0] - 1)
+    return vec
+
+
 def threshold(thresholds, cls):
     return complexgen.threshold_after(thresholds, cls)

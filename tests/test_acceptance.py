@@ -13,7 +13,13 @@ from extremal_cech.complexgen import threshold_after
 from extremal_cech.construct import build_3d, build_even, min_n
 from extremal_cech.geometry import DEFAULT_TOL
 
-from conftest import cached_pipeline, euler_characteristic_ok, mosaic_complex
+from conftest import (
+    as_filtration,
+    cached_pipeline,
+    euler_characteristic_ok,
+    mosaic_complex,
+    rank_betti,
+)
 
 EPS = DEFAULT_TOL.abs_eps
 
@@ -131,8 +137,10 @@ def test_criterion_08_oracle_equivalence():
         match = oracle.enumeration_matches_oracle(ps, maxdim)
         ok &= match.ok
         pmax = min(ps.dim - 1, fc.max_dim())
-        agree = all(eq.ok for eq in oracle.cech_equals_alpha_betti(
-            ps, [th.rho for th in thresholds], pmax, fc=fc))
+        reports = oracle.cech_equals_alpha_betti(ps, [th.rho for th in thresholds], pmax, fc=fc)
+        # the alpha side against boundary ranks of each sublevel
+        agree = all(eq.ok and eq.alpha_vector == rank_betti(fc, eq.radius, pmax, eps=EPS)
+                    for eq in reports)
         ok &= agree
         detail.append(f"{kind}(k={k},n={n}): match={match.ok}, cech=alpha={agree}")
     elapsed = time.time() - t0
@@ -169,7 +177,7 @@ def test_criterion_11_homology_self_checks():
         _, fc, _, _ = cached_pipeline(kind, k, n)
         ok &= euler_characteristic_ok(fc)
         base = homology.reduce(fc).pairs
-        entries = fc.as_filtration()
+        entries = as_filtration(fc)
         for _ in range(10):
             # permute only within exactly-equal (value, dim) runs; the
             # pairing is unique for any such order, so diagrams must match

@@ -10,6 +10,9 @@ import numpy as np
 import pytest
 
 from extremal_cech import cli, complexgen, construct, homology, verify
+from extremal_cech.geometry import DEFAULT_TOL
+
+from conftest import cached_pipeline, rank_betti
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -226,6 +229,51 @@ class TestBetti:
                               "--unreduced"], capsys)
         assert (code, out) == (2, "")
         assert err == f"error: --radius must be finite, not {value}\n"
+
+    @pytest.mark.parametrize("kind,k,n", [("3d", 1, 30), ("even", 2, 5), ("odd", 2, 3)])
+    @pytest.mark.parametrize("flags", [[], ["--unreduced"]])
+    def test_every_threshold_matches_ranks(self, kind, k, n, flags, capsys):
+        # the vector read from the diagram, against boundary ranks of the
+        # sublevel at the CLI's slack
+        _, fc, thresholds, _ = cached_pipeline(kind, k, n)
+        for th in thresholds:
+            code, out, _ = run(["betti", "--kind", kind, "--k", str(k), "--n", str(n),
+                                "--radius", format(th.rho, ".17g"), *flags], capsys)
+            expected = rank_betti(fc, th.rho, reduced=not flags, eps=DEFAULT_TOL.abs_eps)
+            assert (code, out) == (0, " ".join(map(str, expected)) + "\n"), th
+
+    # (0, -1), the vertices, is the first class: no threshold precedes it
+    @pytest.mark.parametrize("cls", [(1, 0), (0, -1)])
+    def test_slack_that_would_start_a_class_is_a_usage_error(self, cls, capsys):
+        _, fc, thresholds, _ = cached_pipeline("3d", 1, 2)
+        radius = fc.class_ranges()[cls][0] - 0.5 * DEFAULT_TOL.abs_eps
+        code, out, err = run(["betti", "--kind", "3d", "--n", "2", f"--radius={radius!r}"],
+                             capsys)
+        printed = next((format(th.rho, ".17g") for th in thresholds if th.above == cls),
+                       "no threshold")
+        assert (code, out) == (2, "")
+        assert err == (f"error: radius {radius!r} is less than abs_eps below class {cls}, "
+                       f"which the slack would start; radii prints {printed} before that "
+                       "class\n")
+
+    def test_3d_200_reads_verify_counts_or_refuses(self, capsys):
+        # the class gaps here are about 1.55e-12: the slack at the threshold
+        # after (1, -1) or (1, 0) would start the next class
+        _, _, thresholds, pd = cached_pipeline("3d", 1, 200)
+        refused = []
+        for th in thresholds:
+            rho = format(th.rho, ".17g")
+            code, out, err = run(["betti", "--kind", "3d", "--n", "200", "--radius", rho],
+                                 capsys)
+            if code == 2:
+                refused.append(th.below)
+                assert err == (f"error: radius {th.rho!r} is less than abs_eps below class "
+                               f"{th.above}, which the slack would start; radii prints "
+                               f"{rho} before that class\n")
+            else:
+                expected = [homology.betti_at(pd, p, th.rho) for p in range(4)]
+                assert (code, out) == (0, " ".join(map(str, expected)) + "\n"), th
+        assert refused == [(1, -1), (1, 0)]
 
 
 class TestPersistence:
@@ -606,14 +654,6 @@ class TestNumericFailuresExit3:
         assert (code, out) == (3, "")
         assert err == ("error: kind=even k=2 n=5: "
                        "sphere of (0,) not strictly empty: point 1 inside\n")
-
-    def test_reduction_rank_cross_check(self, monkeypatch, capsys):
-        real = homology._betti_by_rank
-        monkeypatch.setattr(homology, "_betti_by_rank",
-                            lambda entries, pmax: [b + 1 for b in real(entries, pmax)])
-        code, out, err = run(["betti", "--kind", "3d", "--n", "2", "--radius", "0.6"], capsys)
-        assert (code, out) == (3, "")
-        assert err.startswith("error: reduction/rank cross-check failed")
 
     def test_affine_degeneracy(self, monkeypatch, capsys):
         real = verify.circumspheres

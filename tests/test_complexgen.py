@@ -33,11 +33,13 @@ from extremal_cech.geometry import (
 )
 
 from conftest import (
+    as_filtration,
     cached_pipeline,
     circumspheres_in_order,
     euler_characteristic_ok,
     hand_made,
     mosaic_complex,
+    rank_betti,
 )
 from test_acceptance import ACCEPTED
 from test_spheres import bits, reference_circumspheres
@@ -383,7 +385,7 @@ class TestFiltration:
         assert fc.class_ranges() == {}
         assert pick_thresholds(fc) == []
         assert homology.reduce(fc).pairs == []
-        assert homology.betti_of_subcomplex(fc, 0.5) == [0]
+        assert homology.betti_of_subcomplex(fc, 0.5) == rank_betti(fc, 0.5) == [0]
         assert criticality_check(build_3d(2, 0.01), fc).ok
 
     def test_deterministic_output(self, tmp_path):
@@ -416,7 +418,7 @@ class TestFiltration:
         def joined(fc, path):
             touch, short = fc.classes()
             lines = [f"{format(value, '.17g')} {dim} {' '.join(map(str, verts))} {t} {s}"
-                     for (value, verts), dim, t, s in zip(fc.as_filtration(), fc.dims().tolist(),
+                     for (value, verts), dim, t, s in zip(as_filtration(fc), fc.dims().tolist(),
                                                           touch.tolist(), short.tolist())]
             with open(path, "w") as fh:
                 fh.write("\n".join(lines) + "\n")
@@ -688,15 +690,14 @@ class TestArrayBuild:
         assert exact(fc.entries) == exact(eager)
         assert all(type(cs) is ClassifiedSimplex for _, cs in fc.entries)
         # Python ints, not numpy ones: error texts and the file print them
-        for vertex_lists in ([cs.vertices for _, cs in fc.entries],
-                             [verts for _, verts in fc.as_filtration()]):
-            assert {type(v) for verts in vertex_lists for v in verts} == {int}
-            assert {type(verts) for verts in vertex_lists} == {tuple}
+        vertex_lists = [cs.vertices for _, cs in fc.entries]
+        assert {type(v) for verts in vertex_lists for v in verts} == {int}
+        assert {type(verts) for verts in vertex_lists} == {tuple}
         made = hand_made(eager)
         assert fc == made
         # the same arrays, class ranges and diagram, bit for bit, and the
         # same face relation, whose rows list the facets in another order
-        for read in ("values", "dims", "classes", "max_dim", "class_ranges", "as_filtration"):
+        for read in ("values", "dims", "classes", "max_dim", "class_ranges"):
             assert hexed(getattr(made, read)()) == hexed(getattr(fc, read)()), read
         assert bits(np.sort(made.faces(), axis=1)) == bits(np.sort(fc.faces(), axis=1))
         for reduced in (True, False):
@@ -716,9 +717,11 @@ class TestArrayBuild:
         assert fc.max_dim() == 3
         assert homology.betti_at(pd, 2, threshold_after(thresholds, (1, 0))) == 4**2
         assert criticality_check(ps, fc).ok
-        assert homology.betti_of_subcomplex(fc, threshold_after(thresholds, (1, 0))) == \
-            [0, 0, 4**2, 0]
+        rho2 = threshold_after(thresholds, (1, 0))
+        assert homology.betti_of_subcomplex(fc, rho2) == [0, 0, 4**2, 0]
         assert euler_characteristic_ok(fc)
+        monkeypatch.undo()  # the rank oracle reads the entries
+        assert rank_betti(fc, rho2) == [0, 0, 4**2, 0]
 
 
 @pytest.mark.slow

@@ -17,7 +17,7 @@ from extremal_cech.homology import (
     save_diagram,
 )
 
-from conftest import cached_pipeline, diagram, euler_characteristic_ok
+from conftest import as_filtration, cached_pipeline, diagram, euler_characteristic_ok, rank_betti
 
 INF = math.inf
 
@@ -49,7 +49,7 @@ def shuffled_equal_value_orders(fc, count):
     """`count` filtrations of fc, each permuting entries within exactly-equal
     (value, dim) groups."""
     rng = random.Random(20240811)
-    entries = list(fc.as_filtration())
+    entries = as_filtration(fc)
     for _ in range(count):
         groups = {}
         for pos, (value, verts) in enumerate(entries):
@@ -120,7 +120,7 @@ class TestReduce:
         assert betti_at(pd, 2, top + 1.0) == 0
 
     def test_clearing_matches_standard_reduction(self, threed_n2, even_2_5, odd_2_2):
-        filtrations = [fc.as_filtration() for _, fc, _, _ in (threed_n2, even_2_5, odd_2_2)]
+        filtrations = [as_filtration(fc) for _, fc, _, _ in (threed_n2, even_2_5, odd_2_2)]
         filtrations += shuffled_equal_value_orders(even_2_5[1], 10)
         for filtration in filtrations:
             verts = [verts for _, verts in filtration]
@@ -139,7 +139,7 @@ class TestBuiltFaceRelation:
     @pytest.mark.parametrize("kind,k,n", BUILT)
     def test_faces_match_boundary_columns(self, kind, k, n, pipeline):
         _, fc, _, _ = pipeline(kind, k, n)
-        columns = boundary_columns([verts for _, verts in fc.as_filtration()])
+        columns = boundary_columns([verts for _, verts in as_filtration(fc)])
         assert [sorted(row[row >= 0].tolist()) for row in fc.faces()] == columns
         assert fc.values().tolist() == [value for value, _ in fc.entries]
         assert fc.dims().tolist() == [cs.dim for _, cs in fc.entries]
@@ -149,7 +149,7 @@ class TestBuiltFaceRelation:
     def test_pairs_match_boundary_path(self, kind, k, n, reduced, pipeline):
         _, fc, _, _ = pipeline(kind, k, n)
         pd = reduce(fc, reduced=reduced)
-        assert pd.pairs == reduce(fc.as_filtration(), reduced=reduced).pairs
+        assert pd.pairs == reduce(as_filtration(fc), reduced=reduced).pairs
 
     # even_2_5, whose equal-value groups are largest, is in test_shuffle_invariance
     @pytest.mark.parametrize("name", ["threed_n2", "odd_2_2"])
@@ -162,7 +162,7 @@ class TestBuiltFaceRelation:
     @pytest.mark.parametrize("kind,k,n", BUILT)
     def test_apparent_pairs_are_standard_lows(self, kind, k, n, pipeline):
         _, fc, _, _ = pipeline(kind, k, n)
-        lows = standard_lows(boundary_columns([verts for _, verts in fc.as_filtration()]))
+        lows = standard_lows(boundary_columns([verts for _, verts in as_filtration(fc)]))
         deaths, births = homology._apparent_pairs(fc.faces())
         assert len(deaths) > 0
         assert [lows[j] for j in deaths.tolist()] == births.tolist()
@@ -326,7 +326,7 @@ class TestBoundaryColumns:
 
     def test_matches_bruteforce(self, threed_n2, even_2_5, odd_2_2):
         for _, fc, _, _ in (threed_n2, even_2_5, odd_2_2):
-            simplices = [verts for _, verts in fc.as_filtration()]
+            simplices = [verts for _, verts in as_filtration(fc)]
             expected = [sorted(simplices.index(f)
                                for f in itertools.combinations(verts, len(verts) - 1))
                         if len(verts) > 1 else []
@@ -358,26 +358,30 @@ class TestBettiAt:
 class TestBettiOfSubcomplex:
     def test_negative_radius_all_zero(self, threed_n2):
         _, fc, _, _ = threed_n2
-        assert betti_of_subcomplex(fc, -1.0) == [0, 0, 0, 0]
+        assert betti_of_subcomplex(fc, -1.0) == rank_betti(fc, -1.0) == [0, 0, 0, 0]
 
     def test_3d_vector_at_rho2(self, threed_n2):
         _, fc, thresholds, _ = threed_n2
         rho2 = complexgen.threshold_after(thresholds, (1, 0))
-        assert betti_of_subcomplex(fc, rho2) == [0, 0, 4, 0]
+        assert betti_of_subcomplex(fc, rho2) == rank_betti(fc, rho2) == [0, 0, 4, 0]
 
     def test_even_at_half(self, even_2_5):
         _, fc, _, _ = even_2_5
-        assert betti_of_subcomplex(fc, 0.5, eps=1e-12) == [0, 26, 0, 0]
+        assert betti_of_subcomplex(fc, 0.5, eps=1e-12) == rank_betti(fc, 0.5, eps=1e-12) == \
+            [0, 26, 0, 0]
 
     def test_unreduced_component_count(self, even_2_5):
         _, fc, _, _ = even_2_5
-        assert betti_of_subcomplex(fc, 0.2, reduced=False)[0] == 10
+        vec = betti_of_subcomplex(fc, 0.2, reduced=False)
+        assert vec == rank_betti(fc, 0.2, reduced=False)
+        assert vec[0] == 10
 
     @pytest.mark.parametrize("kind,k,n", [("3d", 1, 8), ("even", 2, 5), ("odd", 2, 2)])
     def test_matches_reduction_of_the_sublevel(self, kind, k, n, pipeline):
         """The Betti numbers read from the whole diagram, against a second
-        reduction of the sublevel list: at every class threshold and at 8
-        midpoints of gaps between distinct values."""
+        reduction of the sublevel list and against its boundary ranks: at
+        every class threshold and at 8 midpoints of gaps between distinct
+        values."""
         _, fc, thresholds, _ = pipeline(kind, k, n)
         values = sorted(set(fc.values().tolist()))
         step = (len(values) - 1) / 8
@@ -387,8 +391,9 @@ class TestBettiOfSubcomplex:
         for r in radii:
             for eps in (0.0, 1e-12):
                 for reduced in (True, False):
-                    assert betti_of_subcomplex(fc, r, reduced=reduced, eps=eps) == \
-                        sublevel_betti(fc, r, reduced, eps), (r, eps, reduced)
+                    vec = betti_of_subcomplex(fc, r, reduced=reduced, eps=eps)
+                    assert vec == sublevel_betti(fc, r, reduced, eps), (r, eps, reduced)
+                    assert vec == rank_betti(fc, r, reduced=reduced, eps=eps), (r, eps, reduced)
 
     def test_reads_the_whole_diagram(self, even_2_5, monkeypatch):
         """One reduction, of the whole complex, and no second face relation."""
@@ -403,13 +408,13 @@ class TestBettiOfSubcomplex:
         monkeypatch.setattr(homology, "reduce", reduce_once)
         monkeypatch.setattr(homology, "boundary_columns", None)
         for th in thresholds:
-            betti_of_subcomplex(fc, th.rho)
+            assert betti_of_subcomplex(fc, th.rho) == rank_betti(fc, th.rho)
         assert len(calls) == len(thresholds) and all(call is fc for call in calls)
 
 
 def sublevel_betti(fc, r, reduced, eps):
     """Reference: reduce the sublevel complex at r again, as a pair list."""
-    entries = fc.as_filtration()
+    entries = as_filtration(fc)
     pmax = max(len(v) - 1 for _, v in entries)
     sub = [(value, verts) for value, verts in entries if value <= r + eps]
     if not sub:
@@ -532,7 +537,7 @@ class TestSweepQueries:
     def test_euler_matches_per_value_recount(self, name, eps, request, monkeypatch):
         # intact, then with one pair dropped, which breaks the identity
         _, fc, _, _ = request.getfixturevalue(name)
-        entries = fc.as_filtration()
+        entries = as_filtration(fc)
         full = reduce(entries, reduced=False)
         assert euler_characteristic_ok(fc, eps)
         assert euler_reference(entries, full, eps)

@@ -18,6 +18,15 @@ from extremal_cech.oracle import (
     enumeration_matches_oracle,
 )
 
+from conftest import rank_betti
+
+
+def alpha_side_by_ranks(fc, reports, pmax):
+    """Each report's alpha vector against boundary ranks of the sublevel,
+    read with the oracle's abs_eps slack."""
+    return all(rep.alpha_vector == rank_betti(fc, rep.radius, pmax, eps=DEFAULT_TOL.abs_eps)
+               for rep in reports)
+
 
 def rigid_copy(ps, seed):
     rng = np.random.default_rng(seed)
@@ -172,12 +181,14 @@ class TestCechEqualsAlpha:
         [report] = cech_equals_alpha_betti(ps, [rho2], 2, fc=fc)
         assert report.ok
         assert report.cech_vector == [0, 0, 4]
+        assert alpha_side_by_ranks(fc, [report], 2)
 
     def test_radius_zero(self, threed_n2):
         ps, fc, _, _ = threed_n2
         [report] = cech_equals_alpha_betti(ps, [0.0], 2, fc=fc)
         assert report.ok
         assert report.cech_vector[0] == len(ps) - 1
+        assert alpha_side_by_ranks(fc, [report], 2)
 
     def test_even_top_radius_rejected(self, even_2_5):
         ps, fc, _, _ = even_2_5
@@ -190,6 +201,7 @@ class TestCechEqualsAlpha:
         reports = cech_equals_alpha_betti(ps, rhos, 4, fc=fc)
         assert [rep.radius for rep in reports] == rhos
         assert all(rep.ok for rep in reports)
+        assert alpha_side_by_ranks(fc, reports, 4)
 
 
 class TestDelaunayFaceTest:
