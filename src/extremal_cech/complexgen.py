@@ -257,7 +257,8 @@ def _mosaic(ps: PointSet) -> _Mosaic:
 
     weight = len(lo) ** np.arange(circles)
     codes = np.arange(1, len(lo) ** circles)
-    digits = codes[:, None] // weight % len(lo)
+    # digit j of each code, least significant first, without integer division
+    digits = np.indices((len(lo),) * circles).reshape(circles, -1)[::-1].T[1:]
     base = np.arange(circles) * per
     slots = np.stack((base + lo[digits], base + hi[digits]), 2).reshape(len(codes), -1)
     facet_codes = (codes[:, None, None]

@@ -10,8 +10,9 @@ interiority and first point inside, in row order.  Its emptiness test,
 case.  The kernel puts filters in front of two of its tests, as in
 Shewchuk's filtered predicates (Adaptive precision floating-point
 arithmetic and fast robust geometric predicates, DCG 1997).  Emptiness
-is read first from an expanded-form distance, and only an entry within a
-forward-error band of the bound is computed again from differences.
+is read first from an expanded-form distance, for a block of whole rows
+at a time: an entry above the bound by more than a forward-error band is
+outside, and every other entry is computed again from differences.
 Non-degeneracy is certified first by a batched Cholesky factorization of
 each shifted Gram matrix, and only a row it cannot certify runs the SVD
 test.  So every verdict is the plain
@@ -224,9 +225,9 @@ def degeneracy_reason(points) -> str:
     return "Gram system is numerically singular"
 
 
-# Entries of one point-to-center distance block in `circumspheres`; bounds
-# the temporary arrays so memory grows with the complex, not its square.
-DISTANCE_BLOCK = 8192
+# Rows of one point-to-center distance block in `_first_inside`; bounds the
+# temporary arrays so memory grows with the complex, not its square.
+DISTANCE_ROWS = 128
 
 EPS = float(np.finfo(float).eps)
 
@@ -299,8 +300,7 @@ def circumspheres(points, idx) -> SphereBatch:
         total, lowest = _row_sums(alpha), functools.reduce(np.minimum, alpha.T)
         interior_eps = DEFAULT_TOL.interior_eps
         inside = (1.0 - total > interior_eps) & (lowest > interior_eps) & ~deg
-    sq = np.einsum("ij,ij->i", pts, pts)
-    offender = _first_inside(pts, sq, idx, center, r2 + DEFAULT_TOL.abs_eps)
+    offender = _first_inside(pts, idx, center, r2 + DEFAULT_TOL.abs_eps)
     center[deg], r2[deg], offender[deg] = np.nan, np.nan, -1
     return SphereBatch(center, np.sqrt(r2), deg, inside, offender)
 
@@ -392,48 +392,45 @@ def _positive_pivots(a: np.ndarray, shift: np.ndarray) -> np.ndarray:
     return ok
 
 
-def _first_inside(pts: np.ndarray, sq: np.ndarray, idx: np.ndarray,
-                  center: np.ndarray, bound: np.ndarray) -> np.ndarray:
+def _first_inside(pts: np.ndarray, idx: np.ndarray, center: np.ndarray,
+                  bound: np.ndarray) -> np.ndarray:
     """Per row: the lowest id of a point other than the row's vertices with
-    |p - center|^2 < bound, each |p - center|^2 summed over the differences
-    (the difference form), or -1 if there is none.
+    |p - center|^2 not >= bound, each |p - center|^2 summed over the
+    differences (the difference form), or -1 if there is none; so a nan
+    distance or bound counts as inside.
 
-    A block of DISTANCE_BLOCK distances at a time takes the expanded form
-    |p|^2 - 2 c.p + |c|^2 from one matrix product, as the (d+2)-term dot
-    product of (-2c, 1, |c|^2) with (p, |p|^2, 1).  In units of
-    (|p| + |c|)^2, the expanded form is within gamma_(d+2) + gamma_d of the
-    exact value (the dot product, and the squared norms in it) and the
+    A block of DISTANCE_ROWS whole rows at a time takes the expanded form
+    |p|^2 - 2 c.p + |c|^2 of every distance from one matrix product, as the
+    (d+2)-term dot product of (-2c, 1, |c|^2) with (p, |p|^2, 1).  In units
+    of (|p| + |c|)^2, the expanded form is within gamma_(d+2) + gamma_d of
+    the exact value (the dot product, and the squared norms in it) and the
     difference form within gamma_(d+2) (a difference, a square and the
     additions).  So the two computed forms differ by less than
     band = 2(d + 3) (eps (max|p| + |c|)^2 + the smallest subnormal), which
     also covers rounding the band itself and any underflow.  An entry above
     the computed bound + band exceeds the exact sum, so it passes in the
-    difference form too, and one below bound - band fails in both; the
-    entries in between, and any nan, are computed again in the difference
-    form.
+    difference form too.  Every other entry of a point not among the row's
+    vertices, a nan one included, is a candidate, and the difference form
+    decides it.
     """
-    d = pts.shape[1]
+    sq = np.einsum("ij,ij->i", pts, pts)
     csq = np.einsum("ij,ij->i", center, center)
     scale = (math.sqrt(sq.max()) + np.sqrt(csq)) ** 2
-    band = 2 * (d + 3) * (EPS * scale + np.finfo(float).smallest_subnormal)
-    above, below = bound + band, bound - band
+    above = bound + 2 * (pts.shape[1] + 3) * (EPS * scale + np.finfo(float).smallest_subnormal)
     lhs = np.column_stack((-2.0 * center, np.ones(len(center)), csq))
     rhs = np.vstack((pts.T, sq, np.ones(len(pts))))
     first = np.full(len(center), -1, dtype=np.intp)
-    step = max(1, DISTANCE_BLOCK // len(pts))
-    for lo in range(0, len(center), step):
-        d2 = lhs[lo:lo + step] @ rhs
-        ok = d2 > above[lo:lo + step, None]
-        ok[np.arange(len(ok))[:, None], idx[lo:lo + step]] = True
-        if ok.all():  # the usual block: one pass, not one per row
+    for lo in range(0, len(center), DISTANCE_ROWS):
+        block = slice(lo, lo + DISTANCE_ROWS)
+        near = ~(lhs[block] @ rhs > above[block, None])
+        near[np.arange(len(near))[:, None], idx[block]] = False
+        if not near.any():  # the usual block: one pass, not one per row
             continue
-        unsure = np.flatnonzero(~ok.all(axis=1))
-        rows, cols = np.nonzero(~(ok[unsure] | (d2[unsure] < below[lo + unsure, None])))
-        rows = unsure[rows]
-        diffs = pts[cols] - center[lo + rows]
-        ok[rows, cols] = np.einsum("ij,ij->i", diffs, diffs) >= bound[lo + rows]
-        bad = unsure[~ok[unsure].all(axis=1)]
-        first[lo + bad] = np.argmin(ok[bad], axis=1)
+        row, col = np.nonzero(near)  # row-major: each row's ids ascending
+        diffs = pts[col] - center[lo + row]
+        inside = ~(np.einsum("ij,ij->i", diffs, diffs) >= bound[lo + row])
+        hit, at = np.unique(row[inside], return_index=True)
+        first[lo + hit] = col[inside][at]
     return first
 
 
@@ -493,5 +490,4 @@ def is_empty_sphere(sphere: Sphere, points, exclude=()) -> bool:
         return True
     idx = np.asarray(exclude, dtype=np.intp).reshape(1, -1)
     bound = np.array([sphere.radius**2 + DEFAULT_TOL.abs_eps])
-    sq = np.einsum("ij,ij->i", pts, pts)
-    return bool(_first_inside(pts, sq, idx, center[None], bound)[0] < 0)
+    return bool(_first_inside(pts, idx, center[None], bound)[0] < 0)

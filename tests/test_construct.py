@@ -191,6 +191,14 @@ class TestBuildOdd:
             d_3d = pairwise_distances(build_3d(n, 0.01))
             assert np.allclose(d_odd, d_3d, rtol=1e-9)
 
+    @pytest.mark.parametrize("n", [2, 4, 30, 200, 1023])
+    def test_k1_is_3d_within_one_ulp(self, n):
+        # simplex_vertices(1) is +-0.49999999999999994, not +-0.5, so the
+        # x coordinates of the odd k=1 set may sit one ulp from the 3d set's
+        odd = build("odd", 1, n).points
+        threed = build("3d", None, n).points
+        np.testing.assert_array_max_ulp(odd, threed, maxulp=1)
+
     def test_delta_range(self):
         with pytest.raises(ValueError):
             build_odd(2, 2, 0.9)  # >= H_2

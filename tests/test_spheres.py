@@ -169,6 +169,18 @@ class TestAsReference:
             assert batch.offender.tolist() == [-1] * b
             assert not batch.interior.any() and not batch.empty.any()
 
+    def test_offenders_across_row_blocks(self):
+        # 600 triangles of random points fill 5 blocks of DISTANCE_ROWS
+        # rows, and all but one row has points inside: each row's offender
+        # is its lowest inside id, whichever block the row falls in
+        rng = np.random.default_rng(10)
+        pts = rng.random((200, 3))
+        simplices = [tuple(rng.choice(200, size=3, replace=False).tolist()) for _ in range(600)]
+        batch = assert_as_reference(pts, simplices)
+        rows = np.flatnonzero(batch.offender >= 0)
+        assert len(rows) == 599 and len(set(batch.offender[rows].tolist())) > 1
+        assert set((rows // geometry.DISTANCE_ROWS).tolist()) == {0, 1, 2, 3, 4}
+
     def test_cospherical_grid(self):
         # points of a coarse grid: many lie exactly on each other's spheres
         rng = np.random.default_rng(5)
@@ -252,7 +264,7 @@ def test_subnormal_distances_get_the_difference_verdict():
     for units in range(1, 40):
         pts = rng.random((30, 2)) * 1e-161
         bound = np.full(30, units * 5e-324)
-        first = geometry._first_inside(pts, np.einsum("ij,ij->i", pts, pts), idx, pts, bound)
+        first = geometry._first_inside(pts, idx, pts, bound)
         diffs = pts[None, :, :] - pts[:, None, :]
         below = np.einsum("bij,bij->bi", diffs, diffs) < bound[:, None]
         below[idx[:, 0], idx[:, 0]] = False
@@ -373,14 +385,14 @@ def test_row_sums_are_numpys_sums():
 
 def test_peak_memory_is_blocked():
     """One pass over the class blocks of 3d n=60 stays within 3(d+1)^2
-    doubles per simplex plus 8 distance blocks; a (simplices x points)
-    distance matrix for the triangles alone would take 7 MB of the 6 MB
-    allowed."""
+    doubles per simplex plus 8 distance blocks of DISTANCE_ROWS rows by
+    all 122 points; a (simplices x points) distance matrix for the
+    triangles alone would take 6.81 MiB of the 6.40 MiB allowed."""
     ps = build_3d(60, 0.1 / 60)
     m = complexgen._mosaic(ps)
     count = sum(len(block) for block in m.ids)
     d = ps.points.shape[1]
-    bound = 8 * (3 * (d + 1) ** 2 * count + 8 * geometry.DISTANCE_BLOCK)
+    bound = 8 * (3 * (d + 1) ** 2 * count + 8 * geometry.DISTANCE_ROWS * len(ps.points))
     for block in m.ids:
         circumspheres(ps, block)
     tracemalloc.start()
@@ -412,3 +424,10 @@ def test_emptiness_violations_match_the_loop():
         checked += bool(found)
     assert checked > 0
     assert is_empty_sphere(Sphere(np.zeros(3), 1.0), np.zeros((0, 3)))
+
+
+def test_nan_sphere_is_not_empty():
+    # a nan distance or bound is not >= the bound, so it counts as inside
+    pts = np.random.default_rng(4).random((20, 3))
+    assert not is_empty_sphere(Sphere(np.array([0.5, np.nan, 0.5]), 1.0), pts)
+    assert not is_empty_sphere(Sphere(np.full(3, 0.5), math.nan), pts)
