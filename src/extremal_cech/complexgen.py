@@ -209,8 +209,10 @@ class _Mosaic:
     facets: np.ndarray
     blocks: list[tuple[int, int]]
 
-    def vertex_tuples(self) -> list[tuple[int, ...]]:
-        return _vertex_tuples(self.ids)
+    def vertices(self, row: int) -> tuple[int, ...]:
+        block, lo = next((block, lo) for block, (lo, hi) in zip(self.ids, self.blocks)
+                         if lo <= row < hi)
+        return tuple(block[row - lo].tolist())
 
 
 def _vertex_tuples(ids: list[np.ndarray]) -> list[tuple[int, ...]]:
@@ -340,9 +342,8 @@ def build_filtration(ps: PointSet) -> FilteredComplex:
     if late.any():
         position, slot = np.argwhere(late)[0]
         row, facet = order[position], order[faces[position, slot]]
-        verts = m.vertex_tuples()
-        raise NotCriticalError(verts[row], reason=f"radius {values[row]!r} is below "
-                               f"its facet {verts[facet]}'s {values[facet]!r}")
+        raise NotCriticalError(m.vertices(row), reason=f"radius {values[row]!r} is below "
+                               f"its facet {m.vertices(facet)}'s {values[facet]!r}")
     return FilteredComplex(values[order], m.classes, m.ids, order, faces)
 
 

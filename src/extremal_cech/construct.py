@@ -183,12 +183,12 @@ def mosaic_size(kind: str, k: int, n: int) -> int:
     return sum(count for _, _, _, count, _ in class_table(kind, k, n))
 
 
-def _check_mosaic_size(kind: str, k: int | None, n: int) -> None:
+def _check_mosaic_size(kind: str, k: int | None, n: int | None) -> None:
     """Raise ValueError, naming the count, if the mosaic of kind, k and n
-    has more than MAX_SIMPLICES simplices.  A missing k, a k or n below 1
-    and a kind other than even, 3d or odd, which `build` names, pass."""
+    has more than MAX_SIMPLICES simplices.  A missing k or n, a k or n below
+    1 and a kind other than even, 3d or odd, which `build` names, pass."""
     k = 1 if kind == KIND_3D else k
-    if kind not in MOSAIC_KINDS or k is None or min(k, n) < 1:
+    if kind not in MOSAIC_KINDS or k is None or n is None or min(k, n) < 1:
         return
     circles, per_circle, _ = _layout(kind, k, n)
     options = 1 + per_circle + n
@@ -340,14 +340,16 @@ def build(kind: str, k: int | None, n: int, delta="auto", h: float | None = None
 
     A parameter the kind does not read is refused, with ValueError naming
     it: a k other than None or 1 for the 3d kind, a missing k for any
-    other, a delta other than "auto" for the even kind, and an h for any
-    kind but suspended."""
+    other, a missing n, a delta other than "auto" for the even kind, and
+    an h for any kind but suspended."""
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")
     if kind == KIND_3D and k not in (None, 1):
         raise ValueError(f"k={k} is not 1, the only k of kind 3d")
     if kind != KIND_3D and k is None:
         raise ValueError(f"k is required for kind {kind}")
+    if n is None:
+        raise ValueError(f"n is required for kind {kind}")
     if kind == KIND_EVEN and delta != "auto":
         raise ValueError(f"delta={delta!r} is given, but kind even has no delta")
     if kind != KIND_SUSPENDED and h is not None:

@@ -13,8 +13,8 @@ derived on demand and read by no query.  Every Betti query reads the one
 diagram of the whole filtration: a sublevel complex is a prefix, and the
 reduction of a prefix is the prefix of the reduction.  `betti_at` is one
 array count, and a query over all filtration values (`betti_profile`)
-sorts the births and deaths once and counts by binary search.  No Betti
-number is recomputed another way here; the tests recheck them by ranks.
+sorts the births and deaths once and counts by binary search.  Both count
+reduced Betti numbers; only `betti_of_subcomplex` gives unreduced ones.
 """
 
 from __future__ import annotations
@@ -166,15 +166,13 @@ class PersistenceDiagram:
     """Birth-death pairs as three arrays in (dim, birth, death) order, the
     order `save_diagram` and `diagram_svg` write them in: `dims` (intp),
     `births` and `deaths` (float64), death = inf for essential classes.
-    `reduced` records whether Betti queries drop the essential connected
-    component in dimension 0.  `len(pd)` counts the pairs; `pairs`, the
-    (dim, birth, death) tuple list, is derived from the arrays on demand.
-    Two diagrams are equal when their arrays and `reduced` are."""
+    `len(pd)` counts the pairs; `pairs`, the (dim, birth, death) tuple
+    list, is derived from the arrays on demand.  Two diagrams are equal
+    when their arrays are."""
 
     dims: np.ndarray
     births: np.ndarray
     deaths: np.ndarray
-    reduced: bool = True
 
     def __len__(self) -> int:
         return len(self.dims)
@@ -182,9 +180,8 @@ class PersistenceDiagram:
     def __eq__(self, other):
         if not isinstance(other, PersistenceDiagram):
             return NotImplemented
-        return (self.reduced == other.reduced and np.array_equal(self.dims, other.dims)
-                and np.array_equal(self.births, other.births)
-                and np.array_equal(self.deaths, other.deaths))
+        return all(map(np.array_equal, (self.dims, self.births, self.deaths),
+                       (other.dims, other.births, other.deaths)))
 
     @property
     def pairs(self) -> list[tuple[int, float, float]]:
@@ -203,21 +200,22 @@ def _arrays(filtration):
             np.array([len(v) - 1 for v in verts], dtype=np.intp), lambda: face_array(verts))
 
 
-def reduce(filtration, reduced: bool = True) -> PersistenceDiagram:
+def reduce(filtration) -> PersistenceDiagram:
     """Reduce a face-closed, face-before-coface sorted filtration.
 
-    A FilteredComplex gives its values, dims and face relation through its
-    methods; a (value, vertices) list gets them through `face_array`.
-    Values that decrease are refused with the first position whose value
-    is below its predecessor's.  The pairing is unique for any valid
-    order, so permuting entries within equal (value, dim) groups leaves
-    the diagram unchanged.
+    A FilteredComplex gives its values, dims and face relation through
+    its methods; a (value, vertices) list gets them through
+    `face_array`.  A value that is not at least its predecessor, nan
+    included, is refused with its position.  The pairing is unique for
+    any valid order, so permuting entries within equal (value, dim)
+    groups leaves the diagram unchanged.
     """
     values, dims, faces = _arrays(filtration)
-    down = np.flatnonzero(np.diff(values) < 0)
-    if len(down):
-        at = int(down[0]) + 1
-        raise ValueError(f"filtration values decrease at position {at}: "
+    bad = np.flatnonzero(~(values >= np.concatenate(([-INF], values[:-1]))))  # nan too
+    if len(bad):
+        at = int(bad[0])
+        raise ValueError(f"filtration value at position {at} is nan" if math.isnan(values[at])
+                         else f"filtration values decrease at position {at}: "
                          f"{float(values[at])!r} after {float(values[at - 1])!r}")
     lows = reduce_columns(faces())
     deaths = np.flatnonzero(lows >= 0)
@@ -229,48 +227,47 @@ def reduce(filtration, reduced: bool = True) -> PersistenceDiagram:
     birth = np.concatenate((values[births], values[essential]))
     death = np.concatenate((values[deaths], np.full(len(essential), INF)))
     order = np.lexsort((death, birth, dim))
-    return PersistenceDiagram(dim[order], birth[order], death[order], reduced=reduced)
+    return PersistenceDiagram(dim[order], birth[order], death[order])
 
 
 def betti_at(pd: PersistenceDiagram, p: int, r: float, eps: float = 0.0) -> int:
-    """Number of dimension-p classes alive at radius r: pairs with
-    birth <= r < death, one count over the diagram's arrays.  The optional
-    eps admits values equal to r up to floating-point noise.  Under the
-    reduced convention the essential component is dropped for p = 0."""
+    """Reduced dimension-p Betti number at radius r: the pairs with
+    birth <= r < death, one count over the diagram's arrays, less the one
+    component for p = 0 when any is alive.  The optional eps admits values
+    equal to r up to floating-point noise."""
     limit = r + eps
     count = int(np.count_nonzero((pd.dims == p) & (pd.births <= limit) & (limit < pd.deaths)))
-    if pd.reduced and p == 0 and count > 0:
-        count -= 1
-    return count
+    return max(count - 1, 0) if p == 0 else count
 
 
 def betti_profile(pd: PersistenceDiagram, p: int) -> list[tuple[float, int]]:
-    """The dimension-p Betti number as a right-continuous step function,
-    returned as (radius, value) breakpoints; the value changes only at
-    filtration values.  Each breakpoint's value is `betti_at`'s, counted by
-    `np.searchsorted` in the sorted births and deaths of the diagram's
-    arrays.  A pair with birth >= death is never alive and is left out of
-    the count, so every counted death is preceded by its birth."""
+    """The reduced dimension-p Betti number as a right-continuous step
+    function, returned as (radius, value) breakpoints at filtration values.
+    Each breakpoint's value is `betti_at`'s, counted by `np.searchsorted`
+    in the sorted births and deaths of the diagram's arrays.  A pair with
+    birth >= death is never alive and is left out of the count, so every
+    counted death is preceded by its birth."""
     at_p = pd.dims == p
     births, deaths = pd.births[at_p], pd.deaths[at_p]
     breaks = np.unique(np.concatenate((births, deaths[deaths != INF])))
     live = births < deaths
     value = (np.searchsorted(np.sort(births[live]), breaks, side="right")
              - np.searchsorted(np.sort(deaths[live]), breaks, side="right"))
-    value = np.maximum(value - (1 if pd.reduced and p == 0 else 0), 0)
+    value = np.maximum(value - (p == 0), 0)
     steps = np.ones(len(value), dtype=bool)
     steps[1:] = value[1:] != value[:-1]
     return list(zip(breaks[steps].tolist(), value[steps].tolist()))
 
 
-def betti_of_subcomplex(fc, r: float, pmax: int | None = None, reduced: bool = True,
-                        eps: float = 0.0) -> list[int]:
-    """Betti numbers beta_0..beta_pmax (pmax defaults to the top dimension)
-    of the sublevel complex at r, values <= r + eps, of a FilteredComplex:
-    one `reduce` of the whole complex, then one `betti_at` per dimension."""
-    pmax = int(fc.dims().max(initial=0)) if pmax is None else pmax
-    pd = reduce(fc, reduced=reduced)
-    return [betti_at(pd, p, r, eps) for p in range(pmax + 1)]
+def betti_of_subcomplex(fc, r: float, reduced: bool = True, eps: float = 0.0) -> list[int]:
+    """Betti numbers beta_0 up to the top dimension of the sublevel complex
+    at r, values <= r + eps, of a FilteredComplex: one `reduce` of the
+    whole complex, then one `betti_at` per dimension.  Unreduced, beta_0
+    adds back the component of a nonempty sublevel complex."""
+    pd = reduce(fc)
+    vec = [betti_at(pd, p, r, eps) for p in range(int(fc.dims().max(initial=0)) + 1)]
+    vec[0] += int(not reduced and fc.values().min(initial=INF) <= r + eps)
+    return vec
 
 
 # ---------------------------------------------------------------------------

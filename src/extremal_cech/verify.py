@@ -117,15 +117,14 @@ def _validated(kind: str, k: int | None, n: int):
 
 @functools.lru_cache(maxsize=None)
 def _pipeline(kind: str, k: int | None, n: int):
-    """`_validated` plus its reduced persistence diagram, cached across
-    claims."""
+    """`_validated` plus its persistence diagram, cached across claims."""
     ps, fc, thresholds = _validated(kind, k, n)
     return ps, fc, thresholds, homology.reduce(fc)
 
 
 def _betti_at_class(pd, thresholds, cls, p) -> int:
-    """Betti number at the gap midpoint after a class, with no slack: the
-    gaps at 3d n >= 200 are narrower than abs_eps."""
+    """Reduced Betti number at the gap midpoint after a class, with no
+    slack: the gaps at 3d n >= 200 are narrower than abs_eps."""
     return homology.betti_at(pd, p, threshold_after(thresholds, cls))
 
 

@@ -114,13 +114,13 @@ def hand_made(entries, faces=None):
                                       block_classes, blocks, rows, faces)
 
 
-def diagram(pairs, reduced=True):
+def diagram(pairs):
     """A PersistenceDiagram of hand-made (dim, birth, death) tuples, made
     from its three arrays in the (dim, birth, death) order `reduce` gives."""
     dims, births, deaths = zip(*sorted(pairs)) if pairs else ((), (), ())
     return homology.PersistenceDiagram(np.array(dims, dtype=np.intp),
                                        np.array(births, dtype=float),
-                                       np.array(deaths, dtype=float), reduced)
+                                       np.array(deaths, dtype=float))
 
 
 def mosaic_complex(ps):
@@ -138,7 +138,7 @@ def euler_characteristic_ok(filtration, eps=0.0):
     alternating sum of unreduced Betti numbers.  Both sides are counted by
     binary search in values sorted once, per dimension parity."""
     values, dims, _ = homology._arrays(filtration)
-    pd = homology.reduce(filtration, reduced=False)
+    pd = homology.reduce(filtration)
     cells = [np.sort(values[dims % 2 == parity]).tolist() for parity in (0, 1)]
     # per parity, the sorted births and deaths of the pairs ever alive
     live = [[(birth, death) for dim, birth, death in pd.pairs

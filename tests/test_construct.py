@@ -306,6 +306,11 @@ class TestParameterRule:
         with pytest.raises(ValueError, match=f"^k is required for kind {kind}$"):
             build_validated(kind, None, 3)
 
+    @pytest.mark.parametrize("kind,k", [("3d", None), ("even", 2), ("odd", 2)])
+    def test_build_validated_names_a_missing_n(self, kind, k):
+        with pytest.raises(ValueError, match=f"^n is required for kind {kind}$"):
+            build_validated(kind, k)
+
     def test_build_validated_names_an_unknown_kind(self):
         with pytest.raises(ValueError, match="^unknown kind 'cube'$"):
             build_validated("cube", 1, 5)

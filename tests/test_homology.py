@@ -2,7 +2,6 @@ import itertools
 import math
 import random
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -107,6 +106,17 @@ class TestReduce:
         with pytest.raises(ValueError, match="at position 3: 0.5 after 1.0"):
             reduce([(0.0, (0,)), (0.0, (1,)), (1.0, (0, 1)), (0.5, (2,))])
 
+    @pytest.mark.parametrize("entries,at", [
+        ([(math.nan, (0,))], 0),
+        ([(math.nan, (0,)), (0.0, (1,))], 0),
+        ([(0.0, (0,)), (math.nan, (1,))], 1),
+        ([(0.0, (0,)), (0.0, (1,)), (math.nan, (0, 1))], 2),
+    ], ids=["lone", "first", "second", "edge"])
+    def test_nan_value_rejected(self, entries, at):
+        # a nan is not at least its predecessor, nor is a value after it
+        with pytest.raises(ValueError, match=f"^filtration value at position {at} is nan$"):
+            reduce(entries)
+
     def test_missing_face_rejected(self):
         with pytest.raises(ValueError):
             reduce([(0.0, (0,)), (1.0, (0, 1))])
@@ -134,7 +144,8 @@ BUILT = [("3d", 1, 2), ("3d", 1, 8), ("even", 2, 5), ("even", 3, 6), ("odd", 2, 
 
 class TestBuiltFaceRelation:
     """`reduce` on a built filtration reads the build's face relation; on
-    a raw list it pads `boundary_columns`.  The two must agree."""
+    a raw list it pads `boundary_columns`.  The two must agree, and so must
+    the Betti vectors of either convention read at every class threshold."""
 
     @pytest.mark.parametrize("kind,k,n", BUILT)
     def test_faces_match_boundary_columns(self, kind, k, n, pipeline):
@@ -147,9 +158,11 @@ class TestBuiltFaceRelation:
     @pytest.mark.parametrize("kind,k,n", BUILT)
     @pytest.mark.parametrize("reduced", [True, False])
     def test_pairs_match_boundary_path(self, kind, k, n, reduced, pipeline):
-        _, fc, _, _ = pipeline(kind, k, n)
-        pd = reduce(fc, reduced=reduced)
-        assert pd.pairs == reduce(as_filtration(fc), reduced=reduced).pairs
+        _, fc, thresholds, _ = pipeline(kind, k, n)
+        assert reduce(fc).pairs == reduce(as_filtration(fc)).pairs
+        for th in thresholds:
+            assert betti_of_subcomplex(fc, th.rho, reduced=reduced) == \
+                sublevel_betti(fc, th.rho, reduced, 0.0), th
 
     # even_2_5, whose equal-value groups are largest, is in test_shuffle_invariance
     @pytest.mark.parametrize("name", ["threed_n2", "odd_2_2"])
@@ -199,13 +212,11 @@ def tuple_assembly(filtration):
     return list(zip(dim[order].tolist(), birth[order].tolist(), death[order].tolist()))
 
 
-def generator_count(pairs, reduced, p, r, eps):
-    """Reference: `betti_at` as a walk over the tuple list."""
+def generator_count(pairs, p, r, eps):
+    """Reference: the dimension-p classes alive at r + eps, the unreduced
+    Betti number, as a walk over the tuple list."""
     limit = r + eps
-    count = sum(1 for dim, birth, death in pairs if dim == p and birth <= limit < death)
-    if reduced and p == 0 and count > 0:
-        count -= 1
-    return count
+    return sum(1 for dim, birth, death in pairs if dim == p and birth <= limit < death)
 
 
 def hexed_pairs(pairs):
@@ -239,7 +250,8 @@ class TestDiagramArrays:
 
     def test_betti_at_matches_the_generator_count(self, filtrations):
         # at every birth and death and one ulp either side, in every
-        # dimension, with and without eps, reduced or not
+        # dimension, with and without eps: the count less the component
+        # of beta_0
         for filtration in filtrations:
             pd = reduce(filtration)
             pairs = pd.pairs
@@ -249,18 +261,15 @@ class TestDiagramArrays:
             by_dim = {p: [pair for pair in pairs if pair[0] == p]
                       for p in range(int(pd.dims.max()) + 2)}
             assert sum(map(len, by_dim.values())) == len(pd)
-            for reduced in (True, False):
-                convention = replace(pd, reduced=reduced)
-                for p, at_p in by_dim.items():
-                    for eps in (0.0, 1e-12):
-                        got = [betti_at(convention, p, r, eps) for r in radii.tolist()]
-                        assert got == [generator_count(at_p, reduced, p, r, eps)
-                                       for r in radii.tolist()], (p, eps, reduced)
+            for p, at_p in by_dim.items():
+                for eps in (0.0, 1e-12):
+                    got = [betti_at(pd, p, r, eps) for r in radii.tolist()]
+                    assert got == [max(generator_count(at_p, p, r, eps) - (p == 0), 0)
+                                   for r in radii.tolist()], (p, eps)
 
-    def test_equality_reads_the_arrays_and_the_convention(self, threed_n2):
+    def test_equality_reads_the_arrays(self, threed_n2):
         _, fc, _, pd = threed_n2
         assert reduce(fc) == pd and len(pd) == len(pd.pairs)
-        assert reduce(fc, reduced=False) != pd
         moved = diagram(pd.pairs)
         moved.deaths[0] = np.nextafter(moved.deaths[0], INF)
         assert moved != pd and pd != pd.pairs
@@ -351,7 +360,7 @@ class TestBettiAt:
     def test_inclusion_eps(self):
         pd = diagram([(0, 0.5 + 1e-15, INF)])
         assert betti_at(pd, 0, 0.5) == 0  # reduced drops the last component
-        assert not pd.reduced or betti_at(pd, 0, 0.5, eps=1e-12) == 0
+        assert betti_at(pd, 0, 0.5, eps=1e-12) == 0
         assert betti_at(diagram([(1, 0.5 + 1e-15, INF)]), 1, 0.5, eps=1e-12) == 1
 
 
@@ -359,6 +368,9 @@ class TestBettiOfSubcomplex:
     def test_negative_radius_all_zero(self, threed_n2):
         _, fc, _, _ = threed_n2
         assert betti_of_subcomplex(fc, -1.0) == rank_betti(fc, -1.0) == [0, 0, 0, 0]
+        # the empty complex has no component to add back
+        assert betti_of_subcomplex(fc, -1.0, reduced=False) == \
+            rank_betti(fc, -1.0, reduced=False) == [0, 0, 0, 0]
 
     def test_3d_vector_at_rho2(self, threed_n2):
         _, fc, thresholds, _ = threed_n2
@@ -375,6 +387,8 @@ class TestBettiOfSubcomplex:
         vec = betti_of_subcomplex(fc, 0.2, reduced=False)
         assert vec == rank_betti(fc, 0.2, reduced=False)
         assert vec[0] == 10
+        # at the least value, 0, the sublevel complex is the 10 vertices
+        assert betti_of_subcomplex(fc, 0.0, reduced=False)[0] == 10
 
     @pytest.mark.parametrize("kind,k,n", [("3d", 1, 8), ("even", 2, 5), ("odd", 2, 2)])
     def test_matches_reduction_of_the_sublevel(self, kind, k, n, pipeline):
@@ -413,14 +427,18 @@ class TestBettiOfSubcomplex:
 
 
 def sublevel_betti(fc, r, reduced, eps):
-    """Reference: reduce the sublevel complex at r again, as a pair list."""
+    """Reference: reduce the sublevel complex at r again, as a pair list;
+    unreduced, beta_0 counts every class alive."""
     entries = as_filtration(fc)
     pmax = max(len(v) - 1 for _, v in entries)
     sub = [(value, verts) for value, verts in entries if value <= r + eps]
     if not sub:
         return [0] * (pmax + 1)
-    pd = reduce(sub, reduced=reduced)
-    return [betti_at(pd, p, r, eps) for p in range(pmax + 1)]
+    pairs = reduce(sub).pairs
+    vec = [generator_count(pairs, p, r, eps) for p in range(pmax + 1)]
+    if reduced:
+        vec[0] -= 1
+    return vec
 
 
 class TestInvariants:
@@ -430,11 +448,11 @@ class TestInvariants:
 
     def test_unreduced_beta0_monotone_after_vertices(self, odd_2_2):
         _, fc, _, _ = odd_2_2
-        pd = reduce(fc, reduced=False)
         values = sorted({v for v, _ in fc.entries})
         prev = None
         for r in values:
-            b0 = betti_at(pd, 0, r, eps=1e-12)
+            b0 = betti_of_subcomplex(fc, r, reduced=False, eps=1e-12)[0]
+            assert b0 == rank_betti(fc, r, reduced=False, eps=1e-12)[0] > 0
             if prev is not None:
                 assert b0 <= prev
             prev = b0
@@ -503,14 +521,16 @@ def profile_reference(pd, p):
 
 
 def euler_reference(entries, pd, eps):
-    """The Euler identity recounted from scratch at every value."""
+    """The Euler identity recounted from scratch at every value, against
+    the unreduced Betti numbers of `pd`."""
     pmax = max(len(v) - 1 for _, v in entries)
     for r in sorted({v for v, _ in entries}):
         counts = [0] * (pmax + 1)
         for value, verts in entries:
             if value <= r + eps:
                 counts[len(verts) - 1] += 1
-        chi_betti = sum((-1) ** p * betti_at(pd, p, r, eps) for p in range(pmax + 1))
+        chi_betti = sum((-1) ** p * generator_count(pd.pairs, p, r, eps)
+                        for p in range(pmax + 1))
         if sum((-1) ** p * c for p, c in enumerate(counts)) != chi_betti:
             return False
     return True
@@ -523,13 +543,19 @@ class TestSweepQueries:
     @pytest.mark.parametrize("name", FIXTURES)
     @pytest.mark.parametrize("reduced", [True, False])
     def test_profile_matches_betti_at_at_every_breakpoint(self, name, reduced, request):
-        _, fc, _, _ = request.getfixturevalue(name)
-        pd = reduce(fc, reduced=reduced)
+        # and unreduced, each breakpoint's value is betti_of_subcomplex's
+        # less the one component of the nonempty complex
+        _, fc, _, pd = request.getfixturevalue(name)
         for p in range(fc.max_dim() + 1):
-            assert homology.betti_profile(pd, p) == profile_reference(pd, p)
+            profile = homology.betti_profile(pd, p)
+            assert profile == profile_reference(pd, p)
+            if not reduced:
+                for r, value in profile:
+                    vec = betti_of_subcomplex(fc, r, reduced=False)
+                    assert vec[p] == value + (p == 0), (p, r)
 
     def test_profile_ignores_pairs_that_are_never_alive(self):
-        pd = diagram([(1, 0.5, 0.5), (1, 0.7, 0.6), (1, 0.2, 0.8)], reduced=False)
+        pd = diagram([(1, 0.5, 0.5), (1, 0.7, 0.6), (1, 0.2, 0.8)])
         assert homology.betti_profile(pd, 1) == profile_reference(pd, 1)
 
     @pytest.mark.parametrize("name", FIXTURES)
@@ -538,11 +564,11 @@ class TestSweepQueries:
         # intact, then with one pair dropped, which breaks the identity
         _, fc, _, _ = request.getfixturevalue(name)
         entries = as_filtration(fc)
-        full = reduce(entries, reduced=False)
+        full = reduce(entries)
         assert euler_characteristic_ok(fc, eps)
         assert euler_reference(entries, full, eps)
         for drop in range(0, len(full.pairs), max(1, len(full.pairs) // 7)):
-            pd = diagram(full.pairs[:drop] + full.pairs[drop + 1:], reduced=False)
+            pd = diagram(full.pairs[:drop] + full.pairs[drop + 1:])
             monkeypatch.setattr(homology, "reduce", lambda *args, pd=pd, **kwargs: pd)
             verdict = euler_characteristic_ok(fc, eps)
             assert verdict == euler_reference(entries, pd, eps)
@@ -554,9 +580,9 @@ class TestSweepQueries:
         # does show, and the missing pair is caught
         entries = [(0.0, (0,)), (0.0, (1,)), (0.0, (2,)), (1.0, (0, 1)), (1.0, (1, 2)),
                    (1.0 + 5e-13, (0, 2)), (1.0 + 8e-13, (0, 1, 2))]
-        full = reduce(entries, reduced=False)
+        full = reduce(entries)
         assert (1, 1.0 + 5e-13, 1.0 + 8e-13) in full.pairs
-        pd = diagram([p for p in full.pairs if p[0] != 1], reduced=False)
+        pd = diagram([p for p in full.pairs if p[0] != 1])
         monkeypatch.setattr(homology, "reduce", lambda *args, **kwargs: pd)
         for eps, verdict in ((1e-12, True), (0.0, False)):
             assert euler_characteristic_ok(entries, eps) is verdict

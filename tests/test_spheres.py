@@ -108,7 +108,7 @@ class TestAsReference:
     def test_mosaics_bit_identical(self, kind, k, n):
         ps = cached_pipeline(kind, k, n)[0]
         m = complexgen._mosaic(ps)
-        verts = m.vertex_tuples()
+        verts = complexgen._vertex_tuples(m.ids)
         batch = assert_as_reference(ps, verts)
         blocks = circumspheres_in_order(ps, m.ids)
         for name in FIELDS:
@@ -123,7 +123,7 @@ class TestAsReference:
     @pytest.mark.parametrize("kind,k,n", ACCEPTED)
     def test_mosaics_as_scalar_predicates(self, kind, k, n):
         ps = cached_pipeline(kind, k, n)[0]
-        verts = complexgen._mosaic(ps).vertex_tuples()
+        verts = complexgen._vertex_tuples(complexgen._mosaic(ps).ids)
         batch = circumspheres_in_order(ps, verts)
         scalar = []
         for v in verts:
@@ -140,7 +140,7 @@ class TestAsReference:
 
     def test_failing_point_set_under_every_vertex_order(self):
         ps = build_3d(10, 0.5)
-        verts = complexgen._mosaic(ps).vertex_tuples()
+        verts = complexgen._vertex_tuples(complexgen._mosaic(ps).ids)
         for shift in range(4):
             batch = assert_as_reference(
                 ps, [v[shift % len(v):] + v[:shift % len(v)] for v in verts])
@@ -209,7 +209,8 @@ class TestCircumsphereIsOneRow:
     @pytest.mark.parametrize("kind,k,n", ACCEPTED)
     def test_mosaic_rows(self, kind, k, n):
         ps = cached_pipeline(kind, k, n)[0]
-        assert_circumsphere_is_its_row(ps.points, complexgen._mosaic(ps).vertex_tuples())
+        verts = complexgen._vertex_tuples(complexgen._mosaic(ps).ids)
+        assert_circumsphere_is_its_row(ps.points, verts)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_degenerate_rows_raise(self, d):
@@ -416,7 +417,7 @@ def violations_loop(sphere, pts, exclude):
 def test_emptiness_violations_match_the_loop():
     ps = build_3d(10, 0.5)
     checked = 0
-    for v in complexgen._mosaic(ps).vertex_tuples():
+    for v in complexgen._vertex_tuples(complexgen._mosaic(ps).ids):
         sphere = circumsphere(ps.points[list(v)])
         found = violations_loop(sphere, ps.points, v)
         assert (found == []) == is_empty_sphere(sphere, ps, exclude=v)
